@@ -37,6 +37,8 @@ type Saturation struct {
 	// Utilization is U of the saturated set at the analyzed bandwidth —
 	// one sample of breakdown utilization.
 	Utilization float64
+	// Probes is the number of schedulability probes the search made.
+	Probes int
 }
 
 // SaturateOptions tunes the binary search. The zero value gives sensible
@@ -101,15 +103,21 @@ func saturateReference(m message.Set, a core.Analyzer, bandwidthBPS float64, opt
 	}, bandwidthBPS, o)
 }
 
-// saturate runs the bracketing and bisection over an arbitrary probe. The
-// probe sequence is a pure function of the verdicts, so two probes that
-// agree on every verdict produce identical Saturations.
+// saturate runs the bracketing and bisection over an arbitrary probe and
+// counts the probes it makes. The probe sequence is a pure function of the
+// verdicts, so two probes that agree on every verdict produce identical
+// Saturations.
 func saturate(m message.Set, sched func(float64) (bool, error), bandwidthBPS float64, o SaturateOptions) (Saturation, error) {
+	probes := 0
+	test := func(scale float64) (bool, error) {
+		probes++
+		return sched(scale)
+	}
 	// Bracket the threshold: lo schedulable, hi unschedulable.
 	const floor = 1e-15 // below this the set is deemed infeasible at any load
 	lo, hi := 0.0, 0.0
 	probe := 1.0
-	ok, err := sched(probe)
+	ok, err := test(probe)
 	if err != nil {
 		return Saturation{}, err
 	}
@@ -120,7 +128,7 @@ func saturate(m message.Set, sched func(float64) (bool, error), bandwidthBPS flo
 				return Saturation{}, fmt.Errorf("%w: still schedulable at scale %g", ErrNoBracket, lo)
 			}
 			probe *= 2
-			ok, err = sched(probe)
+			ok, err = test(probe)
 			if err != nil {
 				return Saturation{}, err
 			}
@@ -140,9 +148,9 @@ func saturate(m message.Set, sched func(float64) (bool, error), bandwidthBPS flo
 			if probe < floor {
 				// Unschedulable even at (effectively) zero payload: the
 				// fixed overheads alone miss deadlines.
-				return Saturation{Feasible: false}, nil
+				return Saturation{Feasible: false, Probes: probes}, nil
 			}
-			ok, err = sched(probe)
+			ok, err = test(probe)
 			if err != nil {
 				return Saturation{}, err
 			}
@@ -157,7 +165,7 @@ func saturate(m message.Set, sched func(float64) (bool, error), bandwidthBPS flo
 	// Binary search the threshold down to relative tolerance.
 	for hi-lo > o.RelTol*hi {
 		mid := lo + (hi-lo)/2
-		ok, err = sched(mid)
+		ok, err = test(mid)
 		if err != nil {
 			return Saturation{}, err
 		}
@@ -168,7 +176,7 @@ func saturate(m message.Set, sched func(float64) (bool, error), bandwidthBPS flo
 		}
 	}
 	if lo == 0 {
-		return Saturation{Feasible: false}, nil
+		return Saturation{Feasible: false, Probes: probes}, nil
 	}
 
 	sat := m.Scale(lo)
@@ -177,6 +185,7 @@ func saturate(m message.Set, sched func(float64) (bool, error), bandwidthBPS flo
 		Scale:       lo,
 		Set:         sat,
 		Utilization: sat.Utilization(bandwidthBPS),
+		Probes:      probes,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package breakdown
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -62,29 +63,58 @@ func sameSaturation(t *testing.T, label string, fast, ref Saturation) {
 // suite: over 1000+ seeded sets per protocol, the pooled-probe saturation
 // search must reproduce the reference per-call search bit-for-bit —
 // feasibility, breakdown scale, utilization, and every saturated payload.
+// The inputs are small sets (2–15 streams) at three bandwidths, plus
+// paper-scale 100-stream sets under every period model at every Figure 1
+// bandwidth, where the probe's bracket carries facts across long prefixes.
 func TestSaturateDifferentialParity(t *testing.T) {
-	sets := 350
+	small, paper := 350, 6
 	if testing.Short() {
-		sets = 60
+		small, paper = 60, 1
 	}
-	for _, bw := range []float64{4e6, 16e6, 100e6} {
-		for _, a := range diffAnalyzers(bw) {
-			a := a
-			rng := rand.New(rand.NewSource(271828))
-			for k := 0; k < sets; k++ {
-				set := drawSet(t, rng, 2+rng.Intn(14))
-				fast, err1 := Saturate(set, a, bw, SaturateOptions{})
-				ref, err2 := saturateReference(set, a, bw, SaturateOptions{})
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%s bw=%g set %d: fast err %v, reference err %v", a.Name(), bw, k, err1, err2)
-				}
-				if err1 != nil {
-					if err1.Error() != err2.Error() {
-						t.Fatalf("%s bw=%g set %d: fast err %q, reference err %q", a.Name(), bw, k, err1, err2)
+	type input struct {
+		gen  message.Generator // Streams 0: drawn from 2..15 per set
+		bws  []float64
+		sets int
+	}
+	inputs := []input{{
+		gen:  message.Generator{MeanPeriod: 100e-3, PeriodRatio: 10},
+		bws:  []float64{4e6, 16e6, 100e6},
+		sets: small,
+	}}
+	for _, pm := range []message.PeriodModel{
+		message.PeriodsUniform, message.PeriodsLogUniform, message.PeriodsEqual, message.PeriodsHarmonic,
+	} {
+		gen := message.PaperGenerator()
+		gen.Periods = pm
+		inputs = append(inputs, input{gen: gen, bws: PaperBandwidths(3), sets: paper})
+	}
+	for _, in := range inputs {
+		for _, bw := range in.bws {
+			for _, a := range diffAnalyzers(bw) {
+				rng := rand.New(rand.NewSource(271828))
+				for k := 0; k < in.sets; k++ {
+					gen := in.gen
+					if gen.Streams == 0 {
+						gen.Streams = 2 + rng.Intn(14)
 					}
-					continue
+					set, err := gen.Draw(rng)
+					if err != nil {
+						t.Fatalf("Draw: %v", err)
+					}
+					label := fmt.Sprintf("%s %v/%d streams bw=%g set %d", a.Name(), gen.Periods, gen.Streams, bw, k)
+					fast, err1 := Saturate(set, a, bw, SaturateOptions{})
+					ref, err2 := saturateReference(set, a, bw, SaturateOptions{})
+					if (err1 == nil) != (err2 == nil) {
+						t.Fatalf("%s: fast err %v, reference err %v", label, err1, err2)
+					}
+					if err1 != nil {
+						if err1.Error() != err2.Error() {
+							t.Fatalf("%s: fast err %q, reference err %q", label, err1, err2)
+						}
+						continue
+					}
+					sameSaturation(t, label, fast, ref)
 				}
-				sameSaturation(t, a.Name(), fast, ref)
 			}
 		}
 	}

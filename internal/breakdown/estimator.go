@@ -161,12 +161,13 @@ dispatch:
 	}
 
 	var acc stats.Running
-	infeasible := 0
+	infeasible, probes := 0, 0
 	utils := make([]float64, 0, len(results))
 	for _, r := range results {
 		if r.infeasible {
 			infeasible++
 		}
+		probes += r.probes
 		acc.Add(r.util)
 		utils = append(utils, r.util)
 	}
@@ -184,6 +185,7 @@ dispatch:
 	}
 	sp.SetAttr("mean", acc.Mean())
 	sp.SetAttr("infeasible", infeasible)
+	sp.SetAttr("probes", probes)
 	return Estimate{
 		Mean:       acc.Mean(),
 		CI95:       acc.CI95(),
@@ -201,6 +203,7 @@ dispatch:
 type sampleOutcome struct {
 	util       float64
 	infeasible bool
+	probes     int
 	err        error
 }
 
@@ -219,6 +222,7 @@ func (e Estimator) sample(a core.Analyzer, bandwidthBPS float64, i int) (o sampl
 		o.err = fmt.Errorf("sample %d: %w", i, err)
 		return o
 	}
+	o.probes = sat.Probes
 	if !sat.Feasible {
 		o.infeasible = true
 		return o

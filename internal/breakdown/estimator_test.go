@@ -1,12 +1,15 @@
 package breakdown
 
 import (
+	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"ringsched/internal/core"
 	"ringsched/internal/message"
+	"ringsched/internal/trace"
 )
 
 func testEstimator(samples int) Estimator {
@@ -113,6 +116,40 @@ func TestEstimateCountsInfeasible(t *testing.T) {
 	}
 	if est.Mean != 0 {
 		t.Errorf("Mean = %v, want 0", est.Mean)
+	}
+}
+
+// countingCap is capAnalyzer counting its verdicts. It is not a
+// BatchAnalyzer, so every saturation probe is one Schedulable call.
+type countingCap struct {
+	capAnalyzer
+	calls *atomic.Int64
+}
+
+func (c countingCap) Schedulable(m message.Set) (bool, error) {
+	c.calls.Add(1)
+	return c.capAnalyzer.Schedulable(m)
+}
+
+// TestEstimateSpanCountsProbes checks that the breakdown.estimate span
+// carries the total number of saturation probes over all samples, for
+// feasible searches and for infeasible halving walks alike.
+func TestEstimateSpanCountsProbes(t *testing.T) {
+	for _, limit := range []float64{5e5, -1} {
+		ring := trace.NewRing(4)
+		ctx := trace.WithTracer(context.Background(), trace.New(ring))
+		a := countingCap{capAnalyzer{Cap: limit}, new(atomic.Int64)}
+		if _, err := testEstimator(12).EstimateContext(ctx, a, 1e6); err != nil {
+			t.Fatal(err)
+		}
+		spans := ring.Snapshot()
+		if len(spans) != 1 || spans[0].Name != "breakdown.estimate" {
+			t.Fatalf("cap %g: spans %+v, want one breakdown.estimate", limit, spans)
+		}
+		want := int(a.calls.Load())
+		if got := spans[0].Attrs["probes"]; got != want || want == 0 {
+			t.Errorf("cap %g: probes attribute %v, want %d", limit, got, want)
+		}
 	}
 }
 

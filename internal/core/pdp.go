@@ -99,42 +99,66 @@ func (p PDP) Blocking() float64 {
 // message of the stream including framing, priority-arbitration and
 // token-circulation overheads (Section 4.3).
 func (p PDP) AugmentedLength(s message.Stream) float64 {
-	return p.augmentedFromBits(s.LengthBits)
+	return p.plant().augmented(s.LengthBits)
 }
 
-// augmentedFromBits computes C' for a payload of the given size in bits.
-// The batched probes call it with pre-scaled bit counts, which is exactly
+// plant holds the bandwidth-derived constants of the C' formula. Deriving
+// them once and reusing them for every stream gives the same bits as
+// deriving them per stream, so every caller of augmented — AugmentedLength,
+// Tasks, the report and the batched probes — agrees bit-for-bit.
+type plant struct {
+	frame      frame.Spec
+	standard   bool
+	bw         float64
+	theta      float64 // Θ
+	f          float64 // F, the time of one full frame
+	info, ovhd float64 // the information and overhead parts of F
+}
+
+// plant derives the C' constants of the analyzer's ring and frame format.
+func (p PDP) plant() plant {
+	bw := p.Net.BandwidthBPS
+	return plant{
+		frame:    p.Frame,
+		standard: p.Variant == Standard8025,
+		bw:       bw,
+		theta:    p.Net.Theta(),
+		f:        p.Frame.Time(bw),
+		info:     p.Frame.InfoTime(bw),
+		ovhd:     p.Frame.OvhdTime(bw),
+	}
+}
+
+// augmented computes C' for a payload of the given size in bits. The
+// batched probes call it with pre-scaled bit counts, which is exactly
 // what AugmentedLength sees on a Scale()d stream, keeping both paths
 // bit-identical.
-func (p PDP) augmentedFromBits(lengthBits float64) float64 {
-	bw := p.Net.BandwidthBPS
-	theta := p.Net.Theta()
-	f := p.Frame.Time(bw)
-	l, k := p.Frame.Split(lengthBits)
+func (c plant) augmented(lengthBits float64) float64 {
+	l, k := c.frame.Split(lengthBits)
 	lf, kf := float64(l), float64(k)
 
 	// Token-circulation overhead: Θ/2 on average, per frame for the
 	// standard protocol, once per message for the modified one.
 	var tokenOverhead float64
-	if p.Variant == Standard8025 {
-		tokenOverhead = kf * theta / 2
+	if c.standard {
+		tokenOverhead = kf * c.theta / 2
 	} else {
-		tokenOverhead = theta / 2
+		tokenOverhead = c.theta / 2
 	}
 
-	if f <= theta {
+	if c.f <= c.theta {
 		// The header of each frame returns only after Θ; the medium is
 		// occupied for Θ per frame regardless of frame size.
-		return kf*theta + tokenOverhead
+		return kf*c.theta + tokenOverhead
 	}
 
 	// F > Θ: each of the L_i full frames occupies the medium for F. A
 	// short last frame (K_i = L_i + 1) occupies the greater of its own
 	// transmission time and Θ, because the holder must wait for its header
 	// to return before arbitration can proceed.
-	c := lengthBits / bw
-	lastFrame := math.Max(c-lf*p.Frame.InfoTime(bw)+p.Frame.OvhdTime(bw), theta)
-	return lf*f + tokenOverhead + (kf-lf)*lastFrame
+	ct := lengthBits / c.bw
+	lastFrame := math.Max(ct-lf*c.info+c.ovhd, c.theta)
+	return lf*c.f + tokenOverhead + (kf-lf)*lastFrame
 }
 
 // Tasks maps the message set, in rate-monotonic order, to the abstract
@@ -142,8 +166,9 @@ func (p PDP) augmentedFromBits(lengthBits float64) float64 {
 func (p PDP) Tasks(m message.Set) rma.TaskSet {
 	sorted := m.SortRM()
 	ts := make(rma.TaskSet, len(sorted))
+	c := p.plant()
 	for i, s := range sorted {
-		ts[i] = rma.Task{Cost: p.AugmentedLength(s), Period: s.Period}
+		ts[i] = rma.Task{Cost: c.augmented(s.LengthBits), Period: s.Period}
 	}
 	return ts
 }
@@ -219,9 +244,10 @@ func (p PDP) reportWith(m message.Set, b FaultBudget) (PDPReport, error) {
 		Utilization: m.Utilization(p.Net.BandwidthBPS),
 		Streams:     make([]PDPStreamReport, len(sorted)),
 	}
+	c := p.plant()
 	for i, s := range sorted {
 		_, k := p.Frame.Split(s.LengthBits)
-		cAug := p.AugmentedLength(s) * scale
+		cAug := c.augmented(s.LengthBits) * scale
 		rep.AugmentedUtilization += cAug / s.Period
 		rep.Streams[i] = PDPStreamReport{
 			Stream:          s,

@@ -54,11 +54,11 @@ func scaleError(m message.Set, scale float64) error {
 // --- PDP -------------------------------------------------------------
 
 // pdpJob is the Theorem 4.1 probe: the RM order, blocking term, and the
-// workspace's scheduling-point cache are fixed at bind (periods do not
-// change under payload scaling); each probe recomputes only the augmented
-// lengths C'(scale·bits) and re-runs the allocation-free exact test.
+// C' plant constants are fixed at bind (periods do not change under
+// payload scaling); each probe recomputes only the augmented lengths
+// C'(scale·bits) and re-runs the workspace's bracketed exact test.
 type pdpJob struct {
-	p        PDP
+	c        plant
 	orig     message.Set
 	streams  []message.Stream
 	bits     []float64
@@ -84,7 +84,7 @@ func (p PDP) NewProbe(m message.Set) (Probe, func(), error) {
 }
 
 func (j *pdpJob) bind(p PDP, m message.Set) error {
-	j.p = p
+	j.c = p.plant()
 	j.orig = m
 	j.blocking = p.Blocking()
 	j.streams = append(j.streams[:0], m...)
@@ -93,7 +93,7 @@ func (j *pdpJob) bind(p PDP, m message.Set) error {
 	j.tasks = j.tasks[:0]
 	for _, s := range j.streams {
 		j.bits = append(j.bits, s.LengthBits)
-		j.tasks = append(j.tasks, rma.Task{Cost: p.AugmentedLength(s), Period: s.Period})
+		j.tasks = append(j.tasks, rma.Task{Cost: j.c.augmented(s.LengthBits), Period: s.Period})
 	}
 	return j.ws.Load(j.tasks)
 }
@@ -107,7 +107,7 @@ func (j *pdpJob) Schedulable(scale float64) (bool, error) {
 		if !(sb > 0) || math.IsInf(sb, 0) {
 			return false, scaleError(j.orig, scale)
 		}
-		ts[i].Cost = j.p.augmentedFromBits(sb)
+		ts[i].Cost = j.c.augmented(sb)
 	}
 	return j.ws.Schedulable(j.blocking)
 }

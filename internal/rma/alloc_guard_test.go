@@ -43,8 +43,8 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 }
 
 // TestWorkspaceCounters checks the kernel telemetry: counters reset on
-// Load, tally each probe kind, and record the shortcut hits the saturation
-// search relies on.
+// Load, tally each probe kind, and record every bracket inference the
+// saturation search relies on.
 func TestWorkspaceCounters(t *testing.T) {
 	ts := benchTaskSet(40, 0.85, 7)
 	var ws Workspace
@@ -55,7 +55,9 @@ func TestWorkspaceCounters(t *testing.T) {
 		t.Fatalf("counters not zero after Load: %+v", got)
 	}
 
-	for _, scale := range benchScales {
+	// The bench ladder, then a probe below its last pass (0.9).
+	ladder := append(append([]float64(nil), benchScales...), 0.7)
+	for _, scale := range ladder {
 		ws.ScaleCosts(scale)
 		if _, err := ws.Schedulable(1e-4); err != nil {
 			t.Fatal(err)
@@ -69,20 +71,29 @@ func TestWorkspaceCounters(t *testing.T) {
 	}
 
 	c := ws.Counters()
-	if c.Schedulable != len(benchScales) {
-		t.Errorf("Schedulable = %d, want %d", c.Schedulable, len(benchScales))
+	if c.Schedulable != len(ladder) {
+		t.Errorf("Schedulable = %d, want %d", c.Schedulable, len(ladder))
 	}
 	if c.ExactTests != 1 || c.RTAs != 1 {
 		t.Errorf("ExactTests=%d RTAs=%d, want 1 and 1", c.ExactTests, c.RTAs)
 	}
-	// The probe ladder repeats passing scales, so witnesses must have
-	// settled at least some checks; it also repeats failing scales right
-	// after failures, so the lastFail shortcut must have fired.
-	if c.WitnessHits == 0 {
-		t.Error("witness shortcut never fired across the probe ladder")
+	// Passes and failures alternate around the threshold, so every
+	// inference must have fired: 0.7 sits below the last pass, 1.2 above
+	// a failure, the probes between a pass and a failure skip the tasks
+	// the failure proved and warm-start the rest.
+	for name, n := range map[string]int{
+		"DominancePasses": c.DominancePasses,
+		"DominanceFails":  c.DominanceFails,
+		"KnownSkips":      c.KnownSkips,
+		"WarmStarts":      c.WarmStarts,
+	} {
+		if n == 0 {
+			t.Errorf("%s never counted across the probe ladder: %+v", name, c)
+		}
 	}
-	if c.LastFailHits == 0 {
-		t.Error("lastFail shortcut never fired across the probe ladder")
+	if c.TaskEvals == 0 || c.Iterations < c.WarmStarts {
+		t.Errorf("TaskEvals=%d Iterations=%d WarmStarts=%d: evaluations not counted",
+			c.TaskEvals, c.Iterations, c.WarmStarts)
 	}
 
 	if err := ws.Load(ts); err != nil {

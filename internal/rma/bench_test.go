@@ -27,7 +27,7 @@ func benchTaskSet(n int, util float64, seed int64) TaskSet {
 
 // benchScales is the probe ladder the benchmarks cycle through; it mimics
 // a saturation search's bracketing pattern (passes and failures mixed) so
-// the witness and lastFail shortcuts are exercised realistically.
+// the workspace's bracket inferences are exercised realistically.
 var benchScales = []float64{0.5, 1.0, 1.2, 0.9, 1.05, 0.97, 1.01, 0.99}
 
 // BenchmarkExactTestReference measures the reference scheduling-point test
@@ -95,7 +95,7 @@ func BenchmarkWorkspaceRTA(b *testing.B) {
 
 // BenchmarkWorkspaceProbe measures the verdict-only saturation probe —
 // the innermost loop of every Monte Carlo breakdown sample, with the
-// witness-point and lastFail shortcuts live.
+// bracket inferences live.
 func BenchmarkWorkspaceProbe(b *testing.B) {
 	var ws Workspace
 	if err := ws.Load(benchTaskSet(100, 0.88, 1)); err != nil {
@@ -119,7 +119,7 @@ func TestWorkspaceProbesAllocationFree(t *testing.T) {
 	if err := ws.Load(benchTaskSet(60, 0.85, 7)); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the witness and lastFail state the way a search would.
+	// Warm the bracket state the way a search would.
 	for _, s := range []float64{0.5, 1.3, 1.0} {
 		ws.ScaleCosts(s)
 		if _, err := ws.Schedulable(0); err != nil {

@@ -19,19 +19,16 @@ const maxCachedPoints = 1 << 20
 //
 // A Workspace caches everything that depends only on the periods — the
 // rate-monotonic order and (lazily, on first ExactTest) the merged,
-// deduplicated scheduling-point array of every task — plus two incremental
-// hints that exploit the saturation search's structure:
-//
-//   - a per-task witness: the time (or scheduling point) that proved the
-//     task schedulable on the previous call is re-tested first (the
-//     existence check is order-independent, so the verdict is unchanged);
-//   - the first failing task of the previous failing call is re-tested
-//     first, so a probe above a known-failing load exits after one task.
-//
-// Every demand term is computed with arithmetic identical to the reference
-// implementations (ExactTest, ResponseTimeAnalysis); the differential
-// property suite asserts bit-identical verdicts. The zero value is ready
-// to use; a Workspace must not be shared between goroutines.
+// deduplicated scheduling-point array of every task. Schedulable also
+// keeps a bracket: the last passing probe (lo) with each task's converged
+// response time, and the last failing probe (hi) with its failing task
+// and the tasks known to pass there. A probe whose costs dominate, or are
+// dominated by, a bracket end inherits its facts exactly (see
+// Schedulable); everything else is computed with arithmetic identical to
+// the reference implementations (ExactTest, ResponseTimeAnalysis), and the
+// differential property suite asserts bit-identical verdicts. The zero
+// value is ready to use; a Workspace must not be shared between
+// goroutines.
 type Workspace struct {
 	tasks TaskSet   // RM-sorted working copy; costs mutable via Tasks
 	base  []float64 // costs as loaded, for ScaleCosts
@@ -42,19 +39,40 @@ type Workspace struct {
 	ptsBuilt bool      // buildPoints ran for the loaded periods
 	cached   bool      // pts/ptsEnd materialized (subject to maxCachedPoints)
 	scratch  []float64 // per-task point buffer for the uncached ExactTest
+	witness  []int     // per-task index of ExactTest's last passing point, -1 unknown
 
-	witness  []int     // per-task index of the last passing point, -1 unknown
-	witnessT []float64 // per-task time of the last passing probe, 0 unknown
-	lastFail int       // first failing task of the last failing probe, -1
+	lo  probeLo
+	hi  probeHi
+	cur []float64 // this probe's per-task response times, becoming lo.resp on a pass
 
 	counters Counters
+}
+
+// probeLo is the last probe Schedulable found schedulable.
+type probeLo struct {
+	ok       bool
+	blocking float64
+	cost     []float64
+	// resp[i] is a lower bound on the least time at which task i's demand
+	// at cost fits — its converged response time when it was evaluated
+	// there; 0 when unknown.
+	resp []float64
+}
+
+// probeHi is the last probe Schedulable found unschedulable.
+type probeHi struct {
+	ok       bool
+	blocking float64
+	cost     []float64
+	fail     int    // a task that misses its deadline at cost
+	pass     []bool // tasks known to meet their deadline at cost
 }
 
 // Counters is the workspace's cumulative probe telemetry since the last
 // Load — plain integers incremented on the hot path, so reading them costs
 // nothing and recording them cannot allocate. Saturation-search spans and
-// benchmarks use them to attribute time: a healthy search shows most
-// verdict probes settled by witnesses or the last-fail shortcut.
+// benchmarks use them to attribute time: a healthy search settles most
+// probes by dominance and most remaining tasks from the bracket.
 type Counters struct {
 	// Schedulable counts verdict-only probes answered.
 	Schedulable int
@@ -62,12 +80,24 @@ type Counters struct {
 	ExactTests int
 	// RTAs counts full response-time analyses.
 	RTAs int
-	// WitnessHits counts per-task checks settled by a remembered witness
-	// (one demand evaluation instead of an iteration or a point scan).
-	WitnessHits int
-	// LastFailHits counts probes short-circuited by re-testing the
-	// previous failing task first.
-	LastFailHits int
+	// DominancePasses counts Schedulable probes settled schedulable with
+	// nothing evaluated: no cost above the last passing probe's.
+	DominancePasses int
+	// DominanceFails counts Schedulable probes settled unschedulable with
+	// nothing evaluated: no cost below the last failing probe's, up to its
+	// failing task.
+	DominanceFails int
+	// TaskEvals counts per-task response-time iterations Schedulable ran.
+	TaskEvals int
+	// Iterations counts the demand evaluations of those iterations.
+	Iterations int
+	// KnownSkips counts tasks Schedulable settled schedulable without
+	// evaluation because they passed at the last failing probe and none
+	// of their costs grew since.
+	KnownSkips int
+	// WarmStarts counts task iterations Schedulable started from the
+	// task's response time at the last passing probe.
+	WarmStarts int
 }
 
 // Counters returns the probe telemetry accumulated since Load.
@@ -97,14 +127,15 @@ func (w *Workspace) Load(ts TaskSet) error {
 	for _, t := range w.tasks {
 		w.base = append(w.base, t.Cost)
 	}
-	w.resp = grow(w.resp, len(w.tasks))
+	n := len(w.tasks)
+	w.resp = grow(w.resp, n)
 	w.witness = w.witness[:0]
-	w.witnessT = w.witnessT[:0]
 	for range w.tasks {
 		w.witness = append(w.witness, -1)
-		w.witnessT = append(w.witnessT, 0)
 	}
-	w.lastFail = -1
+	w.lo = probeLo{cost: grow(w.lo.cost, n), resp: grow(w.lo.resp, n)}
+	w.hi = probeHi{cost: grow(w.hi.cost, n), pass: grow(w.hi.pass, n)}
+	w.cur = grow(w.cur, n)
 	w.counters = Counters{}
 	// The scheduling-point cache is built lazily by the first ExactTest:
 	// the verdict-only Schedulable path never consults it, and the
@@ -125,9 +156,9 @@ func (w *Workspace) ensurePoints() {
 }
 
 // grow returns a slice of length n reusing buf's capacity.
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -251,30 +282,6 @@ func (w *Workspace) pointDemand(i int, blocking, t float64) float64 {
 	return demand
 }
 
-// rtaTask runs the reference response-time iteration for one task,
-// returning the bound at which iteration stopped and whether it converged
-// within the period. The arithmetic is identical to ResponseTimeAnalysis.
-func (w *Workspace) rtaTask(i int, blocking float64) (r float64, ok bool) {
-	t := w.tasks[i]
-	r = blocking + t.Cost
-	for j := 0; j < i; j++ {
-		r += w.tasks[j].Cost
-	}
-	for {
-		if r > t.Period {
-			return r, false
-		}
-		next := blocking + t.Cost
-		for j := 0; j < i; j++ {
-			next += w.tasks[j].Cost * math.Ceil(r/w.tasks[j].Period)
-		}
-		if next <= r {
-			return r, true
-		}
-		r = next
-	}
-}
-
 // taskAtPoints is the per-task existence check of the exact test over the
 // cached (or scratch-built) points, trying the remembered witness first.
 // The verdict is independent of evaluation order, so the witness shortcut
@@ -289,7 +296,6 @@ func (w *Workspace) taskAtPoints(i int, blocking float64) bool {
 	}
 	if wi := w.witness[i]; wi >= 0 && wi < len(pts) &&
 		w.pointDemand(i, blocking, pts[wi]) <= pts[wi] {
-		w.counters.WitnessHits++
 		return true
 	}
 	for k, t := range pts {
@@ -301,53 +307,157 @@ func (w *Workspace) taskAtPoints(i int, blocking float64) bool {
 	return false
 }
 
-// taskOK is the verdict-only per-task check used by Schedulable: the
-// witness time first (one demand evaluation), then the response-time
-// iteration. The task is schedulable iff demand(t) ≤ t for some
-// t ∈ (0, P_i] — any such time certifies it, not only a scheduling point —
-// so a passing witness settles the verdict, and on a miss the reference
-// iteration decides. Both sides compute reference-identical arithmetic and
-// the two criteria are equivalent for this task model, so the verdict
-// matches the reference tests.
-func (w *Workspace) taskOK(i int, blocking float64) bool {
-	if wt := w.witnessT[i]; wt > 0 &&
-		w.pointDemand(i, blocking, wt) <= wt {
-		w.counters.WitnessHits++
-		return true
-	}
-	r, ok := w.rtaTask(i, blocking)
-	if ok {
-		// The converged response time satisfies demand(r) ≤ r and
-		// r ≤ P_i, so it is the next probe's one-shot witness.
-		w.witnessT[i] = r
-	}
-	return ok
-}
-
 // Schedulable reports the verdict of the exact test for the current costs
-// with zero allocations. It is the saturation search's probe: the first
-// failing task of the previous failing call is re-tested first, so probes
-// at loads above a known failure exit after one task.
+// with zero allocations. It is the saturation search's probe, and it
+// answers from the bracket of earlier probes wherever that is exact.
+//
+// Task i's demand D_i(t) = B + c_i + Σ_{j<i} c_j·⌈t/P_j⌉, summed in the
+// reference order, is non-decreasing in B and in every c_j under
+// round-to-nearest, and the ceilings depend only on t and the fixed
+// periods. Task i passes iff D_i(t) ≤ t for some t ∈ (0, P_i], and the
+// response-time iteration started at any positive value no larger than
+// the least such t stops on exactly that t. So, with equal blocking:
+//
+//  1. costs ≤ lo's everywhere: the set passes, nothing evaluated;
+//  2. costs ≥ hi's on tasks 0..f, f hi's failing task: the set fails,
+//     nothing evaluated;
+//  3. costs ≤ hi's on tasks 0..i and task i passed at hi: task i passes;
+//  4. costs ≥ lo's on tasks 0..i: task i's iteration starts at its
+//     response time at lo, which is no larger than its least fitting t.
+//
+// None of these needs the costs to be monotone in any scale factor: a
+// probe that compares neither way with a bracket end just loses that
+// inference. The rest is the reference response-time iteration, hi's
+// failing task first, stopping at the first failure.
 func (w *Workspace) Schedulable(blocking float64) (bool, error) {
 	if err := w.validate(blocking); err != nil {
 		return false, err
 	}
 	w.counters.Schedulable++
-	if lf := w.lastFail; lf >= 0 && lf < len(w.tasks) {
-		if !w.taskOK(lf, blocking) {
-			w.counters.LastFailHits++
-			return false, nil
+	loLE, loGE, hiLE := 0, 0, 0
+	if w.lo.ok && w.lo.blocking == blocking {
+		loLE, loGE = w.dominance(w.lo.cost)
+		if loLE == len(w.tasks) {
+			w.counters.DominancePasses++
+			return true, nil
 		}
-		w.lastFail = -1
+	}
+	first := -1
+	if w.hi.ok {
+		first = w.hi.fail
+		if w.hi.blocking == blocking {
+			var hiGE int
+			hiLE, hiGE = w.dominance(w.hi.cost)
+			if hiGE > first {
+				w.counters.DominanceFails++
+				return false, nil
+			}
+		}
+	}
+
+	if first >= 0 && !w.settle(first, blocking, loGE, hiLE) {
+		w.failAt(first, first, blocking, hiLE)
+		return false, nil
 	}
 	for i := range w.tasks {
-		if !w.taskOK(i, blocking) {
-			w.lastFail = i
+		if i != first && !w.settle(i, blocking, loGE, hiLE) {
+			w.failAt(i, first, blocking, hiLE)
 			return false, nil
 		}
 	}
-	w.lastFail = -1
+	w.lo.ok = true
+	w.lo.blocking = blocking
+	for i, t := range w.tasks {
+		w.lo.cost[i] = t.Cost
+	}
+	w.lo.resp, w.cur = w.cur, w.lo.resp
 	return true, nil
+}
+
+// dominance compares the working costs with a bracket end's: le and ge are
+// the lengths of the longest prefixes on which every cost is ≤ (le) or ≥
+// (ge) the stored one.
+func (w *Workspace) dominance(ref []float64) (le, ge int) {
+	n := len(w.tasks)
+	le, ge = n, n
+	for i, t := range w.tasks {
+		if t.Cost > ref[i] && le == n {
+			le = i
+		}
+		if t.Cost < ref[i] && ge == n {
+			ge = i
+		}
+		if le < n && ge < n {
+			break
+		}
+	}
+	return le, ge
+}
+
+// settle decides task i for Schedulable and records its response time in
+// cur: known from hi (inference 3), or by the reference response-time
+// iteration, warm-started from lo when the costs allow (inference 4).
+// loGE and hiLE are the dominance prefixes against lo and hi.
+func (w *Workspace) settle(i int, blocking float64, loGE, hiLE int) bool {
+	// The start must be positive: at t = 0 every ceiling vanishes, so the
+	// iteration could stop below the least fitting time.
+	warm := i < loGE && w.lo.resp[i] > 0
+	if i < hiLE && w.hi.pass[i] {
+		w.counters.KnownSkips++
+		// This probe's response time stays unknown; lo's still bounds it
+		// from below when the costs dominate lo's.
+		w.cur[i] = 0
+		if warm {
+			w.cur[i] = w.lo.resp[i]
+		}
+		return true
+	}
+	w.counters.TaskEvals++
+	t, higher := w.tasks[i], w.tasks[:i]
+	var r float64
+	if warm {
+		w.counters.WarmStarts++
+		r = w.lo.resp[i]
+	} else {
+		r = blocking + t.Cost
+		for _, h := range higher {
+			r += h.Cost
+		}
+	}
+	for r <= t.Period {
+		w.counters.Iterations++
+		next := blocking + t.Cost
+		for _, h := range higher {
+			next += h.Cost * math.Ceil(r/h.Period)
+		}
+		if next <= r {
+			w.cur[i] = r
+			return true
+		}
+		r = next
+	}
+	return false
+}
+
+// failAt makes the current probe the new hi after task f missed its
+// deadline. The tasks settled before f passed; first (hi's old failing
+// task, settled first when ≥ 0) passed too unless it is f; the rest keep
+// the old hi's knowledge where inference 3 carries it over.
+func (w *Workspace) failAt(f, first int, blocking float64, hiLE int) {
+	for i, t := range w.tasks {
+		w.hi.cost[i] = t.Cost
+		switch {
+		case i == f:
+			w.hi.pass[i] = false
+		case i == first || (f != first && i < f):
+			w.hi.pass[i] = true
+		default:
+			w.hi.pass[i] = w.hi.pass[i] && i < hiLE
+		}
+	}
+	w.hi.ok = true
+	w.hi.blocking = blocking
+	w.hi.fail = f
 }
 
 // ExactTest evaluates the Lehoczky–Sha–Ding criterion over the cached

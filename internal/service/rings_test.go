@@ -277,7 +277,9 @@ func TestRingsParallelEditors(t *testing.T) {
 	ring := decodeJSON[RingResponse](t, b)
 
 	const editors, rounds = 4, 8
-	var wins [rounds + 2]int32
+	// Versions start at 1 and every winning edit bumps it once, so the
+	// highest reachable version is editors·rounds + 1.
+	var wins [editors*rounds + 2]int32
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for e := 0; e < editors; e++ {
