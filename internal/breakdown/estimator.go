@@ -142,6 +142,11 @@ func (e Estimator) EstimateContext(ctx context.Context, a core.Analyzer, bandwid
 	}
 dispatch:
 	for i := 0; i < e.Samples; i++ {
+		// A select with both cases ready picks one at random, so test for
+		// cancellation first: a canceled estimate dispatches no sample.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case next <- i:
 		case <-ctx.Done():

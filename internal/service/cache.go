@@ -72,23 +72,29 @@ func (c *Cache) shard(key string) *cacheShard {
 // Get returns the cached body for key, marking it most recently used.
 // The returned slice is shared — callers must not modify it.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	el, ok := s.items[key]
-	var body []byte
-	if ok {
-		s.lru.MoveToFront(el)
-		// Read the body under the lock: a concurrent Put may replace
-		// el.Value in place.
-		body = el.Value.(*cacheEntry).body
-	}
-	s.mu.Unlock()
+	body, ok := c.lookup(key)
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
 	return body, true
+}
+
+// lookup is Get without the hit and miss counters, for a re-check that
+// must not count one request twice.
+func (c *Cache) lookup(key string) ([]byte, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.items[key]
+	if !ok {
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	// Read the body under the lock: a concurrent Put may replace el.Value
+	// in place.
+	return el.Value.(*cacheEntry).body, true
 }
 
 // Put stores body under key, evicting least-recently-used entries until

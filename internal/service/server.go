@@ -628,8 +628,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	// the leader's trace only: coalesced followers never run fn, so their
 	// traces record just the wait below.
 	parent := trace.SpanFromContext(r.Context())
-	viaPeer := false
+	viaCache, viaPeer := false, false
 	body, shared, err := s.flight.do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+		// A caller can miss the cache just before an earlier leader's Put
+		// and reach the flight group just after that leader finished.
+		// Re-check, uncounted (this request already counted its miss), so
+		// the key is not computed twice.
+		if b, ok := s.cache.lookup(key); ok {
+			viaCache = true
+			return b, nil
+		}
 		// The peer fill runs inside the flight group on purpose: every
 		// concurrent identical request on this process coalesces onto ONE
 		// outbound fill, and the owner coalesces fills from different
@@ -665,6 +673,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	switch {
 	case shared:
 		w.Header().Set("X-Cache", "coalesced")
+	case viaCache:
+		w.Header().Set("X-Cache", "hit")
 	case viaPeer:
 		w.Header().Set("X-Cache", "peer")
 	default:

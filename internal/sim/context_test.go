@@ -12,11 +12,11 @@ func chain(t *testing.T, g *Engine, dt float64) {
 	t.Helper()
 	var tick func()
 	tick = func() {
-		if _, err := g.After(dt, tick); err != nil {
+		if _, err := g.At(g.Now()+dt, tick); err != nil {
 			t.Errorf("reschedule: %v", err)
 		}
 	}
-	if _, err := g.After(dt, tick); err != nil {
+	if _, err := g.At(g.Now()+dt, tick); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -52,7 +52,7 @@ func TestScheduleFromHandler(t *testing.T) {
 	var trace []float64
 	if _, err := g.At(1, func() {
 		trace = append(trace, g.Now())
-		if _, err := g.After(2, func() { trace = append(trace, g.Now()) }); err != nil {
+		if _, err := g.At(g.Now()+2, func() { trace = append(trace, g.Now()) }); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -72,22 +72,25 @@ func TestCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Cancel(ev)
+	if g.Pending() != 0 {
+		t.Errorf("Pending = %d after Cancel, want 0", g.Pending())
+	}
 	g.RunUntil(5)
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() false after Cancel")
-	}
-	// Double-cancel and nil-cancel are no-ops.
+	// Double-cancel and zero-handle cancel are no-ops.
 	g.Cancel(ev)
-	g.Cancel(nil)
+	g.Cancel(Event{})
+	if g.Fired() != 0 || g.Pending() != 0 {
+		t.Errorf("Fired/Pending = %d/%d after repeated Cancel, want 0/0", g.Fired(), g.Pending())
+	}
 }
 
 func TestCancelOneOfMany(t *testing.T) {
 	var g Engine
 	var fired []int
-	var events []*Event
+	var events []Event
 	for i := 0; i < 5; i++ {
 		i := i
 		ev, err := g.At(float64(i+1), func() { fired = append(fired, i) })
@@ -105,6 +108,80 @@ func TestCancelOneOfMany(t *testing.T) {
 	for i := range want {
 		if fired[i] != want[i] {
 			t.Fatalf("fired = %v, want %v", fired, want)
+		}
+	}
+}
+
+// TestStaleHandleOfReusedSlot checks that a handle whose event fired or was
+// canceled cannot cancel the later event that reuses its slot.
+func TestStaleHandleOfReusedSlot(t *testing.T) {
+	var g Engine
+	first, err := g.At(1, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Cancel(first)
+	fired := 0
+	second, err := g.At(2, func() { fired++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.slot != first.slot {
+		t.Fatalf("second event took slot %d, want the freed slot %d", second.slot, first.slot)
+	}
+	g.Cancel(first)
+	g.RunUntil(3)
+	if fired != 1 {
+		t.Fatalf("event in a reused slot fired %d times after a stale cancel, want 1", fired)
+	}
+	// The slot is free again and reused once more; the fired handle is
+	// stale too.
+	if _, err := g.At(4, func() { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	g.Cancel(second)
+	if g.Pending() != 1 {
+		t.Fatalf("Pending = %d after a stale cancel, want 1", g.Pending())
+	}
+}
+
+// TestCancelAmongManyPending cancels every other event out of a large
+// pending set in scrambled order and checks that the rest fire in (time,
+// seq) order.
+func TestCancelAmongManyPending(t *testing.T) {
+	const n = 1000
+	var g Engine
+	var fired []int
+	events := make([]Event, n)
+	for i := range events {
+		i := i
+		ev, err := g.At(float64((i*7919)%n/4), func() { fired = append(fired, i) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		events[i] = ev
+	}
+	for k := 0; k < n; k++ {
+		if i := (k * 389) % n; i%2 == 1 {
+			g.Cancel(events[i])
+		}
+	}
+	if g.Pending() != n/2 {
+		t.Fatalf("Pending = %d, want %d", g.Pending(), n/2)
+	}
+	g.RunUntil(n)
+	if len(fired) != n/2 {
+		t.Fatalf("%d events fired, want %d", len(fired), n/2)
+	}
+	for k, i := range fired {
+		if i%2 == 1 {
+			t.Fatalf("canceled event %d fired", i)
+		}
+		if k > 0 {
+			p := fired[k-1]
+			if ti, tp := events[i].Time(), events[p].Time(); ti < tp || (ti == tp && i < p) {
+				t.Fatalf("event %d (t=%g) fired after event %d (t=%g)", i, ti, p, tp)
+			}
 		}
 	}
 }

@@ -31,8 +31,10 @@ func (r *Running) Add(x float64) {
 	if r.n == 1 {
 		r.min, r.max = x, x
 	} else {
-		r.min = math.Min(r.min, x)
-		r.max = math.Max(r.max, x)
+		// The builtins give math.Min's and math.Max's results, NaN and
+		// signed zeros included, without a function call.
+		r.min = min(r.min, x)
+		r.max = max(r.max, x)
 	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)

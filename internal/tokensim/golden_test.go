@@ -1,0 +1,333 @@
+package tokensim
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"ringsched/internal/core"
+	"ringsched/internal/faults"
+	"ringsched/internal/frame"
+	"ringsched/internal/message"
+	"ringsched/internal/progress"
+	"ringsched/internal/ring"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/sim_golden.json with current digests")
+
+// runDigest is a SHA-256 over one simulator run: every trace event (kind,
+// station, and the bits of its time, duration and detail), the engine's
+// final event count, and every field of the result.
+type runDigest struct {
+	h      hash.Hash
+	buf    [40]byte
+	events int
+}
+
+func newRunDigest() *runDigest { return &runDigest{h: sha256.New()} }
+
+// Trace implements Tracer.
+func (d *runDigest) Trace(e TraceEvent) {
+	binary.LittleEndian.PutUint64(d.buf[0:], uint64(e.Kind))
+	binary.LittleEndian.PutUint64(d.buf[8:], uint64(e.Station))
+	binary.LittleEndian.PutUint64(d.buf[16:], math.Float64bits(e.Time))
+	binary.LittleEndian.PutUint64(d.buf[24:], math.Float64bits(e.Duration))
+	binary.LittleEndian.PutUint64(d.buf[32:], math.Float64bits(e.Detail))
+	d.h.Write(d.buf[:])
+}
+
+func (d *runDigest) u64(v uint64) {
+	binary.LittleEndian.PutUint64(d.buf[0:], v)
+	d.h.Write(d.buf[:8])
+}
+
+// value hashes every leaf of a result value: floats by their bits, so a
+// one-ulp drift anywhere changes the digest.
+func (d *runDigest) value(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			d.value(t, v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		d.u64(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			d.value(t, v.Index(i))
+		}
+	case reflect.String:
+		d.u64(uint64(v.Len()))
+		d.h.Write([]byte(v.String()))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		d.u64(uint64(v.Int()))
+	case reflect.Float64:
+		d.u64(math.Float64bits(v.Float()))
+	case reflect.Bool:
+		b := uint64(0)
+		if v.Bool() {
+			b = 1
+		}
+		d.u64(b)
+	default:
+		t.Fatalf("digest: unsupported result field kind %s", v.Kind())
+	}
+}
+
+func (d *runDigest) sum(t *testing.T, res any) string {
+	d.u64(uint64(d.events))
+	d.value(t, reflect.ValueOf(res))
+	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+// goldenCase is one simulator configuration of the golden matrix. run
+// executes it under ctx with the given tracer (ignored by the topology,
+// which takes none) and progress observer.
+type goldenCase struct {
+	name string
+	// short keeps the case under -short: one per simulator.
+	short bool
+	run   func(ctx context.Context, tr Tracer, obs progress.Progress) (any, error)
+}
+
+// goldenSet loads a 20-station 4 Mbps 802.5 ring to about 70 % payload
+// utilization, so queues build behind saturated asynchronous traffic and
+// the fault models produce misses. Its twelve streams outnumber the
+// reservation MAC's 3 and 8 priority levels.
+func goldenSet() message.Set {
+	return message.Set{
+		{Name: "s1", Period: 2e-3, LengthBits: 1024},
+		{Name: "s2", Period: 3e-3, LengthBits: 1200},
+		{Name: "s3", Period: 5e-3, LengthBits: 1536},
+		{Name: "s4", Period: 7e-3, LengthBits: 2048},
+		{Name: "s5", Period: 8e-3, LengthBits: 1800},
+		{Name: "s6", Period: 12e-3, LengthBits: 3000},
+		{Name: "s7", Period: 16e-3, LengthBits: 2048},
+		{Name: "s8", Period: 20e-3, LengthBits: 4096},
+		{Name: "s9", Period: 25e-3, LengthBits: 2500},
+		{Name: "s10", Period: 30e-3, LengthBits: 6000},
+		{Name: "s11", Period: 40e-3, LengthBits: 4096},
+		{Name: "s12", Period: 50e-3, LengthBits: 5000},
+	}
+}
+
+// goldenFaults are the fault models every single-ring case runs under.
+var goldenFaults = []struct{ name, spec string }{
+	{"clean", ""},
+	{"loss", "loss:p=0.02"},
+	{"loss+gilbert", "loss:p=0.02+gilbert:pbad=0.5,burst=4,gap=100"},
+	{"loss+crash", "loss:p=0.02+crash:rate=4,down=10ms,bypass=500us"},
+}
+
+func goldenFaultModel(t *testing.T, spec string) *Faults {
+	if spec == "" {
+		return nil
+	}
+	m, err := faults.ParseModel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Seed = 11
+	return &m
+}
+
+// goldenLightSet is goldenSet at half the rate (every period doubled). The
+// standard protocol pays a token walk per frame and with synchronized
+// phasing keeps the ring busy under goldenSet, so its asynchronous filler
+// would never run; it runs these cases on this set instead.
+func goldenLightSet() message.Set {
+	set := goldenSet()
+	for i := range set {
+		set[i].Period *= 2
+	}
+	return set
+}
+
+func goldenWorkload(t *testing.T, set message.Set, stations int, phasing Phasing) Workload {
+	w, err := NewWorkload(set, stations, phasing, rand.New(rand.NewSource(1993)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func onOff(b bool, on, off string) string {
+	if b {
+		return on
+	}
+	return off
+}
+
+func goldenCases(t *testing.T) []goldenCase {
+	const stations = 20
+	net := ring.IEEE8025(4e6).WithStations(stations)
+	var cases []goldenCase
+	for _, fm := range goldenFaults {
+		lastFault := fm.name == "loss+crash"
+		for _, variant := range []core.Variant{core.Standard8025, core.Modified8025} {
+			for _, pass := range []TokenPassModel{PassMeasured, PassAverageHalfTheta} {
+				for _, async := range []bool{false, true} {
+					for _, phasing := range []Phasing{PhasingSynchronized, PhasingRandom} {
+						set := goldenSet()
+						if variant == core.Standard8025 && phasing == PhasingSynchronized {
+							set = goldenLightSet()
+						}
+						cfg := PDPSim{
+							Net: net, Frame: frame.PaperSpec(), Variant: variant,
+							Workload:       goldenWorkload(t, set, stations, phasing),
+							AsyncSaturated: async, Horizon: 0.5, TokenPass: pass,
+							Faults: goldenFaultModel(t, fm.spec),
+						}
+						cases = append(cases, goldenCase{
+							name: fmt.Sprintf("pdp/%s/%s/%s/%s/%s", variant, pass,
+								onOff(async, "async", "sync-only"),
+								onOff(phasing == PhasingRandom, "random", "synchronized"), fm.name),
+							short: lastFault && variant == core.Modified8025 && pass == PassMeasured &&
+								async && phasing == PhasingRandom,
+							run: func(ctx context.Context, tr Tracer, obs progress.Progress) (any, error) {
+								cfg.Tracer, cfg.Progress = tr, obs
+								return cfg.RunContext(ctx)
+							},
+						})
+					}
+				}
+			}
+		}
+
+		ttpA := core.NewTTP(16e6)
+		ttpA.Net = ttpA.Net.WithStations(stations)
+		for _, async := range []bool{false, true} {
+			cfg, err := NewTTPSimFromAnalysis(ttpA, goldenSet(), goldenWorkload(t, goldenSet(), stations, PhasingSynchronized))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.AsyncSaturated, cfg.Horizon = async, 0.2
+			cfg.Faults = goldenFaultModel(t, fm.spec)
+			cases = append(cases, goldenCase{
+				name:  fmt.Sprintf("ttp/%s/%s", onOff(async, "async", "sync-only"), fm.name),
+				short: lastFault && async,
+				run: func(ctx context.Context, tr Tracer, obs progress.Progress) (any, error) {
+					cfg.Tracer, cfg.Progress = tr, obs
+					return cfg.RunContext(ctx)
+				},
+			})
+		}
+
+		for _, levels := range []int{0, 3, 8} {
+			for _, async := range []bool{false, true} {
+				cfg := ReservationSim{
+					Net: net, Frame: frame.PaperSpec(),
+					Workload:       goldenWorkload(t, goldenSet(), stations, PhasingSynchronized),
+					PriorityLevels: levels, AsyncSaturated: async, Horizon: 0.15,
+					Faults: goldenFaultModel(t, fm.spec),
+				}
+				cases = append(cases, goldenCase{
+					name:  fmt.Sprintf("reservation/%d-levels/%s/%s", levels, onOff(async, "async", "sync-only"), fm.name),
+					short: lastFault && levels == 8 && async,
+					run: func(ctx context.Context, tr Tracer, obs progress.Progress) (any, error) {
+						cfg.Tracer, cfg.Progress = tr, obs
+						return cfg.RunContext(ctx)
+					},
+				})
+			}
+		}
+	}
+	cases = append(cases, goldenCase{
+		name:  "topology/line",
+		short: true,
+		run: func(ctx context.Context, _ Tracer, obs progress.Progress) (any, error) {
+			return TopologySim{Topology: simLineTopology(), AsyncSaturated: true, Horizon: 0.5, Progress: obs}.RunContext(ctx)
+		},
+	})
+	return cases
+}
+
+// TestSimulatorGoldenDigest pins every simulator's sample path bit for
+// bit: each case's digest covers all trace events, the event count and
+// every result field. Any change to the engine, the MACs or their
+// arithmetic that moves a single event or ulp is caught here. Refresh with
+// `go test ./internal/tokensim -run TestSimulatorGoldenDigest -update` and
+// review the diff; -short runs one case per simulator.
+func TestSimulatorGoldenDigest(t *testing.T) {
+	got := map[string]string{}
+	for _, c := range goldenCases(t) {
+		if testing.Short() && !c.short {
+			continue
+		}
+		d := newRunDigest()
+		var tr Tracer = d
+		obs := progress.Funcs{OnSimulatorAdvanced: func(events int, _ float64) { d.events = events }}
+		res, err := c.run(context.Background(), tr, obs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d.events == 0 {
+			t.Fatalf("%s: fired no events", c.name)
+		}
+		got[c.name] = d.sum(t, res)
+	}
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	// Every case must exercise a distinct sample path; two equal digests
+	// mean a matrix dimension has no effect there.
+	byDigest := map[string]string{}
+	for _, name := range names {
+		if other, ok := byDigest[got[name]]; ok {
+			t.Fatalf("%s and %s have the same digest", other, name)
+		}
+		byDigest[got[name]] = name
+	}
+
+	golden := filepath.Join("testdata", "sim_golden.json")
+	if *updateGolden {
+		if testing.Short() {
+			t.Fatal("-update needs the full matrix; drop -short")
+		}
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d cases)", golden, len(got))
+		return
+	}
+
+	blob, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("parse golden: %v", err)
+	}
+	if !testing.Short() && len(got) != len(want) {
+		t.Errorf("%d cases, golden has %d", len(got), len(want))
+	}
+	for _, name := range names {
+		w, ok := want[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: not in golden file", name)
+		case got[name] != w:
+			t.Errorf("%s: digest %s, golden %s", name, got[name], w)
+		}
+	}
+}

@@ -91,19 +91,34 @@ type PDPSim struct {
 // pdpRun is the mutable state of one simulation run.
 type pdpRun struct {
 	cfg      PDPSim
+	plant    plant
 	engine   *sim.Engine
 	stations []*stationState
 	tokenPos int
 	// idleSince is the time the medium went idle, or NaN while busy.
 	idleSince float64
 	horizon   float64
+	// nextDue is the earliest next arrival over all stations; service
+	// skips the release sweep while the clock is below it.
+	nextDue float64
+
+	// serviceFn and completeFn are service and complete, bound once so
+	// that scheduling them allocates nothing.
+	serviceFn, completeFn sim.Handler
+	// target is the station whose frame is on the medium, and finished
+	// reports that the frame carries its message's last bits. The ring has
+	// at most one frame in flight — service schedules exactly one
+	// completion, and every other service event is scheduled only while
+	// the medium is free — so complete reads them from here.
+	target   int
+	finished bool
 
 	// idle reports that no service event chain is in flight; idleWake is
-	// the pending wake-up (nil when the next arrival lies past the
-	// horizon). inject cancels the wake-up to service a bridged hand-off
-	// immediately.
+	// the pending wake-up (the zero Event when the next arrival lies past
+	// the horizon). inject cancels the wake-up to service a bridged
+	// hand-off immediately.
 	idle     bool
-	idleWake *sim.Event
+	idleWake sim.Event
 	// onDone, when non-nil, observes every completed message — the hook
 	// the topology simulator uses to hand messages to the next ring.
 	onDone func(station int, msg pendingMessage, at float64)
@@ -167,11 +182,16 @@ func (c PDPSim) validate() (float64, error) {
 // newPDPRun builds the run state on the given engine — the run's own for a
 // standalone simulation, a shared one when composed into a topology.
 func newPDPRun(c PDPSim, engine *sim.Engine, horizon float64) *pdpRun {
-	r := &pdpRun{cfg: c, engine: engine, horizon: horizon, idleSince: 0}
-	r.inj = c.Faults.Injector(c.Net.Stations, c.Net.Theta(), horizon)
+	r := &pdpRun{cfg: c, engine: engine, horizon: horizon, idleSince: 0, nextDue: math.Inf(1)}
+	r.plant = newPlant(c.Net, c.Frame, c.Frame)
+	r.serviceFn, r.completeFn = r.service, r.complete
+	r.inj = c.Faults.Injector(c.Net.Stations, r.plant.theta, horizon)
 	r.stations = make([]*stationState, len(c.Workload.Streams))
 	for i, s := range c.Workload.Streams {
 		r.stations[i] = &stationState{stream: s, nextArrival: c.Workload.Offsets[i]}
+		if r.stations[i].nextArrival < r.nextDue {
+			r.nextDue = r.stations[i].nextArrival
+		}
 	}
 	return r
 }
@@ -181,11 +201,11 @@ func newPDPRun(c PDPSim, engine *sim.Engine, horizon float64) *pdpRun {
 func (r *pdpRun) start() error {
 	start := 0.0
 	if !r.cfg.AsyncSaturated {
-		start = r.nextArrivalTime()
+		start = r.nextDue
 	}
 	r.idle = true
 	if start <= r.horizon {
-		ev, err := r.engine.At(start, r.service)
+		ev, err := r.engine.At(start, r.serviceFn)
 		if err != nil {
 			return err
 		}
@@ -236,7 +256,9 @@ func (c PDPSim) RunContext(ctx context.Context) (Result, error) {
 		sp.SetError(err)
 		return Result{}, err
 	}
-	if err := r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress)); err != nil {
+	err = r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress))
+	sp.SetAttr("events", r.engine.Fired())
+	if err != nil {
 		sp.SetError(err)
 		return Result{}, err
 	}
@@ -256,8 +278,8 @@ func (r *pdpRun) inject(idx int, msg pendingMessage) {
 	emit(r.cfg.Tracer, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: idx})
 	if r.idle {
 		r.engine.Cancel(r.idleWake)
-		r.idle, r.idleWake = false, nil
-		_, _ = r.engine.At(r.engine.Now(), r.service)
+		r.idle, r.idleWake = false, sim.Event{}
+		_, _ = r.engine.At(r.engine.Now(), r.serviceFn)
 	}
 }
 
@@ -269,40 +291,6 @@ func (r *pdpRun) setDone(fn func(station int, msg pendingMessage, at float64)) {
 // setFlow tags station idx's messages with a topology flow index.
 func (r *pdpRun) setFlow(idx, flow int) {
 	r.stations[idx].flow = flow
-}
-
-// hopTime is the token's per-hop travel time: the full circulation time Θ
-// spread uniformly over the n stations.
-func (r *pdpRun) hopTime() float64 {
-	return r.cfg.Net.Theta() / float64(r.cfg.Net.Stations)
-}
-
-// effectiveFrameTime implements the Section 4.3 medium occupancy rules for
-// one frame carrying payloadBits.
-func (r *pdpRun) effectiveFrameTime(payloadBits float64) float64 {
-	bw := r.cfg.Net.BandwidthBPS
-	theta := r.cfg.Net.Theta()
-	f := r.cfg.Frame.Time(bw)
-	if f <= theta {
-		// The header returns only after a full circulation; the medium is
-		// held for Θ regardless of the frame's own length.
-		return theta
-	}
-	if payloadBits >= r.cfg.Frame.InfoBits {
-		return f
-	}
-	// Short final frame: the transmitter may need to wait for the header.
-	return math.Max((payloadBits+r.cfg.Frame.OvhdBits)/bw, theta)
-}
-
-func (r *pdpRun) nextArrivalTime() float64 {
-	next := math.Inf(1)
-	for _, st := range r.stations {
-		if st.nextArrival < next {
-			next = st.nextArrival
-		}
-	}
-	return next
 }
 
 // highestPriorityPending returns the station index with the highest
@@ -339,7 +327,7 @@ func (r *pdpRun) advanceIdleToken(now float64) {
 	if math.IsNaN(r.idleSince) {
 		return
 	}
-	if h := r.hopTime(); h > 0 {
+	if h := r.plant.hop; h > 0 {
 		hops := int((now - r.idleSince) / h)
 		r.tokenPos = (r.tokenPos + hops) % r.cfg.Net.Stations
 	}
@@ -351,12 +339,9 @@ func (r *pdpRun) advanceIdleToken(now float64) {
 // medium, and reschedules itself at the completion instant.
 func (r *pdpRun) service() {
 	now := r.engine.Now()
-	r.idle, r.idleWake = false, nil
-	for i, st := range r.stations {
-		i := i
-		st.release(now, func(msg pendingMessage) {
-			emit(r.cfg.Tracer, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: i})
-		})
+	r.idle, r.idleWake = false, sim.Event{}
+	if now >= r.nextDue {
+		r.nextDue = releaseAll(r.stations, now, r.cfg.Tracer)
 	}
 
 	// Ring reconfiguration: every station crash or restart up to now pauses
@@ -364,7 +349,7 @@ func (r *pdpRun) service() {
 	if bp := r.inj.TakeBypass(now); bp > 0 {
 		r.recovery += bp
 		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceRecovery, Duration: bp})
-		_, _ = r.engine.At(now+bp, r.service)
+		_, _ = r.engine.At(now+bp, r.serviceFn)
 		return
 	}
 
@@ -379,7 +364,7 @@ func (r *pdpRun) service() {
 		if math.IsNaN(r.idleSince) {
 			r.idleSince = now
 		}
-		next := r.nextArrivalTime()
+		next := r.nextDue
 		if r.anyPending() {
 			next = math.Min(next, r.inj.NextRestart(now))
 		}
@@ -387,7 +372,7 @@ func (r *pdpRun) service() {
 		if next <= r.horizon {
 			// The only failure mode of At is scheduling in the past,
 			// impossible for a future arrival.
-			r.idleWake, _ = r.engine.At(next, r.service)
+			r.idleWake, _ = r.engine.At(next, r.serviceFn)
 		}
 		return
 	}
@@ -403,9 +388,9 @@ func (r *pdpRun) service() {
 		// modified one.
 		switch {
 		case r.cfg.Variant == core.Standard8025:
-			pass = r.cfg.Net.Theta() / 2
+			pass = r.plant.theta / 2
 		case msg.remainingBits == st.stream.LengthBits:
-			pass = r.cfg.Net.Theta() / 2
+			pass = r.plant.theta / 2
 		}
 	} else {
 		// Token travel from the previous transmitter to the target. Under
@@ -417,7 +402,7 @@ func (r *pdpRun) service() {
 		if r.cfg.Variant == core.Standard8025 && hops == 0 && r.passStats.N() > 0 {
 			hops = r.cfg.Net.Stations
 		}
-		pass = float64(hops) * r.hopTime()
+		pass = float64(hops) * r.plant.hop
 	}
 	r.tokenTime += pass
 	r.passStats.Add(pass)
@@ -436,8 +421,8 @@ func (r *pdpRun) service() {
 		emit(r.cfg.Tracer, TraceEvent{Time: now + pass, Kind: TraceRecovery, Station: target, Duration: rec})
 	}
 
-	payload := math.Min(msg.remainingBits, r.cfg.Frame.InfoBits)
-	eff := r.effectiveFrameTime(payload)
+	payload := min(msg.remainingBits, r.cfg.Frame.InfoBits)
+	eff := r.plant.effectiveFrameTime(payload)
 	r.syncTime += eff
 	corrupted := r.inj.FrameCorrupted(target)
 	if corrupted {
@@ -453,42 +438,43 @@ func (r *pdpRun) service() {
 			Time: now + pass + rec, Kind: TraceFrame, Station: target, Duration: eff, Detail: payload,
 		})
 	}
-	finished := !corrupted && msg.remainingBits <= 0
+	r.target, r.finished = target, !corrupted && msg.remainingBits <= 0
+	_, _ = r.engine.At(now+pass+rec+eff, r.completeFn)
+}
 
-	done := now + pass + rec + eff
-	_, _ = r.engine.At(done, func() {
-		if finished {
-			completed := st.queue[0]
-			st.queue = st.queue[1:]
-			lateness := st.finish(completed, r.engine.Now())
-			kind := TraceComplete
-			if lateness > 0 {
-				kind = TraceMiss
-			}
-			emit(r.cfg.Tracer, TraceEvent{
-				Time: r.engine.Now(), Kind: kind, Station: target, Detail: lateness,
-			})
-			if r.onDone != nil {
-				r.onDone(target, completed, r.engine.Now())
-			}
+// complete ends the frame on the medium: a frame that carried its
+// message's last bits completes the message, then the medium serves the
+// next frame.
+func (r *pdpRun) complete() {
+	if r.finished {
+		now := r.engine.Now()
+		completed := r.stations[r.target].pop()
+		lateness := r.stations[r.target].finish(completed, now)
+		kind := TraceComplete
+		if lateness > 0 {
+			kind = TraceMiss
 		}
-		r.service()
-	})
+		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: kind, Station: r.target, Detail: lateness})
+		if r.onDone != nil {
+			r.onDone(r.target, completed, now)
+		}
+	}
+	r.service()
 }
 
 // serviceAsync transmits one saturated asynchronous frame. The token moves
 // one hop to the next (always-ready) asynchronous sender first.
 func (r *pdpRun) serviceAsync(now float64) {
 	r.advanceIdleToken(now)
-	pass := r.hopTime()
+	pass := r.plant.hop
 	r.tokenTime += pass
 	r.tokenPos = (r.tokenPos + 1) % r.cfg.Net.Stations
 
-	eff := math.Max(r.cfg.Frame.Time(r.cfg.Net.BandwidthBPS), r.cfg.Net.Theta())
+	eff := max(r.plant.asyncTime, r.plant.theta)
 	r.asyncTime += eff
 	emit(r.cfg.Tracer, TraceEvent{
 		Time: now + pass, Kind: TraceAsync, Station: r.tokenPos,
 		Duration: eff, Detail: r.cfg.Frame.InfoBits,
 	})
-	_, _ = r.engine.At(now+pass+eff, r.service)
+	_, _ = r.engine.At(now+pass+eff, r.serviceFn)
 }

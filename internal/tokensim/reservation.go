@@ -91,9 +91,26 @@ type stackedPriority struct {
 // resRun is the mutable state of one run.
 type resRun struct {
 	cfg      ReservationSim
+	plant    plant
 	engine   sim.Engine
 	stations []*resStation
 	horizon  float64
+	// syncs holds the synchronous state of stations 0..len(streams)-1,
+	// the stations that carry streams; nextDue is their earliest next
+	// arrival, below which tokenAt skips the release sweep.
+	syncs   []*stationState
+	nextDue float64
+
+	// arrive[i] is tokenAt(i) and completeFn is complete, bound once so
+	// that scheduling them allocates nothing.
+	arrive     []sim.Handler
+	completeFn sim.Handler
+	// sender is the station whose frame is on the medium, and finishMsg
+	// reports that the frame carries its message's last bits. A frame and
+	// a free token never circulate together, so the ring has at most one
+	// frame in flight and complete reads them from here.
+	sender    int
+	finishMsg bool
 
 	// tokenPrio is the priority field of the circulating free token;
 	// reservation is its reservation field.
@@ -159,14 +176,23 @@ func (c ReservationSim) RunContext(ctx context.Context) (ReservationResult, erro
 		return ReservationResult{}, ErrBadHorizon
 	}
 
-	r := &resRun{cfg: c, horizon: horizon}
-	r.inj = c.Faults.Injector(c.Net.Stations, c.Net.Theta(), horizon)
+	r := &resRun{cfg: c, horizon: horizon, nextDue: math.Inf(1)}
+	r.plant = newPlant(c.Net, c.Frame, c.Frame)
+	r.inj = c.Faults.Injector(c.Net.Stations, r.plant.theta, horizon)
 	r.stations = make([]*resStation, c.Net.Stations)
+	r.arrive = make([]sim.Handler, c.Net.Stations)
 	for i := range r.stations {
 		r.stations[i] = &resStation{}
+		r.arrive[i] = func() { r.tokenAt(i) }
 	}
+	r.completeFn = r.complete
+	r.syncs = make([]*stationState, len(c.Workload.Streams))
 	for i, s := range c.Workload.Streams {
-		r.stations[i].sync = &stationState{stream: s, nextArrival: c.Workload.Offsets[i]}
+		r.syncs[i] = &stationState{stream: s, nextArrival: c.Workload.Offsets[i]}
+		r.stations[i].sync = r.syncs[i]
+		if r.syncs[i].nextArrival < r.nextDue {
+			r.nextDue = r.syncs[i].nextArrival
+		}
 	}
 	r.assignPriorities()
 
@@ -177,20 +203,18 @@ func (c ReservationSim) RunContext(ctx context.Context) (ReservationResult, erro
 	sp.SetAttr("horizonSec", horizon)
 
 	// The free token starts at station 0 at priority 0.
-	if _, err := r.engine.At(0, func() { r.tokenAt(0) }); err != nil {
+	if _, err := r.engine.At(0, r.arrive[0]); err != nil {
 		sp.SetError(err)
 		return ReservationResult{}, err
 	}
-	if err := r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress)); err != nil {
+	err := r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress))
+	sp.SetAttr("events", r.engine.Fired())
+	if err != nil {
 		sp.SetError(err)
 		return ReservationResult{}, err
 	}
 
-	syncStates := make([]*stationState, len(c.Workload.Streams))
-	for i := range c.Workload.Streams {
-		syncStates[i] = r.stations[i].sync
-	}
-	stationResults, misses := collectStations(syncStates, horizon)
+	stationResults, misses := collectStations(r.syncs, horizon)
 	res := ReservationResult{
 		Result: Result{
 			Protocol:        "IEEE 802.5 (reservation MAC)",
@@ -261,11 +285,6 @@ func (r *resRun) assignPriorities() {
 	}
 }
 
-// hopTime spreads Θ over the stations.
-func (r *resRun) hopTime() float64 {
-	return r.cfg.Net.Theta() / float64(r.cfg.Net.Stations)
-}
-
 // topPending returns the station's highest pending priority, or noPending
 // when it has nothing to send.
 func (r *resRun) topPending(idx int) int {
@@ -294,14 +313,8 @@ func (r *resRun) highestPendingOnRing() int {
 // tokenAt processes the free token arriving at station idx.
 func (r *resRun) tokenAt(idx int) {
 	now := r.engine.Now()
-	for i, st := range r.stations {
-		if st.sync == nil {
-			continue
-		}
-		i := i
-		st.sync.release(now, func(msg pendingMessage) {
-			emit(r.cfg.Tracer, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: i})
-		})
+	if now >= r.nextDue {
+		r.nextDue = releaseAll(r.syncs, now, r.cfg.Tracer)
 	}
 	st := r.stations[idx]
 
@@ -310,7 +323,7 @@ func (r *resRun) tokenAt(idx int) {
 	if bp := r.inj.TakeBypass(now); bp > 0 {
 		r.recovery += bp
 		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceRecovery, Station: idx, Duration: bp})
-		_, _ = r.engine.At(now+bp, func() { r.tokenAt(idx) })
+		_, _ = r.engine.At(now+bp, r.arrive[idx])
 		return
 	}
 
@@ -365,14 +378,14 @@ func (r *resRun) transmit(idx, p int, now float64) {
 	isAsync := p == asyncPriority || st.sync == nil || len(st.sync.queue) == 0
 	var payload float64
 	if isAsync {
-		eff = math.Max(r.cfg.Frame.Time(r.cfg.Net.BandwidthBPS), r.cfg.Net.Theta())
+		eff = max(r.plant.asyncTime, r.plant.theta)
 		payload = r.cfg.Frame.InfoBits
 		r.asyncTime += eff
 		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceAsync, Station: idx, Duration: eff, Detail: payload})
 	} else {
 		msg := &st.sync.queue[0]
-		payload = math.Min(msg.remainingBits, r.cfg.Frame.InfoBits)
-		eff = r.effectiveFrameTime(payload)
+		payload = min(msg.remainingBits, r.cfg.Frame.InfoBits)
+		eff = r.plant.effectiveFrameTime(payload)
 		r.syncTime += eff
 		if r.inj.FrameCorrupted(idx) {
 			// The frame held the medium but failed its CRC; the payload
@@ -395,43 +408,49 @@ func (r *resRun) transmit(idx, p int, now float64) {
 		// The frame completes beyond the horizon; stop here.
 		return
 	}
-	_, _ = r.engine.At(done, func() {
-		if finishMsg {
-			completed := st.sync.queue[0]
-			st.sync.queue = st.sync.queue[1:]
-			lateness := st.sync.finish(completed, r.engine.Now())
-			kind := TraceComplete
-			if lateness > 0 {
-				kind = TraceMiss
-			}
-			emit(r.cfg.Tracer, TraceEvent{Time: r.engine.Now(), Kind: kind, Station: idx, Detail: lateness})
-		}
-		r.lastService = r.engine.Now()
-		r.served = true
+	r.sender, r.finishMsg = idx, finishMsg
+	_, _ = r.engine.At(done, r.completeFn)
+}
 
-		// Issue the new token. The reservation field collected during the
-		// frame's circulation is the max pending priority elsewhere.
-		reserved := noPending
-		for i := range r.stations {
-			if i == idx {
-				continue
-			}
-			if q := r.topPending(i); q > reserved {
-				reserved = q
-				emit(r.cfg.Tracer, TraceEvent{
-					Time: r.engine.Now(), Kind: TraceReserve, Station: i, Detail: float64(q),
-				})
-			}
+// complete strips the frame on the medium, completing its message when it
+// carried the last bits, and issues the new free token.
+func (r *resRun) complete() {
+	now, idx := r.engine.Now(), r.sender
+	if r.finishMsg {
+		st := r.stations[idx].sync
+		completed := st.pop()
+		lateness := st.finish(completed, now)
+		kind := TraceComplete
+		if lateness > 0 {
+			kind = TraceMiss
 		}
-		if reserved > r.tokenPrio {
-			// Raise the ring priority and stack.
-			r.stations[idx].stack = append(r.stations[idx].stack,
-				stackedPriority{old: r.tokenPrio, new: reserved})
-			r.tokenPrio = reserved
+		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: kind, Station: idx, Detail: lateness})
+	}
+	r.lastService = now
+	r.served = true
+
+	// Issue the new token. The reservation field collected during the
+	// frame's circulation is the max pending priority elsewhere.
+	reserved := noPending
+	for i := range r.stations {
+		if i == idx {
+			continue
 		}
-		r.reservation = 0
-		r.forwardToken(idx, r.engine.Now())
-	})
+		if q := r.topPending(i); q > reserved {
+			reserved = q
+			emit(r.cfg.Tracer, TraceEvent{
+				Time: now, Kind: TraceReserve, Station: i, Detail: float64(q),
+			})
+		}
+	}
+	if reserved > r.tokenPrio {
+		// Raise the ring priority and stack.
+		r.stations[idx].stack = append(r.stations[idx].stack,
+			stackedPriority{old: r.tokenPrio, new: reserved})
+		r.tokenPrio = reserved
+	}
+	r.reservation = 0
+	r.forwardToken(idx, now)
 }
 
 // forwardToken moves the free token one hop; a token lost on the hop is
@@ -444,26 +463,12 @@ func (r *resRun) forwardToken(idx int, now float64) {
 		r.recovery += rec
 		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceRecovery, Station: idx, Duration: rec})
 	}
-	hop := r.hopTime()
+	hop := r.plant.hop
 	r.tokenTime += hop
 	emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceTokenPass, Station: idx, Duration: hop})
 	next := (idx + 1) % r.cfg.Net.Stations
 	at := now + hop + rec
 	if at <= r.horizon {
-		_, _ = r.engine.At(at, func() { r.tokenAt(next) })
+		_, _ = r.engine.At(at, r.arrive[next])
 	}
-}
-
-// effectiveFrameTime applies the Section 4.3 medium occupancy rules.
-func (r *resRun) effectiveFrameTime(payloadBits float64) float64 {
-	bw := r.cfg.Net.BandwidthBPS
-	theta := r.cfg.Net.Theta()
-	f := r.cfg.Frame.Time(bw)
-	if f <= theta {
-		return theta
-	}
-	if payloadBits >= r.cfg.Frame.InfoBits {
-		return f
-	}
-	return math.Max((payloadBits+r.cfg.Frame.OvhdBits)/bw, theta)
 }

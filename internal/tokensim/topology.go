@@ -312,7 +312,9 @@ func (c TopologySim) RunContext(ctx context.Context) (TopologyResult, error) {
 			return TopologyResult{}, fmt.Errorf("ring %q: %w", canon.Nodes[i].Name, err)
 		}
 	}
-	if err := r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress)); err != nil {
+	err = r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress))
+	sp.SetAttr("events", r.engine.Fired())
+	if err != nil {
 		sp.SetError(err)
 		return TopologyResult{}, err
 	}

@@ -108,9 +108,13 @@ type ttpStation struct {
 // ttpRun is the mutable state of one run.
 type ttpRun struct {
 	cfg      TTPSim
+	plant    plant
 	engine   *sim.Engine
 	stations []*ttpStation
 	horizon  float64
+	// arrive[i] is tokenArrive(i), bound once per station so that passing
+	// the token allocates nothing.
+	arrive []sim.Handler
 
 	// onDone, when non-nil, observes every completed message — the hook
 	// the topology simulator uses to hand messages to the next ring.
@@ -172,10 +176,13 @@ func (c TTPSim) validate() (float64, error) {
 // standalone simulation, a shared one when composed into a topology.
 func newTTPRun(c TTPSim, engine *sim.Engine, horizon float64) *ttpRun {
 	r := &ttpRun{cfg: c, engine: engine, horizon: horizon}
-	r.inj = c.Faults.Injector(c.Net.Stations, c.Net.Theta(), horizon)
+	r.plant = newPlant(c.Net, c.SyncFrame, c.AsyncFrame)
+	r.inj = c.Faults.Injector(c.Net.Stations, r.plant.theta, horizon)
 	r.stations = make([]*ttpStation, c.Net.Stations)
+	r.arrive = make([]sim.Handler, c.Net.Stations)
 	for i := range r.stations {
 		r.stations[i] = &ttpStation{}
+		r.arrive[i] = func() { r.tokenArrive(i) }
 	}
 	for i, s := range c.Workload.Streams {
 		r.stations[i].sync = &stationState{stream: s, nextArrival: c.Workload.Offsets[i]}
@@ -186,7 +193,7 @@ func newTTPRun(c TTPSim, engine *sim.Engine, horizon float64) *ttpRun {
 
 // start releases the token at station 0 at time 0 with all timers fresh.
 func (r *ttpRun) start() error {
-	_, err := r.engine.At(0, func() { r.tokenArrive(0) })
+	_, err := r.engine.At(0, r.arrive[0])
 	return err
 }
 
@@ -236,7 +243,9 @@ func (c TTPSim) RunContext(ctx context.Context) (Result, error) {
 		sp.SetError(err)
 		return Result{}, err
 	}
-	if err := r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress)); err != nil {
+	err = r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress))
+	sp.SetAttr("events", r.engine.Fired())
+	if err != nil {
 		sp.SetError(err)
 		return Result{}, err
 	}
@@ -265,11 +274,6 @@ func (r *ttpRun) setFlow(idx, flow int) {
 	r.stations[idx].sync.flow = flow
 }
 
-// hopTime spreads the token circulation time Θ uniformly over the hops.
-func (r *ttpRun) hopTime() float64 {
-	return r.cfg.Net.Theta() / float64(r.cfg.Net.Stations)
-}
-
 // tokenArrive services station idx and forwards the token.
 func (r *ttpRun) tokenArrive(idx int) {
 	now := r.engine.Now()
@@ -280,7 +284,7 @@ func (r *ttpRun) tokenArrive(idx int) {
 	if bp := r.inj.TakeBypass(now); bp > 0 {
 		r.recovery += bp
 		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceRecovery, Station: idx, Duration: bp})
-		_, _ = r.engine.At(now+bp, func() { r.tokenArrive(idx) })
+		_, _ = r.engine.At(now+bp, r.arrive[idx])
 		return
 	}
 
@@ -337,7 +341,7 @@ func (r *ttpRun) tokenArrive(idx int) {
 	// Asynchronous transmission: only on an early token, for at most the
 	// banked holding time, with one frame of overrun allowed.
 	if r.cfg.AsyncSaturated && tht > 0 {
-		fa := r.cfg.AsyncFrame.Time(r.cfg.Net.BandwidthBPS)
+		fa := r.plant.asyncTime
 		for tht > 0 {
 			r.asyncTime += fa
 			emit(r.cfg.Tracer, TraceEvent{
@@ -358,7 +362,7 @@ func (r *ttpRun) tokenArrive(idx int) {
 // the recovery pushes past TTRT has its synchronous allocation suppressed
 // for one rotation.
 func (r *ttpRun) forwardToken(idx int, now, busy float64) {
-	hop := r.hopTime()
+	hop := r.plant.hop
 	r.tokenTime += hop
 	emit(r.cfg.Tracer, TraceEvent{Time: now + busy, Kind: TraceTokenPass, Station: idx, Duration: hop})
 	var rec float64
@@ -372,7 +376,7 @@ func (r *ttpRun) forwardToken(idx int, now, busy float64) {
 	next := (idx + 1) % r.cfg.Net.Stations
 	at := now + busy + hop + rec
 	if at <= r.horizon {
-		_, _ = r.engine.At(at, func() { r.tokenArrive(next) })
+		_, _ = r.engine.At(at, r.arrive[next])
 	}
 }
 
@@ -396,13 +400,12 @@ func (r *ttpRun) markLate(recoveryEnd float64) {
 // per-frame overhead; messages complete when their last payload bit is
 // sent.
 func (r *ttpRun) transmitSync(st *ttpStation, idx int, now float64) float64 {
-	bw := r.cfg.Net.BandwidthBPS
-	fovhd := r.cfg.SyncFrame.OvhdTime(bw)
+	bw, fovhd := r.plant.bw, r.plant.ovhdTime
 	budget := st.allocation
 	used := 0.0
 	for len(st.sync.queue) > 0 && budget > fovhd {
 		msg := &st.sync.queue[0]
-		payloadTime := math.Min(msg.remainingBits/bw, budget-fovhd)
+		payloadTime := min(msg.remainingBits/bw, budget-fovhd)
 		frameTime := fovhd + payloadTime
 		budget -= frameTime
 		used += frameTime
@@ -422,8 +425,7 @@ func (r *ttpRun) transmitSync(st *ttpStation, idx int, now float64) float64 {
 		})
 		msg.remainingBits -= payloadTime * bw
 		if msg.remainingBits <= 1e-9 {
-			completed := st.sync.queue[0]
-			st.sync.queue = st.sync.queue[1:]
+			completed := st.sync.pop()
 			lateness := st.sync.finish(completed, now+used)
 			kind := TraceComplete
 			if lateness > 0 {

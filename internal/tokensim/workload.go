@@ -17,7 +17,9 @@ import (
 	"math"
 	"math/rand"
 
+	"ringsched/internal/frame"
 	"ringsched/internal/message"
+	"ringsched/internal/ring"
 	"ringsched/internal/stats"
 )
 
@@ -87,8 +89,12 @@ type stationState struct {
 	stream message.Stream
 	// flow is the topology flow index of locally released messages (zero
 	// outside topology composition).
-	flow  int
-	queue []pendingMessage
+	flow int
+	// queue holds the pending messages, oldest first, as a window of buf,
+	// its backing array: pop advances the window's start, and push moves
+	// the window back to the array's start once pops have freed enough
+	// room there.
+	queue, buf []pendingMessage
 	// nextArrival is the release time of the next message instance.
 	nextArrival float64
 	// completed/missed count finished messages by deadline outcome;
@@ -123,12 +129,53 @@ func (s *stationState) release(now float64, onRelease func(pendingMessage)) {
 	}
 }
 
-// push enqueues one message and tracks the backlog high-water mark.
+// releaseAll runs release on every station, tracing each released
+// message with its station index, and returns the earliest next arrival.
+// Only release moves a station's nextArrival, so a caller may skip the
+// sweep while the clock is below the returned time: it would release
+// nothing.
+func releaseAll(stations []*stationState, now float64, tr Tracer) float64 {
+	next := math.Inf(1)
+	for i, st := range stations {
+		st.release(now, func(msg pendingMessage) {
+			emit(tr, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: i})
+		})
+		if st.nextArrival < next {
+			next = st.nextArrival
+		}
+	}
+	return next
+}
+
+// push enqueues one message and tracks the backlog high-water mark. When
+// the queue has reached the end of its backing array, it moves back to the
+// array's start if pops have freed at least as many slots there as it
+// holds — a copy paid for by those pops, so push and pop stay O(1)
+// amortized and a steady backlog reuses one array — and otherwise append
+// moves it into a larger one.
 func (s *stationState) push(msg pendingMessage) {
+	grow := false
+	if n := len(s.queue); n == cap(s.queue) {
+		if front := cap(s.buf) - n; front > 0 && front >= n {
+			s.queue = s.buf[:copy(s.buf[:n], s.queue)]
+		} else {
+			grow = true
+		}
+	}
 	s.queue = append(s.queue, msg)
+	if grow {
+		s.buf = s.queue[:0]
+	}
 	if len(s.queue) > s.maxQueue {
 		s.maxQueue = len(s.queue)
 	}
+}
+
+// pop dequeues the front message.
+func (s *stationState) pop() pendingMessage {
+	msg := s.queue[0]
+	s.queue = s.queue[1:]
+	return msg
 }
 
 // finish records a completed message and returns its lateness (positive
@@ -244,6 +291,50 @@ func collectStations(states []*stationState, horizon float64) ([]StationResult, 
 		misses += st.missed + backlogged
 	}
 	return results, misses
+}
+
+// plant holds the ring and frame constants of one run, derived once from
+// its configuration by the same expressions the event handlers would
+// otherwise evaluate on every event.
+type plant struct {
+	bw float64
+	// theta is Θ, the token circulation time; hop is Θ/n, the token's
+	// travel time per hop.
+	theta, hop float64
+	// frame is the synchronous frame format; frameTime and ovhdTime are
+	// its full and overhead-only transmission times.
+	frame               frame.Spec
+	frameTime, ovhdTime float64
+	// asyncTime is the transmission time of one asynchronous frame.
+	asyncTime float64
+}
+
+func newPlant(net ring.Config, sync, async frame.Spec) plant {
+	bw, theta := net.BandwidthBPS, net.Theta()
+	return plant{
+		bw:        bw,
+		theta:     theta,
+		hop:       theta / float64(net.Stations),
+		frame:     sync,
+		frameTime: sync.Time(bw),
+		ovhdTime:  sync.OvhdTime(bw),
+		asyncTime: async.Time(bw),
+	}
+}
+
+// effectiveFrameTime implements the Section 4.3 medium occupancy rules for
+// one synchronous frame carrying payloadBits.
+func (p *plant) effectiveFrameTime(payloadBits float64) float64 {
+	if p.frameTime <= p.theta {
+		// The header returns only after a full circulation; the medium is
+		// held for Θ regardless of the frame's own length.
+		return p.theta
+	}
+	if payloadBits >= p.frame.InfoBits {
+		return p.frameTime
+	}
+	// Short final frame: the transmitter may need to wait for the header.
+	return max((payloadBits+p.frame.OvhdBits)/p.bw, p.theta)
 }
 
 // hopDistance is the number of forward hops from station a to station b on

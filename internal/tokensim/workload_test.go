@@ -126,6 +126,51 @@ func TestMaxQueueTracked(t *testing.T) {
 	}
 }
 
+// TestStationQueueFIFO drives push and pop against a slice model through
+// backlogs that grow and drain, and checks that a steady backlog reuses
+// one backing array.
+func TestStationQueueFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var st stationState
+	var model []float64
+	next := 0.0
+	for step := 0; step < 20000; step++ {
+		pushOdds := 1 // of 4; growing phases push three times in four
+		if step/1000%2 == 0 {
+			pushOdds = 3
+		}
+		if len(model) == 0 || rng.Intn(4) < pushOdds {
+			st.push(pendingMessage{arrival: next})
+			model = append(model, next)
+			next++
+		} else {
+			if got := st.pop().arrival; got != model[0] {
+				t.Fatalf("step %d: popped message %g, want %g", step, got, model[0])
+			}
+			model = model[1:]
+		}
+		if len(st.queue) != len(model) || (len(model) > 0 && st.queue[0].arrival != model[0]) {
+			t.Fatalf("step %d: queue holds %d messages from %v, model %d", step, len(st.queue), st.queue, len(model))
+		}
+	}
+	if st.maxQueue < 100 {
+		t.Fatalf("maxQueue = %d: the backlog never grew", st.maxQueue)
+	}
+
+	st = stationState{}
+	for i := 0; i < 3; i++ {
+		st.push(pendingMessage{})
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			st.push(pendingMessage{})
+			st.pop()
+		}
+	}); allocs != 0 {
+		t.Errorf("a steady backlog of 3 allocated %.0f times per 100 messages", allocs)
+	}
+}
+
 func TestHorizonFor(t *testing.T) {
 	set := smallSet()
 	if got := horizonFor(set, 20); got != 20*30e-3 {

@@ -240,7 +240,6 @@ func TestDebugServerFederation(t *testing.T) {
 		"peer1:1": {rec("t1", "b", "a", "http.analyze", 2, 300)},
 		"peer2:2": {rec("t1", "c", "b", "peer.fill", 3, 100)},
 	}
-	var fetched []string
 	ds := &DebugServer{
 		Ring: ring,
 		Self: "lb",
@@ -248,7 +247,6 @@ func TestDebugServerFederation(t *testing.T) {
 			return []string{"peer2:2", "peer1:1"}
 		},
 		Fetch: func(ctx context.Context, member, traceID string) ([]Record, error) {
-			fetched = append(fetched, member)
 			if traceID != "t1" {
 				return nil, nil
 			}

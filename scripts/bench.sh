@@ -20,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_PR4.json}"
-pattern="${BENCH_PATTERN:-^(BenchmarkExactTestReference|BenchmarkRTAReference|BenchmarkWorkspace(ExactTest|RTA|Probe)|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord)$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkExactTestReference|BenchmarkRTAReference|BenchmarkWorkspace(ExactTest|RTA|Probe)|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|Benchmark(PDP|TTP|Reservation)SimSecond)$}"
 count="${BENCH_COUNT:-3}"
 benchtime="${BENCH_TIME:-0.5s}"
 
