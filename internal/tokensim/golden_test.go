@@ -23,6 +23,7 @@ import (
 	"ringsched/internal/message"
 	"ringsched/internal/progress"
 	"ringsched/internal/ring"
+	"ringsched/internal/topology"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/sim_golden.json with current digests")
@@ -242,14 +243,46 @@ func goldenCases(t *testing.T) []goldenCase {
 			}
 		}
 	}
-	cases = append(cases, goldenCase{
-		name:  "topology/line",
-		short: true,
-		run: func(ctx context.Context, _ Tracer, obs progress.Progress) (any, error) {
-			return TopologySim{Topology: simLineTopology(), AsyncSaturated: true, Horizon: 0.5, Progress: obs}.RunContext(ctx)
-		},
-	})
+	for _, tc := range []struct {
+		name  string
+		short bool
+		sim   TopologySim
+	}{
+		{"topology/line", true, TopologySim{Topology: simLineTopology(), AsyncSaturated: true}},
+		{"topology/line/sync-only", false, TopologySim{Topology: simLineTopology()}},
+		{"topology/line/theta/2", false, TopologySim{
+			Topology: simLineTopology(), AsyncSaturated: true, TokenPass: PassAverageHalfTheta,
+		}},
+		{"topology/bridge-backlog", false, TopologySim{Topology: simBridgeTopology(0), AsyncSaturated: true}},
+		{"topology/bridge-drop", false, TopologySim{Topology: simBridgeTopology(40e3), AsyncSaturated: true}},
+	} {
+		cfg := tc.sim
+		cfg.Horizon = 0.5
+		cases = append(cases, goldenCase{
+			name:  tc.name,
+			short: tc.short,
+			run: func(ctx context.Context, _ Tracer, obs progress.Progress) (any, error) {
+				cfg.Progress = obs
+				return cfg.RunContext(ctx)
+			},
+		})
+	}
 	return cases
+}
+
+// simBridgeTopology joins two 16 Mbps 802.5 rings by a 2 Mbps bridge and
+// sends a 3 Mbps flow across it, so the bridge's store-and-forward queue
+// grows all run long. A positive buffer (in bits) caps that queue and
+// drops the messages that overflow it.
+func simBridgeTopology(buffer float64) topology.Topology {
+	return topology.Topology{
+		Nodes: []topology.Node{
+			{Name: "a", Protocol: topology.Modified8025, Ring: ring.IEEE8025(16e6)},
+			{Name: "b", Protocol: topology.Standard8025, Ring: ring.IEEE8025(16e6)},
+		},
+		Bridges: []topology.Bridge{{A: "a", B: "b", Latency: 100e-6, RateBPS: 2e6, BufferBits: buffer}},
+		Flows:   []topology.Flow{{Name: "bulk", Src: "a", Dst: "b", Period: 10e-3, LengthBits: 30e3}},
+	}
 }
 
 // TestSimulatorGoldenDigest pins every simulator's sample path bit for
