@@ -3,14 +3,11 @@ package tokensim
 import (
 	"context"
 	"errors"
-	"math"
 
-	"ringsched/internal/faults"
 	"ringsched/internal/frame"
 	"ringsched/internal/progress"
 	"ringsched/internal/ring"
 	"ringsched/internal/sim"
-	"ringsched/internal/stats"
 	"ringsched/internal/trace"
 )
 
@@ -88,18 +85,12 @@ type stackedPriority struct {
 	new int
 }
 
-// resRun is the mutable state of one run.
+// resRun is the 802.5 priority/reservation arbitration of one run on the
+// shared harness.
 type resRun struct {
+	harness
 	cfg      ReservationSim
-	plant    plant
-	engine   sim.Engine
 	stations []*resStation
-	horizon  float64
-	// syncs holds the synchronous state of stations 0..len(streams)-1,
-	// the stations that carry streams; nextDue is their earliest next
-	// arrival, below which tokenAt skips the release sweep.
-	syncs   []*stationState
-	nextDue float64
 
 	// arrive[i] is tokenAt(i) and completeFn is complete, bound once so
 	// that scheduling them allocates nothing.
@@ -117,16 +108,6 @@ type resRun struct {
 	tokenPrio   int
 	reservation int
 
-	syncTime  float64
-	asyncTime float64
-	tokenTime float64
-	passStats stats.Running
-
-	// inj is the fault injector for this run; nil on a healthy ring.
-	inj       *faults.Injector
-	recovery  float64
-	losses    int
-	corrupted int
 	// lastService is when the previous frame finished, for inter-service
 	// gap statistics.
 	lastService float64
@@ -153,32 +134,20 @@ func (c ReservationSim) Run() (ReservationResult, error) {
 // RunContext is Run with cancellation: the event loop polls ctx
 // periodically and aborts with ctx.Err() once it is canceled.
 func (c ReservationSim) RunContext(ctx context.Context) (ReservationResult, error) {
-	if err := c.Net.Validate(); err != nil {
-		return ReservationResult{}, err
-	}
-	if err := c.Frame.Validate(); err != nil {
-		return ReservationResult{}, err
-	}
-	if err := c.Workload.Streams.Validate(); err != nil {
-		return ReservationResult{}, err
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return ReservationResult{}, err
-	}
 	if c.PriorityLevels < 0 {
 		return ReservationResult{}, ErrBadPriorityLevels
 	}
-	horizon := c.Horizon
-	if horizon == 0 {
-		horizon = horizonFor(c.Workload.Streams, 20)
+	rc := ringConfig{
+		protocol: "IEEE 802.5 (reservation MAC)", net: c.Net, sync: c.Frame, async: c.Frame,
+		workload: c.Workload, horizon: c.Horizon, faults: c.Faults, tracer: c.Tracer,
 	}
-	if horizon <= 0 {
-		return ReservationResult{}, ErrBadHorizon
+	horizon, err := rc.validate()
+	if err != nil {
+		return ReservationResult{}, err
 	}
 
-	r := &resRun{cfg: c, horizon: horizon, nextDue: math.Inf(1)}
-	r.plant = newPlant(c.Net, c.Frame, c.Frame)
-	r.inj = c.Faults.Injector(c.Net.Stations, r.plant.theta, horizon)
+	r := &resRun{cfg: c}
+	r.init(rc, horizon, nil)
 	r.stations = make([]*resStation, c.Net.Stations)
 	r.arrive = make([]sim.Handler, c.Net.Stations)
 	for i := range r.stations {
@@ -186,58 +155,22 @@ func (c ReservationSim) RunContext(ctx context.Context) (ReservationResult, erro
 		r.arrive[i] = func() { r.tokenAt(i) }
 	}
 	r.completeFn = r.complete
-	r.syncs = make([]*stationState, len(c.Workload.Streams))
-	for i, s := range c.Workload.Streams {
-		r.syncs[i] = &stationState{stream: s, nextArrival: c.Workload.Offsets[i]}
-		r.stations[i].sync = r.syncs[i]
-		if r.syncs[i].nextArrival < r.nextDue {
-			r.nextDue = r.syncs[i].nextArrival
-		}
+	for i, sync := range r.syncs {
+		r.stations[i].sync = sync
 	}
 	r.assignPriorities()
+	// The free token starts at station 0 at priority 0.
+	_, _ = r.engine.At(0, r.arrive[0])
 
 	ctx, sp := trace.Start(ctx, "sim.reservation")
 	defer sp.End()
-	sp.SetAttr("stations", c.Net.Stations)
 	sp.SetAttr("levels", c.PriorityLevels)
-	sp.SetAttr("horizonSec", horizon)
-
-	// The free token starts at station 0 at priority 0.
-	if _, err := r.engine.At(0, r.arrive[0]); err != nil {
-		sp.SetError(err)
-		return ReservationResult{}, err
-	}
-	err := r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress))
-	sp.SetAttr("events", r.engine.Fired())
+	res, err := r.run(ctx, sp, c.MaxEvents, c.Progress)
 	if err != nil {
-		sp.SetError(err)
 		return ReservationResult{}, err
 	}
-
-	stationResults, misses := collectStations(r.syncs, horizon)
-	res := ReservationResult{
-		Result: Result{
-			Protocol:        "IEEE 802.5 (reservation MAC)",
-			Horizon:         horizon,
-			Stations:        stationResults,
-			DeadlineMisses:  misses,
-			SyncTime:        r.syncTime,
-			AsyncTime:       r.asyncTime,
-			TokenTime:       r.tokenTime,
-			RotationMean:    r.passStats.Mean(),
-			RotationMax:     r.passStats.Max(),
-			RotationN:       r.passStats.N(),
-			TokenLosses:     r.losses,
-			RecoveryTime:    r.recovery,
-			CorruptedFrames: r.corrupted,
-			Crashes:         r.inj.CrashCount(),
-		},
-		PriorityInversions: r.inversions,
-	}
-	res.IdleTime = math.Max(0, horizon-res.SyncTime-res.AsyncTime-res.TokenTime-res.RecoveryTime)
-	sp.SetAttr("misses", misses)
 	sp.SetAttr("inversions", r.inversions)
-	return res, nil
+	return ReservationResult{Result: res, PriorityInversions: r.inversions}, nil
 }
 
 // ReservationResult extends Result with arbitration quality metrics.
@@ -313,17 +246,9 @@ func (r *resRun) highestPendingOnRing() int {
 // tokenAt processes the free token arriving at station idx.
 func (r *resRun) tokenAt(idx int) {
 	now := r.engine.Now()
-	if now >= r.nextDue {
-		r.nextDue = releaseAll(r.syncs, now, r.cfg.Tracer)
-	}
+	r.releaseDue(now)
 	st := r.stations[idx]
-
-	// Ring reconfiguration: crashes and restarts up to now pause the whole
-	// ring for the beacon/bypass latency, then the visit resumes.
-	if bp := r.inj.TakeBypass(now); bp > 0 {
-		r.recovery += bp
-		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceRecovery, Station: idx, Duration: bp})
-		_, _ = r.engine.At(now+bp, r.arrive[idx])
+	if r.bypass(now, idx, r.arrive[idx]) {
 		return
 	}
 
@@ -359,7 +284,7 @@ func (r *resRun) tokenAt(idx int) {
 	// No capture: record a reservation bid and forward the token.
 	if p := r.topPending(idx); p > r.reservation && p > r.tokenPrio {
 		r.reservation = p
-		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceReserve, Station: idx, Detail: float64(p)})
+		emit(r.tracer, TraceEvent{Time: now, Kind: TraceReserve, Station: idx, Detail: float64(p)})
 	}
 	r.forwardToken(idx, now)
 }
@@ -381,35 +306,21 @@ func (r *resRun) transmit(idx, p int, now float64) {
 		eff = max(r.plant.asyncTime, r.plant.theta)
 		payload = r.cfg.Frame.InfoBits
 		r.asyncTime += eff
-		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceAsync, Station: idx, Duration: eff, Detail: payload})
+		emit(r.tracer, TraceEvent{Time: now, Kind: TraceAsync, Station: idx, Duration: eff, Detail: payload})
 	} else {
 		msg := &st.sync.queue[0]
 		payload = min(msg.remainingBits, r.cfg.Frame.InfoBits)
 		eff = r.plant.effectiveFrameTime(payload)
 		r.syncTime += eff
-		if r.inj.FrameCorrupted(idx) {
-			// The frame held the medium but failed its CRC; the payload
-			// stays queued for retransmission on a later capture.
-			r.corrupted++
-			emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceCorrupt, Station: idx, Duration: eff, Detail: payload})
-		} else {
-			msg.remainingBits -= payload
-			finishMsg = msg.remainingBits <= 0
-			emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceFrame, Station: idx, Duration: eff, Detail: payload})
-		}
+		finishMsg = r.send(idx, now, eff, payload, msg, 0)
 	}
 
 	if r.served {
-		r.passStats.Add(now - r.lastService)
+		r.rotation.Add(now - r.lastService)
 	}
 
-	done := now + eff
-	if done > r.horizon {
-		// The frame completes beyond the horizon; stop here.
-		return
-	}
 	r.sender, r.finishMsg = idx, finishMsg
-	_, _ = r.engine.At(done, r.completeFn)
+	r.schedule(now+eff, r.completeFn)
 }
 
 // complete strips the frame on the medium, completing its message when it
@@ -417,14 +328,7 @@ func (r *resRun) transmit(idx, p int, now float64) {
 func (r *resRun) complete() {
 	now, idx := r.engine.Now(), r.sender
 	if r.finishMsg {
-		st := r.stations[idx].sync
-		completed := st.pop()
-		lateness := st.finish(completed, now)
-		kind := TraceComplete
-		if lateness > 0 {
-			kind = TraceMiss
-		}
-		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: kind, Station: idx, Detail: lateness})
+		r.finishMessage(idx, now)
 	}
 	r.lastService = now
 	r.served = true
@@ -438,7 +342,7 @@ func (r *resRun) complete() {
 		}
 		if q := r.topPending(i); q > reserved {
 			reserved = q
-			emit(r.cfg.Tracer, TraceEvent{
+			emit(r.tracer, TraceEvent{
 				Time: now, Kind: TraceReserve, Station: i, Detail: float64(q),
 			})
 		}
@@ -456,19 +360,9 @@ func (r *resRun) complete() {
 // forwardToken moves the free token one hop; a token lost on the hop is
 // rebuilt by the claim/beacon process, during which the medium is dead.
 func (r *resRun) forwardToken(idx int, now float64) {
-	var rec float64
-	if r.inj.TokenLost(idx) {
-		rec = r.inj.RecoveryDuration()
-		r.losses++
-		r.recovery += rec
-		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceRecovery, Station: idx, Duration: rec})
-	}
+	rec, _ := r.tokenLoss(idx, now)
 	hop := r.plant.hop
 	r.tokenTime += hop
-	emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceTokenPass, Station: idx, Duration: hop})
-	next := (idx + 1) % r.cfg.Net.Stations
-	at := now + hop + rec
-	if at <= r.horizon {
-		_, _ = r.engine.At(at, r.arrive[next])
-	}
+	emit(r.tracer, TraceEvent{Time: now, Kind: TraceTokenPass, Station: idx, Duration: hop})
+	r.schedule(now+hop+rec, r.arrive[(idx+1)%r.cfg.Net.Stations])
 }

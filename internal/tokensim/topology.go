@@ -125,16 +125,6 @@ type TopologyResult struct {
 // MissedAny reports whether any message was delivered late or lost.
 func (r TopologyResult) MissedAny() bool { return r.DeadlineMisses > 0 || r.Drops > 0 }
 
-// ringRun is the per-ring simulator surface the topology composition
-// drives; pdpRun and ttpRun implement it.
-type ringRun interface {
-	start() error
-	collect() Result
-	inject(idx int, msg pendingMessage)
-	setDone(fn func(station int, msg pendingMessage, at float64))
-	setFlow(idx, flow int)
-}
-
 // bridgeKey addresses one direction of one bridge.
 type bridgeKey struct {
 	bridge  int
@@ -193,7 +183,8 @@ type topoRun struct {
 	engine  *sim.Engine
 	horizon float64
 
-	runs    []ringRun
+	// rings holds each ring's run harness; nil for a flowless ring.
+	rings   []*harness
 	routes  [][]int
 	station []map[string]int // ring index → flow name → station index
 	bridges map[bridgeKey]*bridgeDirState
@@ -220,16 +211,13 @@ func (c TopologySim) RunContext(ctx context.Context) (TopologyResult, error) {
 	if err != nil {
 		return TopologyResult{}, err
 	}
-	horizon := c.Horizon
-	if horizon == 0 {
-		all := make(message.Set, len(canon.Flows))
-		for i, f := range canon.Flows {
-			all[i] = message.Stream{Name: f.Name, Period: f.Period, LengthBits: f.LengthBits}
-		}
-		horizon = horizonFor(all, 20)
+	all := make(message.Set, len(canon.Flows))
+	for i, f := range canon.Flows {
+		all[i] = message.Stream{Name: f.Name, Period: f.Period, LengthBits: f.LengthBits}
 	}
-	if horizon <= 0 || math.IsInf(horizon, 0) || math.IsNaN(horizon) {
-		return TopologyResult{}, ErrBadHorizon
+	horizon, err := resolveHorizon(c.Horizon, all)
+	if err != nil {
+		return TopologyResult{}, err
 	}
 
 	r := &topoRun{
@@ -237,7 +225,7 @@ func (c TopologySim) RunContext(ctx context.Context) (TopologyResult, error) {
 		topo:    canon,
 		engine:  &sim.Engine{},
 		horizon: horizon,
-		runs:    make([]ringRun, len(canon.Nodes)),
+		rings:   make([]*harness, len(canon.Nodes)),
 		routes:  routes,
 		station: make([]map[string]int, len(canon.Nodes)),
 		bridges: map[bridgeKey]*bridgeDirState{},
@@ -265,27 +253,19 @@ func (c TopologySim) RunContext(ctx context.Context) (TopologyResult, error) {
 				w.Offsets[j] = math.Inf(1)
 			}
 		}
-		run, err := r.newRingRun(n, rep.Rings[i], w)
+		h, err := r.newRingRun(n, rep.Rings[i], w)
 		if err != nil {
 			return TopologyResult{}, fmt.Errorf("ring %q: %w", n.Name, err)
 		}
-		r.runs[i] = run
+		h.onDone = func(_ int, msg pendingMessage, at float64) { r.deliver(i, msg, at) }
+		r.rings[i] = h
 	}
 
-	// Wire flow indices and the forwarding hooks.
+	// Tag each flow's stations on its route with the flow index.
 	for fi, f := range canon.Flows {
 		for _, ri := range routes[fi] {
-			r.runs[ri].setFlow(r.station[ri][f.Name], fi)
+			r.rings[ri].syncs[r.station[ri][f.Name]].flow = fi
 		}
-	}
-	for i, run := range r.runs {
-		if run == nil {
-			continue
-		}
-		ri := i
-		run.setDone(func(_ int, msg pendingMessage, at float64) {
-			r.deliver(ri, msg, at)
-		})
 	}
 	for bi := range canon.Bridges {
 		for _, fwd := range []bool{true, false} {
@@ -303,19 +283,7 @@ func (c TopologySim) RunContext(ctx context.Context) (TopologyResult, error) {
 	sp.SetAttr("flows", len(canon.Flows))
 	sp.SetAttr("horizonSec", horizon)
 
-	for i, run := range r.runs {
-		if run == nil {
-			continue
-		}
-		if err := run.start(); err != nil {
-			sp.SetError(err)
-			return TopologyResult{}, fmt.Errorf("ring %q: %w", canon.Nodes[i].Name, err)
-		}
-	}
-	err = r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress))
-	sp.SetAttr("events", r.engine.Fired())
-	if err != nil {
-		sp.SetError(err)
+	if err := runEngine(ctx, sp, r.engine, horizon, c.MaxEvents, c.Progress); err != nil {
 		return TopologyResult{}, err
 	}
 
@@ -325,13 +293,13 @@ func (c TopologySim) RunContext(ctx context.Context) (TopologyResult, error) {
 	return res, nil
 }
 
-// newRingRun builds ring n's simulator run on the shared engine, configured
-// exactly as the analysis configures its analyzer (same plant, same frame
-// format, same station bump) so the 1-node case is the standalone run.
-func (r *topoRun) newRingRun(n topology.Node, verdict core.TopologyRingVerdict, w Workload) (ringRun, error) {
+// newRingRun builds ring n's run on the shared engine, configured exactly
+// as the analysis configures its analyzer (same plant, same frame format,
+// same station bump) so the 1-node case is the standalone run.
+func (r *topoRun) newRingRun(n topology.Node, verdict core.TopologyRingVerdict, w Workload) (*harness, error) {
 	switch a := core.AnalyzerForNode(n, len(w.Streams)).(type) {
 	case core.PDP:
-		cfg := PDPSim{
+		run, err := newPDPRun(PDPSim{
 			Net:            a.Net,
 			Frame:          a.Frame,
 			Variant:        a.Variant,
@@ -339,11 +307,11 @@ func (r *topoRun) newRingRun(n topology.Node, verdict core.TopologyRingVerdict, 
 			AsyncSaturated: r.cfg.AsyncSaturated,
 			Horizon:        r.horizon,
 			TokenPass:      r.cfg.TokenPass,
-		}
-		if _, err := cfg.validate(); err != nil {
+		}, r.engine)
+		if err != nil {
 			return nil, err
 		}
-		return newPDPRun(cfg, r.engine, r.horizon), nil
+		return &run.harness, nil
 	case core.TTP:
 		alloc := make([]float64, len(verdict.TTP.Streams))
 		for j, sr := range verdict.TTP.Streams {
@@ -352,7 +320,7 @@ func (r *topoRun) newRingRun(n topology.Node, verdict core.TopologyRingVerdict, 
 			}
 			alloc[j] = sr.Allocation
 		}
-		cfg := TTPSim{
+		run, err := newTTPRun(TTPSim{
 			Net:            a.Net,
 			SyncFrame:      a.SyncFrame,
 			AsyncFrame:     a.AsyncFrame,
@@ -361,11 +329,11 @@ func (r *topoRun) newRingRun(n topology.Node, verdict core.TopologyRingVerdict, 
 			Workload:       w,
 			AsyncSaturated: r.cfg.AsyncSaturated,
 			Horizon:        r.horizon,
-		}
-		if _, err := cfg.validate(); err != nil {
+		}, r.engine)
+		if err != nil {
 			return nil, err
 		}
-		return newTTPRun(cfg, r.engine, r.horizon), nil
+		return &run.harness, nil
 	default:
 		return nil, fmt.Errorf("%w: %q", topology.ErrBadProtocol, n.Protocol)
 	}
@@ -402,7 +370,7 @@ func (r *topoRun) deliver(ri int, msg pendingMessage, at float64) {
 	bi := r.topo.BridgeIndex(from, to)
 	dir := r.bridges[bridgeKey{bridge: bi, forward: r.topo.Bridges[bi].A == from}]
 	ok := dir.forward(r.engine, at, f.LengthBits, func(deliveredAt float64) {
-		r.runs[next].inject(r.station[next][f.Name], pendingMessage{
+		r.rings[next].inject(r.station[next][f.Name], pendingMessage{
 			arrival:       deliveredAt,
 			deadline:      msg.deadline,
 			remainingBits: f.LengthBits,
@@ -420,8 +388,8 @@ func (r *topoRun) collect() TopologyResult {
 	res := TopologyResult{Horizon: r.horizon}
 	for i, n := range r.topo.Nodes {
 		rr := RingSimResult{Name: n.Name, Protocol: n.Protocol}
-		if r.runs[i] != nil {
-			rr.Result = r.runs[i].collect()
+		if r.rings[i] != nil {
+			rr.Result = r.rings[i].collect()
 		} else {
 			rr.Result = Result{Protocol: protocolLabel(n.Protocol), Horizon: r.horizon, IdleTime: r.horizon}
 		}

@@ -7,20 +7,18 @@ import (
 	"math"
 
 	"ringsched/internal/core"
-	"ringsched/internal/faults"
 	"ringsched/internal/frame"
 	"ringsched/internal/message"
 	"ringsched/internal/progress"
 	"ringsched/internal/ring"
 	"ringsched/internal/sim"
-	"ringsched/internal/stats"
 	"ringsched/internal/trace"
 )
 
 // Errors returned by the TTP simulator.
 var (
-	ErrBadTTRT        = errors.New("tokensim: TTRT must be positive")
-	ErrBadAllocations = errors.New("tokensim: one synchronous allocation per stream required")
+	ErrBadTTRT        = errors.New("tokensim: TTRT must be positive and no longer than the horizon")
+	ErrBadAllocations = errors.New("tokensim: one finite, non-negative synchronous allocation per stream required")
 )
 
 // TTPSim simulates the timed token protocol with the real FDDI timer
@@ -105,31 +103,14 @@ type ttpStation struct {
 	suppress bool
 }
 
-// ttpRun is the mutable state of one run.
+// ttpRun is the FDDI timer arbitration of one run on the shared harness.
 type ttpRun struct {
+	harness
 	cfg      TTPSim
-	plant    plant
-	engine   *sim.Engine
 	stations []*ttpStation
-	horizon  float64
 	// arrive[i] is tokenArrive(i), bound once per station so that passing
 	// the token allocates nothing.
 	arrive []sim.Handler
-
-	// onDone, when non-nil, observes every completed message — the hook
-	// the topology simulator uses to hand messages to the next ring.
-	onDone func(station int, msg pendingMessage, at float64)
-
-	syncTime  float64
-	asyncTime float64
-	tokenTime float64
-	rotation  stats.Running
-
-	// inj is the fault injector for this run; nil on a healthy ring.
-	inj       *faults.Injector
-	losses    int
-	recovery  float64
-	corrupted int
 }
 
 // Run executes the simulation. It is the uncancelable convenience wrapper
@@ -138,140 +119,66 @@ func (c TTPSim) Run() (Result, error) {
 	return c.RunContext(context.Background())
 }
 
-// validate checks the configuration and resolves the simulation horizon.
-func (c TTPSim) validate() (float64, error) {
-	if err := c.Net.Validate(); err != nil {
-		return 0, err
+// RunContext is Run with cancellation: the event loop polls ctx
+// periodically and aborts with ctx.Err() once it is canceled.
+func (c TTPSim) RunContext(ctx context.Context) (Result, error) {
+	r, err := newTTPRun(c, nil)
+	if err != nil {
+		return Result{}, err
 	}
-	if err := c.SyncFrame.Validate(); err != nil {
-		return 0, err
+	ctx, sp := trace.Start(ctx, "sim.ttp")
+	defer sp.End()
+	sp.SetAttr("ttrtSec", c.TTRT)
+	res, err := r.run(ctx, sp, c.MaxEvents, c.Progress)
+	if err == nil {
+		sp.SetAttr("rotationMeanSec", res.RotationMean)
 	}
-	if err := c.AsyncFrame.Validate(); err != nil {
-		return 0, err
-	}
-	if err := c.Workload.Streams.Validate(); err != nil {
-		return 0, err
-	}
-	if c.TTRT <= 0 || math.IsNaN(c.TTRT) {
-		return 0, ErrBadTTRT
-	}
-	if len(c.Allocations) != len(c.Workload.Streams) {
-		return 0, fmt.Errorf("%w: %d allocations for %d streams",
-			ErrBadAllocations, len(c.Allocations), len(c.Workload.Streams))
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return 0, err
-	}
-	horizon := c.Horizon
-	if horizon == 0 {
-		horizon = horizonFor(c.Workload.Streams, 20)
-	}
-	if horizon <= 0 {
-		return 0, ErrBadHorizon
-	}
-	return horizon, nil
+	return res, err
 }
 
-// newTTPRun builds the run state on the given engine — the run's own for a
-// standalone simulation, a shared one when composed into a topology.
-func newTTPRun(c TTPSim, engine *sim.Engine, horizon float64) *ttpRun {
-	r := &ttpRun{cfg: c, engine: engine, horizon: horizon}
-	r.plant = newPlant(c.Net, c.SyncFrame, c.AsyncFrame)
-	r.inj = c.Faults.Injector(c.Net.Stations, r.plant.theta, horizon)
+// newTTPRun validates the configuration and builds its run on engine (nil
+// for a standalone run), with the token released at station 0 at time 0
+// and all timers fresh.
+func newTTPRun(c TTPSim, engine *sim.Engine) (*ttpRun, error) {
+	rc := ringConfig{
+		protocol: "FDDI", net: c.Net, sync: c.SyncFrame, async: c.AsyncFrame,
+		workload: c.Workload, horizon: c.Horizon, faults: c.Faults, tracer: c.Tracer,
+	}
+	horizon, err := rc.validate()
+	if err != nil {
+		return nil, err
+	}
+	// One visit's asynchronous burst lasts at most TTRT, so a TTRT within
+	// the horizon bounds each visit's work by the run's own length. The
+	// rotation timer counts expiries as elapsed/TTRT, which a TTRT more
+	// than MaxFloat64 times shorter than the horizon would overflow.
+	if !(c.TTRT > 0) || c.TTRT > horizon || math.IsInf(horizon/c.TTRT, 1) {
+		return nil, fmt.Errorf("%w: %g s against a %g s horizon", ErrBadTTRT, c.TTRT, horizon)
+	}
+	if len(c.Allocations) != len(c.Workload.Streams) {
+		return nil, fmt.Errorf("%w: %d allocations for %d streams",
+			ErrBadAllocations, len(c.Allocations), len(c.Workload.Streams))
+	}
+	for i, h := range c.Allocations {
+		if !(h >= 0) || math.IsInf(h, 1) {
+			return nil, fmt.Errorf("%w: allocation %d is %g s", ErrBadAllocations, i, h)
+		}
+	}
+
+	r := &ttpRun{cfg: c}
+	r.init(rc, horizon, engine)
 	r.stations = make([]*ttpStation, c.Net.Stations)
 	r.arrive = make([]sim.Handler, c.Net.Stations)
 	for i := range r.stations {
 		r.stations[i] = &ttpStation{}
 		r.arrive[i] = func() { r.tokenArrive(i) }
 	}
-	for i, s := range c.Workload.Streams {
-		r.stations[i].sync = &stationState{stream: s, nextArrival: c.Workload.Offsets[i]}
+	for i, sync := range r.syncs {
+		r.stations[i].sync = sync
 		r.stations[i].allocation = c.Allocations[i]
 	}
-	return r
-}
-
-// start releases the token at station 0 at time 0 with all timers fresh.
-func (r *ttpRun) start() error {
-	_, err := r.engine.At(0, r.arrive[0])
-	return err
-}
-
-// collect summarizes the run after the event loop has drained.
-func (r *ttpRun) collect() Result {
-	syncStates := make([]*stationState, len(r.cfg.Workload.Streams))
-	for i := range r.cfg.Workload.Streams {
-		syncStates[i] = r.stations[i].sync
-	}
-	stationResults, misses := collectStations(syncStates, r.horizon)
-	res := Result{
-		Protocol:        "FDDI",
-		Horizon:         r.horizon,
-		Stations:        stationResults,
-		DeadlineMisses:  misses,
-		SyncTime:        r.syncTime,
-		AsyncTime:       r.asyncTime,
-		TokenTime:       r.tokenTime,
-		RotationMean:    r.rotation.Mean(),
-		RotationMax:     r.rotation.Max(),
-		RotationN:       r.rotation.N(),
-		TokenLosses:     r.losses,
-		RecoveryTime:    r.recovery,
-		CorruptedFrames: r.corrupted,
-		Crashes:         r.inj.CrashCount(),
-	}
-	res.IdleTime = math.Max(0, r.horizon-res.SyncTime-res.AsyncTime-res.TokenTime-res.RecoveryTime)
-	return res
-}
-
-// RunContext is Run with cancellation: the event loop polls ctx
-// periodically and aborts with ctx.Err() once it is canceled.
-func (c TTPSim) RunContext(ctx context.Context) (Result, error) {
-	horizon, err := c.validate()
-	if err != nil {
-		return Result{}, err
-	}
-	r := newTTPRun(c, &sim.Engine{}, horizon)
-
-	ctx, sp := trace.Start(ctx, "sim.ttp")
-	defer sp.End()
-	sp.SetAttr("stations", c.Net.Stations)
-	sp.SetAttr("ttrtSec", c.TTRT)
-	sp.SetAttr("horizonSec", horizon)
-
-	if err := r.start(); err != nil {
-		sp.SetError(err)
-		return Result{}, err
-	}
-	err = r.engine.RunUntilContext(ctx, horizon, runLoopOptions(c.MaxEvents, c.Progress))
-	sp.SetAttr("events", r.engine.Fired())
-	if err != nil {
-		sp.SetError(err)
-		return Result{}, err
-	}
-
-	res := r.collect()
-	sp.SetAttr("misses", res.DeadlineMisses)
-	sp.SetAttr("rotationMeanSec", res.RotationMean)
-	return res, nil
-}
-
-// inject delivers an externally arrived message — a bridged hand-off from
-// another ring — to station idx's synchronous queue. The circulating token
-// picks it up on its next visit; no kick is needed.
-func (r *ttpRun) inject(idx int, msg pendingMessage) {
-	r.stations[idx].sync.push(msg)
-	emit(r.cfg.Tracer, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: idx})
-}
-
-// setDone installs the completion hook (topology composition only).
-func (r *ttpRun) setDone(fn func(station int, msg pendingMessage, at float64)) {
-	r.onDone = fn
-}
-
-// setFlow tags station idx's messages with a topology flow index.
-func (r *ttpRun) setFlow(idx, flow int) {
-	r.stations[idx].sync.flow = flow
+	_, _ = r.engine.At(0, r.arrive[0])
+	return r, nil
 }
 
 // tokenArrive services station idx and forwards the token.
@@ -279,12 +186,7 @@ func (r *ttpRun) tokenArrive(idx int) {
 	now := r.engine.Now()
 	st := r.stations[idx]
 
-	// Ring reconfiguration: crashes and restarts up to now pause the whole
-	// ring for the beacon/bypass latency, then the visit resumes.
-	if bp := r.inj.TakeBypass(now); bp > 0 {
-		r.recovery += bp
-		emit(r.cfg.Tracer, TraceEvent{Time: now, Kind: TraceRecovery, Station: idx, Duration: bp})
-		_, _ = r.engine.At(now+bp, r.arrive[idx])
+	if r.bypass(now, idx, r.arrive[idx]) {
 		return
 	}
 
@@ -315,7 +217,7 @@ func (r *ttpRun) tokenArrive(idx int) {
 		// expiry, and no asynchronous traffic is admitted this visit.
 		expiries := math.Max(1, math.Floor(elapsed/r.cfg.TTRT))
 		st.timerStart += expiries * r.cfg.TTRT
-		emit(r.cfg.Tracer, TraceEvent{
+		emit(r.tracer, TraceEvent{
 			Time: now, Kind: TraceLateCount, Station: idx,
 			Detail: elapsed - r.cfg.TTRT,
 		})
@@ -328,9 +230,7 @@ func (r *ttpRun) tokenArrive(idx int) {
 	// station's timer, which suppresses the allocation for one rotation
 	// (the FDDI late-counter effect).
 	if st.sync != nil {
-		st.sync.release(now, func(msg pendingMessage) {
-			emit(r.cfg.Tracer, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: idx})
-		})
+		r.release(idx, now)
 		if st.suppress {
 			st.suppress = false
 		} else {
@@ -344,7 +244,7 @@ func (r *ttpRun) tokenArrive(idx int) {
 		fa := r.plant.asyncTime
 		for tht > 0 {
 			r.asyncTime += fa
-			emit(r.cfg.Tracer, TraceEvent{
+			emit(r.tracer, TraceEvent{
 				Time: now + busy, Kind: TraceAsync, Station: idx,
 				Duration: fa, Detail: r.cfg.AsyncFrame.InfoBits,
 			})
@@ -364,20 +264,12 @@ func (r *ttpRun) tokenArrive(idx int) {
 func (r *ttpRun) forwardToken(idx int, now, busy float64) {
 	hop := r.plant.hop
 	r.tokenTime += hop
-	emit(r.cfg.Tracer, TraceEvent{Time: now + busy, Kind: TraceTokenPass, Station: idx, Duration: hop})
-	var rec float64
-	if r.inj.TokenLost(idx) {
-		rec = r.inj.RecoveryDuration()
-		r.losses++
-		r.recovery += rec
-		emit(r.cfg.Tracer, TraceEvent{Time: now + busy + hop, Kind: TraceRecovery, Station: idx, Duration: rec})
+	emit(r.tracer, TraceEvent{Time: now + busy, Kind: TraceTokenPass, Station: idx, Duration: hop})
+	rec, lost := r.tokenLoss(idx, now+busy+hop)
+	if lost {
 		r.markLate(now + busy + hop + rec)
 	}
-	next := (idx + 1) % r.cfg.Net.Stations
-	at := now + busy + hop + rec
-	if at <= r.horizon {
-		_, _ = r.engine.At(at, r.arrive[next])
-	}
+	r.schedule(now+busy+hop+rec, r.arrive[(idx+1)%r.cfg.Net.Stations])
 }
 
 // markLate raises the late-counter suppression flag of every station whose
@@ -387,7 +279,7 @@ func (r *ttpRun) markLate(recoveryEnd float64) {
 	for i, st := range r.stations {
 		if recoveryEnd-st.timerStart >= r.cfg.TTRT {
 			st.suppress = true
-			emit(r.cfg.Tracer, TraceEvent{
+			emit(r.tracer, TraceEvent{
 				Time: recoveryEnd, Kind: TraceLateCount, Station: i,
 				Detail: recoveryEnd - st.timerStart - r.cfg.TTRT,
 			})
@@ -409,34 +301,10 @@ func (r *ttpRun) transmitSync(st *ttpStation, idx int, now float64) float64 {
 		frameTime := fovhd + payloadTime
 		budget -= frameTime
 		used += frameTime
-		if r.inj.FrameCorrupted(idx) {
-			// The frame spent the budget but failed its CRC; the payload
-			// stays queued for retransmission on a later visit.
-			r.corrupted++
-			emit(r.cfg.Tracer, TraceEvent{
-				Time: now + used - frameTime, Kind: TraceCorrupt, Station: idx,
-				Duration: frameTime, Detail: payloadTime * bw,
-			})
-			continue
-		}
-		emit(r.cfg.Tracer, TraceEvent{
-			Time: now + used - frameTime, Kind: TraceFrame, Station: idx,
-			Duration: frameTime, Detail: payloadTime * bw,
-		})
-		msg.remainingBits -= payloadTime * bw
-		if msg.remainingBits <= 1e-9 {
-			completed := st.sync.pop()
-			lateness := st.sync.finish(completed, now+used)
-			kind := TraceComplete
-			if lateness > 0 {
-				kind = TraceMiss
-			}
-			emit(r.cfg.Tracer, TraceEvent{
-				Time: now + used, Kind: kind, Station: idx, Detail: lateness,
-			})
-			if r.onDone != nil {
-				r.onDone(idx, completed, now+used)
-			}
+		// Frames are sized in time, so a message's bits run down with
+		// rounding: within 1e-9 bits of the end, it is complete.
+		if r.send(idx, now+used-frameTime, frameTime, payloadTime*bw, msg, 1e-9) {
+			r.finishMessage(idx, now+used)
 		}
 	}
 	r.syncTime += used

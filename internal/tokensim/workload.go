@@ -26,7 +26,8 @@ import (
 // Errors returned by workload construction and the simulators.
 var (
 	ErrTooManyStreams = errors.New("tokensim: more streams than stations")
-	ErrBadHorizon     = errors.New("tokensim: horizon must be positive")
+	ErrBadOffsets     = errors.New("tokensim: one non-negative first-arrival offset per stream required")
+	ErrBadHorizon     = errors.New("tokensim: horizon must be positive and finite")
 	ErrNilRandPhases  = errors.New("tokensim: random phasing requires a non-nil *rand.Rand")
 )
 
@@ -54,13 +55,10 @@ type Workload struct {
 // NewWorkload attaches the set's streams to stations 0..len-1 of a ring
 // with at least that many stations, with the requested phasing.
 func NewWorkload(m message.Set, stations int, phasing Phasing, rng *rand.Rand) (Workload, error) {
-	if err := m.Validate(); err != nil {
+	w := Workload{Streams: m.Clone(), Offsets: make([]float64, len(m))}
+	if err := w.validate(stations); err != nil {
 		return Workload{}, err
 	}
-	if len(m) > stations {
-		return Workload{}, fmt.Errorf("%w: %d > %d", ErrTooManyStreams, len(m), stations)
-	}
-	w := Workload{Streams: m.Clone(), Offsets: make([]float64, len(m))}
 	if phasing == PhasingRandom {
 		if rng == nil {
 			return Workload{}, ErrNilRandPhases
@@ -70,6 +68,29 @@ func NewWorkload(m message.Set, stations int, phasing Phasing, rng *rand.Rand) (
 		}
 	}
 	return w, nil
+}
+
+// validate checks the workload for a ring of the given station count: a
+// valid stream set of at most one stream per station, and one
+// non-negative offset per stream. An offset may be +Inf, a stream that
+// never releases (a topology's transit streams); NaN never releases
+// either, and a negative offset lies before the run starts.
+func (w Workload) validate(stations int) error {
+	if err := w.Streams.Validate(); err != nil {
+		return err
+	}
+	if len(w.Streams) > stations {
+		return fmt.Errorf("%w: %d > %d", ErrTooManyStreams, len(w.Streams), stations)
+	}
+	if len(w.Offsets) != len(w.Streams) {
+		return fmt.Errorf("%w: %d offsets for %d streams", ErrBadOffsets, len(w.Offsets), len(w.Streams))
+	}
+	for i, off := range w.Offsets {
+		if !(off >= 0) {
+			return fmt.Errorf("%w: stream %d offset %g", ErrBadOffsets, i, off)
+		}
+	}
+	return nil
 }
 
 // pendingMessage is one queued synchronous message instance. flow and
@@ -127,24 +148,6 @@ func (s *stationState) release(now float64, onRelease func(pendingMessage)) {
 			onRelease(msg)
 		}
 	}
-}
-
-// releaseAll runs release on every station, tracing each released
-// message with its station index, and returns the earliest next arrival.
-// Only release moves a station's nextArrival, so a caller may skip the
-// sweep while the clock is below the returned time: it would release
-// nothing.
-func releaseAll(stations []*stationState, now float64, tr Tracer) float64 {
-	next := math.Inf(1)
-	for i, st := range stations {
-		st.release(now, func(msg pendingMessage) {
-			emit(tr, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: i})
-		})
-		if st.nextArrival < next {
-			next = st.nextArrival
-		}
-	}
-	return next
 }
 
 // push enqueues one message and tracks the backlog high-water mark. When
@@ -297,6 +300,8 @@ func collectStations(states []*stationState, horizon float64) ([]StationResult, 
 // its configuration by the same expressions the event handlers would
 // otherwise evaluate on every event.
 type plant struct {
+	// n is the station count.
+	n  int
 	bw float64
 	// theta is Θ, the token circulation time; hop is Θ/n, the token's
 	// travel time per hop.
@@ -312,6 +317,7 @@ type plant struct {
 func newPlant(net ring.Config, sync, async frame.Spec) plant {
 	bw, theta := net.BandwidthBPS, net.Theta()
 	return plant{
+		n:         net.Stations,
 		bw:        bw,
 		theta:     theta,
 		hop:       theta / float64(net.Stations),
