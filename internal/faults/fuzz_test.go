@@ -26,6 +26,9 @@ func FuzzFaultModel(f *testing.F) {
 		"bogus:x=1",
 		"loss:p=",
 		"loss:p=1e-3,p=2e-3",
+		// Values of 10⁶ and up, which %g renders with an "e+" exponent.
+		"gilbert:gap=1e6",
+		"crash:rate=1e6",
 	}
 	for _, s := range seeds {
 		f.Add(s)

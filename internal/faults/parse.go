@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"ringsched/internal/specnum"
 )
 
 // ErrBadSpec reports an unparsable fault-model specification.
@@ -173,31 +175,32 @@ func parseParams(params string) (map[string]string, error) {
 // durations printed as float seconds; ParseModel(m.Spec()) reproduces m
 // exactly (Seed excepted — it is carried out of band by the CLI flags).
 func (m Model) Spec() string {
+	num := specnum.Format
 	var parts []string
 	if m.TokenLossProb > 0 || m.Recovery != (Recovery{}) {
-		s := fmt.Sprintf("loss:p=%g", m.TokenLossProb)
+		s := "loss:p=" + num(m.TokenLossProb)
 		if m.Recovery.Detect > 0 {
-			s += fmt.Sprintf(",detect=%g", m.Recovery.Detect)
+			s += ",detect=" + num(m.Recovery.Detect)
 		}
 		if m.Recovery.ClaimRounds > 0 {
 			s += fmt.Sprintf(",rounds=%d", m.Recovery.ClaimRounds)
 		}
 		if m.Recovery.Fixed > 0 {
-			s += fmt.Sprintf(",fixed=%g", m.Recovery.Fixed)
+			s += ",fixed=" + num(m.Recovery.Fixed)
 		}
 		parts = append(parts, s)
 	}
 	switch m.Channel.Kind {
 	case ChannelBernoulli:
-		parts = append(parts, fmt.Sprintf("corrupt:p=%g", m.Channel.CorruptProb))
+		parts = append(parts, "corrupt:p="+num(m.Channel.CorruptProb))
 	case ChannelGilbertElliott:
-		parts = append(parts, fmt.Sprintf("gilbert:pgood=%g,pbad=%g,burst=%g,gap=%g",
-			m.Channel.CorruptProb, m.Channel.BurstCorruptProb,
-			m.Channel.MeanBurst, m.Channel.MeanGap))
+		parts = append(parts, fmt.Sprintf("gilbert:pgood=%s,pbad=%s,burst=%s,gap=%s",
+			num(m.Channel.CorruptProb), num(m.Channel.BurstCorruptProb),
+			num(m.Channel.MeanBurst), num(m.Channel.MeanGap)))
 	}
 	if m.Crash != (Crash{}) {
-		parts = append(parts, fmt.Sprintf("crash:rate=%g,down=%g,bypass=%g",
-			m.Crash.Rate, m.Crash.MeanDowntime, m.Crash.Bypass))
+		parts = append(parts, fmt.Sprintf("crash:rate=%s,down=%s,bypass=%s",
+			num(m.Crash.Rate), num(m.Crash.MeanDowntime), num(m.Crash.Bypass)))
 	}
 	if len(parts) == 0 {
 		return "none"

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ringsched/internal/specnum"
 )
 
 // ErrBadChaosSpec reports an unparsable chaos specification.
@@ -187,17 +189,18 @@ func parseChaosParams(params string) (map[string]string, error) {
 func (m ChaosModel) Spec() string {
 	var parts []string
 	if m.LatencyProb > 0 {
-		parts = append(parts, fmt.Sprintf("latency:p=%g,ms=%g", m.LatencyProb, float64(m.Latency)/float64(time.Millisecond)))
+		parts = append(parts, fmt.Sprintf("latency:p=%s,ms=%s",
+			specnum.Format(m.LatencyProb), specnum.Format(float64(m.Latency)/float64(time.Millisecond))))
 	}
 	if m.ErrorProb > 0 {
 		code := m.ErrorStatus
 		if code == 0 {
 			code = 503
 		}
-		parts = append(parts, fmt.Sprintf("error:p=%g,code=%d", m.ErrorProb, code))
+		parts = append(parts, fmt.Sprintf("error:p=%s,code=%d", specnum.Format(m.ErrorProb), code))
 	}
 	if m.ResetProb > 0 {
-		parts = append(parts, fmt.Sprintf("reset:p=%g", m.ResetProb))
+		parts = append(parts, "reset:p="+specnum.Format(m.ResetProb))
 	}
 	if m.Seed != 0 {
 		parts = append(parts, fmt.Sprintf("seed:n=%d", m.Seed))

@@ -15,6 +15,7 @@ func FuzzChaosSpec(f *testing.F) {
 		"latency:p=0.2,ms=30+error:p=0.1,code=503+reset:p=0.02+seed:n=7",
 		"latency:p=1e-3", "error:code=599", "seed:n=-3",
 		"latency:p=0.1,ms=0", "latency:+error", "a=b", "latency:p==1",
+		"latency:p=0.1,ms=1e6", // %g renders ms=1e+06
 	} {
 		f.Add(seed)
 	}

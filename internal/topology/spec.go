@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"ringsched/internal/specnum"
 )
 
 // ErrBadSpec reports an unparsable topology specification.
@@ -245,13 +247,6 @@ func parseParams(params string) (map[string]string, error) {
 	return kv, nil
 }
 
-// num renders a float in the shortest form that re-parses exactly, with
-// the exponent's "+" stripped ("4e+06" → "4e06") so the rendering never
-// collides with the "+" clause separator.
-func num(v float64) string {
-	return strings.Replace(strconv.FormatFloat(v, 'g', -1, 64), "e+", "e", 1)
-}
-
 // Spec renders the topology in the canonical form Parse accepts: rings,
 // then bridges, then flows, each in canonical order, with durations as
 // float seconds and default-valued keys omitted. Parse(t.Spec()) reproduces
@@ -264,13 +259,13 @@ func (t Topology) Spec() string {
 	for _, b := range t.Bridges {
 		s := fmt.Sprintf("bridge:a=%s,b=%s", b.A, b.B)
 		if b.Latency != 0 {
-			s += fmt.Sprintf(",latency=%s", num(b.Latency))
+			s += fmt.Sprintf(",latency=%s", specnum.Format(b.Latency))
 		}
 		if b.RateBPS != 0 {
-			s += fmt.Sprintf(",rate=%s", num(b.RateBPS))
+			s += fmt.Sprintf(",rate=%s", specnum.Format(b.RateBPS))
 		}
 		if b.BufferBits != 0 {
-			s += fmt.Sprintf(",buffer=%s", num(b.BufferBits))
+			s += fmt.Sprintf(",buffer=%s", specnum.Format(b.BufferBits))
 		}
 		parts = append(parts, s)
 	}
@@ -279,7 +274,7 @@ func (t Topology) Spec() string {
 		if f.Dst != f.Src {
 			s += fmt.Sprintf(",dst=%s", f.Dst)
 		}
-		s += fmt.Sprintf(",period=%s,bits=%s", num(f.Period), num(f.LengthBits))
+		s += fmt.Sprintf(",period=%s,bits=%s", specnum.Format(f.Period), specnum.Format(f.LengthBits))
 		parts = append(parts, s)
 	}
 	return strings.Join(parts, " + ")
@@ -292,23 +287,23 @@ func ringClause(n Node) string {
 	}
 	cfg := n.Ring
 	if cfg.BandwidthBPS != 100e6 {
-		s += fmt.Sprintf(",bw=%s", num(cfg.BandwidthBPS))
+		s += fmt.Sprintf(",bw=%s", specnum.Format(cfg.BandwidthBPS))
 	}
 	base := n.Protocol.PlantPreset().New(cfg.BandwidthBPS)
 	if cfg.Stations != base.Stations {
 		s += fmt.Sprintf(",n=%d", cfg.Stations)
 	}
 	if cfg.SpacingMeters != base.SpacingMeters {
-		s += fmt.Sprintf(",spacing=%s", num(cfg.SpacingMeters))
+		s += fmt.Sprintf(",spacing=%s", specnum.Format(cfg.SpacingMeters))
 	}
 	if cfg.BitDelayPerStation != base.BitDelayPerStation {
-		s += fmt.Sprintf(",delay=%s", num(cfg.BitDelayPerStation))
+		s += fmt.Sprintf(",delay=%s", specnum.Format(cfg.BitDelayPerStation))
 	}
 	if cfg.TokenBits != base.TokenBits {
-		s += fmt.Sprintf(",token=%s", num(cfg.TokenBits))
+		s += fmt.Sprintf(",token=%s", specnum.Format(cfg.TokenBits))
 	}
 	if cfg.PropagationFraction != base.PropagationFraction {
-		s += fmt.Sprintf(",prop=%s", num(cfg.PropagationFraction))
+		s += fmt.Sprintf(",prop=%s", specnum.Format(cfg.PropagationFraction))
 	}
 	return s
 }
