@@ -7,6 +7,10 @@
 # Usage:
 #   scripts/bench.sh [out.json]
 #
+# Without out.json the report goes to a new temporary file, whose path is
+# printed; refreshing a checked-in baseline takes its name explicitly
+# (scripts/bench.sh BENCH_PR4.json).
+#
 # Environment:
 #   BENCH_PATTERN   benchmark regexp (default: the gated harness set)
 #   BENCH_COUNT     -count repeats folded by benchreport (default 3)
@@ -19,7 +23,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR4.json}"
+out="${1:-$(mktemp "${TMPDIR:-/tmp}/ringsched-bench.XXXXXX")}"
 pattern="${BENCH_PATTERN:-^(BenchmarkExactTestReference|BenchmarkRTAReference|BenchmarkWorkspace(ExactTest|RTA|Probe)|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|Benchmark(PDP|TTP|Reservation)SimSecond)$}"
 count="${BENCH_COUNT:-3}"
 benchtime="${BENCH_TIME:-0.5s}"
