@@ -190,14 +190,18 @@ func (h *harness) release(idx int, now float64) {
 	})
 }
 
-// releaseDue releases every station's messages due by now and recomputes
-// the earliest next arrival. Only release moves a station's nextArrival,
-// so the sweep is skipped while the clock is below nextDue: it would
-// release nothing.
+// releaseDue releases every station's messages due by now. Only release
+// moves a station's nextArrival, so while the clock is below nextDue, the
+// earliest of them, the sweep would release nothing and is skipped; the
+// check inlines into the handlers.
 func (h *harness) releaseDue(now float64) {
-	if now < h.nextDue {
-		return
+	if now >= h.nextDue {
+		h.releaseAll(now)
 	}
+}
+
+// releaseAll runs the release sweep and recomputes nextDue.
+func (h *harness) releaseAll(now float64) {
 	h.nextDue = math.Inf(1)
 	for i, st := range h.syncs {
 		h.release(i, now)
@@ -239,8 +243,14 @@ func (h *harness) inject(idx int, msg pendingMessage) {
 // bypass is ring reconfiguration: every station crash or restart up to
 // now pauses the whole ring for the beacon/bypass latency, after which
 // resume carries on. It reports whether the ring paused; station labels
-// the traced recovery.
+// the traced recovery. A healthy ring has no injector, and that check
+// inlines into the handlers.
 func (h *harness) bypass(now float64, station int, resume sim.Handler) bool {
+	return h.inj != nil && h.reconfigure(now, station, resume)
+}
+
+// reconfigure is bypass on a ring with an injector.
+func (h *harness) reconfigure(now float64, station int, resume sim.Handler) bool {
 	bp := h.inj.TakeBypass(now)
 	if bp <= 0 {
 		return false
@@ -255,7 +265,7 @@ func (h *harness) bypass(now float64, station int, resume sim.Handler) bool {
 // rediscovered by the claim/beacon process, during which the medium is
 // dead for the returned recovery time, traced as starting at.
 func (h *harness) tokenLoss(station int, at float64) (rec float64, lost bool) {
-	if !h.inj.TokenLost(station) {
+	if h.inj == nil || !h.inj.TokenLost(station) {
 		return 0, false
 	}
 	rec = h.inj.RecoveryDuration()
@@ -270,7 +280,7 @@ func (h *harness) tokenLoss(station int, at float64) (rec float64, lost bool) {
 // payload stays queued for retransmission. send reports whether msg is
 // now complete: a clean frame left at most tol of its bits.
 func (h *harness) send(station int, at, dur, bits float64, msg *pendingMessage, tol float64) bool {
-	if h.inj.FrameCorrupted(station) {
+	if h.inj != nil && h.inj.FrameCorrupted(station) {
 		h.corrupted++
 		emit(h.tracer, TraceEvent{Time: at, Kind: TraceCorrupt, Station: station, Duration: dur, Detail: bits})
 		return false
