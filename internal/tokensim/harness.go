@@ -101,21 +101,22 @@ type harness struct {
 	idleWake sim.Event
 	// onDone, when non-nil, observes every completed message: the hook a
 	// topology hands messages to the next ring through.
-	onDone func(station int, msg pendingMessage, at float64)
+	onDone func(msg pendingMessage, at float64)
 
 	syncTime  float64
 	asyncTime float64
 	tokenTime float64
-	// rotation summarizes token rotations (TTP) or inter-service gaps.
+	// rotation summarizes token rotations (TTP), token passes (PDP) or
+	// inter-service gaps (reservation).
 	rotation  stats.Running
 	losses    int
 	recovery  float64
 	corrupted int
 }
 
-// init builds the run state of a validated configuration on engine, or on
-// the run's own engine when engine is nil.
-func (h *harness) init(c ringConfig, horizon float64, engine *sim.Engine) {
+// setup builds the run state of a validated configuration on engine, or
+// on the run's own engine when engine is nil.
+func (h *harness) setup(c ringConfig, horizon float64, engine *sim.Engine) {
 	h.engine = engine
 	if engine == nil {
 		h.engine = &h.own
@@ -302,6 +303,6 @@ func (h *harness) finishMessage(station int, at float64) {
 	}
 	emit(h.tracer, TraceEvent{Time: at, Kind: kind, Station: station, Detail: lateness})
 	if h.onDone != nil {
-		h.onDone(station, msg, at)
+		h.onDone(msg, at)
 	}
 }

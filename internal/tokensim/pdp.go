@@ -94,9 +94,9 @@ type pdpRun struct {
 	// idleSince is the time the medium went idle, or NaN while busy.
 	idleSince float64
 
-	// serviceFn and completeFn are service and complete, bound once so
-	// that scheduling them allocates nothing.
-	serviceFn, completeFn sim.Handler
+	// completeFn is complete and the harness's kick is service, bound
+	// once so that scheduling them allocates nothing.
+	completeFn sim.Handler
 	// target is the station whose frame is on the medium, and finished
 	// reports that the frame carries its message's last bits. The ring has
 	// at most one frame in flight — service schedules exactly one
@@ -145,9 +145,8 @@ func newPDPRun(c PDPSim, engine *sim.Engine) (*pdpRun, error) {
 		return nil, err
 	}
 	r := &pdpRun{cfg: c}
-	r.init(rc, horizon, engine)
-	r.serviceFn, r.completeFn = r.service, r.complete
-	r.kick = r.serviceFn
+	r.setup(rc, horizon, engine)
+	r.kick, r.completeFn = r.service, r.complete
 	start := 0.0
 	if !c.AsyncSaturated {
 		start = r.nextDue
@@ -204,7 +203,7 @@ func (r *pdpRun) service() {
 	now := r.engine.Now()
 	r.idle, r.idleWake = false, sim.Event{}
 	r.releaseDue(now)
-	if r.bypass(now, 0, r.serviceFn) {
+	if r.bypass(now, 0, r.kick) {
 		return
 	}
 
@@ -295,5 +294,5 @@ func (r *pdpRun) serviceAsync(now float64) {
 		Time: now + pass, Kind: TraceAsync, Station: r.tokenPos,
 		Duration: eff, Detail: r.cfg.Frame.InfoBits,
 	})
-	_, _ = r.engine.At(now+pass+eff, r.serviceFn)
+	_, _ = r.engine.At(now+pass+eff, r.kick)
 }

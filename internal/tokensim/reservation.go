@@ -147,7 +147,7 @@ func (c ReservationSim) RunContext(ctx context.Context) (ReservationResult, erro
 	}
 
 	r := &resRun{cfg: c}
-	r.init(rc, horizon, nil)
+	r.setup(rc, horizon, nil)
 	r.stations = make([]*resStation, c.Net.Stations)
 	r.arrive = make([]sim.Handler, c.Net.Stations)
 	for i := range r.stations {

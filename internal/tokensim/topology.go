@@ -257,7 +257,7 @@ func (c TopologySim) RunContext(ctx context.Context) (TopologyResult, error) {
 		if err != nil {
 			return TopologyResult{}, fmt.Errorf("ring %q: %w", n.Name, err)
 		}
-		h.onDone = func(_ int, msg pendingMessage, at float64) { r.deliver(i, msg, at) }
+		h.onDone = func(msg pendingMessage, at float64) { r.deliver(i, msg, at) }
 		r.rings[i] = h
 	}
 

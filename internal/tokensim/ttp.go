@@ -166,7 +166,7 @@ func newTTPRun(c TTPSim, engine *sim.Engine) (*ttpRun, error) {
 	}
 
 	r := &ttpRun{cfg: c}
-	r.init(rc, horizon, engine)
+	r.setup(rc, horizon, engine)
 	r.stations = make([]*ttpStation, c.Net.Stations)
 	r.arrive = make([]sim.Handler, c.Net.Stations)
 	for i := range r.stations {
