@@ -65,8 +65,8 @@ type PDPSim struct {
 	// synchronous messages must wait for it — the blocking source of
 	// Lemma 4.1.
 	AsyncSaturated bool
-	// Horizon is the simulated duration; zero picks a default long enough
-	// for steady state (20 periods of the slowest stream).
+	// Horizon is the simulated duration, finite; zero picks a default long
+	// enough for steady state (20 periods of the slowest stream).
 	Horizon float64
 	// TokenPass selects the token-circulation cost model; zero value
 	// means PassMeasured.

@@ -53,8 +53,8 @@ type ReservationSim struct {
 	// AsyncSaturated keeps a lowest-priority asynchronous frame pending
 	// at every station.
 	AsyncSaturated bool
-	// Horizon is the simulated duration; zero picks a default (20 periods
-	// of the slowest stream).
+	// Horizon is the simulated duration, finite; zero picks a default (20
+	// periods of the slowest stream).
 	Horizon float64
 	// Tracer, when non-nil, observes simulator events.
 	Tracer Tracer

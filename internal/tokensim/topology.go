@@ -47,8 +47,8 @@ type TopologySim struct {
 	// TokenPass selects the PDP token-circulation cost model; zero value
 	// means PassMeasured.
 	TokenPass TokenPassModel
-	// Horizon is the simulated duration; zero picks a default long enough
-	// for steady state (20 periods of the slowest flow).
+	// Horizon is the simulated duration, finite; zero picks a default long
+	// enough for steady state (20 periods of the slowest flow).
 	Horizon float64
 	// MaxEvents bounds the discrete events fired across all rings; 0 means
 	// unlimited.

@@ -37,10 +37,10 @@ type TTPSim struct {
 	// AsyncFrame is the (maximum-length) asynchronous frame.
 	AsyncFrame frame.Spec
 	// TTRT is the target token rotation time negotiated at ring
-	// initialization.
+	// initialization; positive and no longer than the horizon.
 	TTRT float64
 	// Allocations holds the synchronous bandwidth h_i of each stream's
-	// station, aligned with Workload.Streams.
+	// station, aligned with Workload.Streams; finite and non-negative.
 	Allocations []float64
 	// Workload supplies the synchronous streams and their phasing.
 	Workload Workload
@@ -48,8 +48,8 @@ type TTPSim struct {
 	// full, so all token earliness is consumed (plus overrun) — the
 	// worst-case interference the analysis assumes.
 	AsyncSaturated bool
-	// Horizon is the simulated duration; zero picks a default (20 periods
-	// of the slowest stream).
+	// Horizon is the simulated duration, finite; zero picks a default (20
+	// periods of the slowest stream).
 	Horizon float64
 	// Tracer, when non-nil, observes every simulator event (arrivals,
 	// frames, async bursts, completions).

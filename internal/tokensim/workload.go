@@ -48,7 +48,8 @@ type Workload struct {
 	// Streams holds one entry per station that carries synchronous
 	// traffic; stream i is attached to station i.
 	Streams message.Set
-	// Offsets holds the first-arrival time of each stream.
+	// Offsets holds the first-arrival time of each stream: non-negative,
+	// or +Inf for a stream that never releases on its own.
 	Offsets []float64
 }
 
