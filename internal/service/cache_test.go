@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -98,5 +99,50 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if c.Entries() != 32 {
 		t.Errorf("entries=%d, want 32", c.Entries())
+	}
+}
+
+// TestCacheBytesMatchResidentEntries drives randomized Put (new keys,
+// replacements that grow and shrink, oversized bodies), Get and eviction
+// sequences and checks the running byte counts against a walk of every
+// shard: Bytes() is the sum of resident entry sizes, each shard's count is
+// its own sum and stays within its budget, and Entries() is the count.
+func TestCacheBytesMatchResidentEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, budget := range []int64{4096, 64 << 10, 1 << 20} {
+		c := NewCache(budget)
+		for op := 0; op < 5000; op++ {
+			k := fmt.Sprintf("key-%d", rng.Intn(200))
+			switch rng.Intn(4) {
+			case 0:
+				c.Get(k)
+			default:
+				c.Put(k, make([]byte, rng.Intn(int(c.shardBudget)+64)))
+			}
+			if op%250 != 249 {
+				continue
+			}
+			var total, entries int64
+			for i := range c.shards {
+				s := &c.shards[i]
+				var sum int64
+				for el := s.lru.Front(); el != nil; el = el.Next() {
+					sum += el.Value.(*cacheEntry).size()
+					entries++
+				}
+				if sum != s.bytes || sum > c.shardBudget || len(s.items) != s.lru.Len() {
+					t.Fatalf("budget %d op %d shard %d: counted %d, resident %d (budget %d), %d items on a %d-entry list",
+						budget, op, i, s.bytes, sum, c.shardBudget, len(s.items), s.lru.Len())
+				}
+				total += sum
+			}
+			if c.Bytes() != total || c.Entries() != entries {
+				t.Fatalf("budget %d op %d: Bytes()=%d Entries()=%d, resident %d bytes in %d entries",
+					budget, op, c.Bytes(), c.Entries(), total, entries)
+			}
+		}
+		if c.Evictions() == 0 {
+			t.Errorf("budget %d: the sequence never evicted", budget)
+		}
 	}
 }
