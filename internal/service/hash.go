@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
-	"strings"
+	"sync"
 )
 
 // The cache key is a SHA-256 over a stable serialization of the
@@ -19,57 +19,86 @@ import (
 
 const keySchema = "ringsched/v1"
 
-// hasher accumulates the canonical serialization.
+// maxPooledBuf caps the buffers the service pools (key serializations,
+// encoders, request bodies): a bigger one is dropped after use rather than
+// kept alive for every later request.
+const maxPooledBuf = 1 << 20
+
+// hasher accumulates the canonical serialization in a pooled buffer with
+// strconv's Append functions, so a key costs one allocation (the hex
+// string) however many streams it covers.
 type hasher struct {
-	b strings.Builder
+	b []byte
 }
 
+var hasherPool = sync.Pool{New: func() any { return &hasher{b: make([]byte, 0, 1024)} }}
+
 func newHasher(endpoint string) *hasher {
-	h := &hasher{}
-	h.b.WriteString(keySchema)
-	h.b.WriteByte('/')
-	h.b.WriteString(endpoint)
+	h := hasherPool.Get().(*hasher)
+	h.b = append(h.b[:0], keySchema...)
+	h.b = append(h.b, '/')
+	h.b = append(h.b, endpoint...)
 	return h
 }
 
-// field appends one named field; names are fixed literals, values are
-// pre-escaped by the typed helpers below.
-func (h *hasher) field(name, value string) {
-	h.b.WriteByte('|')
-	h.b.WriteString(name)
-	h.b.WriteByte('=')
-	h.b.WriteString(value)
+// field starts one named field; names are fixed literals, and the typed
+// helpers below append the escaped value.
+func (h *hasher) field(name string) {
+	h.b = append(h.b, '|')
+	h.b = append(h.b, name...)
+	h.b = append(h.b, '=')
 }
 
-func (h *hasher) str(name, v string) { h.field(name, strconv.Quote(v)) }
+func (h *hasher) str(name, v string) {
+	h.field(name)
+	h.b = strconv.AppendQuote(h.b, v)
+}
 
 func (h *hasher) float(name string, v float64) {
-	h.field(name, strconv.FormatFloat(canonFloat(v), 'g', -1, 64))
+	h.field(name)
+	h.b = strconv.AppendFloat(h.b, canonFloat(v), 'g', -1, 64)
 }
 
-func (h *hasher) int(name string, v int64) { h.field(name, strconv.FormatInt(v, 10)) }
+func (h *hasher) int(name string, v int64) {
+	h.field(name)
+	h.b = strconv.AppendInt(h.b, v, 10)
+}
 
-func (h *hasher) bool(name string, v bool) { h.field(name, strconv.FormatBool(v)) }
+func (h *hasher) bool(name string, v bool) {
+	h.field(name)
+	h.b = strconv.AppendBool(h.b, v)
+}
 
 func (h *hasher) strs(name string, vs []string) {
-	quoted := make([]string, len(vs))
+	h.field(name)
 	for i, v := range vs {
-		quoted[i] = strconv.Quote(v)
+		if i > 0 {
+			h.b = append(h.b, ',')
+		}
+		h.b = strconv.AppendQuote(h.b, v)
 	}
-	h.field(name, strings.Join(quoted, ","))
 }
 
 func (h *hasher) floats(name string, vs []float64) {
-	parts := make([]string, len(vs))
+	h.field(name)
 	for i, v := range vs {
-		parts[i] = strconv.FormatFloat(canonFloat(v), 'g', -1, 64)
+		if i > 0 {
+			h.b = append(h.b, ',')
+		}
+		h.b = strconv.AppendFloat(h.b, canonFloat(v), 'g', -1, 64)
 	}
-	h.field(name, strings.Join(parts, ","))
 }
 
+// sum returns the hex SHA-256 of the serialization and gives the buffer
+// back to the pool; the hasher must not be used afterwards.
 func (h *hasher) sum() string {
-	sum := sha256.Sum256([]byte(h.b.String()))
-	return hex.EncodeToString(sum[:])
+	sum := sha256.Sum256(h.b)
+	if cap(h.b) <= maxPooledBuf {
+		hasherPool.Put(h)
+	}
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // CacheKey returns the canonical cache key of the request. The receiver
