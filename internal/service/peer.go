@@ -151,21 +151,21 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		s.serveAnalyze(w, r, inner)
+		s.serveAnalyze(w, r, inner, aliasKey{})
 	case "topology":
 		var inner TopologyRequest
 		if err := unmarshalStrict(req.Request, &inner); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		s.serveTopology(w, r, inner)
+		s.serveTopology(w, r, inner, aliasKey{})
 	case "sweep":
 		var inner SweepRequest
 		if err := unmarshalStrict(req.Request, &inner); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		s.serveSweep(w, r, inner)
+		s.serveSweep(w, r, inner, aliasKey{})
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("%w: unknown fill endpoint %q", ErrBadRequest, req.Endpoint))
@@ -173,14 +173,7 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 }
 
 // unmarshalStrict is decode's body-less twin for embedded payloads.
-func unmarshalStrict(raw json.RawMessage, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return nil
-}
+func unmarshalStrict(raw []byte, v any) error { return decodeFrom(bytes.NewReader(raw), v) }
 
 // clusterDefaults fills the cluster-specific Config defaults.
 func clusterDefaults(c Config) Config {
