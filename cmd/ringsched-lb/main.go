@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -67,6 +66,7 @@ type lb struct {
 	checker *cluster.Checker
 	pool    *ringschedclient.Pool
 	mux     *http.ServeMux
+	keys    *service.Cache // body → canonical key alias for routing
 	tracer  *trace.Tracer
 	spans   *trace.Ring
 	logger  *slog.Logger
@@ -106,6 +106,7 @@ func newLB(cfg lbConfig) (*lb, error) {
 		cfg:    cfg,
 		ring:   cluster.New(cfg.VNodes, cfg.Backends...),
 		mux:    http.NewServeMux(),
+		keys:   service.NewCache(routeKeyBytes),
 		logger: cfg.Logger,
 		pool: ringschedclient.NewPool(ringschedclient.Options{
 			MaxRetries: cfg.Retries,
@@ -180,53 +181,17 @@ func (l *lb) fetchBackendTrace(ctx context.Context, backend, traceID string) ([]
 	return resp.Spans, nil
 }
 
-// shardKey decodes one cacheable request body and computes its canonical
-// cluster key. ok is false when the body does not decode or canonicalize
+// routeKeyBytes budgets the lb's body-to-key alias (~18k bodies).
+const routeKeyBytes = 4 << 20
+
+// shardKey returns the canonical cluster key of one cacheable request
+// body through the same alias the backends use: a body routed before
+// costs a digest and a lookup, a new one is decoded, canonicalized and
+// keyed once. ok is false when the body does not decode or canonicalize
 // — such requests are routed to any healthy backend, which answers with
 // the canonical 400 (the lb never invents its own request validation).
-func shardKey(endpoint string, body []byte) (string, bool) {
-	switch endpoint {
-	case "analyze":
-		var req service.AnalyzeRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return "", false
-		}
-		canon, err := req.Canonicalize()
-		if err != nil {
-			return "", false
-		}
-		return canon.CacheKey(), true
-	case "sweep":
-		var req service.SweepRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return "", false
-		}
-		canon, err := req.Canonicalize()
-		if err != nil {
-			return "", false
-		}
-		return canon.CacheKey(), true
-	case "topology":
-		var req service.TopologyRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return "", false
-		}
-		canon, err := req.Canonicalize()
-		if err != nil {
-			return "", false
-		}
-		return canon.CacheKey(), true
-	default:
-		return "", false
-	}
-}
-
-// strictUnmarshal mirrors the backends' decoder settings so the lb and
-// the replica agree on what decodes (and therefore on what shards).
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+func (l *lb) shardKey(endpoint string, body []byte) (string, bool) {
+	return l.keys.KeyOf(endpoint, body)
 }
 
 // candidates orders the backends to try: the healthy owner first, then
@@ -301,7 +266,7 @@ func (l *lb) route(endpoint string) http.HandlerFunc {
 		_, rtsp := trace.Start(ctx, "lb.route")
 		key, haveKey := "", false
 		if r.Method == http.MethodPost && endpoint != "experiments" {
-			key, haveKey = shardKey(endpoint, body)
+			key, haveKey = l.shardKey(endpoint, body)
 		}
 		cands, route := l.candidates(key, haveKey)
 		rtsp.SetAttr("route", route)

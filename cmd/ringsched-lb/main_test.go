@@ -61,7 +61,7 @@ func analyzeBodyOwnedBy(t *testing.T, l *lb, owner string) string {
 	t.Helper()
 	for bw := 1; bw < 4096; bw++ {
 		body := fmt.Sprintf(`{"bandwidthMbps":%d,"streams":[{"name":"s","periodMs":10,"lengthBits":4096}]}`, bw)
-		if key, ok := shardKey("analyze", []byte(body)); ok && l.ring.Owner(key) == owner {
+		if key, ok := l.shardKey("analyze", []byte(body)); ok && l.ring.Owner(key) == owner {
 			return body
 		}
 	}

@@ -1,0 +1,95 @@
+package main
+
+import (
+	"encoding/json"
+	"math/rand"
+	"testing"
+
+	"ringsched/internal/message"
+	"ringsched/internal/ring"
+	"ringsched/internal/service"
+)
+
+// shardKeyBodies returns n distinct 55-stream /v1/analyze bodies: one
+// paper-generator set at 45 % utilization, at n bandwidths.
+func shardKeyBodies(tb testing.TB, n int) [][]byte {
+	tb.Helper()
+	gen := message.PaperGenerator()
+	gen.Streams = 55
+	set, err := gen.Draw(rand.New(rand.NewSource(51)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if set, err = set.ScaleToUtilization(0.45, ring.Mbps(100)); err != nil {
+		tb.Fatal(err)
+	}
+	var req service.AnalyzeRequest
+	for _, s := range set {
+		req.Streams = append(req.Streams, service.StreamSpec{Name: s.Name, PeriodMs: s.Period * 1e3, LengthBits: s.LengthBits})
+	}
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		req.BandwidthMbps = 100 + float64(i)/1024
+		if bodies[i], err = json.Marshal(req); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return bodies
+}
+
+// TestShardKeyAliasMatchesDecode checks the routing alias against a
+// fresh decode: a repeated body routes by the key its first decode
+// produced, an undecodable one routes nowhere, and distinct bodies of
+// one canonical request share a key.
+func TestShardKeyAliasMatchesDecode(t *testing.T) {
+	l := &lb{keys: service.NewCache(routeKeyBytes)}
+	body := shardKeyBodies(t, 1)[0]
+	want, ok := service.NewCache(routeKeyBytes).KeyOf("analyze", body)
+	if !ok {
+		t.Fatal("body did not key")
+	}
+	for i := 0; i < 2; i++ {
+		if got, ok := l.shardKey("analyze", body); !ok || got != want {
+			t.Fatalf("round %d: key %q %v, want %q", i, got, ok, want)
+		}
+	}
+	spaced := append([]byte(" "), body...)
+	if got, ok := l.shardKey("analyze", spaced); !ok || got != want {
+		t.Errorf("whitespace variant keyed %q %v, want %q", got, ok, want)
+	}
+	if _, ok := l.shardKey("sweep", body); ok {
+		t.Error("an analyze body keyed as a sweep")
+	}
+	if _, ok := l.shardKey("analyze", []byte("{")); ok {
+		t.Error("an undecodable body keyed")
+	}
+}
+
+// BenchmarkShardKey times the lb's route step on 55-stream analyze
+// bodies: hit is a body routed before (digest and alias lookup), miss a
+// new one (decode, canonicalize, key and the alias insert).
+func BenchmarkShardKey(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		l := &lb{keys: service.NewCache(routeKeyBytes)}
+		body := shardKeyBodies(b, 1)[0]
+		l.shardKey("analyze", body)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := l.shardKey("analyze", body); !ok {
+				b.Fatal("no key")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		l := &lb{keys: service.NewCache(routeKeyBytes)}
+		bodies := shardKeyBodies(b, b.N)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := l.shardKey("analyze", bodies[i]); !ok {
+				b.Fatal("no key")
+			}
+		}
+	})
+}
