@@ -69,8 +69,7 @@ func (o SaturateOptions) withDefaults() SaturateOptions {
 // Analyzers that implement core.BatchAnalyzer (all protocol analyzers do)
 // are probed through an allocation-free pooled workspace; the probe
 // sequence and every verdict are bit-identical to the plain per-call
-// path, which is retained as the reference oracle for the differential
-// tests.
+// path, which the differential tests keep as their reference oracle.
 func Saturate(m message.Set, a core.Analyzer, bandwidthBPS float64, opts SaturateOptions) (Saturation, error) {
 	o := opts.withDefaults()
 	if err := m.Validate(); err != nil {
@@ -83,20 +82,6 @@ func Saturate(m message.Set, a core.Analyzer, bandwidthBPS float64, opts Saturat
 		}
 		defer release()
 		return saturate(m, probe.Schedulable, bandwidthBPS, o)
-	}
-	return saturate(m, func(scale float64) (bool, error) {
-		return a.Schedulable(m.Scale(scale))
-	}, bandwidthBPS, o)
-}
-
-// saturateReference is the retained straightforward implementation: every
-// probe re-validates, re-sorts and re-analyzes the scaled set through the
-// analyzer's plain Schedulable path. The differential suite uses it as
-// the oracle the fast path must match bit-for-bit.
-func saturateReference(m message.Set, a core.Analyzer, bandwidthBPS float64, opts SaturateOptions) (Saturation, error) {
-	o := opts.withDefaults()
-	if err := m.Validate(); err != nil {
-		return Saturation{}, err
 	}
 	return saturate(m, func(scale float64) (bool, error) {
 		return a.Schedulable(m.Scale(scale))

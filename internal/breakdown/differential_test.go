@@ -11,6 +11,20 @@ import (
 	"ringsched/internal/message"
 )
 
+// saturateReference is the retained straightforward implementation: every
+// probe re-validates, re-sorts and re-analyzes the scaled set through the
+// analyzer's plain Schedulable path. The differential suite uses it as
+// the oracle the fast path must match bit-for-bit.
+func saturateReference(m message.Set, a core.Analyzer, bandwidthBPS float64, opts SaturateOptions) (Saturation, error) {
+	o := opts.withDefaults()
+	if err := m.Validate(); err != nil {
+		return Saturation{}, err
+	}
+	return saturate(m, func(scale float64) (bool, error) {
+		return a.Schedulable(m.Scale(scale))
+	}, bandwidthBPS, o)
+}
+
 // drawSet draws one seeded random message set of moderate size.
 func drawSet(t *testing.T, rng *rand.Rand, streams int) message.Set {
 	t.Helper()

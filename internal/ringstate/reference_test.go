@@ -12,9 +12,9 @@ import (
 // FullVerdicts computes the ring's verdicts from scratch, mirroring the
 // /v1/analyze computation (core.Report / core.FaultReport on a freshly
 // built plant) rather than the incremental engine's cached state. It is
-// the reference side of the differential harness: after any edit
-// sequence, Engine.Verdicts() must be bit-identical to FullVerdicts of
-// the engine's snapshot.
+// the test-only reference side of the differential harness: after any
+// edit sequence, Engine.Verdicts() must be bit-identical to FullVerdicts
+// of the engine's snapshot.
 //
 // The snapshot is stably sorted into canonical order first, so callers
 // may pass streams in any order; ID ties follow input order, exactly as

@@ -6,10 +6,11 @@
 // The package is built around one invariant, pinned by the differential
 // and fuzz harnesses in this package: after every edit, the retained
 // verdicts are bit-identical to a from-scratch analysis of the current
-// stream set (reference.go's FullVerdicts, which mirrors the /v1/analyze
-// computation). The incremental engines achieve this by replicating the
-// reference arithmetic operation-for-operation and re-probing only the
-// streams whose verdict can change:
+// stream set (the test-only FullVerdicts, which mirrors the /v1/analyze
+// computation). The incremental engines achieve this by running the same
+// per-stream arithmetic as the analyzers — rma's fixpoint and core's
+// Theorem 5.1 term — and re-probing only the streams whose verdict can
+// change:
 //
 //   - PDP (Theorem 4.1): a stream's response time depends only on the
 //     blocking term and on strictly higher-priority (shorter-period)

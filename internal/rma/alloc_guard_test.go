@@ -10,17 +10,13 @@ import (
 // TestKernelHotPathZeroAllocs pins the workspace probe loop at 0 allocs/op
 // as a plain test, so the allocation property gates every `go test` run and
 // not only the benchmark harness. The loop body is the saturation search's
-// inner step — ScaleCosts + Schedulable + ExactTest — executed with tracing
+// inner step — ScaleCosts + Schedulable — executed with tracing
 // disabled, exactly as the Monte Carlo workers run it: trace.Start on a
 // span-less context must stay on its nil-span fast path and add nothing.
 func TestKernelHotPathZeroAllocs(t *testing.T) {
 	ts := benchTaskSet(100, 0.88, 1)
 	var ws Workspace
 	if err := ws.Load(ts); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the lazy caches outside the measured region.
-	if _, err := ws.ExactTest(1e-4); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -32,9 +28,6 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 		if _, err := ws.Schedulable(1e-4); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ws.ExactTest(1e-4); err != nil {
-			t.Fatal(err)
-		}
 		sp.End()
 	})
 	if allocs != 0 {
@@ -43,7 +36,7 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 }
 
 // TestWorkspaceCounters checks the kernel telemetry: counters reset on
-// Load, tally each probe kind, and record every bracket inference the
+// Load, tally the probes, and record every bracket inference the
 // saturation search relies on.
 func TestWorkspaceCounters(t *testing.T) {
 	ts := benchTaskSet(40, 0.85, 7)
@@ -63,19 +56,10 @@ func TestWorkspaceCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ws.ExactTest(1e-4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ws.ResponseTimeAnalysis(1e-4); err != nil {
-		t.Fatal(err)
-	}
 
 	c := ws.Counters()
 	if c.Schedulable != len(ladder) {
 		t.Errorf("Schedulable = %d, want %d", c.Schedulable, len(ladder))
-	}
-	if c.ExactTests != 1 || c.RTAs != 1 {
-		t.Errorf("ExactTests=%d RTAs=%d, want 1 and 1", c.ExactTests, c.RTAs)
 	}
 	// Passes and failures alternate around the threshold, so every
 	// inference must have fired: 0.7 sits below the last pass, 1.2 above

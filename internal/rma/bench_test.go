@@ -30,64 +30,14 @@ func benchTaskSet(n int, util float64, seed int64) TaskSet {
 // the workspace's bracket inferences are exercised realistically.
 var benchScales = []float64{0.5, 1.0, 1.2, 0.9, 1.05, 0.97, 1.01, 0.99}
 
-// BenchmarkExactTestReference measures the reference scheduling-point test
-// (sort + merge per call) on a 100-task set — the pre-workspace baseline.
-func BenchmarkExactTestReference(b *testing.B) {
-	ts := benchTaskSet(100, 0.88, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExactTest(ts, 1e-4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRTAReference measures the reference response-time analysis on
-// the same set.
+// BenchmarkRTAReference measures the package-level ResponseTimeAnalysis
+// (one result slice per call) on a 100-task set.
 func BenchmarkRTAReference(b *testing.B) {
 	ts := benchTaskSet(100, 0.88, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ResponseTimeAnalysis(ts, 1e-4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorkspaceExactTest measures the workspace exact test with the
-// scheduling points cached at Load; the inner loop must not allocate.
-func BenchmarkWorkspaceExactTest(b *testing.B) {
-	var ws Workspace
-	if err := ws.Load(benchTaskSet(100, 0.88, 1)); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := ws.ExactTest(1e-4); err != nil { // build the lazy point cache
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.ScaleCosts(benchScales[i%len(benchScales)])
-		if _, err := ws.ExactTest(1e-4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorkspaceRTA measures the workspace response-time analysis
-// (buffer-reusing, allocation-free).
-func BenchmarkWorkspaceRTA(b *testing.B) {
-	var ws Workspace
-	if err := ws.Load(benchTaskSet(100, 0.88, 1)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.ScaleCosts(benchScales[i%len(benchScales)])
-		if _, err := ws.ResponseTimeAnalysis(1e-4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +63,7 @@ func BenchmarkWorkspaceProbe(b *testing.B) {
 
 // TestWorkspaceProbesAllocationFree pins the headline performance claim as
 // a plain test: once a set is loaded, re-scaling and re-testing performs
-// zero heap allocations per probe, on all three entry points.
+// zero heap allocations per probe.
 func TestWorkspaceProbesAllocationFree(t *testing.T) {
 	var ws Workspace
 	if err := ws.Load(benchTaskSet(60, 0.85, 7)); err != nil {
@@ -131,12 +81,6 @@ func TestWorkspaceProbesAllocationFree(t *testing.T) {
 		ws.ScaleCosts(benchScales[i%len(benchScales)])
 		i++
 		if _, err := ws.Schedulable(1e-4); err != nil {
-			t.Error(err)
-		}
-		if _, err := ws.ExactTest(1e-4); err != nil {
-			t.Error(err)
-		}
-		if _, err := ws.ResponseTimeAnalysis(1e-4); err != nil {
 			t.Error(err)
 		}
 	})

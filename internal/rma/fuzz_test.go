@@ -1,18 +1,22 @@
 package rma
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// FuzzExactTest cross-checks the allocation-free workspace kernels against
-// the reference implementations on fuzzer-chosen task sets: same verdict,
-// same first failure, bit-identical response times. Each input then drives
-// one workspace's Schedulable through a seed-derived probe sequence (see
-// probeSequence), so the bracket state carried between calls is fuzzed
-// too. The corpus entry is a (seed, size, blocking, scale) tuple; the set
-// and the sequence are derived deterministically so crashes replay.
+// FuzzExactTest cross-checks the production kernels against the test-only
+// oracles on fuzzer-chosen task sets: the scheduling-point test and the
+// frozen response-time loop agree on verdict and first failure;
+// ResponseTimeAnalysis and an Incremental built task by task reproduce the
+// frozen loop's response times bit for bit; and a workspace's Schedulable
+// gives the same verdict. Each input then drives one workspace's
+// Schedulable through a seed-derived probe sequence (see probeSequence),
+// so the bracket state carried between calls is fuzzed too. The corpus
+// entry is a (seed, size, blocking, scale) tuple; the set and the sequence
+// are derived deterministically so crashes replay.
 func FuzzExactTest(f *testing.F) {
 	f.Add(int64(1), uint8(3), 0.01, 1.0)
 	f.Add(int64(7), uint8(1), 0.0, 4.0)
@@ -23,6 +27,10 @@ func FuzzExactTest(f *testing.F) {
 	// catch a bracket inference applied without cost dominance.
 	f.Add(int64(-103), uint8(3), 0.03, 2.0)
 	f.Add(int64(1), uint8(6), 0.00125, 0.2)
+	// A point 3·P₀ whose quotient by P₀ rounds to 3.0000000000000004: a
+	// point test charging ⌈t/P⌉ counts a fourth release there and rejects
+	// the schedulable pair of TestExactTestFloatPoints.
+	f.Add(int64(164), uint8(2), 0.022222222222222223, 1.5)
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, blocking, scale float64) {
 		if n == 0 || n > 24 {
 			return
@@ -54,36 +62,39 @@ func FuzzExactTest(f *testing.F) {
 				return // overflowed cost: both paths reject, nothing to compare
 			}
 		}
+		where := fmt.Sprintf("seed=%d n=%d blocking=%v scale=%v", seed, n, blocking, scale)
 
 		refExact, err := ExactTest(scaled, blocking)
 		if err != nil {
 			t.Fatalf("reference ExactTest: %v", err)
 		}
-		wsExact, err := ws.ExactTest(blocking)
-		if err != nil {
-			t.Fatalf("workspace ExactTest: %v", err)
-		}
-		if wsExact.Schedulable != refExact.Schedulable || wsExact.FirstFailure != refExact.FirstFailure {
-			t.Fatalf("workspace ExactTest (%v,%d) != reference (%v,%d) for seed=%d n=%d blocking=%g scale=%g",
-				wsExact.Schedulable, wsExact.FirstFailure,
-				refExact.Schedulable, refExact.FirstFailure, seed, n, blocking, scale)
-		}
-
-		refRTA, err := ResponseTimeAnalysis(scaled, blocking)
+		refRTA, err := referenceRTA(scaled, blocking)
 		if err != nil {
 			t.Fatalf("reference RTA: %v", err)
 		}
-		if refRTA.Schedulable != refExact.Schedulable {
-			t.Fatalf("reference RTA and ExactTest disagree for seed=%d n=%d blocking=%g scale=%g",
-				seed, n, blocking, scale)
+		if refRTA.Schedulable != refExact.Schedulable || refRTA.FirstFailure != refExact.FirstFailure {
+			t.Fatalf("reference RTA (%v,%d) and ExactTest (%v,%d) disagree for %s",
+				refRTA.Schedulable, refRTA.FirstFailure, refExact.Schedulable, refExact.FirstFailure, where)
 		}
-		wsRTA, err := ws.ResponseTimeAnalysis(blocking)
+
+		rta, err := ResponseTimeAnalysis(scaled, blocking)
 		if err != nil {
-			t.Fatalf("workspace RTA: %v", err)
+			t.Fatalf("RTA: %v", err)
 		}
-		for i := range refRTA.ResponseTimes {
-			if math.Float64bits(wsRTA.ResponseTimes[i]) != math.Float64bits(refRTA.ResponseTimes[i]) {
-				t.Fatalf("task %d response %v != reference %v", i, wsRTA.ResponseTimes[i], refRTA.ResponseTimes[i])
+		checkRTA(t, rta, refRTA)
+
+		var inc Incremental
+		if err := inc.Reset(blocking); err != nil {
+			t.Fatalf("Reset: %v", err)
+		}
+		for i, task := range scaled {
+			if _, err := inc.Insert(i, task); err != nil {
+				t.Fatalf("Insert %d: %v", i, err)
+			}
+		}
+		for i, want := range refRTA.ResponseTimes {
+			if got := inc.ResponseTime(i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("incremental task %d response %v != reference %v for %s", i, got, want, where)
 			}
 		}
 
@@ -92,7 +103,7 @@ func FuzzExactTest(f *testing.F) {
 			t.Fatalf("workspace Schedulable: %v", err)
 		}
 		if ok != refExact.Schedulable {
-			t.Fatalf("workspace Schedulable %v != reference %v", ok, refExact.Schedulable)
+			t.Fatalf("workspace Schedulable %v != reference %v for %s", ok, refExact.Schedulable, where)
 		}
 
 		probeSequence(t, rng, ts, blocking, scale)
@@ -104,8 +115,8 @@ func FuzzExactTest(f *testing.F) {
 // steps between the last pass and the last failure, blocking changes,
 // single-ulp moves of one cost, and framed costs — payloads on exact
 // 512-bit frame boundaries, probed at dyadic scales, that plateau at one
-// frame for small scales. Every verdict must equal the reference
-// ResponseTimeAnalysis on a freshly built set with the same costs.
+// frame for small scales. Every verdict must equal the frozen reference
+// loop's on a freshly built set with the same costs.
 func probeSequence(t *testing.T, rng *rand.Rand, ts TaskSet, blocking, scale float64) {
 	t.Helper()
 	sorted := ts.SortRM() // the workspace's order
@@ -159,7 +170,7 @@ func probeSequence(t *testing.T, rng *rand.Rand, ts TaskSet, blocking, scale flo
 			fresh[i] = Task{Cost: costs[i], Period: sorted[i].Period}
 			work[i].Cost = costs[i]
 		}
-		want, errRef := ResponseTimeAnalysis(fresh, b)
+		want, errRef := referenceRTA(fresh, b)
 		got, err := ws.Schedulable(b)
 		if (err == nil) != (errRef == nil) {
 			t.Fatalf("step %d scale %g blocking %g: workspace err %v, reference err %v", step, s, b, err, errRef)

@@ -1,7 +1,5 @@
 package rma
 
-import "math"
-
 // Incremental is a response-time-analysis workspace for long-lived,
 // RM-ordered task sets that are edited one task at a time. It keeps the
 // task array and every computed response time resident, so a single-task
@@ -10,12 +8,11 @@ import "math"
 // exclusively on the blocking term and on the cost/period of tasks at
 // higher priority, so the prefix [0, k) is untouched by construction.
 //
-// The recomputation loop is a verbatim copy of ResponseTimeAnalysis's
-// arithmetic — same operations in the same order — so the retained
-// response times are bit-identical to a from-scratch analysis of the
-// current task array at every edit. The differential tests in this
-// package and the ring-edit harness in internal/ringstate pin that
-// property.
+// Every response time comes from the same fixpoint function
+// ResponseTimeAnalysis runs, so the retained response times are
+// bit-identical to a from-scratch analysis of the current task array at
+// every edit. The differential tests in this package and the ring-edit
+// harness in internal/ringstate pin that property.
 //
 // The workspace reuses its buffers across edits: a steady-state
 // add/remove cycle allocates nothing. It is not safe for concurrent use.
@@ -70,21 +67,14 @@ func (w *Incremental) Schedulable() bool { return w.FirstFailure() < 0 }
 // deadline, or -1 if every task is schedulable.
 func (w *Incremental) FirstFailure() int {
 	for i := range w.tasks {
-		if w.resp[i] > w.tasks[i].Period {
+		if !w.TaskSchedulable(i) {
 			return i
 		}
 	}
 	return -1
 }
 
-// validTask mirrors TaskSet.Validate for a single task.
-func validTask(t Task) bool {
-	return t.Period > 0 && t.Cost >= 0 &&
-		!math.IsNaN(t.Cost) && !math.IsNaN(t.Period) &&
-		!math.IsInf(t.Cost, 0) && !math.IsInf(t.Period, 0)
-}
-
-// orderedAt reports whether period p keeps the array RM-sorted when
+// orderedInsert reports whether period p keeps the array RM-sorted when
 // placed at index i (with the current occupant shifted right for
 // inserts — hence the two bounds are checked against i-1 and i).
 func (w *Incremental) orderedInsert(i int, p float64) bool {
@@ -159,36 +149,10 @@ func (w *Incremental) Rebase(blocking float64) (int, error) {
 // RecomputeAll re-runs the analysis for every resident task.
 func (w *Incremental) RecomputeAll() int { return w.recomputeFrom(0) }
 
-// recomputeFrom re-runs the exact response-time fixpoint for tasks
-// [k, Len). The loop body must stay operation-for-operation identical to
-// ResponseTimeAnalysis: the bit-identity guarantee of every incremental
-// edit rests on it.
+// recomputeFrom re-runs the response-time fixpoint for tasks [k, Len).
 func (w *Incremental) recomputeFrom(k int) int {
-	blocking := w.blocking
-	n := len(w.tasks)
-	for i := k; i < n; i++ {
-		t := w.tasks[i]
-		r := blocking + t.Cost
-		for j := 0; j < i; j++ {
-			r += w.tasks[j].Cost
-		}
-		for {
-			if r > t.Period {
-				w.resp[i] = r
-				break
-			}
-			next := blocking + t.Cost
-			for j := 0; j < i; j++ {
-				next += w.tasks[j].Cost * math.Ceil(r/w.tasks[j].Period)
-			}
-			if next <= r {
-				// Fixpoint (demand can only step down due to float
-				// rounding; the first r was a lower bound).
-				w.resp[i] = r
-				break
-			}
-			r = next
-		}
+	for i := k; i < len(w.tasks); i++ {
+		w.resp[i], _ = fixpoint(w.tasks, i, w.blocking, 0)
 	}
-	return n - k
+	return len(w.tasks) - k
 }

@@ -6,19 +6,8 @@ import (
 	"testing"
 )
 
-// fullResp runs the retained reference analysis and returns its response
-// times (valid even when the set is unschedulable).
-func fullResp(t *testing.T, ts TaskSet, blocking float64) []float64 {
-	t.Helper()
-	res, err := ResponseTimeAnalysis(ts, blocking)
-	if err != nil {
-		t.Fatalf("ResponseTimeAnalysis: %v", err)
-	}
-	return res.ResponseTimes
-}
-
-// checkAgainstFull asserts the workspace state is bit-identical to a
-// from-scratch analysis of the same task array.
+// checkAgainstFull asserts the workspace state is bit-identical to the
+// frozen reference loop's from-scratch analysis of the same task array.
 func checkAgainstFull(t *testing.T, w *Incremental, step int) {
 	t.Helper()
 	if w.Len() == 0 {
@@ -31,7 +20,7 @@ func checkAgainstFull(t *testing.T, w *Incremental, step int) {
 	for i := range ts {
 		ts[i] = w.Task(i)
 	}
-	res, err := ResponseTimeAnalysis(ts, w.Blocking())
+	res, err := referenceRTA(ts, w.Blocking())
 	if err != nil {
 		t.Fatalf("step %d: reference analysis: %v", step, err)
 	}

@@ -1,10 +1,12 @@
 // Package rma implements fixed-priority rate-monotonic schedulability
 // analysis for periodic tasks with deadlines at the end of their periods.
 //
-// It provides the exact Lehoczky–Sha–Ding criterion (the form used by
-// Theorem 4.1 of Kamat & Zhao 1993, extended with a blocking term), the
-// equivalent response-time analysis used as the fast production test, and
-// the classical Liu–Layland and hyperbolic sufficient bounds as baselines.
+// It provides the exact test of Theorem 4.1 of Kamat & Zhao 1993 (the
+// Lehoczky–Sha–Ding criterion extended with a blocking term) in its
+// equivalent response-time form, and the classical Liu–Layland and
+// hyperbolic sufficient bounds as baselines. One fixpoint function holds
+// the arithmetic; ResponseTimeAnalysis, Workspace and Incremental all run
+// it. The scheduling-point form of the criterion is kept as a test oracle.
 //
 // Tasks here are abstract (cost, period) pairs: the token-ring analyzers
 // map message streams to tasks by computing the protocol-specific augmented
@@ -47,13 +49,19 @@ func (ts TaskSet) Validate() error {
 		return ErrEmptyTaskSet
 	}
 	for _, t := range ts {
-		if t.Period <= 0 || t.Cost < 0 ||
-			math.IsNaN(t.Cost) || math.IsNaN(t.Period) ||
-			math.IsInf(t.Cost, 0) || math.IsInf(t.Period, 0) {
+		if !validTask(t) {
 			return ErrBadTask
 		}
 	}
 	return nil
+}
+
+// validTask reports whether a task is admissible: a finite non-negative
+// cost and a finite positive period.
+func validTask(t Task) bool {
+	return t.Period > 0 && t.Cost >= 0 &&
+		!math.IsNaN(t.Cost) && !math.IsNaN(t.Period) &&
+		!math.IsInf(t.Cost, 0) && !math.IsInf(t.Period, 0)
 }
 
 // Utilization is Σ C_i/P_i.
@@ -108,99 +116,48 @@ func ResponseTimeAnalysis(ts TaskSet, blocking float64) (Result, error) {
 		FirstFailure:  -1,
 		ResponseTimes: make([]float64, len(ts)),
 	}
-	for i, t := range ts {
-		r := blocking + t.Cost
-		for j := 0; j < i; j++ {
-			r += ts[j].Cost
-		}
-		for {
-			if r > t.Period {
-				res.ResponseTimes[i] = r
-				if res.Schedulable {
-					res.Schedulable = false
-					res.FirstFailure = i
-				}
-				break
-			}
-			next := blocking + t.Cost
-			for j := 0; j < i; j++ {
-				next += ts[j].Cost * math.Ceil(r/ts[j].Period)
-			}
-			if next <= r {
-				// Fixpoint (demand can only step down due to float
-				// rounding; the first r was a lower bound).
-				res.ResponseTimes[i] = r
-				break
-			}
-			r = next
-		}
-	}
-	return res, nil
-}
-
-// SchedulingPoints returns R_i = { l·P_k | 1 ≤ k ≤ i+1, l = 1..floor(P_i/P_k) }
-// for the task at index i of an RM-ordered set: the points at which the
-// Lehoczky–Sha–Ding criterion must be evaluated. Points are deduplicated
-// and sorted ascending.
-func SchedulingPoints(ts TaskSet, i int) []float64 {
-	pi := ts[i].Period
-	var pts []float64
-	for k := 0; k <= i; k++ {
-		pk := ts[k].Period
-		lmax := int(math.Floor(pi / pk))
-		for l := 1; l <= lmax; l++ {
-			pts = append(pts, float64(l)*pk)
-		}
-	}
-	sort.Float64s(pts)
-	// Deduplicate in place.
-	out := pts[:0]
-	for _, p := range pts {
-		if len(out) == 0 || p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ExactTest runs the Lehoczky–Sha–Ding criterion with a blocking term
-// directly over the scheduling points (eq. (4) of the paper):
-//
-//	task i schedulable ⟺ ∃ t ∈ R_i : Σ_{j<i} C_j·ceil(t/P_j) + C_i + B ≤ t.
-//
-// It is O(n · |R_i| · n) and exists as the reference implementation; the
-// breakdown engine uses ResponseTimeAnalysis, which is provably equivalent
-// (asserted by property tests).
-func ExactTest(ts TaskSet, blocking float64) (Result, error) {
-	if err := ts.Validate(); err != nil {
-		return Result{}, err
-	}
-	if !validBlocking(blocking) {
-		return Result{}, ErrBadBlocking
-	}
-	res := Result{Schedulable: true, FirstFailure: -1}
 	for i := range ts {
-		if taskSchedulableAtPoints(ts, i, blocking) {
-			continue
+		r, _ := fixpoint(ts, i, blocking, 0)
+		res.ResponseTimes[i] = r
+		if !(r <= ts[i].Period) && res.Schedulable {
+			res.Schedulable = false
+			res.FirstFailure = i
 		}
-		res.Schedulable = false
-		res.FirstFailure = i
-		break
 	}
 	return res, nil
 }
 
-func taskSchedulableAtPoints(ts TaskSet, i int, blocking float64) bool {
-	for _, t := range SchedulingPoints(ts, i) {
-		demand := blocking + ts[i].Cost
-		for j := 0; j < i; j++ {
-			demand += ts[j].Cost * math.Ceil(t/ts[j].Period)
-		}
-		if demand <= t {
-			return true
+// fixpoint is the package's one copy of the Theorem 4.1 arithmetic: task
+// i's response-time iteration over the RM-ordered ts, started from r — or,
+// when r is 0, from the lower bound B + C_i + Σ_{j<i} C_j. It stops at the
+// first iterate the demand does not exceed (the least fixpoint at or above
+// the start) or at the first iterate past P_i, returns that iterate, and
+// counts the demand evaluations it made. Task i meets its deadline iff the
+// returned iterate is ≤ P_i. A positive start no larger than the least
+// fixpoint reaches the same one: the demand is non-decreasing in R.
+func fixpoint(ts TaskSet, i int, blocking, r float64) (float64, int) {
+	t, higher := ts[i], ts[:i]
+	if r == 0 {
+		r = blocking + t.Cost
+		for _, h := range higher {
+			r += h.Cost
 		}
 	}
-	return false
+	evals := 0
+	for r <= t.Period {
+		evals++
+		next := blocking + t.Cost
+		for _, h := range higher {
+			next += h.Cost * math.Ceil(r/h.Period)
+		}
+		if next <= r {
+			// Fixpoint (demand can only step down due to float rounding;
+			// the start was a lower bound).
+			break
+		}
+		r = next
+	}
+	return r, evals
 }
 
 // LiuLaylandBound is the classical sufficient utilization bound

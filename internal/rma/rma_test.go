@@ -109,7 +109,8 @@ func TestBlockingTipsTheBalance(t *testing.T) {
 
 func TestExactTestMatchesRTA(t *testing.T) {
 	// The scheduling-point criterion (eq. 4) and response-time analysis
-	// are both exact, hence must agree on random workloads.
+	// are both exact, hence must agree on random workloads: verdict and
+	// first failure.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(8)
@@ -132,10 +133,67 @@ func TestExactTestMatchesRTA(t *testing.T) {
 			t.Fatalf("trial %d: RTA=%v exact=%v for %+v (B=%v)",
 				trial, rta.Schedulable, exact.Schedulable, ts, blocking)
 		}
-		if !rta.Schedulable && rta.FirstFailure != exact.FirstFailure {
+		if rta.FirstFailure != exact.FirstFailure {
 			t.Fatalf("trial %d: first failure RTA=%d exact=%d",
 				trial, rta.FirstFailure, exact.FirstFailure)
 		}
+	}
+}
+
+// TestExactTestFloatPoints pins scheduling points whose quotient by a
+// period rounds above an integer: at t = float64(3)·P₀ below, t/P₀ is
+// 3.0000000000000004, so charging ⌈t/P₀⌉ counts a fourth release at t
+// itself and rejects a schedulable set. The oracle counts releases on the
+// float products the point was built from and agrees with the RTA.
+func TestExactTestFloatPoints(t *testing.T) {
+	cases := []struct {
+		name     string
+		ts       TaskSet
+		blocking float64
+		point    float64 // t = float64(l)·P₀ with t/P₀ above l
+		l        float64
+		r        float64 // the RTA's response time of the last task
+	}{
+		{
+			// FuzzExactTest seed=164 n=2 blocking=0.022222222222222223 scale=1.5.
+			name: "fuzz-164",
+			ts: TaskSet{
+				{Cost: 0.1661624964311379, Period: 0.23382981277786247},
+				{Cost: 0.14303959324145926, Period: 0.714197311513956},
+			},
+			blocking: 0.022222222222222223,
+			point:    0.7014894383335875,
+			l:        3,
+			r:        0.6637493047570951,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p0 := tc.ts[0].Period
+			if tc.l*p0 != tc.point || !(tc.point/p0 > tc.l) {
+				t.Fatalf("setup: %v·P₀ = %v, quotient %v: not a rounding-up point",
+					tc.l, tc.l*p0, tc.point/p0)
+			}
+			if got := releases(tc.point, p0); got != tc.l {
+				t.Errorf("releases(%v, %v) = %v, want %v", tc.point, p0, got, tc.l)
+			}
+			rta, err := ResponseTimeAnalysis(tc.ts, tc.blocking)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(tc.ts) - 1
+			if !rta.Schedulable || rta.ResponseTimes[last] != tc.r {
+				t.Fatalf("RTA schedulable=%v R=%v, want schedulable with R=%v",
+					rta.Schedulable, rta.ResponseTimes[last], tc.r)
+			}
+			exact, err := ExactTest(tc.ts, tc.blocking)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !exact.Schedulable || exact.FirstFailure != -1 {
+				t.Fatalf("ExactTest = (%v, %d), want schedulable", exact.Schedulable, exact.FirstFailure)
+			}
+		})
 	}
 }
 

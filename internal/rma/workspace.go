@@ -1,45 +1,26 @@
 package rma
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
-// maxCachedPoints bounds the total number of scheduling points a Workspace
-// materializes at Load. Sets whose period spread would need more (e.g.
-// nanosecond next to second periods) fall back to uncached evaluation:
-// Schedulable uses pure response-time analysis and ExactTest rebuilds each
-// task's points into a reusable scratch buffer.
-const maxCachedPoints = 1 << 20
-
-// Workspace evaluates the exact schedulability tests repeatedly over one
+// Workspace evaluates the exact schedulability test repeatedly over one
 // task set without per-call allocation. It is the hot-path kernel behind
-// the breakdown saturation search: Load once, then mutate costs (Tasks,
-// ScaleCosts) and re-test as often as needed.
+// the breakdown saturation search and the protocol analyzers' batched
+// probes: Load once, then mutate costs (Tasks, ScaleCosts) and re-test as
+// often as needed.
 //
-// A Workspace caches everything that depends only on the periods — the
-// rate-monotonic order and (lazily, on first ExactTest) the merged,
-// deduplicated scheduling-point array of every task. Schedulable also
-// keeps a bracket: the last passing probe (lo) with each task's converged
-// response time, and the last failing probe (hi) with its failing task
-// and the tasks known to pass there. A probe whose costs dominate, or are
-// dominated by, a bracket end inherits its facts exactly (see
-// Schedulable); everything else is computed with arithmetic identical to
-// the reference implementations (ExactTest, ResponseTimeAnalysis), and the
-// differential property suite asserts bit-identical verdicts. The zero
+// A Workspace caches the rate-monotonic order of the loaded periods.
+// Schedulable also keeps a bracket: the last passing probe (lo) with each
+// task's converged response time, and the last failing probe (hi) with its
+// failing task and the tasks known to pass there. A probe whose costs
+// dominate, or are dominated by, a bracket end inherits its facts exactly
+// (see Schedulable); every task that is still undecided runs the package's
+// one response-time fixpoint, and the differential property suite asserts
+// verdicts bit-identical to test-only reference implementations. The zero
 // value is ready to use; a Workspace must not be shared between
 // goroutines.
 type Workspace struct {
 	tasks TaskSet   // RM-sorted working copy; costs mutable via Tasks
 	base  []float64 // costs as loaded, for ScaleCosts
-	resp  []float64 // response-time buffer aliased by Result
-
-	pts      []float64 // flattened per-task scheduling points
-	ptsEnd   []int     // points of task i are pts[ptsStart(i):ptsEnd[i]]
-	ptsBuilt bool      // buildPoints ran for the loaded periods
-	cached   bool      // pts/ptsEnd materialized (subject to maxCachedPoints)
-	scratch  []float64 // per-task point buffer for the uncached ExactTest
-	witness  []int     // per-task index of ExactTest's last passing point, -1 unknown
 
 	lo  probeLo
 	hi  probeHi
@@ -76,10 +57,6 @@ type probeHi struct {
 type Counters struct {
 	// Schedulable counts verdict-only probes answered.
 	Schedulable int
-	// ExactTests counts full Lehoczky–Sha–Ding evaluations.
-	ExactTests int
-	// RTAs counts full response-time analyses.
-	RTAs int
 	// DominancePasses counts Schedulable probes settled schedulable with
 	// nothing evaluated: no cost above the last passing probe's.
 	DominancePasses int
@@ -103,11 +80,10 @@ type Counters struct {
 // Counters returns the probe telemetry accumulated since Load.
 func (w *Workspace) Counters() Counters { return w.counters }
 
-// Load binds the workspace to a task set: validates it, establishes
-// rate-monotonic order (stable, identical to TaskSet.SortRM), and caches
-// the scheduling points. Subsequent probes are allocation-free. Load may
-// allocate only to grow the reusable buffers, so reloading sets of similar
-// size is cheap.
+// Load binds the workspace to a task set: validates it and establishes
+// rate-monotonic order (stable, identical to TaskSet.SortRM). Subsequent
+// probes are allocation-free. Load may allocate only to grow the reusable
+// buffers, so reloading sets of similar size is cheap.
 func (w *Workspace) Load(ts TaskSet) error {
 	if err := ts.Validate(); err != nil {
 		return err
@@ -128,31 +104,11 @@ func (w *Workspace) Load(ts TaskSet) error {
 		w.base = append(w.base, t.Cost)
 	}
 	n := len(w.tasks)
-	w.resp = grow(w.resp, n)
-	w.witness = w.witness[:0]
-	for range w.tasks {
-		w.witness = append(w.witness, -1)
-	}
 	w.lo = probeLo{cost: grow(w.lo.cost, n), resp: grow(w.lo.resp, n)}
 	w.hi = probeHi{cost: grow(w.hi.cost, n), pass: grow(w.hi.pass, n)}
 	w.cur = grow(w.cur, n)
 	w.counters = Counters{}
-	// The scheduling-point cache is built lazily by the first ExactTest:
-	// the verdict-only Schedulable path never consults it, and the
-	// saturation search that dominates the Monte Carlo workload only calls
-	// Schedulable, so eager construction would pay the per-set sort for
-	// nothing.
-	w.ptsBuilt = false
-	w.cached = false
 	return nil
-}
-
-// ensurePoints materializes the scheduling-point cache on first use.
-func (w *Workspace) ensurePoints() {
-	if !w.ptsBuilt {
-		w.buildPoints()
-		w.ptsBuilt = true
-	}
 }
 
 // grow returns a slice of length n reusing buf's capacity.
@@ -163,67 +119,10 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// buildPoints materializes every task's scheduling points into the
-// flattened pts/ptsEnd arrays, unless the total would exceed
-// maxCachedPoints.
-func (w *Workspace) buildPoints() {
-	var total float64
-	for i := range w.tasks {
-		pi := w.tasks[i].Period
-		for k := 0; k <= i; k++ {
-			total += math.Floor(pi / w.tasks[k].Period)
-			if total > maxCachedPoints {
-				w.cached = false
-				w.pts = w.pts[:0]
-				w.ptsEnd = w.ptsEnd[:0]
-				return
-			}
-		}
-	}
-	w.cached = true
-	w.pts = w.pts[:0]
-	w.ptsEnd = w.ptsEnd[:0]
-	for i := range w.tasks {
-		start := len(w.pts)
-		w.pts = appendPoints(w.pts, w.tasks, i)
-		seg := w.pts[start:]
-		slices.Sort(seg)
-		w.pts = w.pts[:start+dedupe(seg)]
-		w.ptsEnd = append(w.ptsEnd, len(w.pts))
-	}
-}
-
-// appendPoints appends task i's raw (unsorted, undeduplicated) scheduling
-// points — the same generation loop as SchedulingPoints.
-func appendPoints(dst []float64, ts TaskSet, i int) []float64 {
-	pi := ts[i].Period
-	for k := 0; k <= i; k++ {
-		pk := ts[k].Period
-		lmax := int(math.Floor(pi / pk))
-		for l := 1; l <= lmax; l++ {
-			dst = append(dst, float64(l)*pk)
-		}
-	}
-	return dst
-}
-
-// dedupe removes adjacent duplicates from a sorted slice in place and
-// returns the deduplicated length.
-func dedupe(seg []float64) int {
-	n := 0
-	for _, p := range seg {
-		if n == 0 || p != seg[n-1] {
-			seg[n] = p
-			n++
-		}
-	}
-	return n
-}
-
 // Tasks returns the workspace's RM-sorted working copy. Callers may mutate
 // Cost fields between probes (the incremental mode used by the protocol
-// analyzers' batched probes); mutating Period fields invalidates the
-// cached scheduling points and is not supported — Load a new set instead.
+// analyzers' batched probes); mutating Period fields breaks the cached
+// rate-monotonic order and is not supported — Load a new set instead.
 func (w *Workspace) Tasks() TaskSet { return w.tasks }
 
 // ScaleCosts sets every working cost to loadedCost·factor — the rma-level
@@ -237,74 +136,16 @@ func (w *Workspace) ScaleCosts(factor float64) {
 }
 
 // validate re-checks the working tasks (costs are mutated between probes)
-// and the blocking term, mirroring the reference implementations'
-// validation order and errors.
+// and the blocking term, in ResponseTimeAnalysis's validation order and
+// with its errors.
 func (w *Workspace) validate(blocking float64) error {
-	if len(w.tasks) == 0 {
-		return ErrEmptyTaskSet
-	}
-	for _, t := range w.tasks {
-		if t.Period <= 0 || t.Cost < 0 ||
-			math.IsNaN(t.Cost) || math.IsNaN(t.Period) ||
-			math.IsInf(t.Cost, 0) || math.IsInf(t.Period, 0) {
-			return ErrBadTask
-		}
+	if err := w.tasks.Validate(); err != nil {
+		return err
 	}
 	if !validBlocking(blocking) {
 		return ErrBadBlocking
 	}
 	return nil
-}
-
-func (w *Workspace) ptsStart(i int) int {
-	if i == 0 {
-		return 0
-	}
-	return w.ptsEnd[i-1]
-}
-
-// taskPoints returns task i's cached scheduling points, or nil when the
-// cache was skipped at Load.
-func (w *Workspace) taskPoints(i int) []float64 {
-	if !w.cached {
-		return nil
-	}
-	return w.pts[w.ptsStart(i):w.ptsEnd[i]]
-}
-
-// pointDemand is the Lehoczky–Sha–Ding demand of task i at time t, with
-// the reference ExactTest's exact summation order.
-func (w *Workspace) pointDemand(i int, blocking, t float64) float64 {
-	demand := blocking + w.tasks[i].Cost
-	for j := 0; j < i; j++ {
-		demand += w.tasks[j].Cost * math.Ceil(t/w.tasks[j].Period)
-	}
-	return demand
-}
-
-// taskAtPoints is the per-task existence check of the exact test over the
-// cached (or scratch-built) points, trying the remembered witness first.
-// The verdict is independent of evaluation order, so the witness shortcut
-// cannot change it.
-func (w *Workspace) taskAtPoints(i int, blocking float64) bool {
-	pts := w.taskPoints(i)
-	if pts == nil {
-		w.scratch = appendPoints(w.scratch[:0], w.tasks, i)
-		slices.Sort(w.scratch)
-		w.scratch = w.scratch[:dedupe(w.scratch)]
-		pts = w.scratch
-	}
-	if wi := w.witness[i]; wi >= 0 && wi < len(pts) &&
-		w.pointDemand(i, blocking, pts[wi]) <= pts[wi] {
-		return true
-	}
-	for k, t := range pts {
-		if w.pointDemand(i, blocking, t) <= t {
-			w.witness[i] = k
-			return true
-		}
-	}
-	return false
 }
 
 // Schedulable reports the verdict of the exact test for the current costs
@@ -327,8 +168,8 @@ func (w *Workspace) taskAtPoints(i int, blocking float64) bool {
 //
 // None of these needs the costs to be monotone in any scale factor: a
 // probe that compares neither way with a bracket end just loses that
-// inference. The rest is the reference response-time iteration, hi's
-// failing task first, stopping at the first failure.
+// inference. The rest is the response-time fixpoint, hi's failing task
+// first, stopping at the first failure.
 func (w *Workspace) Schedulable(blocking float64) (bool, error) {
 	if err := w.validate(blocking); err != nil {
 		return false, err
@@ -395,9 +236,9 @@ func (w *Workspace) dominance(ref []float64) (le, ge int) {
 }
 
 // settle decides task i for Schedulable and records its response time in
-// cur: known from hi (inference 3), or by the reference response-time
-// iteration, warm-started from lo when the costs allow (inference 4).
-// loGE and hiLE are the dominance prefixes against lo and hi.
+// cur: known from hi (inference 3), or by the response-time fixpoint,
+// warm-started from lo when the costs allow (inference 4). loGE and hiLE
+// are the dominance prefixes against lo and hi.
 func (w *Workspace) settle(i int, blocking float64, loGE, hiLE int) bool {
 	// The start must be positive: at t = 0 every ceiling vanishes, so the
 	// iteration could stop below the least fitting time.
@@ -413,30 +254,15 @@ func (w *Workspace) settle(i int, blocking float64, loGE, hiLE int) bool {
 		return true
 	}
 	w.counters.TaskEvals++
-	t, higher := w.tasks[i], w.tasks[:i]
-	var r float64
+	var start float64
 	if warm {
 		w.counters.WarmStarts++
-		r = w.lo.resp[i]
-	} else {
-		r = blocking + t.Cost
-		for _, h := range higher {
-			r += h.Cost
-		}
+		start = w.lo.resp[i]
 	}
-	for r <= t.Period {
-		w.counters.Iterations++
-		next := blocking + t.Cost
-		for _, h := range higher {
-			next += h.Cost * math.Ceil(r/h.Period)
-		}
-		if next <= r {
-			w.cur[i] = r
-			return true
-		}
-		r = next
-	}
-	return false
+	r, evals := fixpoint(w.tasks, i, blocking, start)
+	w.counters.Iterations += evals
+	w.cur[i] = r
+	return r <= w.tasks[i].Period
 }
 
 // failAt makes the current probe the new hi after task f missed its
@@ -458,67 +284,4 @@ func (w *Workspace) failAt(f, first int, blocking float64, hiLE int) {
 	w.hi.ok = true
 	w.hi.blocking = blocking
 	w.hi.fail = f
-}
-
-// ExactTest evaluates the Lehoczky–Sha–Ding criterion over the cached
-// scheduling points with zero allocations (for sets within the point-cache
-// bound), bit-identical to the package-level ExactTest reference.
-func (w *Workspace) ExactTest(blocking float64) (Result, error) {
-	if err := w.validate(blocking); err != nil {
-		return Result{}, err
-	}
-	w.counters.ExactTests++
-	w.ensurePoints()
-	res := Result{Schedulable: true, FirstFailure: -1}
-	for i := range w.tasks {
-		if w.taskAtPoints(i, blocking) {
-			continue
-		}
-		res.Schedulable = false
-		res.FirstFailure = i
-		break
-	}
-	return res, nil
-}
-
-// ResponseTimeAnalysis runs the reference response-time iteration over the
-// current costs without allocating. The returned Result's ResponseTimes
-// slice aliases an internal buffer that is overwritten by the next call
-// (and by Load); copy it if it must outlive the next probe.
-func (w *Workspace) ResponseTimeAnalysis(blocking float64) (Result, error) {
-	if err := w.validate(blocking); err != nil {
-		return Result{}, err
-	}
-	w.counters.RTAs++
-	res := Result{
-		Schedulable:   true,
-		FirstFailure:  -1,
-		ResponseTimes: w.resp[:len(w.tasks)],
-	}
-	for i, t := range w.tasks {
-		r := blocking + t.Cost
-		for j := 0; j < i; j++ {
-			r += w.tasks[j].Cost
-		}
-		for {
-			if r > t.Period {
-				res.ResponseTimes[i] = r
-				if res.Schedulable {
-					res.Schedulable = false
-					res.FirstFailure = i
-				}
-				break
-			}
-			next := blocking + t.Cost
-			for j := 0; j < i; j++ {
-				next += w.tasks[j].Cost * math.Ceil(r/w.tasks[j].Period)
-			}
-			if next <= r {
-				res.ResponseTimes[i] = r
-				break
-			}
-			r = next
-		}
-	}
-	return res, nil
 }

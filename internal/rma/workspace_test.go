@@ -30,10 +30,12 @@ func randomTaskSet(rng *rand.Rand) TaskSet {
 }
 
 // TestWorkspaceDifferentialParity is the rma half of the differential
-// suite: over 1000+ seeded random task sets, the workspace kernels must
-// return verdicts, failure indices, and response times bit-identical to
-// the retained reference implementations — including while costs are
-// rescaled between probes the way the saturation search does.
+// suite: over 1000+ seeded random task sets, the production kernels must
+// agree with the test-only oracles — ResponseTimeAnalysis bit-identical to
+// the frozen reference loop, the workspace's verdict equal to both oracles
+// (the frozen loop and the scheduling-point test), and the two oracles on
+// the same first failure — including while costs are rescaled between
+// probes the way the saturation search does.
 func TestWorkspaceDifferentialParity(t *testing.T) {
 	sets := 1200
 	if testing.Short() {
@@ -51,8 +53,8 @@ func TestWorkspaceDifferentialParity(t *testing.T) {
 			t.Fatalf("set %d: Load: %v", k, err)
 		}
 		// Probe a bisection-like ladder of scale factors on one loaded
-		// workspace, comparing each probe against the references applied
-		// to a freshly scaled copy.
+		// workspace, comparing each probe against the oracles applied to
+		// a freshly scaled copy.
 		scales := []float64{1, 2, 4, 8, 4.7, 2.3, 1.1, 0.9, 0.5, 0.25, 1.7, 1}
 		for _, scale := range scales {
 			scaled := ts.SortRM()
@@ -61,7 +63,7 @@ func TestWorkspaceDifferentialParity(t *testing.T) {
 			}
 			ws.ScaleCosts(scale)
 
-			refRTA, err := ResponseTimeAnalysis(scaled, blocking)
+			refRTA, err := referenceRTA(scaled, blocking)
 			if err != nil {
 				t.Fatalf("set %d scale %g: reference RTA: %v", k, scale, err)
 			}
@@ -69,8 +71,10 @@ func TestWorkspaceDifferentialParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("set %d scale %g: reference ExactTest: %v", k, scale, err)
 			}
-			if refRTA.Schedulable != refExact.Schedulable {
-				t.Fatalf("set %d scale %g: reference RTA and ExactTest disagree", k, scale)
+			if refRTA.Schedulable != refExact.Schedulable || refRTA.FirstFailure != refExact.FirstFailure {
+				t.Fatalf("set %d scale %g: reference RTA (%v,%d) and ExactTest (%v,%d) disagree",
+					k, scale, refRTA.Schedulable, refRTA.FirstFailure,
+					refExact.Schedulable, refExact.FirstFailure)
 			}
 
 			got, err := ws.Schedulable(blocking)
@@ -82,29 +86,26 @@ func TestWorkspaceDifferentialParity(t *testing.T) {
 					k, scale, got, refRTA.Schedulable)
 			}
 
-			wsExact, err := ws.ExactTest(blocking)
+			rta, err := ResponseTimeAnalysis(scaled, blocking)
 			if err != nil {
-				t.Fatalf("set %d scale %g: workspace ExactTest: %v", k, scale, err)
+				t.Fatalf("set %d scale %g: RTA: %v", k, scale, err)
 			}
-			if wsExact.Schedulable != refExact.Schedulable || wsExact.FirstFailure != refExact.FirstFailure {
-				t.Fatalf("set %d scale %g: workspace ExactTest (%v,%d) != reference (%v,%d)",
-					k, scale, wsExact.Schedulable, wsExact.FirstFailure,
-					refExact.Schedulable, refExact.FirstFailure)
-			}
+			checkRTA(t, rta, refRTA)
+		}
+	}
+}
 
-			wsRTA, err := ws.ResponseTimeAnalysis(blocking)
-			if err != nil {
-				t.Fatalf("set %d scale %g: workspace RTA: %v", k, scale, err)
-			}
-			if wsRTA.Schedulable != refRTA.Schedulable || wsRTA.FirstFailure != refRTA.FirstFailure {
-				t.Fatalf("set %d scale %g: workspace RTA verdict mismatch", k, scale)
-			}
-			for i := range refRTA.ResponseTimes {
-				if math.Float64bits(wsRTA.ResponseTimes[i]) != math.Float64bits(refRTA.ResponseTimes[i]) {
-					t.Fatalf("set %d scale %g task %d: response %v != reference %v",
-						k, scale, i, wsRTA.ResponseTimes[i], refRTA.ResponseTimes[i])
-				}
-			}
+// checkRTA asserts a production response-time analysis is bit-identical
+// to the frozen reference loop's.
+func checkRTA(t *testing.T, got, want Result) {
+	t.Helper()
+	if got.Schedulable != want.Schedulable || got.FirstFailure != want.FirstFailure {
+		t.Fatalf("RTA (%v,%d), reference (%v,%d)",
+			got.Schedulable, got.FirstFailure, want.Schedulable, want.FirstFailure)
+	}
+	for i := range want.ResponseTimes {
+		if math.Float64bits(got.ResponseTimes[i]) != math.Float64bits(want.ResponseTimes[i]) {
+			t.Fatalf("task %d: response %v != reference %v", i, got.ResponseTimes[i], want.ResponseTimes[i])
 		}
 	}
 }
@@ -132,7 +133,7 @@ func TestWorkspaceDegenerateParity(t *testing.T) {
 				t.Fatalf("Load: %v", err)
 			}
 			sorted := tc.ts.SortRM()
-			ref, err := ResponseTimeAnalysis(sorted, tc.blocking)
+			ref, err := referenceRTA(sorted, tc.blocking)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
@@ -147,21 +148,22 @@ func TestWorkspaceDegenerateParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference exact: %v", err)
 			}
-			wsExact, err := ws.ExactTest(tc.blocking)
+			if refExact.Schedulable != ref.Schedulable || refExact.FirstFailure != ref.FirstFailure {
+				t.Fatalf("exact %+v, reference RTA %+v", refExact, ref)
+			}
+			rta, err := ResponseTimeAnalysis(sorted, tc.blocking)
 			if err != nil {
-				t.Fatalf("workspace exact: %v", err)
+				t.Fatalf("RTA: %v", err)
 			}
-			if wsExact.Schedulable != refExact.Schedulable || wsExact.FirstFailure != refExact.FirstFailure {
-				t.Fatalf("exact %+v, reference %+v", wsExact, refExact)
-			}
+			checkRTA(t, rta, ref)
 		})
 	}
 }
 
 // TestSchedulingPointsHarmonicDedupe is the regression test for duplicated
 // points under harmonically related periods: every l·P_k collision (2·1 ==
-// 1·2, 4·1 == 2·2 == 1·4, ...) must appear exactly once, for both the
-// reference SchedulingPoints and the workspace's cached arrays.
+// 1·2, 4·1 == 2·2 == 1·4, ...) must appear exactly once in the oracle's
+// SchedulingPoints.
 func TestSchedulingPointsHarmonicDedupe(t *testing.T) {
 	ts := TaskSet{{0.1, 1}, {0.1, 2}, {0.1, 4}, {0.1, 8}}
 	want := [][]float64{
@@ -170,38 +172,21 @@ func TestSchedulingPointsHarmonicDedupe(t *testing.T) {
 		{1, 2, 3, 4},
 		{1, 2, 3, 4, 5, 6, 7, 8},
 	}
-	var ws Workspace
-	if err := ws.Load(ts); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	ws.ensurePoints() // the cache is built lazily, on first ExactTest
 	for i := range ts {
 		pts := SchedulingPoints(ts, i)
 		if len(pts) != len(want[i]) {
 			t.Fatalf("task %d: %d points %v, want %v", i, len(pts), pts, want[i])
 		}
-		cached := ws.taskPoints(i)
-		if len(cached) != len(want[i]) {
-			t.Fatalf("task %d: %d cached points %v, want %v", i, len(cached), cached, want[i])
-		}
 		for j := range pts {
-			if pts[j] != want[i][j] || cached[j] != want[i][j] {
-				t.Fatalf("task %d point %d: reference %v cached %v, want %v",
-					i, j, pts[j], cached[j], want[i][j])
-			}
-		}
-		// No duplicates may survive, however the periods collide.
-		for j := 1; j < len(pts); j++ {
-			if pts[j] == pts[j-1] {
-				t.Fatalf("task %d: duplicate point %v", i, pts[j])
+			if pts[j] != want[i][j] {
+				t.Fatalf("task %d point %d: %v, want %v", i, j, pts[j], want[i][j])
 			}
 		}
 	}
 }
 
-// TestInfiniteBlockingRejected pins the satellite fix: ±Inf blocking is now
-// rejected by both reference tests and the workspace, like NaN and negative
-// values.
+// TestInfiniteBlockingRejected: ±Inf blocking is rejected by the RTA, the
+// point-test oracle and the workspace, like NaN and negative values.
 func TestInfiniteBlockingRejected(t *testing.T) {
 	ts := TaskSet{{0.1, 1}}
 	var ws Workspace
@@ -224,18 +209,14 @@ func TestInfiniteBlockingRejected(t *testing.T) {
 	}
 }
 
-// TestWorkspaceUncachedFallback drives a period spread too wide for the
-// point cache (floor(P_max/P_min) alone exceeds the cache bound) and checks
-// parity against the references on the fallback path: pure RTA for
-// Schedulable, scratch-built points for ExactTest.
-func TestWorkspaceUncachedFallback(t *testing.T) {
+// TestWorkspaceWidePeriodSpread drives a period spread of 1.5·10⁶
+// (floor(P_max/P_min) scheduling points for the low-priority task alone)
+// and checks the workspace verdict against both oracles at several scales.
+func TestWorkspaceWidePeriodSpread(t *testing.T) {
 	ts := TaskSet{{1e-6, 2e-5}, {0.5, 30}}
 	var ws Workspace
 	if err := ws.Load(ts); err != nil {
 		t.Fatalf("Load: %v", err)
-	}
-	if ws.cached {
-		t.Fatalf("expected the point cache to be skipped for spread %v", ts)
 	}
 	for _, scale := range []float64{0.5, 1, 2, 10, 15, 30} {
 		ws.ScaleCosts(scale)
@@ -243,7 +224,7 @@ func TestWorkspaceUncachedFallback(t *testing.T) {
 		for i := range scaled {
 			scaled[i].Cost *= scale
 		}
-		ref, err := ResponseTimeAnalysis(scaled, 1e-6)
+		ref, err := referenceRTA(scaled, 1e-6)
 		if err != nil {
 			t.Fatalf("scale %g: reference: %v", scale, err)
 		}
@@ -255,23 +236,23 @@ func TestWorkspaceUncachedFallback(t *testing.T) {
 			t.Fatalf("scale %g: verdict %v, reference %v", scale, got, ref.Schedulable)
 		}
 	}
-	// The scratch-built exact test is expensive for this spread (1.5M
-	// points), so check it at a single scale.
-	ws.ScaleCosts(1)
+	// The point test visits 1.5M points for this spread, so check it at a
+	// single scale.
 	refExact, err := ExactTest(ts.SortRM(), 1e-6)
 	if err != nil {
 		t.Fatalf("reference exact: %v", err)
 	}
-	wsExact, err := ws.ExactTest(1e-6)
+	rta, err := ResponseTimeAnalysis(ts.SortRM(), 1e-6)
 	if err != nil {
-		t.Fatalf("workspace exact: %v", err)
+		t.Fatalf("RTA: %v", err)
 	}
-	if wsExact.Schedulable != refExact.Schedulable || wsExact.FirstFailure != refExact.FirstFailure {
-		t.Fatalf("exact %+v, reference %+v", wsExact, refExact)
+	if rta.Schedulable != refExact.Schedulable || rta.FirstFailure != refExact.FirstFailure {
+		t.Fatalf("RTA %+v, exact %+v", rta, refExact)
 	}
 }
 
-// TestWorkspaceLoadErrors checks Load rejects what the references reject.
+// TestWorkspaceLoadErrors checks Load rejects what ResponseTimeAnalysis
+// rejects.
 func TestWorkspaceLoadErrors(t *testing.T) {
 	var ws Workspace
 	if err := ws.Load(nil); !errors.Is(err, ErrEmptyTaskSet) {

@@ -107,9 +107,9 @@ type (
 	// TaskSet is an ordered set of Tasks.
 	TaskSet = rma.TaskSet
 	// RMWorkspace is the allocation-free rate-monotonic kernel: Load a
-	// task set once, then rescale costs and re-run the exact test with
-	// zero allocations per probe (the engine behind the batched probes
-	// and the saturation search).
+	// task set once, then rescale costs and re-run the verdict-only exact
+	// test (Schedulable) with zero allocations per probe (the engine
+	// behind the batched probes and the saturation search).
 	RMWorkspace = rma.Workspace
 	// Probe evaluates one bound message set at varying payload scales
 	// without allocating; obtain one from a BatchAnalyzer.
@@ -525,11 +525,13 @@ func ResponseTimeAnalysis(ts TaskSet, blocking float64) (RMResult, error) {
 	return rma.ResponseTimeAnalysis(ts, blocking)
 }
 
-// RMExactTest runs the Lehoczky–Sha–Ding scheduling-point criterion
-// directly (the reference implementation; equivalent to
-// ResponseTimeAnalysis).
+// RMExactTest answers the exact rate-monotonic test (Theorem 4.1's
+// Lehoczky–Sha–Ding criterion) with ResponseTimeAnalysis's verdict and
+// first failure; its ResponseTimes is nil.
 func RMExactTest(ts TaskSet, blocking float64) (RMResult, error) {
-	return rma.ExactTest(ts, blocking)
+	res, err := rma.ResponseTimeAnalysis(ts, blocking)
+	res.ResponseTimes = nil
+	return res, err
 }
 
 // LiuLaylandBound is the classical sufficient utilization bound

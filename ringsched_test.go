@@ -141,3 +141,42 @@ func TestFacadeTaskSetAlias(t *testing.T) {
 		t.Errorf("Utilization = %v", u)
 	}
 }
+
+// TestRMExactTestMatchesRTA: RMExactTest answers with the response-time
+// analysis's verdict and first failure and no response times, including
+// on a pair the float scheduling-point test used to reject (3·P₀/P₀
+// rounds to 3.0000000000000004 there).
+func TestRMExactTestMatchesRTA(t *testing.T) {
+	for _, tc := range []struct {
+		ts       ringsched.TaskSet
+		blocking float64
+		ok       bool
+		fail     int
+	}{
+		{ringsched.TaskSet{
+			{Cost: 0.1661624964311379, Period: 0.23382981277786247},
+			{Cost: 0.14303959324145926, Period: 0.714197311513956},
+		}, 0.022222222222222223, true, -1},
+		{ringsched.TaskSet{{Cost: 60e-3, Period: 100e-3}, {Cost: 60e-3, Period: 140e-3}}, 0, false, 1},
+	} {
+		res, err := ringsched.RMExactTest(tc.ts, tc.blocking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Schedulable != tc.ok || res.FirstFailure != tc.fail || res.ResponseTimes != nil {
+			t.Errorf("RMExactTest(%v) = %+v, want schedulable=%v firstFailure=%d and no response times",
+				tc.ts, res, tc.ok, tc.fail)
+		}
+		rta, err := ringsched.ResponseTimeAnalysis(tc.ts, tc.blocking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rta.Schedulable != res.Schedulable || rta.FirstFailure != res.FirstFailure {
+			t.Errorf("RTA (%v, %d) and RMExactTest (%v, %d) disagree",
+				rta.Schedulable, rta.FirstFailure, res.Schedulable, res.FirstFailure)
+		}
+	}
+	if _, err := ringsched.RMExactTest(nil, 0); err == nil {
+		t.Error("RMExactTest accepted an empty task set")
+	}
+}
