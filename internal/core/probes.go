@@ -155,15 +155,12 @@ func (j *ttpJob) bind(t TTP, m message.Set) {
 	j.ovhd = j.ovhd[:0]
 	j.infinite = j.infinite[:0]
 	for _, s := range m {
-		// Identical to the reference report with availability 1: the
-		// multiplication by avail is exact for avail == 1.
-		q := int(math.Floor(1 * s.Period / ttrt))
-		if q < 2 {
-			q = 1
-		}
+		// Report's term at availability 1. With a zero length the
+		// augmented length is exactly the framing term (q−1)·Fovhd.
+		q, ovhd, _, _ := TTPStreamTerm(0, s.Period, ttrt, fovhd, 1)
 		j.bits = append(j.bits, s.LengthBits)
 		j.qm1 = append(j.qm1, float64(q-1))
-		j.ovhd = append(j.ovhd, float64(q-1)*fovhd)
+		j.ovhd = append(j.ovhd, ovhd)
 		j.infinite = append(j.infinite, q < 2)
 	}
 }

@@ -261,29 +261,49 @@ func (t TTP) report(m message.Set, avail float64) (TTPReport, error) {
 	}
 	fovhd := t.SyncFrame.OvhdTime(bw)
 	for i, s := range m {
-		q := int(math.Floor(avail * s.Period / ttrt))
-		if q < 2 {
-			// Cannot guarantee the deadline with fewer than two visits;
-			// the Pmin/2 cap makes this unreachable on a clean ring, but a
-			// deep availability discount (or a degenerate set) can reach it.
-			q = 1
-		}
-		cAug := s.Length(bw) + float64(q-1)*fovhd
-		var h float64
-		if q >= 2 {
-			h = cAug / float64(q-1)
-		} else {
-			h = math.Inf(1)
-		}
+		q, cAug, h, wcr := TTPStreamTerm(s.Length(bw), s.Period, ttrt, fovhd, avail)
 		rep.Streams[i] = TTPStreamReport{
 			Stream:            s,
 			Q:                 q,
 			AugmentedLength:   cAug,
 			Allocation:        h,
-			WorstCaseResponse: float64(q) * ttrt / avail,
+			WorstCaseResponse: wcr,
 		}
 		rep.TotalAllocation += h
 	}
 	rep.Schedulable = rep.TotalAllocation <= rep.Capacity
 	return rep, nil
+}
+
+// posInf is the allocation of a stream guaranteed fewer than two visits.
+var posInf = math.Inf(1)
+
+// TTPStreamTerm is Theorem 5.1's per-stream term, shared by Report, the
+// scaled probe and the ring engine: for a stream of transmission time
+// length and period P on a ring with target rotation ttrt, per-visit
+// synchronous frame overhead fovhd and medium availability avail, it
+// returns the guaranteed visits per period q = ⌊avail·P/TTRT⌋, the
+// augmented length C' = length + (q−1)·fovhd, the allocation
+// h = C'/(q−1) and the worst-case response q·TTRT/avail.
+//
+// Fewer than two visits cannot guarantee the deadline: q is then 1 and h
+// is +Inf. The Pmin/2 cap makes that unreachable on a clean ring, but a
+// deep availability discount (or a degenerate set) can reach it. A visit
+// count at or past 2⁶³ saturates at math.MaxInt64: guaranteeing fewer
+// visits than the ring gives is still a valid allocation, and every count
+// below 2⁶³ is exact.
+func TTPStreamTerm(length, period, ttrt, fovhd, avail float64) (q int, cAug, h, wcr float64) {
+	// Small enough to inline: the probe's bind uses only q and C'.
+	q = 1
+	if v := math.Floor(avail * period / ttrt); v >= math.MaxInt64 {
+		q = math.MaxInt64
+	} else if v >= 2 {
+		q = int(v)
+	}
+	cAug = length + float64(q-1)*fovhd
+	h = posInf
+	if q >= 2 {
+		h = cAug / float64(q-1)
+	}
+	return q, cAug, h, float64(q) * ttrt / avail
 }

@@ -340,3 +340,62 @@ func TestIdealRM(t *testing.T) {
 		t.Error("nil set accepted")
 	}
 }
+
+// TestTTPStreamTermSaturatesVisits: a stream whose period allows 2⁶³ or
+// more rotations (1e297 s at 100 Mbps, TTRT ≈ 3.56e146 s) is guaranteed
+// math.MaxInt64 visits, with a finite allocation, through both Report and
+// the scaled probe — not a wrapped count of 1 and an infinite allocation.
+func TestTTPStreamTermSaturatesVisits(t *testing.T) {
+	a := NewTTP(100e6)
+	m := message.Set{{Name: "far", Period: 1e297, LengthBits: 4096}}
+	rep, err := a.Report(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rep.Streams[0]
+	if s.Q != math.MaxInt64 || math.IsInf(s.Allocation, 0) || !(s.Allocation > 0) ||
+		!(s.WorstCaseResponse <= m[0].Period) || !rep.Schedulable {
+		t.Fatalf("Report: TTRT %g, Q %d, allocation %g, response %g, schedulable %v; want Q=MaxInt64, a finite allocation, schedulable",
+			rep.TTRT, s.Q, s.Allocation, s.WorstCaseResponse, rep.Schedulable)
+	}
+	probe, release, err := a.NewProbe(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if ok, err := probe.Schedulable(1); err != nil || !ok {
+		t.Fatalf("probe at scale 1: %v, %v; want schedulable", ok, err)
+	}
+}
+
+// TestTTPStreamTermExactBelowSaturation: below 2⁶³ visits the count is
+// the plain floor, so every term stays what the unsaturated formula gave.
+func TestTTPStreamTermExactBelowSaturation(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for k := 0; k < 5000; k++ {
+		period := math.Exp(rng.Float64()*60 - 10)
+		ttrt := math.Exp(rng.Float64()*20 - 15)
+		avail := []float64{1, rng.Float64(), 0.999}[k%3]
+		visits := math.Floor(avail * period / ttrt)
+		if visits >= math.Ldexp(1, 63) {
+			continue
+		}
+		want := int(visits)
+		if want < 2 {
+			want = 1
+		}
+		q, cAug, h, wcr := TTPStreamTerm(1e-3, period, ttrt, 2e-6, avail)
+		if q != want || cAug != 1e-3+float64(want-1)*2e-6 || wcr != float64(want)*ttrt/avail {
+			t.Fatalf("period %g ttrt %g avail %g: q %d C' %g wcr %g, want q %d", period, ttrt, avail, q, cAug, wcr, want)
+		}
+		if (want < 2) != math.IsInf(h, 1) {
+			t.Fatalf("period %g ttrt %g: q %d but allocation %g", period, ttrt, q, h)
+		}
+	}
+	if q, _, _, _ := TTPStreamTerm(0, math.Ldexp(1, 63), 1, 0, 1); q != math.MaxInt64 {
+		t.Fatalf("2⁶³ visits: q %d, want math.MaxInt64", q)
+	}
+	if q, _, _, _ := TTPStreamTerm(0, math.Ldexp(1, 62), 1, 0, 1); q != 1<<62 {
+		t.Fatalf("2⁶² visits: q %d, want 2⁶²", q)
+	}
+}

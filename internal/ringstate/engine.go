@@ -345,7 +345,7 @@ func (e *Engine) buildDelta(sp splice, id uint64, rebuilt bool) {
 
 // Verdicts renders the current verdicts in canonical protocol order (a
 // fresh allocation; safe to retain). An empty ring is vacuously
-// schedulable with zero aggregates, mirroring FullVerdicts.
+// schedulable with zero aggregates, as a from-scratch analysis reports it.
 func (e *Engine) Verdicts() []Verdict {
 	out := make([]Verdict, 0, len(e.cfg.Protocols))
 	for _, proto := range e.cfg.Protocols {
@@ -664,20 +664,10 @@ func ttpFor(bw float64, n int) core.TTP {
 	return t
 }
 
-// terms replicates the Theorem 5.1 per-stream loop body verbatim.
+// terms is stream s's Theorem 5.1 term, computed by the analyzer's own
+// per-stream function.
 func (te *ttpEngine) terms(s message.Stream, avail float64) (q int, cAug, h, wcr float64) {
-	q = int(math.Floor(avail * s.Period / te.ttrt))
-	if q < 2 {
-		q = 1
-	}
-	cAug = s.Length(te.t.Net.BandwidthBPS) + float64(q-1)*te.fovhd
-	if q >= 2 {
-		h = cAug / float64(q-1)
-	} else {
-		h = math.Inf(1)
-	}
-	wcr = float64(q) * te.ttrt / avail
-	return q, cAug, h, wcr
+	return core.TTPStreamTerm(s.Length(te.t.Net.BandwidthBPS), s.Period, te.ttrt, te.fovhd, avail)
 }
 
 func (te *ttpEngine) snapshot() {

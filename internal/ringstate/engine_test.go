@@ -3,6 +3,7 @@ package ringstate
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -170,5 +171,29 @@ func TestEngineModifyKeepsID(t *testing.T) {
 	snap := eng.Snapshot()
 	if len(snap) != 2 || snap[0].ID != b || snap[1].ID != a {
 		t.Fatalf("modify among exact ties: snapshot order %+v, want [%d %d]", snap, b, a)
+	}
+}
+
+// TestEngineTTPSaturatedVisits: a ring holding a stream whose period
+// allows 2⁶³ or more token rotations reports what a from-scratch Report
+// does — schedulable, with the saturated visit count and a finite
+// allocation.
+func TestEngineTTPSaturatedVisits(t *testing.T) {
+	cfg := Config{BandwidthMbps: 100, Protocols: []string{ProtocolTTP}}
+	eng := mustEngine(t, cfg)
+	if _, _, err := eng.Add(Stream{Name: "far", PeriodMs: 1e300, LengthBits: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	got := eng.Verdicts()[0]
+	s := got.Streams[0]
+	if !got.Schedulable || !s.Schedulable || s.Q != math.MaxInt64 || math.IsInf(s.Allocation, 0) {
+		t.Fatalf("ring verdict schedulable=%v, stream %+v; want schedulable with Q=MaxInt64 and a finite allocation", got.Schedulable, s)
+	}
+	want, err := FullVerdicts(cfg, eng.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%+v", want[0]) != fmt.Sprintf("%+v", got) {
+		t.Fatalf("ring verdict %+v, from scratch %+v", got, want[0])
 	}
 }

@@ -45,8 +45,8 @@ func TestOverflowingInputsAreRejectedInCanonicalize(t *testing.T) {
 
 // TestOverflowingInputsAnswerTyped400 holds the served status: the three
 // bodies above, plus inputs that pass Canonicalize and overflow inside the
-// analysis (a cost of +Inf on a near-zero bandwidth, a TTP visit count
-// past 2⁶³, a response time past 1e308 s), all answer a typed 400.
+// analysis (a cost of +Inf on a near-zero bandwidth, a response time past
+// 1e308 s), all answer a typed 400.
 func TestOverflowingInputsAnswerTyped400(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -55,7 +55,6 @@ func TestOverflowingInputsAnswerTyped400(t *testing.T) {
 		`{"bandwidthMbps":100,"streams":[{"periodMs":10,"lengthBits":4096}],"payloadScales":[1e300]}`,
 		`{"bandwidthMbps":100,"streams":[{"periodMs":10,"lengthBits":1e-300}],"payloadScales":[1e-300]}`,
 		`{"bandwidthMbps":1e-300,"streams":[{"periodMs":10,"lengthBits":1e18}]}`,
-		`{"bandwidthMbps":100,"streams":[{"periodMs":1e300,"lengthBits":4096}]}`,
 		`{"bandwidthMbps":100,"detail":true,"streams":[{"periodMs":1e-300,"lengthBits":1e18},{"periodMs":1e300,"lengthBits":1e18}]}`,
 	}
 	for _, tc := range overflowBodies {
@@ -67,6 +66,25 @@ func TestOverflowingInputsAnswerTyped400(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest || e.Code != "bad_request" {
 			t.Errorf("%s: %d %s, want 400 code bad_request", body, w.Code, w.Body)
 		}
+	}
+}
+
+// TestSaturatedTTPVisitsAnswer200: a period allowing 2⁶³ or more token
+// rotations (1e300 ms at 100 Mbps, TTRT ≈ 3.56e146 s) saturates the
+// visit count instead of wrapping it to 1, so FDDI guarantees the stream
+// with a finite allocation and the body is a 200, not an overflow 400.
+func TestSaturatedTTPVisitsAnswer200(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	w := serve(s.Handler(), "/v1/analyze",
+		`{"bandwidthMbps":100,"protocols":["fddi"],"streams":[{"periodMs":1e300,"lengthBits":4096}]}`)
+	var resp AnalyzeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("%d %s (%v), want 200", w.Code, w.Body, err)
+	}
+	v := resp.Verdicts[0]
+	if !v.Schedulable || !(v.TotalAllocation > 0) || !(v.TotalAllocation <= v.Capacity) {
+		t.Fatalf("fddi verdict %+v, want schedulable with a finite allocation", v)
 	}
 }
 

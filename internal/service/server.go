@@ -732,9 +732,9 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req Analyz
 		body, err := encodeTraced(ctx, resp)
 		var inf *json.UnsupportedValueError
 		if errors.As(err, &inf) {
-			// A value that overflowed to ±Inf (a TTP allocation whose
-			// visit count wrapped, a response time past 1e308 s) has no
-			// JSON form; the inputs' magnitudes put it there.
+			// A value that overflowed to ±Inf (a response time past
+			// 1e308 s, say) has no JSON form; the inputs' magnitudes put
+			// it there.
 			err = fmt.Errorf("%w: analysis result out of range: %v", ErrBadRequest, err)
 		}
 		return body, err
