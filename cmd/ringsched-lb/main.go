@@ -257,10 +257,16 @@ func (l *lb) route(endpoint string) http.HandlerFunc {
 		}
 
 		_, rdsp := trace.Start(ctx, "lb.read")
-		body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
+		body, err := io.ReadAll(io.LimitReader(r.Body, service.MaxBodyBytes+1))
 		rdsp.End()
 		if err != nil {
 			http.Error(w, `{"error":"ringsched-lb: read body","code":"bad_request"}`, http.StatusBadRequest)
+			return
+		}
+		if len(body) > service.MaxBodyBytes {
+			// Forwarding the first MaxBodyBytes would make every backend
+			// reject a cut body and the client see a retryable 503.
+			writeTooLarge(w)
 			return
 		}
 		_, rtsp := trace.Start(ctx, "lb.route")
@@ -407,6 +413,17 @@ func writeAPIError(w http.ResponseWriter, backend string, ae *ringschedclient.AP
 		"retryAfterMs": int64(ae.RetryAfter / time.Millisecond),
 	})
 	w.Write(append(msg, '\n'))
+}
+
+// writeTooLarge refuses a body past service.MaxBodyBytes with a typed 413.
+func writeTooLarge(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusRequestEntityTooLarge)
+	body, _ := json.Marshal(map[string]any{
+		"error": fmt.Sprintf("ringsched-lb: request body exceeds %d bytes", service.MaxBodyBytes),
+		"code":  "bad_request",
+	})
+	w.Write(append(body, '\n'))
 }
 
 func (l *lb) writeUnavailable(w http.ResponseWriter, msg string) {

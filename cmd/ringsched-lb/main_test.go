@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -157,6 +158,39 @@ func TestLBBadRequestVerbatimNoFailover(t *testing.T) {
 	}
 	if !strings.Contains(rr.Body.String(), `"code"`) {
 		t.Errorf("typed error body lost in proxying: %s", rr.Body)
+	}
+}
+
+// TestLBRefusesOversizedBody: a body one byte past service.MaxBodyBytes
+// gets a typed 413 from the lb, with no Retry-After, and reaches no
+// backend; a body of exactly MaxBodyBytes is still forwarded and served.
+func TestLBRefusesOversizedBody(t *testing.T) {
+	addrs, _ := startBackends(t, 1)
+	l := newTestLB(t, addrs)
+	const body = `{"bandwidthMbps":80,"streams":[{"name":"s","periodMs":10,"lengthBits":4096}]}`
+	padded := func(n int) string { return strings.Repeat(" ", n-len(body)) + body }
+
+	rr := postVia(t, l, "/v1/analyze", padded(service.MaxBodyBytes+1), nil)
+	if rr.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d for a body past the cap, want 413; body %.200s", rr.Code, rr.Body)
+	}
+	var e struct{ Error, Code string }
+	if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Code != "bad_request" || e.Error == "" {
+		t.Errorf("413 body %q (%v): want a typed bad_request error", rr.Body, err)
+	}
+	if ra := rr.Header().Get("Retry-After"); ra != "" {
+		t.Errorf("413 carries Retry-After %q, inviting a retry", ra)
+	}
+	if m := l.metricsSnapshot(t); strings.Contains(m, "ringschedlb_requests_total{") {
+		t.Errorf("an oversized body reached a backend:\n%s", m)
+	}
+
+	rr = postVia(t, l, "/v1/analyze", padded(service.MaxBodyBytes), nil)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status = %d for a body of exactly the cap, want 200; body %.200s", rr.Code, rr.Body)
+	}
+	if got := rr.Header().Get("X-Ringsched-Backend"); got != addrs[0] {
+		t.Errorf("served by %q, want %q", got, addrs[0])
 	}
 }
 

@@ -121,15 +121,16 @@ func keyOf[T canonical[T]](body []byte) (string, error) {
 	return canon.CacheKey(), nil
 }
 
-// maxBodyBytes is how much of a cacheable request body the server buffers,
-// ringsched-lb's own read cap. A longer body is decoded as a stream, as
-// it always was, and gets no alias.
-const maxBodyBytes = 8 << 20
+// MaxBodyBytes is how much of a cacheable request body the server buffers.
+// A longer body is decoded as a stream, as it always was, and gets no
+// alias. ringsched-lb reads the same amount to route a body and refuses a
+// longer one with a 413.
+const MaxBodyBytes = 8 << 20
 
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
 
 // readBody reads body into a pooled buffer until EOF or until it holds
-// more than maxBodyBytes; whole reports the former. The buffer grows with
+// more than MaxBodyBytes; whole reports the former. The buffer grows with
 // what arrives, never with a declared Content-Length a client could
 // inflate.
 func readBody(body io.Reader) (buf *[]byte, whole bool, err error) {
@@ -142,7 +143,7 @@ func readBody(body io.Reader) (buf *[]byte, whole bool, err error) {
 		n, rerr := body.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
 		switch {
-		case len(b) > maxBodyBytes:
+		case len(b) > MaxBodyBytes:
 			*buf = b
 			return buf, false, nil
 		case rerr == io.EOF:

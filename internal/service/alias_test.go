@@ -85,13 +85,13 @@ func TestAliasWithEvictedTargetCountsNothing(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyDecodesAsAStream: a body past maxBodyBytes (leading
+// TestOversizedBodyDecodesAsAStream: a body past MaxBodyBytes (leading
 // whitespace here, so the JSON value sits beyond the buffered prefix)
 // still decodes and serves, gets no alias, and repeats as a canonical hit.
 func TestOversizedBodyDecodesAsAStream(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	body := strings.Repeat(" ", maxBodyBytes) + analyzeBody
+	body := strings.Repeat(" ", MaxBodyBytes) + analyzeBody
 	for i, want := range []string{"miss", "hit"} {
 		w := serve(s.Handler(), "/v1/analyze", body)
 		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != want {
