@@ -164,7 +164,11 @@ func (c plant) augmented(lengthBits float64) float64 {
 // Tasks maps the message set, in rate-monotonic order, to the abstract
 // periodic tasks (C'_i, P_i) analyzed by Theorem 4.1.
 func (p PDP) Tasks(m message.Set) rma.TaskSet {
-	sorted := m.SortRM()
+	return p.tasks(m.SortRM())
+}
+
+// tasks maps a set already in rate-monotonic order to its tasks.
+func (p PDP) tasks(sorted message.Set) rma.TaskSet {
 	ts := make(rma.TaskSet, len(sorted))
 	c := p.plant()
 	for i, s := range sorted {
@@ -230,11 +234,10 @@ func (p PDP) Report(m message.Set) (PDPReport, error) {
 func (p PDP) reportWith(m message.Set, b FaultBudget) (PDPReport, error) {
 	blocking := p.RecoveryBlocking(b)
 	scale := 1 / b.Availability
-	res, err := p.analyzeWith(m, blocking, scale)
+	sorted, res, err := p.analyzeWith(m, blocking, scale)
 	if err != nil {
 		return PDPReport{}, err
 	}
-	sorted := m.SortRM()
 	rep := PDPReport{
 		Variant:     p.Variant,
 		Schedulable: res.Schedulable,
@@ -261,23 +264,27 @@ func (p PDP) reportWith(m message.Set, b FaultBudget) (PDPReport, error) {
 }
 
 func (p PDP) analyze(m message.Set) (rma.Result, error) {
-	return p.analyzeWith(m, p.Blocking(), 1)
+	_, res, err := p.analyzeWith(m, p.Blocking(), 1)
+	return res, err
 }
 
 // analyzeWith runs the response-time analysis with an explicit blocking
-// term and task-cost scale factor (the degraded-mode knobs).
-func (p PDP) analyzeWith(m message.Set, blocking, costScale float64) (rma.Result, error) {
+// term and task-cost scale factor (the degraded-mode knobs). It sorts m
+// once and returns it in the rate-monotonic order the result indexes.
+func (p PDP) analyzeWith(m message.Set, blocking, costScale float64) (message.Set, rma.Result, error) {
 	if err := p.Validate(); err != nil {
-		return rma.Result{}, err
+		return nil, rma.Result{}, err
 	}
 	if err := m.Validate(); err != nil {
-		return rma.Result{}, err
+		return nil, rma.Result{}, err
 	}
-	ts := p.Tasks(m)
+	sorted := m.SortRM()
+	ts := p.tasks(sorted)
 	if costScale != 1 {
 		for i := range ts {
 			ts[i].Cost *= costScale
 		}
 	}
-	return rma.ResponseTimeAnalysis(ts, blocking)
+	res, err := rma.ResponseTimeAnalysis(ts, blocking)
+	return sorted, res, err
 }

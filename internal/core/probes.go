@@ -24,10 +24,10 @@ var (
 	_ BatchAnalyzer = IdealRM{}
 )
 
-// byPeriod orders streams for slices.SortStableFunc exactly like
-// message.Set.SortRM's sort.SliceStable(Period <): both are stable sorts
-// under the same strict weak ordering, so they produce the same
-// permutation.
+// byPeriod is message.Set.SortRM's comparator. The PDP probe sorts into
+// its pooled buffer with it, which gives SortRM's permutation without
+// SortRM's copy; message cannot import it from here, and exporting it
+// from message would widen that package's API for one caller.
 func byPeriod(a, b message.Stream) int {
 	switch {
 	case a.Period < b.Period:

@@ -23,6 +23,12 @@ const (
 	PaperInfoBits = 512.0
 	// PaperOvhdBits is F_ovhd^b = 112 bits.
 	PaperOvhdBits = 112.0
+	// MaxPayloadBits bounds a payload the analysis can represent: it
+	// counts frames of PaperInfoBits (2⁹) bits in an int, so 2⁶³ frames
+	// is 2⁷² bits. At or past it the frame count wraps negative and the
+	// analysis fails inside the kernel. /v1/analyze and /v1/rings refuse
+	// such payloads up front.
+	MaxPayloadBits = PaperInfoBits * (1 << 63)
 )
 
 // Spec describes the fixed frame format: payload capacity Finfo^b and

@@ -10,7 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Errors returned by validation.
@@ -131,7 +131,16 @@ func (m Set) MaxPeriod() float64 {
 // the sort stable and deterministic.
 func (m Set) SortRM() Set {
 	out := m.Clone()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Period < out[j].Period })
+	slices.SortStableFunc(out, func(a, b Stream) int {
+		switch {
+		case a.Period < b.Period:
+			return -1
+		case a.Period > b.Period:
+			return 1
+		default:
+			return 0
+		}
+	})
 	return out
 }
 

@@ -113,7 +113,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.pdps = append(e.pdps, &pdpEngine{proto: proto})
 		}
 	}
-	e.rebuildAll()
+	if err := e.rebuildAll(); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -158,25 +160,22 @@ func (e *Engine) upperBound(s Stream) int {
 
 // Add admits a stream, returning its assigned ID and the incremental
 // verdict delta. The returned Delta aliases engine scratch: valid until
-// the next edit.
+// the next edit. An edit the analysis refuses (a cost or blocking term
+// that overflows; an rma error) leaves the engine as it was.
 func (e *Engine) Add(s Stream) (uint64, *Delta, error) {
 	if err := s.validate(); err != nil {
 		return 0, nil, err
 	}
 	id := e.nextID
-	e.nextID++
 	k := e.upperBound(s)
 	e.snapshotAll()
-	e.ids = append(e.ids, 0)
-	copy(e.ids[k+1:], e.ids[k:])
-	e.ids[k] = id
-	e.wire = append(e.wire, Stream{})
-	copy(e.wire[k+1:], e.wire[k:])
-	e.wire[k] = s
-	e.set = append(e.set, message.Stream{})
-	copy(e.set[k+1:], e.set[k:])
-	e.set[k] = message.Stream{Name: s.Name, Period: s.PeriodMs / 1e3, LengthBits: s.LengthBits}
-	e.applyEdit(splice{op: OpAdd, k: k}, id)
+	e.spliceIn(k, id, s)
+	if err := e.applyEdit(splice{op: OpAdd, k: k}, id); err != nil {
+		e.spliceOut(k)
+		e.restore()
+		return 0, nil, err
+	}
+	e.nextID++
 	return id, &e.delta, nil
 }
 
@@ -186,9 +185,14 @@ func (e *Engine) Remove(id uint64) (*Delta, error) {
 	if j < 0 {
 		return nil, ErrStreamNotFound
 	}
+	old := e.wire[j]
 	e.snapshotAll()
 	e.spliceOut(j)
-	e.applyEdit(splice{op: OpRemove, j: j}, id)
+	if err := e.applyEdit(splice{op: OpRemove, j: j}, id); err != nil {
+		e.spliceIn(j, id, old)
+		e.restore()
+		return nil, err
+	}
 	return &e.delta, nil
 }
 
@@ -203,9 +207,22 @@ func (e *Engine) Modify(id uint64, s Stream) (*Delta, error) {
 	if j < 0 {
 		return nil, ErrStreamNotFound
 	}
+	old := e.wire[j]
 	e.snapshotAll()
 	e.spliceOut(j)
 	k := e.upperBound(s)
+	e.spliceIn(k, id, s)
+	if err := e.applyEdit(splice{op: OpModify, j: j, k: k}, id); err != nil {
+		e.spliceOut(k)
+		e.spliceIn(j, id, old)
+		e.restore()
+		return nil, err
+	}
+	return &e.delta, nil
+}
+
+// spliceIn inserts stream s with the given ID at canonical index k.
+func (e *Engine) spliceIn(k int, id uint64, s Stream) {
 	e.ids = append(e.ids, 0)
 	copy(e.ids[k+1:], e.ids[k:])
 	e.ids[k] = id
@@ -215,8 +232,16 @@ func (e *Engine) Modify(id uint64, s Stream) (*Delta, error) {
 	e.set = append(e.set, message.Stream{})
 	copy(e.set[k+1:], e.set[k:])
 	e.set[k] = message.Stream{Name: s.Name, Period: s.PeriodMs / 1e3, LengthBits: s.LengthBits}
-	e.applyEdit(splice{op: OpModify, j: j, k: k}, id)
-	return &e.delta, nil
+}
+
+// restore rebuilds every protocol engine once a refused edit has put the
+// canonical arrays back. That set analyzed before the edit, so the
+// rebuild cannot fail, and a rebuild is bit-identical to the incremental
+// state it replaces (the invariant the differential suite checks).
+func (e *Engine) restore() {
+	if err := e.rebuildAll(); err != nil {
+		panic(err)
+	}
 }
 
 func (e *Engine) spliceOut(j int) {
@@ -242,37 +267,45 @@ func (e *Engine) snapshotAll() {
 // applyEdit brings every protocol engine up to date after the canonical
 // arrays changed, choosing incremental paths where the invalidation
 // rules allow and full rebuilds where they do not (station-count
-// changes re-plant the ring: Θ and every cost shifts).
-func (e *Engine) applyEdit(sp splice, id uint64) {
+// changes re-plant the ring: Θ and every cost shifts). An error is the
+// analysis refusing the new set; the caller undoes the edit.
+func (e *Engine) applyEdit(sp splice, id uint64) error {
 	st := effStations(ring.PaperStations, len(e.set))
 	rebuilt := false
 	if st != e.stations {
-		e.stations = st
-		e.rebuildAll()
+		if err := e.rebuildAll(); err != nil {
+			return err
+		}
 		rebuilt = true
 	} else {
 		e.util = e.set.Utilization(e.bw)
 		for _, pe := range e.pdps {
-			pe.applySplice(e, sp)
+			if err := pe.applySplice(e, sp); err != nil {
+				return err
+			}
 		}
 		if e.ttp != nil {
 			e.ttp.applySplice(e, sp)
 		}
 	}
 	e.buildDelta(sp, id, rebuilt)
+	return nil
 }
 
 // rebuildAll reconstructs every protocol engine from the canonical
 // arrays.
-func (e *Engine) rebuildAll() {
+func (e *Engine) rebuildAll() error {
 	e.stations = effStations(ring.PaperStations, len(e.set))
 	e.util = e.set.Utilization(e.bw)
 	for _, pe := range e.pdps {
-		pe.rebuild(e)
+		if err := pe.rebuild(e); err != nil {
+			return err
+		}
 	}
 	if e.ttp != nil {
 		e.ttp.rebuild(e)
 	}
+	return nil
 }
 
 // appendFlips compares pre/post per-stream verdict bits through the
@@ -434,14 +467,15 @@ func (pe *pdpEngine) refold(e *Engine) {
 	}
 }
 
-// rebuild reconstructs the engine from scratch on the current plant.
-func (pe *pdpEngine) rebuild(e *Engine) {
+// rebuild reconstructs the engine from scratch on the current plant. An
+// error is an rma refusal: a cost or blocking term that overflowed.
+func (pe *pdpEngine) rebuild(e *Engine) error {
 	n := len(e.set)
 	pe.p = pdpFor(pe.proto, e.bw, n)
 	pe.costs = pe.costs[:0]
 	pe.frames = pe.frames[:0]
 	if err := pe.rta.Reset(pe.p.RecoveryBlocking(core.CleanFaultBudget())); err != nil {
-		panic(err)
+		return err
 	}
 	pe.reprobed = 0
 	for i, s := range e.set {
@@ -451,37 +485,41 @@ func (pe *pdpEngine) rebuild(e *Engine) {
 		pe.frames = append(pe.frames, k)
 		re, err := pe.rta.Insert(i, rma.Task{Cost: cost, Period: s.Period})
 		if err != nil {
-			panic(err)
+			return err
 		}
 		pe.reprobed += re
 	}
 	pe.refold(e)
-	pe.rebuildDegraded(e)
+	if err := pe.rebuildDegraded(e); err != nil {
+		return err
+	}
 	pe.fillNewSched()
+	return nil
 }
 
-func (pe *pdpEngine) rebuildDegraded(e *Engine) {
+func (pe *pdpEngine) rebuildDegraded(e *Engine) error {
 	pe.dcosts = pe.dcosts[:0]
 	if e.fm == nil || len(e.set) == 0 {
 		pe.budget = core.CleanFaultBudget()
 		pe.scale = 1
 		_ = pe.drta.Reset(0)
-		return
+		return nil
 	}
 	pe.budget = pe.p.FaultBudgetFor(e.fm, e.set)
 	pe.scale = 1 / pe.budget.Availability
 	if err := pe.drta.Reset(pe.p.RecoveryBlocking(pe.budget)); err != nil {
-		panic(err)
+		return err
 	}
 	for i, s := range e.set {
 		dc := pe.costs[i] * pe.scale
 		pe.dcosts = append(pe.dcosts, dc)
 		re, err := pe.drta.Insert(i, rma.Task{Cost: dc, Period: s.Period})
 		if err != nil {
-			panic(err)
+			return err
 		}
 		pe.reprobed += re
 	}
+	return nil
 }
 
 // applySplice is the incremental PDP edit. Invalidation rule: a clean
@@ -491,8 +529,8 @@ func (pe *pdpEngine) rebuildDegraded(e *Engine) {
 // blocking B' = B + Nloss·R folds the whole set's frame rate, so any
 // edit can move it — when it does, the degraded pass re-probes
 // everything (Rebase); when it does not (bitwise), the suffix re-probe
-// from the splice suffices.
-func (pe *pdpEngine) applySplice(e *Engine, sp splice) {
+// from the splice suffices. An error is an rma refusal, as in rebuild.
+func (pe *pdpEngine) applySplice(e *Engine, sp splice) error {
 	pe.reprobed = 0
 	if e.fm != nil && len(e.set) > 0 {
 		// Refresh the budget BEFORE splicing: insertAt prices the new
@@ -505,32 +543,39 @@ func (pe *pdpEngine) applySplice(e *Engine, sp splice) {
 	}
 	switch sp.op {
 	case OpAdd:
-		pe.insertAt(e, sp.k)
+		if err := pe.insertAt(e, sp.k); err != nil {
+			return err
+		}
 	case OpRemove:
 		pe.removeAt(sp.j)
 	default:
 		pe.removeAt(sp.j)
-		pe.insertAt(e, sp.k)
+		if err := pe.insertAt(e, sp.k); err != nil {
+			return err
+		}
 	}
 	pe.refold(e)
 	if e.fm != nil {
 		if len(e.set) == 0 {
-			pe.rebuildDegraded(e)
+			if err := pe.rebuildDegraded(e); err != nil {
+				return err
+			}
 		} else {
 			newBlocking := pe.p.RecoveryBlocking(pe.budget)
 			if math.Float64bits(newBlocking) != math.Float64bits(pe.drta.Blocking()) {
 				re, err := pe.drta.Rebase(newBlocking)
 				if err != nil {
-					panic(err)
+					return err
 				}
 				pe.reprobed += re
 			}
 		}
 	}
 	pe.fillNewSched()
+	return nil
 }
 
-func (pe *pdpEngine) insertAt(e *Engine, k int) {
+func (pe *pdpEngine) insertAt(e *Engine, k int) error {
 	s := e.set[k]
 	cost := pe.p.AugmentedLength(s)
 	_, kf := pe.p.Frame.Split(s.LengthBits)
@@ -542,7 +587,7 @@ func (pe *pdpEngine) insertAt(e *Engine, k int) {
 	pe.frames[k] = kf
 	re, err := pe.rta.Insert(k, rma.Task{Cost: cost, Period: s.Period})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	pe.reprobed += re
 	if e.fm != nil {
@@ -552,10 +597,11 @@ func (pe *pdpEngine) insertAt(e *Engine, k int) {
 		pe.dcosts[k] = dc
 		re, err := pe.drta.Insert(k, rma.Task{Cost: dc, Period: s.Period})
 		if err != nil {
-			panic(err)
+			return err
 		}
 		pe.reprobed += re
 	}
+	return nil
 }
 
 func (pe *pdpEngine) removeAt(j int) {

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+
+	"ringsched/internal/rma"
 )
 
 func mustEngine(t *testing.T, cfg Config) *Engine {
@@ -195,5 +198,52 @@ func TestEngineTTPSaturatedVisits(t *testing.T) {
 	}
 	if fmt.Sprintf("%+v", want[0]) != fmt.Sprintf("%+v", got) {
 		t.Fatalf("ring verdict %+v, from scratch %+v", got, want[0])
+	}
+}
+
+// TestEngineRefusedEditLeavesStateUnchanged: a payload at or past 2⁷²
+// bits is refused by validation, and an edit whose cost overflows inside
+// the kernel (1e18 bits at 1e-300 Mbps) comes back as the rma error with
+// the engine exactly as before: the same snapshot, verdicts and next
+// stream ID. The refusal covers add, modify and a station-count change.
+func TestEngineRefusedEditLeavesStateUnchanged(t *testing.T) {
+	if _, _, err := mustEngine(t, Config{BandwidthMbps: 16}).Add(Stream{PeriodMs: 10, LengthBits: 1e308}); !errors.Is(err, ErrBadStream) {
+		t.Fatalf("lengthBits 1e308: %v, want ErrBadStream", err)
+	}
+	for _, cfg := range []Config{
+		{BandwidthMbps: 1e-300},
+		{BandwidthMbps: 1e-300, FaultSpec: "loss:p=1e-3"},
+	} {
+		eng := mustEngine(t, cfg)
+		var last uint64
+		for i := 0; i < 100; i++ { // a full 100-station ring: one more add re-plants it
+			id, _, err := eng.Add(Stream{Name: fmt.Sprint(i), PeriodMs: 10, LengthBits: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = id
+		}
+		type state struct {
+			Snapshot []SnapshotStream
+			Verdicts []Verdict
+		}
+		snap := func() state { return state{eng.Snapshot(), eng.Verdicts()} }
+		before := snap()
+		huge := Stream{Name: "huge", PeriodMs: 10, LengthBits: 1e18}
+		if _, _, err := eng.Add(huge); !errors.Is(err, rma.ErrBadTask) {
+			t.Fatalf("%+v: overflowing add: %v, want rma.ErrBadTask", cfg, err)
+		}
+		if _, err := eng.Modify(last, huge); !errors.Is(err, rma.ErrBadTask) {
+			t.Fatalf("%+v: overflowing modify: %v, want rma.ErrBadTask", cfg, err)
+		}
+		if after := snap(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%+v: refused edits changed the engine:\n%+v\nvs\n%+v", cfg, after, before)
+		}
+		if _, err := eng.Remove(last); err != nil {
+			t.Fatal(err)
+		}
+		if id, _, err := eng.Add(Stream{PeriodMs: 20, LengthBits: 1}); err != nil || id != last+1 {
+			t.Fatalf("%+v: next add got id %d (%v), want %d", cfg, id, err, last+1)
+		}
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"strings"
 
 	"ringsched/internal/faults"
+	"ringsched/internal/frame"
 )
 
 // Protocol slugs, identical to the internal/service wire slugs so the
@@ -97,11 +98,16 @@ type Stream struct {
 	LengthBits float64 `json:"lengthBits"`
 }
 
-// validate mirrors the service-layer stream checks.
+// validate mirrors the service-layer stream checks, the 2⁷² payload
+// bound included.
 func (s Stream) validate() error {
 	if s.PeriodMs <= 0 || math.IsNaN(s.PeriodMs) || math.IsInf(s.PeriodMs, 0) ||
 		s.LengthBits <= 0 || math.IsNaN(s.LengthBits) || math.IsInf(s.LengthBits, 0) {
 		return fmt.Errorf("%w: period %v ms, %v bits", ErrBadStream, s.PeriodMs, s.LengthBits)
+	}
+	if s.LengthBits >= frame.MaxPayloadBits {
+		return fmt.Errorf("%w: lengthBits %v is at or past 2^72 bits (2^63 frames of %v bits)",
+			ErrBadStream, s.LengthBits, frame.PaperInfoBits)
 	}
 	return nil
 }

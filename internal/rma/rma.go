@@ -16,7 +16,7 @@ package rma
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Errors returned by the analyses.
@@ -76,10 +76,24 @@ func (ts TaskSet) Utilization() float64 {
 // SortRM returns a copy in rate-monotonic order (shortest period first,
 // stable).
 func (ts TaskSet) SortRM() TaskSet {
-	out := make(TaskSet, len(ts))
-	copy(out, ts)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Period < out[j].Period })
+	out := slices.Clone(ts)
+	slices.SortStableFunc(out, byPeriod)
 	return out
+}
+
+// byPeriod is the rate-monotonic order for slices.SortStableFunc: it is
+// negative exactly when a.Period < b.Period, the less function of the
+// sort.SliceStable it replaced, so the stable sort's permutation is the
+// same.
+func byPeriod(a, b Task) int {
+	switch {
+	case a.Period < b.Period:
+		return -1
+	case a.Period > b.Period:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // Result is the detailed outcome of an exact schedulability test.
@@ -146,18 +160,38 @@ func fixpoint(ts TaskSet, i int, blocking, r float64) (float64, int) {
 	evals := 0
 	for r <= t.Period {
 		evals++
-		next := blocking + t.Cost
-		for _, h := range higher {
-			next += h.Cost * math.Ceil(r/h.Period)
-		}
-		if next <= r {
-			// Fixpoint (demand can only step down due to float rounding;
-			// the start was a lower bound).
-			break
+		next := demand(higher, blocking+t.Cost, r, false)
+		if !(next > r) { // one comparison while the iterate grows
+			if math.IsNaN(next) {
+				// A zero-cost task whose ⌈r/P⌉ overflowed added 0·Inf;
+				// its demand is 0. Wherever a product is finite a zero
+				// cost adds exactly +0, so skipping them changes no
+				// other input.
+				next = demand(higher, blocking+t.Cost, r, true)
+			}
+			if next <= r {
+				// Fixpoint (demand can only step down due to float
+				// rounding; the start was a lower bound).
+				break
+			}
 		}
 		r = next
 	}
 	return r, evals
+}
+
+// demand is the Theorem 4.1 demand at r: base plus Σ_{h} C_h·⌈r/P_h⌉
+// over the higher-priority tasks, summed in order, skipping zero costs
+// when skipZero is set. fixpoint passes constants, so each inlined call
+// compiles to its own loop and the common one tests nothing per term.
+func demand(higher TaskSet, base, r float64, skipZero bool) float64 {
+	for _, h := range higher {
+		if skipZero && h.Cost == 0 {
+			continue
+		}
+		base += h.Cost * math.Ceil(r/h.Period)
+	}
+	return base
 }
 
 // LiuLaylandBound is the classical sufficient utilization bound

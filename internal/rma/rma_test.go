@@ -325,3 +325,48 @@ func TestHarmonicSetFullUtilization(t *testing.T) {
 		t.Fatalf("harmonic set at U=%.3f should be schedulable", ts.Utilization())
 	}
 }
+
+// TestZeroCostTaskWithOverflowingCeiling: a zero-cost task above a task
+// whose response time is ~1e309 of its periods makes ⌈r/P⌉ = +Inf, and
+// 0·Inf used to turn the demand into NaN, failing a set that is
+// schedulable in exact arithmetic (R₁ = 1e299 ≤ P₁). Every entry point of
+// the one fixpoint reports it schedulable. The test-only oracles stay off
+// this input: referenceRTA spins on it and ExactTest would enumerate
+// ~1e310 scheduling points.
+func TestZeroCostTaskWithOverflowingCeiling(t *testing.T) {
+	ts := TaskSet{{Cost: 0, Period: 1e-10}, {Cost: 1e299, Period: 1e300}}
+	for _, tc := range []struct {
+		name string
+		run  func() (ok bool, r1 float64, err error)
+	}{
+		{"ResponseTimeAnalysis", func() (bool, float64, error) {
+			res, err := ResponseTimeAnalysis(ts, 0)
+			return res.Schedulable && res.FirstFailure == -1, res.ResponseTimes[1], err
+		}},
+		{"Workspace.Schedulable", func() (bool, float64, error) {
+			var w Workspace
+			if err := w.Load(ts); err != nil {
+				return false, 0, err
+			}
+			ok, err := w.Schedulable(0)
+			return ok, w.lo.resp[1], err // a passing probe keeps its response times as lo
+		}},
+		{"Incremental", func() (bool, float64, error) {
+			var w Incremental
+			if err := w.Reset(0); err != nil {
+				return false, 0, err
+			}
+			for i, task := range ts {
+				if _, err := w.Insert(i, task); err != nil {
+					return false, 0, err
+				}
+			}
+			return w.Schedulable(), w.ResponseTime(1), nil
+		}},
+	} {
+		ok, r1, err := tc.run()
+		if err != nil || !ok || r1 != 1e299 {
+			t.Errorf("%s: schedulable %v, R_1 %v, err %v; want schedulable with R_1 = 1e299", tc.name, ok, r1, err)
+		}
+	}
+}

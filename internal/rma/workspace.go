@@ -89,16 +89,7 @@ func (w *Workspace) Load(ts TaskSet) error {
 		return err
 	}
 	w.tasks = append(w.tasks[:0], ts...)
-	slices.SortStableFunc(w.tasks, func(a, b Task) int {
-		switch {
-		case a.Period < b.Period:
-			return -1
-		case a.Period > b.Period:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortStableFunc(w.tasks, byPeriod)
 	w.base = w.base[:0]
 	for _, t := range w.tasks {
 		w.base = append(w.base, t.Cost)

@@ -111,7 +111,7 @@ type canonical[T any] interface {
 // key of its canonical form.
 func keyOf[T canonical[T]](body []byte) (string, error) {
 	var req T
-	if err := unmarshalStrict(body, &req); err != nil {
+	if _, err := unmarshalStrict(body, &req); err != nil {
 		return "", err
 	}
 	canon, err := req.Canonicalize()
@@ -165,10 +165,12 @@ func releaseBody(buf *[]byte) {
 
 // decodeCacheable is the front of every cacheable endpoint: it reads the
 // body once, answers a body seen before straight from the alias as
-// X-Cache: hit, and otherwise decodes it into a T under a "decode" span.
-// aliased false (an SSE sweep) skips the alias. ok false means the
-// response is written: an alias hit or a 400. The returned alias is the
-// body's digest for prepare to record, zero when there is none.
+// X-Cache: hit, and otherwise decodes it into a T under a "decode" span,
+// whose decoder attribute names what ran: "scan" (scanAnalyze) or "json"
+// (encoding/json, also for a body past MaxBodyBytes). aliased false (an
+// SSE sweep) skips the alias. ok false means the response is written: an
+// alias hit or a 400. The returned alias is the body's digest for prepare
+// to record, zero when there is none.
 func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, aliased bool) (req T, alias aliasKey, ok bool) {
 	buf, whole, err := readBody(r.Body)
 	defer releaseBody(buf)
@@ -194,11 +196,17 @@ func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, e
 		}
 	}
 	_, dsp := trace.Start(r.Context(), "decode")
-	var rd io.Reader = bytes.NewReader(*buf)
-	if !whole {
-		rd = io.MultiReader(rd, r.Body)
+	scanned := false
+	if whole {
+		scanned, err = unmarshalStrict(*buf, &req)
+	} else {
+		err = decodeFrom(io.MultiReader(bytes.NewReader(*buf), r.Body), &req)
 	}
-	err = decodeFrom(rd, &req)
+	if scanned {
+		dsp.SetAttr("decoder", "scan")
+	} else {
+		dsp.SetAttr("decoder", "json")
+	}
 	dsp.SetError(err)
 	dsp.End()
 	if err != nil {

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -423,16 +424,7 @@ func (r AnalyzeRequest) Canonicalize() (AnalyzeRequest, error) {
 			LengthBits: canonFloat(s.LengthBits),
 		}
 	}
-	sort.SliceStable(out.Streams, func(i, j int) bool {
-		a, b := out.Streams[i], out.Streams[j]
-		if a.PeriodMs != b.PeriodMs {
-			return a.PeriodMs < b.PeriodMs
-		}
-		if a.LengthBits != b.LengthBits {
-			return a.LengthBits < b.LengthBits
-		}
-		return a.Name < b.Name
-	})
+	slices.SortStableFunc(out.Streams, compareStreams)
 	if len(r.PayloadScales) > 0 {
 		out.PayloadScales = make([]float64, 0, len(r.PayloadScales))
 		for _, s := range r.PayloadScales {
@@ -465,14 +457,26 @@ func (r AnalyzeRequest) Canonicalize() (AnalyzeRequest, error) {
 	return out, nil
 }
 
-// maxPayloadBits bounds a payload, scaled or not: the analysis counts
-// frames of frame.PaperInfoBits (512 = 2⁹) bits in an int, so 2⁶³ frames
-// is 2⁷² bits. Past it the frame count wraps negative and the analysis
-// fails inside the kernel.
-const maxPayloadBits = frame.PaperInfoBits * (1 << 63)
+// compareStreams is the canonical stream order, (PeriodMs, LengthBits,
+// Name) ascending, for slices.SortStableFunc. It is negative exactly when
+// the less function of the sort.SliceStable it replaced was true, so the
+// stable sort's permutation is unchanged.
+func compareStreams(a, b StreamSpec) int {
+	switch {
+	case a.PeriodMs < b.PeriodMs:
+		return -1
+	case a.PeriodMs != b.PeriodMs:
+		return 1
+	case a.LengthBits < b.LengthBits:
+		return -1
+	case a.LengthBits != b.LengthBits:
+		return 1
+	}
+	return strings.Compare(a.Name, b.Name)
+}
 
 // payloadsInRange rejects payloads the analysis cannot represent: a
-// stream's lengthBits at or past maxPayloadBits, or a payload scale that
+// stream's lengthBits at or past frame.MaxPayloadBits, or a payload scale that
 // carries one past it or down to zero bits. The streams are in request
 // order, so the error names the stream the client sent; scales are
 // canonical (ascending).
@@ -483,10 +487,10 @@ func payloadsInRange(streams []StreamSpec, scales []float64) error {
 	}
 	for i, s := range streams {
 		switch {
-		case s.LengthBits >= maxPayloadBits:
+		case s.LengthBits >= frame.MaxPayloadBits:
 			return fmt.Errorf("%w: streams[%d].lengthBits %v is at or past 2^72 bits (2^63 frames of %v bits)",
 				ErrBadRequest, i, s.LengthBits, frame.PaperInfoBits)
-		case s.LengthBits*hi >= maxPayloadBits:
+		case s.LengthBits*hi >= frame.MaxPayloadBits:
 			return fmt.Errorf("%w: payloadScales %v carries streams[%d].lengthBits %v to 2^72 bits or past (2^63 frames of %v bits)",
 				ErrBadRequest, hi, i, s.LengthBits, frame.PaperInfoBits)
 		case s.LengthBits*lo == 0:

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
+	"sort"
 	"testing"
 )
 
@@ -80,6 +82,49 @@ func TestCacheKeysGolden(t *testing.T) {
 	for _, c := range cases {
 		if got := canonicalKeyOf(t, c.Endpoint, c.Request); got != c.Key {
 			t.Errorf("%s: key %s, want %s", c.Name, got, c.Key)
+		}
+	}
+}
+
+// canonLessOracle is the less function Canonicalize sorted streams with
+// through sort.SliceStable before it moved to slices.SortStableFunc.
+func canonLessOracle(a, b StreamSpec) bool {
+	if a.PeriodMs != b.PeriodMs {
+		return a.PeriodMs < b.PeriodMs
+	}
+	if a.LengthBits != b.LengthBits {
+		return a.LengthBits < b.LengthBits
+	}
+	return a.Name < b.Name
+}
+
+// TestCanonicalStreamOrderMatchesOracle pins Canonicalize's stream order
+// to the old sort.SliceStable over canonLessOracle, on sets with equal
+// periods, equal lengths, names that differ only in case or length,
+// and repeated streams, in many input orders.
+func TestCanonicalStreamOrderMatchesOracle(t *testing.T) {
+	table := [][]StreamSpec{
+		{{Name: "b", PeriodMs: 10, LengthBits: 1}, {Name: "a", PeriodMs: 10, LengthBits: 1}, {Name: "", PeriodMs: 10, LengthBits: 1}},
+		{{Name: "x", PeriodMs: 10, LengthBits: 2}, {Name: "x", PeriodMs: 10, LengthBits: 1}, {Name: "y", PeriodMs: 5, LengthBits: 2}},
+		{{Name: "B", PeriodMs: 1, LengthBits: 8}, {Name: "b", PeriodMs: 1, LengthBits: 8}, {Name: "bb", PeriodMs: 1, LengthBits: 8}, {Name: "b", PeriodMs: 1, LengthBits: 8}},
+		{{Name: "z", PeriodMs: 3, LengthBits: 7}, {Name: "z", PeriodMs: 3, LengthBits: 7}, {Name: "a", PeriodMs: 3, LengthBits: 7}, {Name: "m", PeriodMs: 2, LengthBits: 9}, {Name: "m", PeriodMs: 2, LengthBits: 7}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i, streams := range table {
+		for shuffle := 0; shuffle < 50; shuffle++ {
+			in := append([]StreamSpec(nil), streams...)
+			rng.Shuffle(len(in), func(a, b int) { in[a], in[b] = in[b], in[a] })
+			canon, err := AnalyzeRequest{BandwidthMbps: 16, Streams: in}.Canonicalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]StreamSpec(nil), in...)
+			sort.SliceStable(want, func(a, b int) bool { return canonLessOracle(want[a], want[b]) })
+			for k := range want {
+				if canon.Streams[k] != want[k] {
+					t.Fatalf("case %d, input %v: Canonicalize order %v, oracle %v", i, in, canon.Streams, want)
+				}
+			}
 		}
 	}
 }

@@ -147,21 +147,21 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	switch req.Endpoint {
 	case "analyze":
 		var inner AnalyzeRequest
-		if err := unmarshalStrict(req.Request, &inner); err != nil {
+		if _, err := unmarshalStrict(req.Request, &inner); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		s.serveAnalyze(w, r, inner, aliasKey{})
 	case "topology":
 		var inner TopologyRequest
-		if err := unmarshalStrict(req.Request, &inner); err != nil {
+		if _, err := unmarshalStrict(req.Request, &inner); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		s.serveTopology(w, r, inner, aliasKey{})
 	case "sweep":
 		var inner SweepRequest
-		if err := unmarshalStrict(req.Request, &inner); err != nil {
+		if _, err := unmarshalStrict(req.Request, &inner); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -172,8 +172,19 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// unmarshalStrict is decode's body-less twin for embedded payloads.
-func unmarshalStrict(raw []byte, v any) error { return decodeFrom(bytes.NewReader(raw), v) }
+// unmarshalStrict is decodeFrom's twin for a body held whole in memory,
+// and the one decoder behind /v1/analyze, Cache.KeyOf and the peer-fill
+// door. It decodes into a zero v exactly as decodeFrom does: an analyze
+// body inside scanAnalyze's grammar is scanned, and every other input
+// goes through encoding/json. scanned reports which of the two ran.
+func unmarshalStrict(raw []byte, v any) (scanned bool, err error) {
+	if req, ok := v.(*AnalyzeRequest); ok {
+		if *req, scanned = scanAnalyze(raw); scanned {
+			return true, nil
+		}
+	}
+	return false, decodeFrom(bytes.NewReader(raw), v)
+}
 
 // clusterDefaults fills the cluster-specific Config defaults.
 func clusterDefaults(c Config) Config {

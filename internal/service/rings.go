@@ -3,12 +3,14 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"ringsched/internal/resilience"
 	"ringsched/internal/ringstate"
+	"ringsched/internal/rma"
 	"ringsched/internal/trace"
 )
 
@@ -157,6 +159,11 @@ func (s *Server) ringError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ringstate.ErrTooManyRings), errors.Is(err, ringstate.ErrTooManyStreams):
 		writeError(w, http.StatusTooManyRequests,
 			resilience.Errorf(resilience.CodeOverloaded, http.StatusTooManyRequests, "%v", err))
+	case errors.Is(err, rma.ErrBadTask), errors.Is(err, rma.ErrBadBlocking):
+		// The streams passed validation, so a task or blocking term the
+		// kernel refuses overflowed (+Inf on a near-zero bandwidth), as
+		// /v1/analyze reports it.
+		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: analysis out of range: %v", ErrBadRequest, err))
 	default:
 		writeError(w, http.StatusBadRequest, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -356,5 +357,58 @@ func TestRingsLimits(t *testing.T) {
 	resp, b = ringJSON(t, ts.URL, http.MethodPost, "/v1/rings", `{"bandwidthMbps": -1}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad create: %d %s, want 400", resp.StatusCode, b)
+	}
+}
+
+// TestRingOverflowAnswersTyped400 holds /v1/rings to /v1/analyze's answer
+// for magnitudes the analysis cannot represent: a create whose payload is
+// at or past 2^72 bits, or whose cost overflows to +Inf on a near-zero
+// bandwidth, answers 400 bad_request (it used to panic into a 500), and
+// an add or modify carrying such a payload answers 400 and leaves the
+// ring's version and verdicts as they were.
+func TestRingOverflowAnswersTyped400(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	badRequest := func(what string, w interface {
+		Result() *http.Response
+	}, body []byte) {
+		t.Helper()
+		var e errorBody
+		if code := w.Result().StatusCode; code != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Code != "bad_request" {
+			t.Fatalf("%s: %d %s, want 400 code bad_request", what, code, body)
+		}
+	}
+	for _, body := range []string{
+		`{"bandwidthMbps":100,"streams":[{"periodMs":10,"lengthBits":1e308}]}`,
+		`{"bandwidthMbps":1e-300,"streams":[{"periodMs":10,"lengthBits":1e18}]}`,
+	} {
+		w := serve(h, "/v1/rings", body)
+		badRequest("create "+body, w, w.Body.Bytes())
+	}
+
+	w := serve(h, "/v1/rings", ringCreateBody)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	ring := decodeJSON[RingResponse](t, w.Body.Bytes())
+	state := func() []byte {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/rings/"+ring.ID, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("get: %d %s", w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	before := state()
+	edit := `{"expectedVersion": 1, "stream": {"name": "huge", "periodMs": 10, "lengthBits": 1e308}}`
+	w = serve(h, "/v1/rings/"+ring.ID+"/streams", edit)
+	badRequest("add", w, w.Body.Bytes())
+	mod := httptest.NewRecorder()
+	h.ServeHTTP(mod, httptest.NewRequest(http.MethodPut, "/v1/rings/"+ring.ID+"/streams/"+ring.Streams[0].ID, strings.NewReader(edit)))
+	badRequest("modify", mod, mod.Body.Bytes())
+	if after := state(); !bytes.Equal(after, before) {
+		t.Fatalf("refused edits changed the ring:\n%s\nvs\n%s", after, before)
 	}
 }

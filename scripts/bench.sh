@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate a benchmark report. BENCH_PR4.json is the one checked-in
 # baseline: the rate-monotonic kernel and probes, saturation fast vs
-# oracle, FIG1, the simulators, the served analyze path, ring edits, and
-# the observability-plane hot paths (flight-recorder record, audit append).
+# oracle, FIG1, the simulators, the served analyze path and its body
+# scanner, ring edits, and the observability-plane hot paths
+# (flight-recorder record, audit append).
 #
 # Usage:
 #   scripts/bench.sh [out.json]
@@ -24,7 +25,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-$(mktemp "${TMPDIR:-/tmp}/ringsched-bench.XXXXXX")}"
-pattern="${BENCH_PATTERN:-^(BenchmarkRTAReference|BenchmarkWorkspaceProbe|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|Benchmark(PDP|TTP|Reservation)SimSecond|BenchmarkServeAnalyze(Hit|Miss))$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkRTAReference|BenchmarkWorkspaceProbe|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|Benchmark(PDP|TTP|Reservation)SimSecond|BenchmarkServeAnalyze(Hit|Miss)|BenchmarkDecodeAnalyzeScan)$}"
 count="${BENCH_COUNT:-3}"
 benchtime="${BENCH_TIME:-0.5s}"
 
