@@ -176,10 +176,28 @@ func (g Generator) Draw(rng *rand.Rand) (Set, error) {
 			bits = frac * period * refBW
 		}
 		set[i] = Stream{
-			Name:       fmt.Sprintf("S%d", i+1),
+			Name:       streamName(i),
 			Period:     period,
 			LengthBits: bits,
 		}
 	}
 	return set, nil
+}
+
+// streamNames holds the names Draw gives the first streams of a set, S1
+// to S256, so drawing a set of the paper's size allocates no name.
+var streamNames = func() []string {
+	out := make([]string, 256)
+	for i := range out {
+		out[i] = fmt.Sprintf("S%d", i+1)
+	}
+	return out
+}()
+
+// streamName is the name of a drawn set's stream i: "S" and i+1.
+func streamName(i int) string {
+	if i < len(streamNames) {
+		return streamNames[i]
+	}
+	return fmt.Sprintf("S%d", i+1)
 }

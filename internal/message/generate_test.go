@@ -2,6 +2,7 @@ package message
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,5 +202,15 @@ func TestModelStrings(t *testing.T) {
 	}
 	if PeriodModel(99).String() == "" || LengthModel(99).String() == "" {
 		t.Error("unknown model String should be non-empty")
+	}
+}
+
+// TestStreamNamesMatchSprintf: the name table and the Sprintf fallback
+// past it give every drawn stream the name it always had.
+func TestStreamNamesMatchSprintf(t *testing.T) {
+	for i := 0; i < 2*len(streamNames); i++ {
+		if got, want := streamName(i), fmt.Sprintf("S%d", i+1); got != want {
+			t.Fatalf("streamName(%d) = %q, want %q", i, got, want)
+		}
 	}
 }

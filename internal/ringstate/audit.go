@@ -79,10 +79,13 @@ type AuditRecord struct {
 const OpCreate = "create"
 
 // auditLog is the bounded, compacting per-ring record log. It is not
-// self-locking: the owning Ring's mutex guards it.
+// self-locking: the owning Ring's mutex guards it. Once records holds cap
+// entries it is a ring buffer: records[head] is the oldest, and an append
+// overwrites it, so appending is O(1) at any cap.
 type auditLog struct {
 	cap       int
 	records   []AuditRecord
+	head      int
 	baseline  map[uint64]Stream
 	seq       uint64
 	compacted uint64
@@ -99,18 +102,30 @@ func newAuditLog(cap int) *auditLog {
 // initial stream set predates record 1).
 func (a *auditLog) seed(id uint64, s Stream) { a.baseline[id] = s }
 
-// append stores one record, folding the oldest into the baseline when
-// the cap is exceeded.
+// append stores one record; at the cap it folds the oldest into the
+// baseline and takes its slot.
 func (a *auditLog) append(rec AuditRecord) {
 	a.seq++
 	rec.Seq = a.seq
-	if len(a.records) == a.cap {
-		a.fold(a.records[0])
-		// Shift in place; the log is small and bounded.
-		copy(a.records, a.records[1:])
-		a.records = a.records[:len(a.records)-1]
+	if len(a.records) < a.cap {
+		a.records = append(a.records, rec)
+		return
 	}
-	a.records = append(a.records, rec)
+	a.fold(a.records[a.head])
+	a.records[a.head] = rec
+	if a.head++; a.head == len(a.records) {
+		a.head = 0
+	}
+}
+
+// oldestFirst copies the retained records out, oldest first.
+func (a *auditLog) oldestFirst() []AuditRecord {
+	if len(a.records) == 0 {
+		return nil
+	}
+	out := make([]AuditRecord, 0, len(a.records))
+	out = append(out, a.records[a.head:]...)
+	return append(out, a.records[:a.head]...)
 }
 
 // fold applies one evicted record to the baseline so the trail still
@@ -153,7 +168,7 @@ func (r *Ring) History() (History, error) {
 		RingID:    r.id,
 		Version:   r.version,
 		Config:    r.engine.Config(),
-		Records:   append([]AuditRecord(nil), r.audit.records...),
+		Records:   r.audit.oldestFirst(),
 		Compacted: r.audit.compacted,
 	}
 	for id, s := range r.audit.baseline {

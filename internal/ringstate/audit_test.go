@@ -324,6 +324,42 @@ func TestHistoryScriptDump(t *testing.T) {
 	}
 }
 
+// TestAuditRingBufferOrder holds the ring-buffer log to a plain shifting
+// one: after every append, at every fill level and wrap position, the
+// retained records (oldest first), the folded baseline and the counters
+// are the same.
+func TestAuditRingBufferOrder(t *testing.T) {
+	const cap = 5
+	a := newAuditLog(cap)
+	var ref []AuditRecord
+	refBaseline := map[uint64]Stream{}
+	ops := []string{OpAdd, OpModify, OpRemove}
+	for i := 0; i < 4*cap+3; i++ {
+		s := Stream{PeriodMs: float64(i + 1), LengthBits: 1000}
+		rec := AuditRecord{Version: uint64(i + 1), Op: ops[i%3], StreamID: uint64(i % 4), Stream: &s}
+		a.append(rec)
+		rec.Seq = uint64(i + 1)
+		if len(ref) == cap {
+			switch old := ref[0]; old.Op {
+			case OpAdd, OpModify:
+				refBaseline[old.StreamID] = *old.Stream
+			case OpRemove:
+				delete(refBaseline, old.StreamID)
+			}
+			ref = ref[1:]
+		}
+		ref = append(ref, rec)
+		got := a.oldestFirst()
+		if fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("after %d appends: records %v, want %v", i+1, got, ref)
+		}
+		if fmt.Sprint(a.baseline) != fmt.Sprint(refBaseline) || a.compacted != uint64(i+1-len(ref)) || a.seq != uint64(i+1) {
+			t.Fatalf("after %d appends: baseline %v compacted %d seq %d, want %v %d %d",
+				i+1, a.baseline, a.compacted, a.seq, refBaseline, i+1-len(ref), i+1)
+		}
+	}
+}
+
 func BenchmarkAuditAppend(b *testing.B) {
 	a := newAuditLog(DefaultRingAudit)
 	s := Stream{PeriodMs: 10, LengthBits: 8000}

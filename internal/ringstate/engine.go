@@ -1,7 +1,11 @@
 package ringstate
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
+	"strconv"
 
 	"ringsched/internal/core"
 	"ringsched/internal/faults"
@@ -288,8 +292,74 @@ func (e *Engine) applyEdit(sp splice, id uint64) error {
 			e.ttp.applySplice(e, sp)
 		}
 	}
+	from := sp.from()
+	if rebuilt {
+		from = 0
+	}
+	if err := e.checkFinite(from); err != nil {
+		return err
+	}
 	e.buildDelta(sp, id, rebuilt)
 	return nil
+}
+
+// from is the first post-edit canonical index whose stream or verdict the
+// edit can have changed: every stream before it kept its place, and its
+// response time, which depends only on streams of higher priority.
+func (sp splice) from() int {
+	switch sp.op {
+	case OpAdd:
+		return sp.k
+	case OpRemove:
+		return sp.j
+	default:
+		return min(sp.j, sp.k)
+	}
+}
+
+// checkFinite refuses verdicts the wire cannot carry. It walks the numbers
+// Verdicts would report, in the order the service renders them, and
+// returns the first NaN or ±Inf as the *json.UnsupportedValueError
+// encoding/json would give for it, so a ring answers what /v1/analyze
+// answers for the same set. Every accepted edit is checked, so before an
+// edit every number is finite, and only the ring-level numbers and the
+// per-stream ones from index from on can have changed. Overflow the
+// kernel has no error for gets a ring here: costs at a near-zero
+// bandwidth (FDDI's terms, a PDP blocking term), or a response time whose
+// fixpoint overshoots a period of 1e300 s or more to +Inf. An unbounded
+// degraded FDDI allocation is not refused; the service renders it as -1.
+func (e *Engine) checkFinite(from int) error {
+	if len(e.set) == 0 {
+		return nil // an empty ring's verdicts are all zero
+	}
+	for _, proto := range e.cfg.Protocols {
+		var x float64
+		bad := false
+		if proto == ProtocolTTP {
+			x, bad = e.ttp.firstNonFinite(e, from)
+		} else {
+			for _, pe := range e.pdps {
+				if pe.proto == proto {
+					x, bad = pe.firstNonFinite(e, from)
+				}
+			}
+		}
+		if bad {
+			return fmt.Errorf("ringstate: verdicts out of range: %w",
+				&json.UnsupportedValueError{Value: reflect.ValueOf(x), Str: strconv.FormatFloat(x, 'g', -1, 64)})
+		}
+	}
+	return nil
+}
+
+// nonFinite returns the first of xs that is NaN or ±Inf.
+func nonFinite(xs ...float64) (float64, bool) {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return x, true
+		}
+	}
+	return 0, false
 }
 
 // rebuildAll reconstructs every protocol engine from the canonical
@@ -662,6 +732,25 @@ func (pe *pdpEngine) verdict(e *Engine) Verdict {
 	return v
 }
 
+// firstNonFinite returns the first NaN or ±Inf among the numbers verdict
+// reports, in its field order, skipping the streams before index from.
+func (pe *pdpEngine) firstNonFinite(e *Engine, from int) (float64, bool) {
+	if x, bad := nonFinite(e.util, pe.augUtil, pe.rta.Blocking(), pe.p.Net.Theta(), pe.p.Frame.Time(pe.p.Net.BandwidthBPS)); bad {
+		return x, true
+	}
+	if e.fm != nil {
+		if x, bad := nonFinite(pe.budget.Availability, pe.budget.Losses, pe.budget.Recovery, pe.drta.Blocking()); bad {
+			return x, true
+		}
+	}
+	for i := from; i < len(e.set); i++ {
+		if x, bad := nonFinite(e.set[i].Period*1e3, pe.costs[i], pe.rta.ResponseTime(i)); bad {
+			return x, true
+		}
+	}
+	return 0, false
+}
+
 // ---------------------------------------------------------------------------
 // TTP: Theorem 5.1 with O(1) per-stream terms and a re-folded aggregate.
 
@@ -694,6 +783,7 @@ type ttpEngine struct {
 	dtotal float64
 
 	reprobed     int
+	recomputed   bool // the last splice recomputed every clean term
 	oldRingSched bool
 	oldDegSched  bool
 	oldSched     []bool
@@ -816,6 +906,7 @@ func (te *ttpEngine) applySplice(e *Engine, sp splice) {
 	}
 	newTTRT := te.t.SelectTTRT(e.set)
 	ttrtMoved := math.Float64bits(newTTRT) != math.Float64bits(te.ttrt)
+	te.recomputed = ttrtMoved
 	if ttrtMoved {
 		te.ttrt = newTTRT
 		te.capacity = te.ttrt - te.overhead
@@ -926,6 +1017,32 @@ func (te *ttpEngine) verdict(e *Engine) Verdict {
 		}
 	}
 	return v
+}
+
+// firstNonFinite is pdpEngine.firstNonFinite for the FDDI verdict. An
+// edit that moved TTRT recomputed every stream's terms, so all are walked.
+func (te *ttpEngine) firstNonFinite(e *Engine, from int) (float64, bool) {
+	if x, bad := nonFinite(e.util, te.ttrt, te.overhead, te.total, te.capacity); bad {
+		return x, true
+	}
+	if e.fm != nil {
+		dtotal := te.dtotal
+		if math.IsInf(dtotal, 1) {
+			dtotal = -1 // the wire's unbounded Σh
+		}
+		if x, bad := nonFinite(te.avail, dtotal, te.capacity); bad {
+			return x, true
+		}
+	}
+	if te.recomputed {
+		from = 0
+	}
+	for i := from; i < len(e.set); i++ {
+		if x, bad := nonFinite(e.set[i].Period*1e3, te.cAug[i], te.h[i], te.wcr[i]); bad {
+			return x, true
+		}
+	}
+	return 0, false
 }
 
 // Splice helpers shared by the TTP arrays.

@@ -1,10 +1,12 @@
 package ringstate
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"ringsched/internal/rma"
@@ -246,4 +248,145 @@ func TestEngineRefusedEditLeavesStateUnchanged(t *testing.T) {
 			t.Fatalf("%+v: next add got id %d (%v), want %d", cfg, id, err, last+1)
 		}
 	}
+}
+
+// wireNonFinite returns the first NaN or ±Inf a verdict list would put on
+// the wire, walking every float field by reflection in field order; an
+// unbounded degraded allocation is exempt (the service renders it -1).
+func wireNonFinite(v reflect.Value) (float64, bool) {
+	switch v.Kind() {
+	case reflect.Float64:
+		if x := v.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+			return x, true
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return wireNonFinite(v.Elem())
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if x, bad := wireNonFinite(v.Index(i)); bad {
+				return x, true
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if v.Type() == reflect.TypeFor[DegradedVerdict]() && v.Type().Field(i).Name == "TotalAllocation" && math.IsInf(f.Float(), 1) {
+				continue
+			}
+			if x, bad := wireNonFinite(f); bad {
+				return x, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// TestEngineRefusesNonFiniteVerdicts: at near-zero bandwidths an edit can
+// leave verdicts holding +Inf where the kernel has no error to give. The
+// engine refuses exactly the edits whose from-scratch verdicts carry a
+// NaN or ±Inf on the wire, naming the first one as encoding/json would,
+// and a refused add, modify or remove leaves the snapshot, verdicts and
+// next stream ID as they were.
+func TestEngineRefusesNonFiniteVerdicts(t *testing.T) {
+	type state struct {
+		Snapshot []SnapshotStream
+		Verdicts []Verdict
+	}
+	refused, nonFiniteRefused := 0, 0
+	for _, cfg := range []Config{
+		{BandwidthMbps: 1e-300, Protocols: []string{ProtocolTTP}},
+		{BandwidthMbps: 1e-300, Protocols: []string{ProtocolTTP}, FaultSpec: "loss:p=1e-3"},
+		{BandwidthMbps: 1e-310, Protocols: []string{ProtocolModifiedPDP}},
+		{BandwidthMbps: 1e-310},
+		{BandwidthMbps: 1e-290, FaultSpec: "loss:p=1e-3"},
+		{BandwidthMbps: 1, Protocols: []string{ProtocolModifiedPDP}},
+		{BandwidthMbps: 1},
+	} {
+		eng := mustEngine(t, cfg)
+		var mirror []SnapshotStream
+		for step, s := range []Stream{
+			{Name: "one", PeriodMs: 10, LengthBits: 1},
+			{Name: "huge", PeriodMs: 10, LengthBits: 1e18},
+			{Name: "mid", PeriodMs: 20, LengthBits: 1e6},
+			{Name: "fast", PeriodMs: 1e-3, LengthBits: 1e3},
+			// At 1 Mbps every number but the far stream's response time
+			// is finite: the dense stream's demand carries the
+			// fixpoint's first iterate past 1e305 ms to +Inf.
+			{Name: "far", PeriodMs: 1e305, LengthBits: 1},
+			{Name: "dense", PeriodMs: 1, LengthBits: 1e10},
+		} {
+			before := state{eng.Snapshot(), eng.Verdicts()}
+			next := append(append([]SnapshotStream(nil), mirror...), SnapshotStream{ID: eng.nextID, Stream: s})
+			want, werr := FullVerdicts(cfg, next)
+			bad, nonFinite := wireNonFinite(reflect.ValueOf(want))
+			id, _, err := eng.Add(s)
+			switch {
+			case werr != nil || nonFinite:
+				if err == nil {
+					t.Fatalf("%+v step %d: add of %+v accepted, reference %v / non-finite %v", cfg, step, s, werr, bad)
+				}
+				var uve *json.UnsupportedValueError
+				if werr == nil {
+					if !errors.As(err, &uve) || uve.Str != strconv.FormatFloat(bad, 'g', -1, 64) {
+						t.Fatalf("%+v step %d: refusal %v, want json: unsupported value: %v", cfg, step, err, bad)
+					}
+					nonFiniteRefused++
+				}
+				if after := (state{eng.Snapshot(), eng.Verdicts()}); !reflect.DeepEqual(after, before) {
+					t.Fatalf("%+v step %d: refused add changed the engine", cfg, step)
+				}
+				refused++
+			case err != nil:
+				t.Fatalf("%+v step %d: add refused (%v), reference verdicts are finite", cfg, step, err)
+			default:
+				mirror = next
+				if id != next[len(next)-1].ID {
+					t.Fatalf("%+v step %d: id %d, want %d", cfg, step, id, next[len(next)-1].ID)
+				}
+			}
+		}
+		if len(mirror) == 0 {
+			continue
+		}
+		// Modifying the first resident stream to the overflowing payload
+		// and removing it are held to the same rule.
+		first := mirror[0]
+		for _, op := range []string{OpModify, OpRemove} {
+			before := state{eng.Snapshot(), eng.Verdicts()}
+			var next []SnapshotStream
+			for _, m := range mirror {
+				switch {
+				case m.ID != first.ID:
+					next = append(next, m)
+				case op == OpModify:
+					next = append(next, SnapshotStream{ID: m.ID, Stream: Stream{Name: "huge", PeriodMs: 10, LengthBits: 1e18}})
+				}
+			}
+			want, werr := FullVerdicts(cfg, next)
+			_, nonFinite := wireNonFinite(reflect.ValueOf(want))
+			var err error
+			if op == OpModify {
+				_, err = eng.Modify(first.ID, Stream{Name: "huge", PeriodMs: 10, LengthBits: 1e18})
+			} else {
+				_, err = eng.Remove(first.ID)
+			}
+			if refuse := werr != nil || nonFinite; refuse != (err != nil) {
+				t.Fatalf("%+v %s: error %v, reference %v / non-finite %v", cfg, op, err, werr, nonFinite)
+			}
+			if err != nil {
+				if after := (state{eng.Snapshot(), eng.Verdicts()}); !reflect.DeepEqual(after, before) {
+					t.Fatalf("%+v: refused %s changed the engine", cfg, op)
+				}
+				refused++
+				continue
+			}
+			mirror = next
+		}
+	}
+	if refused == 0 || nonFiniteRefused == 0 {
+		t.Fatalf("%d edits refused, %d of them for non-finite verdicts the kernel accepted", refused, nonFiniteRefused)
+	}
+	t.Logf("%d edits refused, %d of them for non-finite verdicts the kernel accepted", refused, nonFiniteRefused)
 }

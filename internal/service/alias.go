@@ -196,12 +196,7 @@ func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, e
 		}
 	}
 	_, dsp := trace.Start(r.Context(), "decode")
-	scanned := false
-	if whole {
-		scanned, err = unmarshalStrict(*buf, &req)
-	} else {
-		err = decodeFrom(io.MultiReader(bytes.NewReader(*buf), r.Body), &req)
-	}
+	scanned, err := decodeRead(*buf, whole, r.Body, &req)
 	if scanned {
 		dsp.SetAttr("decoder", "scan")
 	} else {
@@ -214,6 +209,27 @@ func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, e
 		return req, alias, false
 	}
 	return req, alias, true
+}
+
+// decodeRead decodes a body readBody read into v: a whole body through
+// unmarshalStrict, a longer one as a stream of what was read and the rest.
+func decodeRead(buf []byte, whole bool, rest io.Reader, v any) (scanned bool, err error) {
+	if whole {
+		return unmarshalStrict(buf, v)
+	}
+	return false, decodeFrom(io.MultiReader(bytes.NewReader(buf), rest), v)
+}
+
+// decodeBody reads r's body into a pooled buffer and decodes it into v
+// with decodeRead.
+func decodeBody(r *http.Request, v any) error {
+	buf, whole, err := readBody(r.Body)
+	defer releaseBody(buf)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	_, err = decodeRead(*buf, whole, r.Body, v)
+	return err
 }
 
 // prepare canonicalizes a decoded request and keys it, under the

@@ -276,25 +276,41 @@ type ExperimentsResponse struct {
 // server and the -json CLI modes: two-space-indented JSON with a trailing
 // newline, the bytes json.MarshalIndent plus '\n' gives. Cache entries
 // store exactly these bytes, so a cache hit is bit-identical to the
-// original response. The body is rendered in a pooled encoder and copied
-// out at its exact length, so the cache's byte budget charges what it
-// holds.
+// original response. The three hot response types go through appendBody,
+// which writes them without reflection; anything it declines, and every
+// other type, goes through a pooled json.Encoder. Either way the body is
+// rendered into pooled scratch and copied out at its exact length, so the
+// cache's byte budget charges what it holds.
 func Encode(v any) ([]byte, error) {
+	b, _, err := encode(v)
+	return b, err
+}
+
+// encode is Encode reporting whether appendBody wrote the body.
+func encode(v any) (body []byte, appended bool, err error) {
 	e := encoderPool.Get().(*encoder)
 	defer e.release()
-	if err := e.enc.Encode(v); err != nil {
-		return nil, err
+	if e.out, appended = appendBody(e.out[:0], v); appended {
+		return exactCopy(e.out), true, nil
 	}
-	out := make([]byte, e.buf.Len())
-	copy(out, e.buf.Bytes())
-	return out, nil
+	body, err = e.marshal(v)
+	return body, false, err
+}
+
+// exactCopy copies b into a slice whose capacity is its length.
+func exactCopy(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // encoder is a json.Encoder set up for Encode's form, with the buffer it
-// writes to; both keep their capacity between uses.
+// writes to, and appendBody's scratch; all keep their capacity between
+// uses.
 type encoder struct {
 	buf bytes.Buffer
 	enc *json.Encoder
+	out []byte
 }
 
 var encoderPool = sync.Pool{New: func() any {
@@ -304,10 +320,18 @@ var encoderPool = sync.Pool{New: func() any {
 	return e
 }}
 
+// marshal renders v with encoding/json.
+func (e *encoder) marshal(v any) ([]byte, error) {
+	if err := e.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return exactCopy(e.buf.Bytes()), nil
+}
+
 // release returns the encoder to the pool unless a large body grew it
 // (the encoder's own indent buffer grows with the buffer it fills).
 func (e *encoder) release() {
-	if e.buf.Cap() > maxPooledBuf {
+	if e.buf.Cap() > maxPooledBuf || cap(e.out) > maxPooledBuf {
 		return
 	}
 	e.buf.Reset()
@@ -316,10 +340,17 @@ func (e *encoder) release() {
 
 // encodeTraced is Encode under an "encode" span, so response marshalling
 // shows up as its own stage in traces and the stage-latency histograms.
+// The span's encoder attribute names what wrote the body: "append"
+// (appendBody) or "json" (encoding/json).
 func encodeTraced(ctx context.Context, v any) ([]byte, error) {
 	_, sp := trace.Start(ctx, "encode")
 	defer sp.End()
-	b, err := Encode(v)
+	b, appended, err := encode(v)
+	if appended {
+		sp.SetAttr("encoder", "append")
+	} else {
+		sp.SetAttr("encoder", "json")
+	}
 	sp.SetError(err)
 	return b, err
 }

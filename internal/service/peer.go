@@ -173,15 +173,20 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 }
 
 // unmarshalStrict is decodeFrom's twin for a body held whole in memory,
-// and the one decoder behind /v1/analyze, Cache.KeyOf and the peer-fill
-// door. It decodes into a zero v exactly as decodeFrom does: an analyze
-// body inside scanAnalyze's grammar is scanned, and every other input
-// goes through encoding/json. scanned reports which of the two ran.
+// and the one decoder behind /v1/analyze, Cache.KeyOf, the peer-fill door
+// and ring edits. It decodes into a zero v exactly as decodeFrom does: an
+// analyze body inside scanAnalyze's grammar or a ring edit body inside
+// scanRingEdit's is scanned, and every other input goes through
+// encoding/json. scanned reports which of the two ran.
 func unmarshalStrict(raw []byte, v any) (scanned bool, err error) {
-	if req, ok := v.(*AnalyzeRequest); ok {
-		if *req, scanned = scanAnalyze(raw); scanned {
-			return true, nil
-		}
+	switch req := v.(type) {
+	case *AnalyzeRequest:
+		*req, scanned = scanAnalyze(raw)
+	case *RingEditRequest:
+		*req, scanned = scanRingEdit(raw)
+	}
+	if scanned {
+		return true, nil
 	}
 	return false, decodeFrom(bytes.NewReader(raw), v)
 }

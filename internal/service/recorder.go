@@ -41,15 +41,17 @@ type RequestRecord struct {
 }
 
 // digestKey carries the mutable per-request digest through the handler
-// chain: instrument allocates it, serveCached fills in the canonical key.
+// chain: instrument allocates it with the request's rendered trace ID,
+// serveCached fills in the canonical key.
 type digestCtxKey struct{}
 
 type requestDigest struct {
-	key string
+	key     string
+	traceID string
 }
 
-func withDigest(ctx context.Context) (context.Context, *requestDigest) {
-	d := &requestDigest{}
+func withDigest(ctx context.Context, traceID string) (context.Context, *requestDigest) {
+	d := &requestDigest{traceID: traceID}
 	return context.WithValue(ctx, digestCtxKey{}, d), d
 }
 

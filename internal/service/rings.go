@@ -113,13 +113,13 @@ type RingEditResponse struct {
 }
 
 // editMeta captures the mutating request's identity for the ring audit
-// trail: the root span's trace ID (the same one the response header
-// carries, so a history row links straight into /debug/traces) and the
-// rate-limiter's client key.
+// trail: the root span's trace ID as the middleware rendered it for the
+// response header (so a history row links straight into /debug/traces)
+// and the rate-limiter's client key.
 func editMeta(r *http.Request) ringstate.EditMeta {
 	meta := ringstate.EditMeta{Client: clientKey(r)}
-	if sp := trace.SpanFromContext(r.Context()); sp != nil {
-		meta.TraceID = sp.TraceID().String()
+	if d, ok := r.Context().Value(digestCtxKey{}).(*requestDigest); ok {
+		meta.TraceID = d.traceID
 	}
 	return meta
 }
@@ -142,6 +142,7 @@ func parseRingStreamID(s string) (uint64, bool) {
 // rebase its edit without an extra GET.
 func (s *Server) ringError(w http.ResponseWriter, err error) {
 	var conflict *ringstate.ConflictError
+	var inf *json.UnsupportedValueError
 	switch {
 	case errors.As(err, &conflict):
 		body := errorBody{
@@ -164,6 +165,10 @@ func (s *Server) ringError(w http.ResponseWriter, err error) {
 		// kernel refuses overflowed (+Inf on a near-zero bandwidth), as
 		// /v1/analyze reports it.
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: analysis out of range: %v", ErrBadRequest, err))
+	case errors.As(err, &inf):
+		// The engine refused verdicts holding a number JSON cannot carry,
+		// with the error /v1/analyze meets encoding them.
+		writeError(w, http.StatusBadRequest, resultOutOfRange(inf))
 	default:
 		writeError(w, http.StatusBadRequest, err)
 	}
@@ -267,6 +272,16 @@ func ringResponse(r *ringstate.Ring) (RingResponse, error) {
 	return resp, nil
 }
 
+// yes and no back the optional booleans of a delta, which are only read.
+var yes, no = true, false
+
+func boolPtr(v bool) *bool {
+	if v {
+		return &yes
+	}
+	return &no
+}
+
 // ringDeltas converts an engine delta to the wire shape.
 func ringDeltas(d *ringstate.Delta) []RingProtocolDelta {
 	out := make([]RingProtocolDelta, len(d.Protocols))
@@ -278,13 +293,11 @@ func ringDeltas(d *ringstate.Delta) []RingProtocolDelta {
 			Schedulable:    pd.Schedulable,
 		}
 		if pd.HasDegraded {
-			was, now := pd.DegradedWasSchedulable, pd.DegradedSchedulable
-			out[i].DegradedWasSchedulable = &was
-			out[i].DegradedSchedulable = &now
+			out[i].DegradedWasSchedulable = boolPtr(pd.DegradedWasSchedulable)
+			out[i].DegradedSchedulable = boolPtr(pd.DegradedSchedulable)
 		}
 		if d.Op != ringstate.OpRemove {
-			ok := pd.EditedSchedulable
-			out[i].EditedSchedulable = &ok
+			out[i].EditedSchedulable = boolPtr(pd.EditedSchedulable)
 		}
 		for _, f := range pd.Flipped {
 			out[i].Flipped = append(out[i].Flipped, RingStreamFlip{
@@ -334,11 +347,11 @@ func (s *Server) handleRings(w http.ResponseWriter, r *http.Request) {
 		}
 		ring, err := s.rings.CreateMeta(cfg, streams, editMeta(r))
 		if err != nil {
-			s.ringEdits.Add(labels("op", "create", "outcome", "error"), 1)
+			s.ringEdits.Add(ringEditLabels[[2]string{ringstate.OpCreate, "error"}], 1)
 			s.ringError(w, err)
 			return
 		}
-		s.ringEdits.Add(labels("op", "create", "outcome", "ok"), 1)
+		s.ringEdits.Add(ringEditLabels[[2]string{ringstate.OpCreate, "ok"}], 1)
 		resp, err := ringResponse(ring)
 		if err != nil {
 			s.ringError(w, err)
@@ -445,11 +458,11 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, ringID strin
 			return
 		}
 		if err := s.rings.Delete(ringID, expected); err != nil {
-			s.ringEdits.Add(labels("op", "delete", "outcome", outcomeFor(err)), 1)
+			s.ringEdits.Add(ringEditLabels[[2]string{"delete", outcomeFor(err)}], 1)
 			s.ringError(w, err)
 			return
 		}
-		s.ringEdits.Add(labels("op", "delete", "outcome", "ok"), 1)
+		s.ringEdits.Add(ringEditLabels[[2]string{"delete", "ok"}], 1)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, errors.New("service: GET or DELETE required"))
@@ -484,6 +497,20 @@ func (s *Server) handleRingHistory(w http.ResponseWriter, r *http.Request, ringI
 	}
 }
 
+// ringEditLabels holds the ringschedd_ring_edits_total label string of
+// every (op, outcome) pair, and reprobeLabels the
+// ringschedd_reprobe_streams one of every edit op, rendered once.
+var ringEditLabels, reprobeLabels = func() (map[[2]string]string, map[string]string) {
+	edits, reprobes := map[[2]string]string{}, map[string]string{}
+	for _, op := range []string{ringstate.OpCreate, ringstate.OpAdd, ringstate.OpModify, ringstate.OpRemove, "delete"} {
+		for _, outcome := range []string{"ok", "conflict", "error"} {
+			edits[[2]string{op, outcome}] = labels("op", op, "outcome", outcome)
+		}
+		reprobes[op] = labels("op", op)
+	}
+	return edits, reprobes
+}()
+
 // outcomeFor labels the edit-counter outcome for a failed mutation.
 func outcomeFor(err error) string {
 	var conflict *ringstate.ConflictError
@@ -510,7 +537,7 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 		expected = v
 	} else {
 		var req RingEditRequest
-		if err := decode(r, &req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -544,7 +571,7 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 	if err != nil {
 		sp.SetError(err)
 		sp.End()
-		s.ringEdits.Add(labels("op", op, "outcome", outcomeFor(err)), 1)
+		s.ringEdits.Add(ringEditLabels[[2]string{op, outcomeFor(err)}], 1)
 		s.ringError(w, err)
 		return
 	}
@@ -557,8 +584,8 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 	rsp.SetAttr("streams", delta.Reprobed)
 	rsp.End()
 	sp.End()
-	s.ringEdits.Add(labels("op", op, "outcome", "ok"), 1)
-	s.reprobeStreams.Observe(labels("op", op), float64(delta.Reprobed))
+	s.ringEdits.Add(ringEditLabels[[2]string{op, "ok"}], 1)
+	s.reprobeStreams.Observe(reprobeLabels[op], float64(delta.Reprobed))
 
 	s.writeRingJSON(w, http.StatusOK, RingEditResponse{
 		RingID:   ringID,

@@ -37,7 +37,7 @@ func ringJSON(t *testing.T, ts string, method, path, body string) (*http.Respons
 	return resp, b
 }
 
-func decodeJSON[T any](t *testing.T, b []byte) T {
+func decodeJSON[T any](t testing.TB, b []byte) T {
 	t.Helper()
 	var v T
 	if err := json.Unmarshal(b, &v); err != nil {
@@ -411,4 +411,166 @@ func TestRingOverflowAnswersTyped400(t *testing.T) {
 	if after := state(); !bytes.Equal(after, before) {
 		t.Fatalf("refused edits changed the ring:\n%s\nvs\n%s", after, before)
 	}
+}
+
+// TestRingNonFiniteVerdictsAnswer400: a ring whose verdicts would hold a
+// number JSON cannot carry (+Inf at a near-zero bandwidth) is refused
+// with the 400 /v1/analyze gives the same set, byte for byte. A refused
+// create stores no ring; a refused add or modify leaves the version,
+// verdicts and audit trail as they were, and the ring still reads 200.
+func TestRingNonFiniteVerdictsAnswer400(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	get := func(path string) []byte {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	send := func(method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w
+	}
+	const refusal = `{"error":"service: bad request: analysis result out of range: json: unsupported value: +Inf","code":"bad_request"}` + "\n"
+	for _, body := range []string{
+		`{"protocols":["fddi"],"bandwidthMbps":1e-300,"streams":[{"periodMs":10,"lengthBits":1e18}]}`,
+		`{"protocols":["modified-802.5"],"bandwidthMbps":1e-310,"streams":[{"periodMs":10,"lengthBits":1}]}`,
+		// Finite everywhere but one response time, which the dense
+		// stream's demand carries past 1e308 s.
+		`{"protocols":["modified-802.5"],"bandwidthMbps":1,"streams":[{"periodMs":1e305,"lengthBits":1},{"periodMs":1,"lengthBits":1e10}]}`,
+	} {
+		analyze := serve(h, "/v1/analyze", strings.Replace(body, "{", `{"detail":true,`, 1))
+		create := serve(h, "/v1/rings", body)
+		if create.Code != http.StatusBadRequest || create.Body.String() != refusal ||
+			analyze.Code != create.Code || analyze.Body.String() != create.Body.String() {
+			t.Fatalf("%s: create %d %s, analyze %d %s", body, create.Code, create.Body, analyze.Code, analyze.Body)
+		}
+	}
+	if list := decodeJSON[RingListResponse](t, get("/v1/rings")); len(list.Rings) != 0 {
+		t.Fatalf("refused creates left rings: %+v", list.Rings)
+	}
+
+	for _, tc := range []struct{ create, method, path string }{
+		{`{"protocols":["fddi"],"bandwidthMbps":1e-300}`, http.MethodPost, "/streams"},
+		{`{"protocols":["fddi"],"bandwidthMbps":1e-300,"streams":[{"periodMs":10,"lengthBits":1}]}`, http.MethodPut, "/streams/s1"},
+	} {
+		w := serve(h, "/v1/rings", tc.create)
+		if w.Code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", tc.create, w.Code, w.Body)
+		}
+		id := decodeJSON[RingResponse](t, w.Body.Bytes()).ID
+		before, history := get("/v1/rings/"+id), get("/v1/rings/"+id+"/history")
+		w = send(tc.method, "/v1/rings/"+id+tc.path, `{"expectedVersion":1,"stream":{"periodMs":10,"lengthBits":1e18}}`)
+		if w.Code != http.StatusBadRequest || w.Body.String() != refusal {
+			t.Fatalf("%s %s: %d %s, want %s", tc.method, tc.path, w.Code, w.Body, refusal)
+		}
+		if after := get("/v1/rings/" + id); !bytes.Equal(after, before) {
+			t.Fatalf("refused %s changed the ring:\n%s\nvs\n%s", tc.method, after, before)
+		}
+		if after := get("/v1/rings/" + id + "/history"); !bytes.Equal(after, history) {
+			t.Fatalf("refused %s changed the history:\n%s\nvs\n%s", tc.method, after, history)
+		}
+	}
+}
+
+// FuzzRingsHTTP drives /v1/rings at the HTTP boundary. Each input is a
+// create body and two edit bodies, sent to one Server as a create (or,
+// when it is refused, a create of a fixed ring), an add, a modify of the
+// ring's first stream and a remove of it, and:
+//   - every answer is a 2xx or a typed 4xx (a JSON error body with a
+//     code), never a 5xx;
+//   - every 2xx JSON body equals json.MarshalIndent plus '\n' of itself
+//     decoded into its response type;
+//   - a GET of the ring answers 200 after every step.
+func FuzzRingsHTTP(f *testing.F) {
+	for _, seed := range [][3]string{
+		{ringCreateBody, `{"expectedVersion":1,"stream":{"name":"bulk","periodMs":500,"lengthBits":2048}}`,
+			`{"stream":{"name":"gyro","periodMs":12,"lengthBits":4096}}`},
+		{`{"protocols":["fddi"],"bandwidthMbps":1e-300,"streams":[{"periodMs":10,"lengthBits":1e18}]}`,
+			`{"stream":{"periodMs":10,"lengthBits":1e18}}`, `{"stream":{"periodMs":10,"lengthBits":1e18}}`},
+		{`{"protocols":["modified-802.5"],"bandwidthMbps":1e-310,"streams":[{"periodMs":10,"lengthBits":1}]}`,
+			`{"stream":{"periodMs":10,"lengthBits":1}}`, `{"expectedVersion":2,"stream":{"periodMs":1e-300,"lengthBits":1e-300}}`},
+		{`{"protocols":["fddi"],"bandwidthMbps":1e-300}`, `{"expectedVersion":1,"stream":{"periodMs":10,"lengthBits":1e18}}`,
+			`{"stream":{"periodMs":10,"lengthBits":1}}`},
+		{`{"bandwidthMbps":1e6,"streams":[{"periodMs":10,"lengthBits":4096}]}`,
+			`{"stream":{"periodMs":1E+6,"lengthBits":1e6}}`, `{"expectedVersion":1e3,"stream":{"periodMs":10,"lengthBits":1}}`},
+		{`{"bandwidthMbps":1E+6,"faultModel":"loss:p=1e-3","streams":[{"name":"<&>","periodMs":10,"lengthBits":4096}]}`,
+			`{"stream":{"name":"gyró","periodMs":20,"lengthBits":2048}}`, `{"stream":{"name":"a\"bA\\","periodMs":5,"lengthBits":1e-300}}`},
+		{`{"bandwidthMbps":1e-300,"scenario":"degraded","streams":[{"name":"<","periodMs":1e300,"lengthBits":4096}]}`,
+			`{"stream":{"name":"é","periodMs":1e-300,"lengthBits":1}}`, `{"stream":{"periodMs":10,"lengthBits":1e308}}`},
+		{`{"bandwidthMbps":100,"streams":[{"periodMs":10,"lengthBits":4096}]}`, `not json`, `{"expectedVersion":18446744073709551615}`},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	do := func(t *testing.T, method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if w.Code >= 200 && w.Code < 300 {
+			return w
+		}
+		var e errorBody
+		if w.Code >= 500 || w.Code < 400 || json.Unmarshal(w.Body.Bytes(), &e) != nil || e.Code == "" {
+			t.Fatalf("%s %s %q: %d %s, want a 2xx or a typed 4xx", method, path, body, w.Code, w.Body)
+		}
+		return w
+	}
+	canonical := func(t *testing.T, w *httptest.ResponseRecorder, v any) {
+		t.Helper()
+		if err := json.Unmarshal(w.Body.Bytes(), v); err != nil {
+			t.Fatalf("2xx body does not decode: %v\n%s", err, w.Body)
+		}
+		want, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("2xx body is not MarshalIndent of itself:\n%s\nvs\n%s", w.Body, want)
+		}
+	}
+	f.Fuzz(func(t *testing.T, create, add, modify string) {
+		w := do(t, http.MethodPost, "/v1/rings", create)
+		if w.Code != http.StatusCreated {
+			w = do(t, http.MethodPost, "/v1/rings", ringCreateBody)
+		}
+		var ring RingResponse
+		canonical(t, w, &ring)
+		base := "/v1/rings/" + ring.ID
+		defer do(t, http.MethodDelete, base, "")
+		check := func() {
+			t.Helper()
+			w := do(t, http.MethodGet, base, "")
+			if w.Code != http.StatusOK {
+				t.Fatalf("GET %s: %d %s", base, w.Code, w.Body)
+			}
+			canonical(t, w, &RingResponse{})
+		}
+		check()
+		if w := do(t, http.MethodPost, base+"/streams", add); w.Code == http.StatusOK {
+			canonical(t, w, &RingEditResponse{})
+		}
+		check()
+		w = do(t, http.MethodGet, base, "")
+		var now RingResponse
+		canonical(t, w, &now)
+		if len(now.Streams) == 0 {
+			return
+		}
+		sid := base + "/streams/" + now.Streams[0].ID
+		if w := do(t, http.MethodPut, sid, modify); w.Code == http.StatusOK {
+			canonical(t, w, &RingEditResponse{})
+		}
+		check()
+		if w := do(t, http.MethodDelete, sid, ""); w.Code == http.StatusOK {
+			canonical(t, w, &RingEditResponse{})
+		}
+		check()
+	})
 }

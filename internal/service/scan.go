@@ -83,7 +83,42 @@ func scanAnalyze(body []byte) (req AnalyzeRequest, ok bool) {
 	return req, true
 }
 
-// scanner is scanAnalyze's cursor: src[i:] is what is left to read.
+// scanRingEdit decodes a ring add or modify body the way scanAnalyze
+// decodes an analyze body: one pass, no reflection, and a grammar that is
+// a strict subset of decodeFrom's, so an accepted body decodes to exactly
+// the RingEditRequest decodeFrom builds. It accepts one object keyed by
+// expectedVersion and stream, each at most once; expectedVersion is a JSON
+// integer 0|[1-9][0-9]* that strconv.ParseUint(·, 10, 64) accepts, and
+// stream is scanAnalyze's stream object. Everything else (a fraction or an
+// exponent such as 1e3, a sign, a value past 2⁶⁴−1, null, an unknown key)
+// makes ok false, and the caller decodes with decodeFrom.
+func scanRingEdit(body []byte) (req RingEditRequest, ok bool) {
+	s := scanner{src: string(body)}
+	var seen uint8 // as in scanAnalyze
+	ok = s.object(func(key string) bool {
+		var bit uint8
+		var ok bool
+		switch key {
+		case "expectedVersion":
+			bit = 1 << 0
+			req.ExpectedVersion, ok = s.uint()
+		case "stream":
+			bit = 1 << 1
+			req.Stream, ok = s.stream()
+		}
+		if seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return ok
+	})
+	if !ok {
+		return RingEditRequest{}, false
+	}
+	return req, true
+}
+
+// scanner is the scanners' cursor: src[i:] is what is left to read.
 type scanner struct {
 	src string
 	i   int
@@ -158,34 +193,38 @@ func (s *scanner) streams() ([]StreamSpec, bool) {
 	var buf [100]StreamSpec
 	out := buf[:0]
 	ok := s.array(func() bool {
-		var st StreamSpec
-		var seen uint8 // as in scanAnalyze
-		if !s.object(func(key string) bool {
-			var bit uint8
-			var ok bool
-			switch key {
-			case "name":
-				bit = 1 << 0
-				st.Name, ok = s.str()
-			case "periodMs":
-				bit = 1 << 1
-				st.PeriodMs, ok = s.num()
-			case "lengthBits":
-				bit = 1 << 2
-				st.LengthBits, ok = s.num()
-			}
-			if seen&bit != 0 {
-				return false
-			}
-			seen |= bit
-			return ok
-		}) {
-			return false
-		}
+		st, ok := s.stream()
 		out = append(out, st)
-		return true
+		return ok
 	})
 	return append([]StreamSpec{}, out...), ok
+}
+
+// stream scans one stream object keyed by name, periodMs and lengthBits,
+// each at most once.
+func (s *scanner) stream() (st StreamSpec, ok bool) {
+	var seen uint8 // as in scanAnalyze
+	ok = s.object(func(key string) bool {
+		var bit uint8
+		var ok bool
+		switch key {
+		case "name":
+			bit = 1 << 0
+			st.Name, ok = s.str()
+		case "periodMs":
+			bit = 1 << 1
+			st.PeriodMs, ok = s.num()
+		case "lengthBits":
+			bit = 1 << 2
+			st.LengthBits, ok = s.num()
+		}
+		if seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return ok
+	})
+	return st, ok
 }
 
 // str scans a string of printable ASCII with no backslash.
@@ -237,6 +276,23 @@ func (s *scanner) num() (float64, bool) {
 	}
 	f, err := strconv.ParseFloat(s.src[start:s.i], 64)
 	return f, err == nil
+}
+
+// uint scans a JSON integer 0|[1-9][0-9]* and parses it as encoding/json
+// parses a uint64 field.
+func (s *scanner) uint() (uint64, bool) {
+	s.space()
+	start := s.i
+	if s.at('0') {
+		s.i++
+	} else if !s.digits() {
+		return 0, false
+	}
+	if s.at('.') || s.at('e') || s.at('E') {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(s.src[start:s.i], 10, 64)
+	return v, err == nil
 }
 
 // at reports whether the next byte is c.

@@ -11,14 +11,21 @@ import (
 // show renders a decoded request exactly: %#v tells a nil slice from an
 // empty one and prints each float in the shortest form that round-trips,
 // so two renderings are equal iff the requests are identical.
-func show(r AnalyzeRequest) string { return fmt.Sprintf("%#v", r) }
+func show(r any) string { return fmt.Sprintf("%#v", r) }
 
-// checkDecode holds unmarshalStrict to decodeFrom on one body: the same
-// error text, the same request, and the scanner never accepting a body
-// encoding/json refuses. It returns whether the scanner ran.
+// checkDecode holds unmarshalStrict to decodeFrom on one analyze body.
 func checkDecode(t *testing.T, body []byte) bool {
 	t.Helper()
-	var want, got AnalyzeRequest
+	return checkStrict[AnalyzeRequest](t, body)
+}
+
+// checkStrict holds unmarshalStrict to decodeFrom on one body decoded as
+// a T: the same error text, the same request, and the scanner never
+// accepting a body encoding/json refuses. It returns whether the scanner
+// ran.
+func checkStrict[T any](t *testing.T, body []byte) bool {
+	t.Helper()
+	var want, got T
 	werr := decodeFrom(bytes.NewReader(body), &want)
 	scanned, gerr := unmarshalStrict(body, &got)
 	if scanned && werr != nil {
@@ -242,6 +249,90 @@ func FuzzAnalyzeScanner(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !checkDecode(t, again) {
+			t.Fatalf("scanner declined json.Marshal output %s", again)
+		}
+	})
+}
+
+// editDeclines are ring edit bodies outside scanRingEdit's grammar.
+var editDeclines = []string{
+	`{"expectedVersion":1e3,"stream":{"periodMs":10,"lengthBits":1}}`,
+	`{"expectedVersion":1E3}`,
+	`{"expectedVersion":1.0}`,
+	`{"expectedVersion":1.5}`,
+	`{"expectedVersion":-1}`,
+	`{"expectedVersion":-0}`,
+	`{"expectedVersion":01}`,
+	`{"expectedVersion":+1}`,
+	`{"expectedVersion":18446744073709551616}`,
+	`{"expectedVersion":99999999999999999999999}`,
+	`{"expectedVersion":"1"}`,
+	`{"expectedVersion":null}`,
+	`{"expectedVersion":true}`,
+	`{"expectedVersion":1,"expectedVersion":2}`,
+	`{"ExpectedVersion":1}`,
+	`{"expectedversion":1}`,
+	`{"stream":null}`,
+	`{"stream":[]}`,
+	`{"stream":{"periodMs":10},"stream":{"lengthBits":1}}`,
+	`{"stream":{"periodMs":10,"PeriodMs":20}}`,
+	`{"stream":{"name":"é","periodMs":10,"lengthBits":1}}`,
+	`{"stream":{"name":"a\"b"}}`,
+	`{"stream":{"periodMs":1.}}`,
+	`{"stream":{"periodMs":10,"prio":1}}`,
+	`{"bogus":1}`,
+	`{"expectedVersion":1,}`,
+	`{"expectedVersion":1`,
+	`[]`,
+	`null`,
+	``,
+}
+
+// editAccepts are ring edit bodies inside the grammar, corners included.
+var editAccepts = []string{
+	`{}`,
+	`{"stream":{}}`,
+	`{"expectedVersion":0}`,
+	`{"expectedVersion":18446744073709551615}`,
+	`{"expectedVersion": 7, "stream": {"name": "bulk", "periodMs": 500, "lengthBits": 2048}}`,
+	" \n{ \"stream\" : { \"lengthBits\" : 1E+6 , \"periodMs\":-0 } , \"expectedVersion\" : 12 } trailing",
+	`{"stream":{"name":"<&>","periodMs":1e-300,"lengthBits":1e18}}`,
+}
+
+func TestScanRingEditMatchesEncodingJSON(t *testing.T) {
+	for _, body := range editDeclines {
+		if _, ok := scanRingEdit([]byte(body)); ok {
+			t.Errorf("scanner accepted %q", body)
+		}
+		checkStrict[RingEditRequest](t, []byte(body))
+	}
+	for _, body := range editAccepts {
+		if !checkStrict[RingEditRequest](t, []byte(body)) {
+			t.Errorf("scanner declined %q", body)
+		}
+	}
+}
+
+// FuzzRingEditScanner holds scanRingEdit to FuzzAnalyzeScanner's contract
+// for ring add and modify bodies: unmarshalStrict answers what decodeFrom
+// answers (the same error text, or the same request), the scanner never
+// accepts a body encoding/json refuses, and json.Marshal of any decoded
+// request with a marshal-safe name scans.
+func FuzzRingEditScanner(f *testing.F) {
+	for _, body := range append(append([]string{}, editDeclines...), editAccepts...) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		checkStrict[RingEditRequest](t, []byte(body))
+		var req RingEditRequest
+		if decodeFrom(strings.NewReader(body), &req) != nil || !marshalSafe(AnalyzeRequest{Streams: []StreamSpec{req.Stream}}) {
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkStrict[RingEditRequest](t, again) {
 			t.Fatalf("scanner declined json.Marshal output %s", again)
 		}
 	})

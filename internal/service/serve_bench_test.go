@@ -61,7 +61,7 @@ func benchAnalyzeBody(tb testing.TB, n int, bw float64) []byte {
 	return body
 }
 
-// benchServer posts bodies to /v1/analyze on one Server through a single
+// benchServer sends bodies to one route of one Server through a single
 // reused request, writer and body reader.
 type benchServer struct {
 	h   http.Handler
@@ -70,8 +70,8 @@ type benchServer struct {
 	req *http.Request
 }
 
-func newBenchServer(tb testing.TB, s *Server) *benchServer {
-	req, err := http.NewRequest(http.MethodPost, "/v1/analyze", nil)
+func newBenchServer(tb testing.TB, s *Server, method, path string) *benchServer {
+	req, err := http.NewRequest(method, path, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func (bs *benchServer) post(tb testing.TB, body []byte, wantCache string) {
 	bs.w.code, bs.w.n = 0, 0
 	bs.h.ServeHTTP(&bs.w, bs.req)
 	if bs.w.code != http.StatusOK || bs.w.h.Get("X-Cache") != wantCache {
-		tb.Fatalf("status %d, X-Cache %q, want 200 %s", bs.w.code, bs.w.h.Get("X-Cache"), wantCache)
+		tb.Fatalf("status %d, X-Cache %q, want 200 %q", bs.w.code, bs.w.h.Get("X-Cache"), wantCache)
 	}
 }
 
@@ -98,7 +98,7 @@ func (bs *benchServer) post(tb testing.TB, body []byte, wantCache string) {
 func BenchmarkServeAnalyzeHit(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()
-	bs := newBenchServer(b, s)
+	bs := newBenchServer(b, s, http.MethodPost, "/v1/analyze")
 	body := benchAnalyzeBody(b, 55, 100)
 	bs.post(b, body, "miss")
 	b.ReportAllocs()
@@ -115,7 +115,7 @@ func BenchmarkServeAnalyzeHit(b *testing.B) {
 func BenchmarkServeAnalyzeMiss(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()
-	bs := newBenchServer(b, s)
+	bs := newBenchServer(b, s, http.MethodPost, "/v1/analyze")
 	base := benchAnalyzeBody(b, 55, 100)
 	var req AnalyzeRequest
 	if err := json.Unmarshal(base, &req); err != nil {
@@ -134,5 +134,45 @@ func BenchmarkServeAnalyzeMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bs.post(b, bodies[i], "miss")
+	}
+}
+
+// BenchmarkServeRingEdit serves one modify per op on a resident 32-stream
+// ring at 16 Mbps: body read and scan, the CAS edit's incremental
+// analysis on all three protocols, the audit append and the response
+// encode. The modify moves a mid-priority stream between two periods, so
+// every op re-probes the same suffix; each body names the version it
+// expects.
+func BenchmarkServeRingEdit(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	var req AnalyzeRequest
+	if err := json.Unmarshal(benchAnalyzeBody(b, 32, 16), &req); err != nil {
+		b.Fatal(err)
+	}
+	create, err := json.Marshal(RingCreateRequest{BandwidthMbps: req.BandwidthMbps, Streams: req.Streams})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := serve(s.Handler(), "/v1/rings", string(create))
+	if w.Code != http.StatusCreated {
+		b.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	ring := decodeJSON[RingResponse](b, w.Body.Bytes())
+	mid := ring.Streams[16]
+	bs := newBenchServer(b, s, http.MethodPut, "/v1/rings/"+ring.ID+"/streams/"+mid.ID)
+	bodies := make([][]byte, b.N)
+	for i := range bodies {
+		edit := RingEditRequest{ExpectedVersion: ring.Version + uint64(i), Stream: StreamSpec{
+			Name: mid.Name, PeriodMs: mid.PeriodMs * (1 + float64(i%2)/64), LengthBits: mid.LengthBits,
+		}}
+		if bodies[i], err = json.Marshal(edit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bs.post(b, bodies[i], "")
 	}
 }

@@ -204,6 +204,61 @@ var stageForSpan = map[string]string{
 	"encode":       "encode",
 }
 
+// stageLabels holds the rendered stage label of each span in stageForSpan.
+var stageLabels = func() map[string]string {
+	out := make(map[string]string, len(stageForSpan))
+	for span, stage := range stageForSpan {
+		out[span] = labels("stage", stage)
+	}
+	return out
+}()
+
+// statusesWritten are the statuses the handlers and middleware write; an
+// endpoint's (code, endpoint) label strings are rendered for these once.
+var statusesWritten = []int{
+	http.StatusOK, http.StatusCreated, http.StatusNoContent,
+	http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusConflict,
+	http.StatusRequestEntityTooLarge, http.StatusTooManyRequests,
+	http.StatusInternalServerError, http.StatusServiceUnavailable, http.StatusGatewayTimeout,
+}
+
+// endpointLabels are one endpoint's metric label strings, rendered when
+// the endpoint is registered so a request builds none: its endpoint
+// label, its (code, endpoint) pair for every status in statusesWritten
+// and its (class, endpoint) pair for every SLO class. A status outside
+// the table (one the chaos middleware injects, say) is rendered when it
+// occurs.
+type endpointLabels struct {
+	name     string
+	endpoint string
+	codes    map[int]string
+	classes  map[string]string
+}
+
+func newEndpointLabels(endpoint string) *endpointLabels {
+	l := &endpointLabels{
+		name:     endpoint,
+		endpoint: labels("endpoint", endpoint),
+		codes:    make(map[int]string, len(statusesWritten)),
+		classes:  make(map[string]string, 3),
+	}
+	for _, code := range statusesWritten {
+		l.codes[code] = labels("code", strconv.Itoa(code), "endpoint", endpoint)
+	}
+	for _, class := range []string{"good", "slow", "error"} {
+		l.classes[class] = labels("class", class, "endpoint", endpoint)
+	}
+	return l
+}
+
+// code returns the (code, endpoint) label string.
+func (l *endpointLabels) code(code int) string {
+	if s, ok := l.codes[code]; ok {
+		return s
+	}
+	return labels("code", strconv.Itoa(code), "endpoint", l.name)
+}
+
 // New builds a Server ready to serve.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -249,8 +304,8 @@ func New(cfg Config) *Server {
 		s.chaos.OnInject = func(kind string) { s.chaosInj.Add(labels("kind", kind), 1) }
 	}
 	stageSink := trace.SinkFunc(func(rec trace.Record) {
-		if stage, ok := stageForSpan[rec.Name]; ok {
-			s.stages.Observe(labels("stage", stage), rec.DurationUS/1e6)
+		if stage, ok := stageLabels[rec.Name]; ok {
+			s.stages.Observe(stage, rec.DurationUS/1e6)
 		}
 	})
 	s.tracer = trace.New(trace.Tee(s.spans, stageSink, cfg.TraceSink))
@@ -366,6 +421,7 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 	// request context (deadline included) and pay the same metrics as
 	// real responses; a nil/disabled chaos is a free passthrough.
 	inner := s.chaos.Wrap(http.HandlerFunc(h))
+	lbl := newEndpointLabels(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
@@ -380,24 +436,25 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 		if idErr != nil {
 			sp.SetAttr("badTraceHeader", true)
 		}
-		sw.Header().Set("X-Ringsched-Trace", sp.TraceID().String())
-		ctx, dig := withDigest(ctx)
+		traceID := sp.TraceID().String()
+		sw.Header().Set("X-Ringsched-Trace", traceID)
+		ctx, dig := withDigest(ctx, traceID)
 
 		defer func() {
 			s.inflight.Add(-1)
 			elapsed := time.Since(start)
-			s.requests.Add(labels("code", strconv.Itoa(sw.code), "endpoint", endpoint), 1)
-			s.latency.Observe(labels("endpoint", endpoint), elapsed.Seconds())
-			traceID := sp.TraceID().String()
-			s.slo.Add(labels("class", sloClass(sw.code, elapsed, s.cfg.SlowThreshold), "endpoint", endpoint), 1)
+			s.requests.Add(lbl.code(sw.code), 1)
+			s.latency.Observe(lbl.endpoint, elapsed.Seconds())
+			s.slo.Add(lbl.classes[sloClass(sw.code, elapsed, s.cfg.SlowThreshold)], 1)
 			s.exemplars.Observe(endpoint, traceID, elapsed.Seconds())
+			cache := sw.Header().Get("X-Cache")
 			s.recorder.Record(RequestRecord{
 				Time:      start,
 				Method:    r.Method,
 				Endpoint:  endpoint,
 				Key:       dig.key,
 				Code:      sw.code,
-				Cache:     sw.Header().Get("X-Cache"),
+				Cache:     cache,
 				LatencyMs: float64(elapsed) / float64(time.Millisecond),
 				TraceID:   traceID,
 			})
@@ -408,7 +465,7 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 				slog.String("method", r.Method),
 				slog.Int("code", sw.code),
 				slog.Duration("elapsed", elapsed),
-				slog.String("cache", sw.Header().Get("X-Cache")))
+				slog.String("cache", cache))
 		}()
 		// Registered after the metrics defer so it runs first (LIFO): it
 		// converts the panic into a 500 and the metrics/log record above
@@ -425,7 +482,7 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 				sw.code = http.StatusServiceUnavailable
 				panic(p)
 			}
-			s.panics.Add(labels("endpoint", endpoint), 1)
+			s.panics.Add(lbl.endpoint, 1)
 			sp.SetError(fmt.Errorf("panic: %v", p))
 			s.logger.LogAttrs(ctx, slog.LevelError, "panic",
 				slog.String("endpoint", endpoint), slog.String("value", fmt.Sprint(p)))
@@ -443,7 +500,7 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 		}
 		if s.limiter != nil && !peerExempt {
 			if ok, retryAfter := s.limiter.Allow(clientKey(r), time.Now()); !ok {
-				s.ratelimited.Add(labels("endpoint", endpoint), 1)
+				s.ratelimited.Add(lbl.endpoint, 1)
 				writeError(sw, http.StatusTooManyRequests,
 					resilience.ErrRateLimited.WithRetryAfter(retryAfter))
 				return
@@ -730,15 +787,19 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req Analyz
 			s.verdicts.Add(labels("protocol", v.Protocol, "schedulable", strconv.FormatBool(v.Schedulable)), 1)
 		}
 		body, err := encodeTraced(ctx, resp)
-		var inf *json.UnsupportedValueError
-		if errors.As(err, &inf) {
-			// A value that overflowed to ±Inf (a response time past
-			// 1e308 s, say) has no JSON form; the inputs' magnitudes put
-			// it there.
-			err = fmt.Errorf("%w: analysis result out of range: %v", ErrBadRequest, err)
-		}
-		return body, err
+		return body, resultOutOfRange(err)
 	})
+}
+
+// resultOutOfRange maps a result with no JSON form to the typed 400: a
+// value that overflowed to ±Inf (a response time past 1e308 s, say) was
+// put there by the inputs' magnitudes. Other errors pass through.
+func resultOutOfRange(err error) error {
+	var inf *json.UnsupportedValueError
+	if errors.As(err, &inf) {
+		return fmt.Errorf("%w: analysis result out of range: %v", ErrBadRequest, inf)
+	}
+	return err
 }
 
 // handleTopology serves /v1/topology/analyze through the same

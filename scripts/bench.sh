@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate a benchmark report. BENCH_PR4.json is the one checked-in
 # baseline: the rate-monotonic kernel and probes, saturation fast vs
-# oracle, FIG1, the simulators, the served analyze path and its body
-# scanner, ring edits, and the observability-plane hot paths
-# (flight-recorder record, audit append).
+# oracle, FIG1, the simulators, the served analyze path with its body
+# scanner and response writer, ring edits in the engine and served, and
+# the observability-plane hot paths (flight-recorder record, audit
+# append).
 #
 # Usage:
 #   scripts/bench.sh [out.json]
@@ -25,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-$(mktemp "${TMPDIR:-/tmp}/ringsched-bench.XXXXXX")}"
-pattern="${BENCH_PATTERN:-^(BenchmarkRTAReference|BenchmarkWorkspaceProbe|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|Benchmark(PDP|TTP|Reservation)SimSecond|BenchmarkServeAnalyze(Hit|Miss)|BenchmarkDecodeAnalyzeScan)$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkRTAReference|BenchmarkWorkspaceProbe|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|Benchmark(PDP|TTP|Reservation)SimSecond|BenchmarkServeAnalyze(Hit|Miss)|BenchmarkServeRingEdit|BenchmarkDecodeAnalyzeScan|BenchmarkEncodeAnalyzeResponse)$}"
 count="${BENCH_COUNT:-3}"
 benchtime="${BENCH_TIME:-0.5s}"
 
