@@ -35,8 +35,8 @@ import (
 	"strings"
 
 	"ringsched/internal/cli"
-	"ringsched/internal/faults"
 	"ringsched/internal/ringstate"
+	"ringsched/internal/wire"
 	"ringsched/ringschedclient"
 )
 
@@ -56,7 +56,7 @@ remove telemetry
 type edit struct {
 	op     string
 	name   string
-	stream ringstate.Stream
+	stream wire.StreamSpec
 	line   int
 }
 
@@ -81,7 +81,7 @@ func parseScript(r io.Reader) ([]edit, error) {
 				return nil, fmt.Errorf("line %d: bad number in %q", line, text)
 			}
 			e.name = f[1]
-			e.stream = ringstate.Stream{Name: f[1], PeriodMs: period, LengthBits: bits}
+			e.stream = wire.StreamSpec{Name: f[1], PeriodMs: period, LengthBits: bits}
 		case "remove":
 			if len(f) != 2 {
 				return nil, fmt.Errorf("line %d: want %q, got %q", line, "remove <name>", text)
@@ -257,7 +257,7 @@ type offlineReplayer struct {
 
 func newOfflineReplayer(cfg ringstate.Config, scenario string) (*offlineReplayer, error) {
 	if scenario != "" {
-		spec, err := scenarioSpec(scenario)
+		spec, _, err := wire.ResolveFaults("", scenario)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +300,7 @@ func (o *offlineReplayer) apply(_ context.Context, e edit) (editResult, error) {
 	o.ver++
 	res := editResult{
 		Op: e.op, Name: e.name, Version: o.ver,
-		StreamID: "s" + strconv.FormatUint(id, 10), Reprobed: delta.Reprobed,
+		StreamID: wire.StreamHandle(id), Reprobed: delta.Reprobed,
 	}
 	for _, pd := range delta.Protocols {
 		po := protoOutcome{Protocol: pd.Protocol, Schedulable: pd.Schedulable}
@@ -325,20 +325,6 @@ func (o *offlineReplayer) state(context.Context) (finalState, error) {
 }
 
 func (o *offlineReplayer) close(context.Context) {}
-
-// scenarioSpec resolves a named scenario to its canonical spec string;
-// ringstate configs carry specs, not scenario names, mirroring how the
-// service resolves the pair before building an engine.
-func scenarioSpec(name string) (string, error) {
-	sc, err := faults.ScenarioByName(strings.TrimSpace(name))
-	if err != nil {
-		return "", err
-	}
-	if !sc.Model.Active() {
-		return "", nil
-	}
-	return sc.Model.Spec(), nil
-}
 
 // onlineReplayer drives a live /v1/rings session.
 type onlineReplayer struct {

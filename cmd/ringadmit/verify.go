@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"ringsched/internal/ringstate"
+	"ringsched/internal/wire"
 	"ringsched/ringschedclient"
 )
 
@@ -65,15 +66,11 @@ func verifyHistory(ctx context.Context, base, ringID string, out io.Writer) erro
 		}
 	}
 
-	var live []wireVerdict
+	var live []wire.Verdict
 	if err := json.Unmarshal(state.Verdicts, &live); err != nil {
 		return fmt.Errorf("ringadmit: live verdicts do not decode: %w", err)
 	}
-	replayed := make([]wireVerdict, 0, 3)
-	for _, v := range replay.eng.Verdicts() {
-		replayed = append(replayed, wireFromEngine(v))
-	}
-	if err := compareVerdicts(live, replayed); err != nil {
+	if err := compareVerdicts(live, replay.eng.Verdicts()); err != nil {
 		return fmt.Errorf("ringadmit: ring %s version %d: %w", ringID, liveVersion, err)
 	}
 	fmt.Fprintf(out, "verified: ring %s version %d — %d edits replayed, %d protocol verdicts bit-identical\n",
@@ -97,93 +94,6 @@ func scriptVersion(script string) (uint64, bool) {
 	return v, true
 }
 
-// wireVerdict mirrors the server's ring verdict JSON. Stream IDs are the
-// wire's string handles; the replay side leaves them empty and the
-// comparison never reads them.
-type wireVerdict struct {
-	Protocol             string        `json:"protocol"`
-	Schedulable          bool          `json:"schedulable"`
-	Utilization          float64       `json:"utilization"`
-	AugmentedUtilization float64       `json:"augmentedUtilization"`
-	Blocking             float64       `json:"blocking"`
-	Theta                float64       `json:"theta"`
-	FrameTime            float64       `json:"frameTime"`
-	TTRT                 float64       `json:"ttrt"`
-	Overhead             float64       `json:"overhead"`
-	TotalAllocation      float64       `json:"totalAllocation"`
-	Capacity             float64       `json:"capacity"`
-	Degraded             *wireDegraded `json:"degraded"`
-	Streams              []wireStream  `json:"streams"`
-}
-
-type wireDegraded struct {
-	Schedulable     bool    `json:"schedulable"`
-	Availability    float64 `json:"availability"`
-	Losses          float64 `json:"losses"`
-	Recovery        float64 `json:"recovery"`
-	Blocking        float64 `json:"blocking"`
-	TotalAllocation float64 `json:"totalAllocation"`
-	Capacity        float64 `json:"capacity"`
-}
-
-type wireStream struct {
-	PeriodMs          float64 `json:"periodMs"`
-	Frames            int     `json:"frames"`
-	Q                 int     `json:"q"`
-	AugmentedLength   float64 `json:"augmentedLength"`
-	ResponseTime      float64 `json:"responseTime"`
-	Allocation        float64 `json:"allocation"`
-	WorstCaseResponse float64 `json:"worstCaseResponse"`
-	Schedulable       bool    `json:"schedulable"`
-}
-
-// wireFromEngine converts an engine verdict to the wire shape, applying
-// the same degraded-allocation mapping the server does (+Inf is not
-// representable in JSON and travels as -1).
-func wireFromEngine(v ringstate.Verdict) wireVerdict {
-	out := wireVerdict{
-		Protocol:             v.Protocol,
-		Schedulable:          v.Schedulable,
-		Utilization:          v.Utilization,
-		AugmentedUtilization: v.AugmentedUtilization,
-		Blocking:             v.Blocking,
-		Theta:                v.Theta,
-		FrameTime:            v.FrameTime,
-		TTRT:                 v.TTRT,
-		Overhead:             v.Overhead,
-		TotalAllocation:      v.TotalAllocation,
-		Capacity:             v.Capacity,
-	}
-	if v.Degraded != nil {
-		d := wireDegraded{
-			Schedulable:     v.Degraded.Schedulable,
-			Availability:    v.Degraded.Availability,
-			Losses:          v.Degraded.Losses,
-			Recovery:        v.Degraded.Recovery,
-			Blocking:        v.Degraded.Blocking,
-			TotalAllocation: v.Degraded.TotalAllocation,
-			Capacity:        v.Degraded.Capacity,
-		}
-		if math.IsInf(d.TotalAllocation, 1) {
-			d.TotalAllocation = -1
-		}
-		out.Degraded = &d
-	}
-	for _, sv := range v.Streams {
-		out.Streams = append(out.Streams, wireStream{
-			PeriodMs:          sv.PeriodMs,
-			Frames:            sv.Frames,
-			Q:                 sv.Q,
-			AugmentedLength:   sv.AugmentedLength,
-			ResponseTime:      sv.ResponseTime,
-			Allocation:        sv.Allocation,
-			WorstCaseResponse: sv.WorstCaseResponse,
-			Schedulable:       sv.Schedulable,
-		})
-	}
-	return out
-}
-
 // bits renders a float for exact comparison and reporting: the IEEE-754
 // payload, so 0.1+0.2 and 0.3 do not pass as equal.
 func bits(f float64) string {
@@ -192,17 +102,17 @@ func bits(f float64) string {
 
 // streamKey renders one per-stream verdict as a comparable string with
 // identity (ID, name) excluded.
-func streamKey(s wireStream) string {
+func streamKey(s wire.StreamVerdict) string {
 	return fmt.Sprintf("%s|%d|%d|%s|%s|%s|%s|%v",
 		bits(s.PeriodMs), s.Frames, s.Q, bits(s.AugmentedLength),
 		bits(s.ResponseTime), bits(s.Allocation), bits(s.WorstCaseResponse), s.Schedulable)
 }
 
-func compareVerdicts(live, replayed []wireVerdict) error {
+func compareVerdicts(live, replayed []wire.Verdict) error {
 	if len(live) != len(replayed) {
 		return fmt.Errorf("verdict count differs: live %d, replay %d", len(live), len(replayed))
 	}
-	byProto := map[string]wireVerdict{}
+	byProto := map[string]wire.Verdict{}
 	for _, v := range replayed {
 		byProto[v.Protocol] = v
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"ringsched/internal/frame"
 	"ringsched/internal/message"
 	"ringsched/internal/topology"
 )
@@ -137,28 +136,19 @@ type TopologyReport struct {
 	Bounded bool
 }
 
-// AnalyzerForNode builds the single-ring analyzer for one topology node,
-// exactly as the single-ring request path builds it: the node's plant, the
-// paper's frame format, and the station count bumped to the stream count
-// when more streams than stations are carried. A 1-node topology therefore
-// reproduces the direct PDP/TTP analysis bit for bit.
+// AnalyzerForNode builds the single-ring analyzer for one topology node
+// with the constructors the single-ring request path uses: the node's
+// plant grown by the plant rule (Stations), and the paper's frame format.
+// A 1-node topology therefore reproduces the direct PDP/TTP analysis bit
+// for bit.
 func AnalyzerForNode(n topology.Node, streams int) Analyzer {
 	switch n.Protocol {
-	case topology.Standard8025, topology.Modified8025:
-		p := PDP{Net: n.Ring, Frame: frame.PaperSpec(), Variant: Standard8025}
-		if n.Protocol == topology.Modified8025 {
-			p.Variant = Modified8025
-		}
-		if streams > p.Net.Stations {
-			p.Net = p.Net.WithStations(streams)
-		}
-		return p
+	case topology.Standard8025:
+		return PDPFor(n.Ring, Standard8025, streams)
+	case topology.Modified8025:
+		return PDPFor(n.Ring, Modified8025, streams)
 	default:
-		t := TTP{Net: n.Ring, SyncFrame: frame.PaperSpec(), AsyncFrame: frame.PaperSpec(), Rule: TTRTSqrtHeuristic}
-		if streams > t.Net.Stations {
-			t.Net = t.Net.WithStations(streams)
-		}
-		return t
+		return TTPFor(n.Ring, streams)
 	}
 }
 

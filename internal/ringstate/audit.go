@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"ringsched/internal/wire"
 )
 
 // The ring audit trail: every CAS mutation appends a compact record to a
@@ -63,7 +65,7 @@ type AuditRecord struct {
 	// StreamID is the affected stream (0 for create).
 	StreamID uint64 `json:"streamId,omitempty"`
 	// Stream holds the add/modify parameters.
-	Stream *Stream `json:"stream,omitempty"`
+	Stream *wire.StreamSpec `json:"stream,omitempty"`
 	// Reprobed counts per-stream re-analyses the edit cost.
 	Reprobed int `json:"reprobed"`
 	// Flips lists ring-level verdict changes caused by the edit.
@@ -86,7 +88,7 @@ type auditLog struct {
 	cap       int
 	records   []AuditRecord
 	head      int
-	baseline  map[uint64]Stream
+	baseline  map[uint64]wire.StreamSpec
 	seq       uint64
 	compacted uint64
 }
@@ -95,12 +97,12 @@ func newAuditLog(cap int) *auditLog {
 	if cap < 1 {
 		cap = 1
 	}
-	return &auditLog{cap: cap, baseline: map[uint64]Stream{}}
+	return &auditLog{cap: cap, baseline: map[uint64]wire.StreamSpec{}}
 }
 
 // seed installs a stream into the baseline directly (ring creation's
 // initial stream set predates record 1).
-func (a *auditLog) seed(id uint64, s Stream) { a.baseline[id] = s }
+func (a *auditLog) seed(id uint64, s wire.StreamSpec) { a.baseline[id] = s }
 
 // append stores one record; at the cap it folds the oldest into the
 // baseline and takes its slot.
@@ -172,15 +174,11 @@ func (r *Ring) History() (History, error) {
 		Compacted: r.audit.compacted,
 	}
 	for id, s := range r.audit.baseline {
-		h.Baseline = append(h.Baseline, SnapshotStream{ID: id, Stream: s})
+		h.Baseline = append(h.Baseline, SnapshotStream{ID: id, StreamSpec: s})
 	}
 	sort.Slice(h.Baseline, func(i, j int) bool { return h.Baseline[i].ID < h.Baseline[j].ID })
 	return h, nil
 }
-
-// streamHandle is the script-dump name for a ring stream: unique and
-// whitespace-free, so the grammar's name-addressing is unambiguous.
-func streamHandle(id uint64) string { return "s" + strconv.FormatUint(id, 10) }
 
 func formatMs(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
@@ -208,18 +206,18 @@ func (h History) Script(w io.Writer) {
 		fmt.Fprintf(w, "# baseline: %d streams (%d records compacted)\n", len(h.Baseline), h.Compacted)
 	}
 	for _, s := range h.Baseline {
-		fmt.Fprintf(w, "add %s %s %s\n", streamHandle(s.ID), formatMs(s.PeriodMs), formatMs(s.LengthBits))
+		fmt.Fprintf(w, "add %s %s %s\n", wire.StreamHandle(s.ID), formatMs(s.PeriodMs), formatMs(s.LengthBits))
 	}
 	for _, rec := range h.Records {
 		switch rec.Op {
 		case OpCreate:
 			fmt.Fprintf(w, "# v%d create by %q trace %q\n", rec.Version, rec.Client, rec.TraceID)
 		case OpAdd:
-			fmt.Fprintf(w, "add %s %s %s\n", streamHandle(rec.StreamID), formatMs(rec.Stream.PeriodMs), formatMs(rec.Stream.LengthBits))
+			fmt.Fprintf(w, "add %s %s %s\n", wire.StreamHandle(rec.StreamID), formatMs(rec.Stream.PeriodMs), formatMs(rec.Stream.LengthBits))
 		case OpModify:
-			fmt.Fprintf(w, "modify %s %s %s\n", streamHandle(rec.StreamID), formatMs(rec.Stream.PeriodMs), formatMs(rec.Stream.LengthBits))
+			fmt.Fprintf(w, "modify %s %s %s\n", wire.StreamHandle(rec.StreamID), formatMs(rec.Stream.PeriodMs), formatMs(rec.Stream.LengthBits))
 		case OpRemove:
-			fmt.Fprintf(w, "remove %s\n", streamHandle(rec.StreamID))
+			fmt.Fprintf(w, "remove %s\n", wire.StreamHandle(rec.StreamID))
 		}
 	}
 }

@@ -9,25 +9,27 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ringsched/internal/wire"
 )
 
 func TestAuditRecordsEdits(t *testing.T) {
 	st := NewStore(0, 0)
 	meta := EditMeta{TraceID: "cafe", Client: "tester", Time: time.Unix(100, 0)}
-	ring, err := st.CreateMeta(Config{BandwidthMbps: 16}, []Stream{
+	ring, err := st.Create(Config{BandwidthMbps: 16}, []wire.StreamSpec{
 		{Name: "seed", PeriodMs: 50, LengthBits: 8000},
 	}, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, id, _, err := ring.AddStreamMeta(0, Stream{Name: "a", PeriodMs: 20, LengthBits: 16000}, meta)
+	v, id, _, err := ring.AddStream(0, wire.StreamSpec{Name: "a", PeriodMs: 20, LengthBits: 16000}, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ring.ModifyStreamMeta(v, id, Stream{Name: "a", PeriodMs: 10, LengthBits: 16000}, meta); err != nil {
+	if _, _, err := ring.ModifyStream(v, id, wire.StreamSpec{Name: "a", PeriodMs: 10, LengthBits: 16000}, meta); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ring.RemoveStreamMeta(0, id, meta); err != nil {
+	if _, _, err := ring.RemoveStream(0, id, meta); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,7 +83,7 @@ func TestAuditRecordsEdits(t *testing.T) {
 
 func TestAuditRecordsVerdictFlips(t *testing.T) {
 	st := NewStore(0, 0)
-	ring, err := st.Create(Config{BandwidthMbps: 1, Protocols: []string{"modified-802.5"}}, nil)
+	ring, err := st.Create(Config{BandwidthMbps: 1, Protocols: []string{"modified-802.5"}}, nil, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestAuditRecordsVerdictFlips(t *testing.T) {
 	v := uint64(0)
 	var flipped bool
 	for i := 0; i < 40 && !flipped; i++ {
-		nv, _, _, err := ring.AddStream(v, Stream{PeriodMs: 2, LengthBits: 100000})
+		nv, _, _, err := ring.AddStream(v, wire.StreamSpec{PeriodMs: 2, LengthBits: 100000}, EditMeta{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +123,7 @@ func replayHistory(t *testing.T, h History) *Engine {
 	}
 	ids := map[uint64]uint64{} // trail stream ID → replay engine ID
 	for _, s := range h.Baseline {
-		id, _, err := eng.Add(s.Stream)
+		id, _, err := eng.Add(s.StreamSpec)
 		if err != nil {
 			t.Fatalf("replay baseline add: %v", err)
 		}
@@ -156,7 +158,7 @@ func replayHistory(t *testing.T, h History) *Engine {
 // the ring-assigned IDs and names (replay handles differ from original
 // names; canonical-order ties have identical parameters, so the
 // position multiset — and hence every numeric — matches).
-func assertVerdictsBitIdentical(t *testing.T, want, got []Verdict) {
+func assertVerdictsBitIdentical(t *testing.T, want, got []wire.Verdict) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("verdict count %d vs %d", len(want), len(got))
@@ -198,8 +200,8 @@ func assertVerdictsBitIdentical(t *testing.T, want, got []Verdict) {
 				t.Fatalf("protocol %s degraded: %+v vs %+v", a.Protocol, da, db)
 			}
 		}
-		key := func(sv StreamVerdict) string {
-			sv.ID, sv.Name = 0, ""
+		key := func(sv wire.StreamVerdict) string {
+			sv.ID, sv.Name = "", ""
 			return fmt.Sprintf("%x %x %d %d %x %x %x %x %v",
 				f64(sv.PeriodMs), f64(sv.AugmentedLength), sv.Frames, sv.Q,
 				f64(sv.ResponseTime), f64(sv.Allocation), f64(sv.WorstCaseResponse),
@@ -226,10 +228,10 @@ func TestAuditCompactionReplaysToCurrentVerdicts(t *testing.T) {
 		t.Run("fault="+faultSpec, func(t *testing.T) {
 			st := NewStore(0, 0)
 			st.SetAuditCap(8) // force heavy compaction
-			ring, err := st.Create(Config{BandwidthMbps: 16, FaultSpec: faultSpec}, []Stream{
+			ring, err := st.Create(Config{BandwidthMbps: 16, FaultSpec: faultSpec}, []wire.StreamSpec{
 				{Name: "x", PeriodMs: 40, LengthBits: 12000},
 				{Name: "y", PeriodMs: 40, LengthBits: 12000}, // canonical tie
-			})
+			}, EditMeta{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,26 +242,26 @@ func TestAuditCompactionReplaysToCurrentVerdicts(t *testing.T) {
 				live = append(live, s.ID)
 			}
 			for i := 0; i < 100; i++ {
-				s := Stream{
+				s := wire.StreamSpec{
 					Name:       fmt.Sprintf("s%d", i),
 					PeriodMs:   float64(1+rng.Intn(50)) / 3, // non-representable thirds
 					LengthBits: float64(1000 + rng.Intn(20000)),
 				}
 				switch op := rng.Intn(3); {
 				case op == 0 || len(live) == 0:
-					_, id, _, err := ring.AddStream(0, s)
+					_, id, _, err := ring.AddStream(0, s, EditMeta{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					live = append(live, id)
 				case op == 1:
 					id := live[rng.Intn(len(live))]
-					if _, _, err := ring.ModifyStream(0, id, s); err != nil {
+					if _, _, err := ring.ModifyStream(0, id, s, EditMeta{}); err != nil {
 						t.Fatal(err)
 					}
 				default:
 					j := rng.Intn(len(live))
-					if _, _, err := ring.RemoveStream(0, live[j]); err != nil {
+					if _, _, err := ring.RemoveStream(0, live[j], EditMeta{}); err != nil {
 						t.Fatal(err)
 					}
 					live = append(live[:j], live[j+1:]...)
@@ -285,17 +287,17 @@ func TestAuditCompactionReplaysToCurrentVerdicts(t *testing.T) {
 func TestHistoryScriptDump(t *testing.T) {
 	st := NewStore(0, 0)
 	st.SetAuditCap(4)
-	ring, err := st.Create(Config{BandwidthMbps: 16, FaultSpec: "loss:p=1e-3"}, []Stream{
+	ring, err := st.Create(Config{BandwidthMbps: 16, FaultSpec: "loss:p=1e-3"}, []wire.StreamSpec{
 		{Name: "seed", PeriodMs: 1.0 / 3, LengthBits: 8000},
-	})
+	}, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, id, _, err := ring.AddStream(0, Stream{PeriodMs: 20, LengthBits: 16000})
+	v, id, _, err := ring.AddStream(0, wire.StreamSpec{PeriodMs: 20, LengthBits: 16000}, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ring.ModifyStream(v, id, Stream{PeriodMs: 10, LengthBits: 16000}); err != nil {
+	if _, _, err := ring.ModifyStream(v, id, wire.StreamSpec{PeriodMs: 10, LengthBits: 16000}, EditMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	h, err := ring.History()
@@ -332,10 +334,10 @@ func TestAuditRingBufferOrder(t *testing.T) {
 	const cap = 5
 	a := newAuditLog(cap)
 	var ref []AuditRecord
-	refBaseline := map[uint64]Stream{}
+	refBaseline := map[uint64]wire.StreamSpec{}
 	ops := []string{OpAdd, OpModify, OpRemove}
 	for i := 0; i < 4*cap+3; i++ {
-		s := Stream{PeriodMs: float64(i + 1), LengthBits: 1000}
+		s := wire.StreamSpec{PeriodMs: float64(i + 1), LengthBits: 1000}
 		rec := AuditRecord{Version: uint64(i + 1), Op: ops[i%3], StreamID: uint64(i % 4), Stream: &s}
 		a.append(rec)
 		rec.Seq = uint64(i + 1)
@@ -362,7 +364,7 @@ func TestAuditRingBufferOrder(t *testing.T) {
 
 func BenchmarkAuditAppend(b *testing.B) {
 	a := newAuditLog(DefaultRingAudit)
-	s := Stream{PeriodMs: 10, LengthBits: 8000}
+	s := wire.StreamSpec{PeriodMs: 10, LengthBits: 8000}
 	rec := AuditRecord{
 		VersionBefore: 1, Version: 2, Op: OpAdd, StreamID: 3,
 		Stream: &s, Reprobed: 2, Time: time.Unix(0, 0),

@@ -3,6 +3,8 @@ package ringstate
 import (
 	"fmt"
 	"testing"
+
+	"ringsched/internal/wire"
 )
 
 // benchRing builds a 96-stream engine plus the matching snapshot for
@@ -18,17 +20,17 @@ func benchRing(b testing.TB, cfg Config) (*Engine, []SnapshotStream) {
 	}
 	var snap []SnapshotStream
 	for i := 0; i < 96; i++ {
-		s := Stream{Name: fmt.Sprintf("s%03d", i), PeriodMs: 10 + float64(i), LengthBits: 2048}
+		s := wire.StreamSpec{Name: fmt.Sprintf("s%03d", i), PeriodMs: 10 + float64(i), LengthBits: 2048}
 		id, _, err := eng.Add(s)
 		if err != nil {
 			b.Fatal(err)
 		}
-		snap = append(snap, SnapshotStream{ID: id, Stream: s})
+		snap = append(snap, SnapshotStream{ID: id, StreamSpec: s})
 	}
 	return eng, snap
 }
 
-var benchProbe = Stream{Name: "probe", PeriodMs: 400, LengthBits: 4096}
+var benchProbe = wire.StreamSpec{Name: "probe", PeriodMs: 400, LengthBits: 4096}
 
 // BenchmarkRingEditIncremental measures one admission probe as the ring
 // subsystem performs it: an incremental add followed by an incremental
@@ -53,7 +55,7 @@ func BenchmarkRingEditIncremental(b *testing.B) {
 func BenchmarkRingEditFull(b *testing.B) {
 	cfg := Config{BandwidthMbps: 16}
 	_, snap := benchRing(b, cfg)
-	grown := append(append([]SnapshotStream(nil), snap...), SnapshotStream{ID: 999, Stream: benchProbe})
+	grown := append(append([]SnapshotStream(nil), snap...), SnapshotStream{ID: 999, StreamSpec: benchProbe})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,7 +70,7 @@ func BenchmarkRingEditFull(b *testing.B) {
 
 // BenchmarkRingEditIncrementalTTP isolates the O(1) TTP path.
 func BenchmarkRingEditIncrementalTTP(b *testing.B) {
-	eng, _ := benchRing(b, Config{BandwidthMbps: 16, Protocols: []string{ProtocolTTP}})
+	eng, _ := benchRing(b, Config{BandwidthMbps: 16, Protocols: []string{wire.ProtocolTTP}})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -85,7 +87,7 @@ func BenchmarkRingEditIncrementalTTP(b *testing.B) {
 // TestRingEditTTPAllocs gates the satellite requirement: the
 // steady-state TTP edit path allocates nothing.
 func TestRingEditTTPAllocs(t *testing.T) {
-	eng, _ := benchRing(t, Config{BandwidthMbps: 16, Protocols: []string{ProtocolTTP}})
+	eng, _ := benchRing(t, Config{BandwidthMbps: 16, Protocols: []string{wire.ProtocolTTP}})
 	allocs := testing.AllocsPerRun(200, func() {
 		id, _, err := eng.Add(benchProbe)
 		if err != nil {
@@ -103,7 +105,7 @@ func TestRingEditTTPAllocs(t *testing.T) {
 // TestRingEditPDPAllocs pins the clean PDP edit path at zero
 // allocations too (not required by the gate, but cheap to keep).
 func TestRingEditPDPAllocs(t *testing.T) {
-	eng, _ := benchRing(t, Config{BandwidthMbps: 16, Protocols: []string{ProtocolModifiedPDP}})
+	eng, _ := benchRing(t, Config{BandwidthMbps: 16, Protocols: []string{wire.ProtocolModifiedPDP}})
 	allocs := testing.AllocsPerRun(200, func() {
 		id, _, err := eng.Add(benchProbe)
 		if err != nil {

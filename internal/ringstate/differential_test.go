@@ -8,6 +8,8 @@ import (
 	"ringsched/internal/core"
 	"ringsched/internal/faults"
 	"ringsched/internal/message"
+	"ringsched/internal/ring"
+	"ringsched/internal/wire"
 )
 
 // The differential harness: every edit script is replayed through the
@@ -27,10 +29,10 @@ var (
 	diffBWs       = []float64{16, 100, 4}
 	diffProtocols = [][]string{
 		nil, // all three
-		{ProtocolModifiedPDP},
-		{ProtocolStandardPDP},
-		{ProtocolTTP},
-		{ProtocolModifiedPDP, ProtocolTTP},
+		{wire.ProtocolModifiedPDP},
+		{wire.ProtocolStandardPDP},
+		{wire.ProtocolTTP},
+		{wire.ProtocolModifiedPDP, wire.ProtocolTTP},
 	}
 )
 
@@ -54,8 +56,8 @@ func scriptConfig(h []byte) Config {
 	}
 }
 
-func scriptStream(b []byte) Stream {
-	return Stream{
+func scriptStream(b []byte) wire.StreamSpec {
+	return wire.StreamSpec{
 		Name:       diffNames[int(b[4])%len(diffNames)],
 		PeriodMs:   diffPeriodsMs[int(b[2])%len(diffPeriodsMs)],
 		LengthBits: diffBits[int(b[3])%len(diffBits)],
@@ -99,7 +101,7 @@ func replayEditScript(t *testing.T, data []byte) {
 				t.Fatalf("step %d: Add(%+v): %v", step, s, err)
 			}
 			checkDeltaShape(t, eng, d, OpAdd, id, step)
-			mirror = append(mirror, SnapshotStream{ID: id, Stream: s})
+			mirror = append(mirror, SnapshotStream{ID: id, StreamSpec: s})
 		case kind < 6: // remove
 			i := int(b[1]) % len(mirror)
 			id := mirror[i].ID
@@ -119,7 +121,7 @@ func replayEditScript(t *testing.T, data []byte) {
 			}
 			checkDeltaShape(t, eng, d, OpModify, id, step)
 			mirror = append(mirror[:i], mirror[i+1:]...)
-			mirror = append(mirror, SnapshotStream{ID: id, Stream: s})
+			mirror = append(mirror, SnapshotStream{ID: id, StreamSpec: s})
 		}
 		checkStep(t, cfg, eng, mirror, step)
 	}
@@ -167,6 +169,7 @@ func checkStep(t *testing.T, cfg Config, eng *Engine, mirror []SnapshotStream, s
 	if len(got) != len(want) {
 		t.Fatalf("step %d: %d verdicts, reference has %d", step, len(got), len(want))
 	}
+	stampHandles(want, mirror)
 	for i := range got {
 		compareVerdicts(t, step, got[i], want[i])
 	}
@@ -195,10 +198,13 @@ func crossCheckBatch(t *testing.T, cfg Config, eng *Engine, step int) {
 	}
 	for vi, proto := range norm.Protocols {
 		var a core.Analyzer
-		if proto == ProtocolTTP {
-			a = ttpFor(eng.bw, len(set))
-		} else {
-			a = pdpFor(proto, eng.bw, len(set))
+		switch proto {
+		case wire.ProtocolTTP:
+			a = core.TTPFor(ring.FDDI(eng.bw), len(set))
+		case wire.ProtocolModifiedPDP:
+			a = core.PDPFor(ring.IEEE8025(eng.bw), core.Modified8025, len(set))
+		default:
+			a = core.PDPFor(ring.IEEE8025(eng.bw), core.Standard8025, len(set))
 		}
 		verdicts, err := core.AnalyzeBatch(a, set, []float64{1})
 		if err != nil {
@@ -214,7 +220,7 @@ func eqBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(
 
 // compareVerdicts asserts bitwise equality of every field, including
 // -0 vs +0 and per-stream response times.
-func compareVerdicts(t *testing.T, step int, got, want Verdict) {
+func compareVerdicts(t *testing.T, step int, got, want wire.Verdict) {
 	t.Helper()
 	if got.Protocol != want.Protocol || got.Schedulable != want.Schedulable {
 		t.Fatalf("step %d %s: (schedulable=%v) != reference (%s, schedulable=%v)",
@@ -305,16 +311,16 @@ func TestDifferentialEmptyAndRefill(t *testing.T) {
 			t.Fatal(err)
 		}
 		var mirror []SnapshotStream
-		add := func(s Stream) {
+		add := func(s wire.StreamSpec) {
 			id, _, err := eng.Add(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mirror = append(mirror, SnapshotStream{ID: id, Stream: s})
+			mirror = append(mirror, SnapshotStream{ID: id, StreamSpec: s})
 		}
 		for cycle := 0; cycle < 3; cycle++ {
-			add(Stream{Name: "x", PeriodMs: 10, LengthBits: 4096})
-			add(Stream{Name: "y", PeriodMs: 5, LengthBits: 1024})
+			add(wire.StreamSpec{Name: "x", PeriodMs: 10, LengthBits: 4096})
+			add(wire.StreamSpec{Name: "y", PeriodMs: 5, LengthBits: 1024})
 			checkStep(t, cfg, eng, mirror, cycle)
 			for len(mirror) > 0 {
 				if _, err := eng.Remove(mirror[0].ID); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ringsched/internal/rma"
+	"ringsched/internal/wire"
 )
 
 func mustEngine(t *testing.T, cfg Config) *Engine {
@@ -38,23 +39,23 @@ func TestEngineRejectsBadConfigAndStreams(t *testing.T) {
 	if _, err := NewEngine(Config{BandwidthMbps: 0}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("zero bandwidth: %v, want ErrBadConfig", err)
 	}
-	if _, err := NewEngine(Config{BandwidthMbps: 16, Protocols: []string{"token-bus"}}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unknown protocol: %v, want ErrBadConfig", err)
+	if _, err := NewEngine(Config{BandwidthMbps: 16, Protocols: []string{"token-bus"}}); !errors.Is(err, wire.ErrUnknownProtocol) {
+		t.Fatalf("unknown protocol: %v, want wire.ErrUnknownProtocol", err)
 	}
 	if _, err := NewEngine(Config{BandwidthMbps: 16, FaultSpec: "no-such-scenario"}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad fault spec: %v, want ErrBadConfig", err)
 	}
 	eng := mustEngine(t, Config{BandwidthMbps: 16})
-	if _, _, err := eng.Add(Stream{PeriodMs: -1, LengthBits: 100}); !errors.Is(err, ErrBadStream) {
+	if _, _, err := eng.Add(wire.StreamSpec{PeriodMs: -1, LengthBits: 100}); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("negative period: %v, want ErrBadStream", err)
 	}
-	if _, _, err := eng.Add(Stream{PeriodMs: 10, LengthBits: 0}); !errors.Is(err, ErrBadStream) {
+	if _, _, err := eng.Add(wire.StreamSpec{PeriodMs: 10, LengthBits: 0}); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("zero length: %v, want ErrBadStream", err)
 	}
 	if eng.Len() != 0 {
 		t.Fatalf("rejected adds mutated the engine: %d streams", eng.Len())
 	}
-	if _, err := eng.Modify(99, Stream{PeriodMs: 10, LengthBits: 100}); err != ErrStreamNotFound {
+	if _, err := eng.Modify(99, wire.StreamSpec{PeriodMs: 10, LengthBits: 100}); err != ErrStreamNotFound {
 		t.Fatalf("Modify(missing): %v, want ErrStreamNotFound", err)
 	}
 }
@@ -65,11 +66,11 @@ func TestEngineRejectsBadConfigAndStreams(t *testing.T) {
 func TestEnginePDPSuffixReprobe(t *testing.T) {
 	eng := mustEngine(t, Config{BandwidthMbps: 16})
 	for i := 0; i < 10; i++ {
-		if _, _, err := eng.Add(Stream{PeriodMs: float64(10 * (i + 1)), LengthBits: 2048}); err != nil {
+		if _, _, err := eng.Add(wire.StreamSpec{PeriodMs: float64(10 * (i + 1)), LengthBits: 2048}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, d, err := eng.Add(Stream{PeriodMs: 500, LengthBits: 2048})
+	_, d, err := eng.Add(wire.StreamSpec{PeriodMs: 500, LengthBits: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +85,15 @@ func TestEnginePDPSuffixReprobe(t *testing.T) {
 	// A new minimum period moves TTRT: the TTP pass must recompute every
 	// stream, the PDP passes the whole (lower-priority) suffix.
 	n := eng.Len()
-	_, d, err = eng.Add(Stream{PeriodMs: 2, LengthBits: 512})
+	_, d, err = eng.Add(wire.StreamSpec{PeriodMs: 2, LengthBits: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pd := range d.Protocols {
-		if pd.Protocol == ProtocolTTP && pd.Reprobed != n+1 {
+		if pd.Protocol == wire.ProtocolTTP && pd.Reprobed != n+1 {
 			t.Fatalf("TTP reprobed %d after a TTRT shift, want %d", pd.Reprobed, n+1)
 		}
-		if pd.Protocol != ProtocolTTP && pd.Reprobed != n+1 {
+		if pd.Protocol != wire.ProtocolTTP && pd.Reprobed != n+1 {
 			t.Fatalf("%s reprobed %d for a highest-priority add, want %d", pd.Protocol, pd.Reprobed, n+1)
 		}
 	}
@@ -102,16 +103,16 @@ func TestEnginePDPSuffixReprobe(t *testing.T) {
 // past it every edit re-plants the ring (Θ changes), and verdicts must
 // still match the reference bitwise.
 func TestEngineStationGrowthRebuild(t *testing.T) {
-	cfg := Config{BandwidthMbps: 100, Protocols: []string{ProtocolTTP, ProtocolModifiedPDP}}
+	cfg := Config{BandwidthMbps: 100, Protocols: []string{wire.ProtocolTTP, wire.ProtocolModifiedPDP}}
 	eng := mustEngine(t, cfg)
 	var mirror []SnapshotStream
 	for i := 0; i < 103; i++ {
-		s := Stream{Name: fmt.Sprintf("s%03d", i), PeriodMs: 200 + float64(i%7), LengthBits: 256}
+		s := wire.StreamSpec{Name: fmt.Sprintf("s%03d", i), PeriodMs: 200 + float64(i%7), LengthBits: 256}
 		id, d, err := eng.Add(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mirror = append(mirror, SnapshotStream{ID: id, Stream: s})
+		mirror = append(mirror, SnapshotStream{ID: id, StreamSpec: s})
 		if i+1 > 100 {
 			for _, pd := range d.Protocols {
 				if pd.Reprobed < i+1 {
@@ -134,21 +135,21 @@ func TestEngineStationGrowthRebuild(t *testing.T) {
 // high-priority arrival pushes an existing low-priority stream past its
 // deadline, and the delta must name it.
 func TestEngineDeltaFlips(t *testing.T) {
-	cfg := Config{BandwidthMbps: 4, Protocols: []string{ProtocolStandardPDP}}
+	cfg := Config{BandwidthMbps: 4, Protocols: []string{wire.ProtocolStandardPDP}}
 	eng := mustEngine(t, cfg)
-	victim, _, err := eng.Add(Stream{Name: "victim", PeriodMs: 12, LengthBits: 16384})
+	victim, _, err := eng.Add(wire.StreamSpec{Name: "victim", PeriodMs: 12, LengthBits: 16384})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var flipped bool
-	var mirror = []SnapshotStream{{ID: victim, Stream: Stream{Name: "victim", PeriodMs: 12, LengthBits: 16384}}}
+	var mirror = []SnapshotStream{{ID: victim, StreamSpec: wire.StreamSpec{Name: "victim", PeriodMs: 12, LengthBits: 16384}}}
 	for i := 0; i < 12 && !flipped; i++ {
-		s := Stream{Name: fmt.Sprintf("h%d", i), PeriodMs: 6, LengthBits: 16384}
+		s := wire.StreamSpec{Name: fmt.Sprintf("h%d", i), PeriodMs: 6, LengthBits: 16384}
 		id, d, err := eng.Add(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mirror = append(mirror, SnapshotStream{ID: id, Stream: s})
+		mirror = append(mirror, SnapshotStream{ID: id, StreamSpec: s})
 		for _, f := range d.Protocols[0].Flipped {
 			if f.ID == victim && !f.Schedulable {
 				flipped = true
@@ -168,9 +169,9 @@ func TestEngineDeltaFlips(t *testing.T) {
 // position after all tied keys.
 func TestEngineModifyKeepsID(t *testing.T) {
 	eng := mustEngine(t, Config{BandwidthMbps: 16})
-	a, _, _ := eng.Add(Stream{Name: "dup", PeriodMs: 10, LengthBits: 1024})
-	b, _, _ := eng.Add(Stream{Name: "dup", PeriodMs: 10, LengthBits: 1024})
-	if _, err := eng.Modify(a, Stream{Name: "dup", PeriodMs: 10, LengthBits: 1024}); err != nil {
+	a, _, _ := eng.Add(wire.StreamSpec{Name: "dup", PeriodMs: 10, LengthBits: 1024})
+	b, _, _ := eng.Add(wire.StreamSpec{Name: "dup", PeriodMs: 10, LengthBits: 1024})
+	if _, err := eng.Modify(a, wire.StreamSpec{Name: "dup", PeriodMs: 10, LengthBits: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
@@ -184,9 +185,9 @@ func TestEngineModifyKeepsID(t *testing.T) {
 // does — schedulable, with the saturated visit count and a finite
 // allocation.
 func TestEngineTTPSaturatedVisits(t *testing.T) {
-	cfg := Config{BandwidthMbps: 100, Protocols: []string{ProtocolTTP}}
+	cfg := Config{BandwidthMbps: 100, Protocols: []string{wire.ProtocolTTP}}
 	eng := mustEngine(t, cfg)
-	if _, _, err := eng.Add(Stream{Name: "far", PeriodMs: 1e300, LengthBits: 4096}); err != nil {
+	if _, _, err := eng.Add(wire.StreamSpec{Name: "far", PeriodMs: 1e300, LengthBits: 4096}); err != nil {
 		t.Fatal(err)
 	}
 	got := eng.Verdicts()[0]
@@ -198,6 +199,7 @@ func TestEngineTTPSaturatedVisits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stampHandles(want, eng.Snapshot())
 	if fmt.Sprintf("%+v", want[0]) != fmt.Sprintf("%+v", got) {
 		t.Fatalf("ring verdict %+v, from scratch %+v", got, want[0])
 	}
@@ -209,7 +211,7 @@ func TestEngineTTPSaturatedVisits(t *testing.T) {
 // the engine exactly as before: the same snapshot, verdicts and next
 // stream ID. The refusal covers add, modify and a station-count change.
 func TestEngineRefusedEditLeavesStateUnchanged(t *testing.T) {
-	if _, _, err := mustEngine(t, Config{BandwidthMbps: 16}).Add(Stream{PeriodMs: 10, LengthBits: 1e308}); !errors.Is(err, ErrBadStream) {
+	if _, _, err := mustEngine(t, Config{BandwidthMbps: 16}).Add(wire.StreamSpec{PeriodMs: 10, LengthBits: 1e308}); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("lengthBits 1e308: %v, want ErrBadStream", err)
 	}
 	for _, cfg := range []Config{
@@ -219,7 +221,7 @@ func TestEngineRefusedEditLeavesStateUnchanged(t *testing.T) {
 		eng := mustEngine(t, cfg)
 		var last uint64
 		for i := 0; i < 100; i++ { // a full 100-station ring: one more add re-plants it
-			id, _, err := eng.Add(Stream{Name: fmt.Sprint(i), PeriodMs: 10, LengthBits: 1})
+			id, _, err := eng.Add(wire.StreamSpec{Name: fmt.Sprint(i), PeriodMs: 10, LengthBits: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,11 +229,11 @@ func TestEngineRefusedEditLeavesStateUnchanged(t *testing.T) {
 		}
 		type state struct {
 			Snapshot []SnapshotStream
-			Verdicts []Verdict
+			Verdicts []wire.Verdict
 		}
 		snap := func() state { return state{eng.Snapshot(), eng.Verdicts()} }
 		before := snap()
-		huge := Stream{Name: "huge", PeriodMs: 10, LengthBits: 1e18}
+		huge := wire.StreamSpec{Name: "huge", PeriodMs: 10, LengthBits: 1e18}
 		if _, _, err := eng.Add(huge); !errors.Is(err, rma.ErrBadTask) {
 			t.Fatalf("%+v: overflowing add: %v, want rma.ErrBadTask", cfg, err)
 		}
@@ -244,15 +246,15 @@ func TestEngineRefusedEditLeavesStateUnchanged(t *testing.T) {
 		if _, err := eng.Remove(last); err != nil {
 			t.Fatal(err)
 		}
-		if id, _, err := eng.Add(Stream{PeriodMs: 20, LengthBits: 1}); err != nil || id != last+1 {
+		if id, _, err := eng.Add(wire.StreamSpec{PeriodMs: 20, LengthBits: 1}); err != nil || id != last+1 {
 			t.Fatalf("%+v: next add got id %d (%v), want %d", cfg, id, err, last+1)
 		}
 	}
 }
 
 // wireNonFinite returns the first NaN or ±Inf a verdict list would put on
-// the wire, walking every float field by reflection in field order; an
-// unbounded degraded allocation is exempt (the service renders it -1).
+// the wire, walking every float field by reflection in field order. An
+// unbounded degraded allocation already reads -1 there (wire.Allocation).
 func wireNonFinite(v reflect.Value) (float64, bool) {
 	switch v.Kind() {
 	case reflect.Float64:
@@ -271,11 +273,7 @@ func wireNonFinite(v reflect.Value) (float64, bool) {
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			if v.Type() == reflect.TypeFor[DegradedVerdict]() && v.Type().Field(i).Name == "TotalAllocation" && math.IsInf(f.Float(), 1) {
-				continue
-			}
-			if x, bad := wireNonFinite(f); bad {
+			if x, bad := wireNonFinite(v.Field(i)); bad {
 				return x, true
 			}
 		}
@@ -292,21 +290,21 @@ func wireNonFinite(v reflect.Value) (float64, bool) {
 func TestEngineRefusesNonFiniteVerdicts(t *testing.T) {
 	type state struct {
 		Snapshot []SnapshotStream
-		Verdicts []Verdict
+		Verdicts []wire.Verdict
 	}
 	refused, nonFiniteRefused := 0, 0
 	for _, cfg := range []Config{
-		{BandwidthMbps: 1e-300, Protocols: []string{ProtocolTTP}},
-		{BandwidthMbps: 1e-300, Protocols: []string{ProtocolTTP}, FaultSpec: "loss:p=1e-3"},
-		{BandwidthMbps: 1e-310, Protocols: []string{ProtocolModifiedPDP}},
+		{BandwidthMbps: 1e-300, Protocols: []string{wire.ProtocolTTP}},
+		{BandwidthMbps: 1e-300, Protocols: []string{wire.ProtocolTTP}, FaultSpec: "loss:p=1e-3"},
+		{BandwidthMbps: 1e-310, Protocols: []string{wire.ProtocolModifiedPDP}},
 		{BandwidthMbps: 1e-310},
 		{BandwidthMbps: 1e-290, FaultSpec: "loss:p=1e-3"},
-		{BandwidthMbps: 1, Protocols: []string{ProtocolModifiedPDP}},
+		{BandwidthMbps: 1, Protocols: []string{wire.ProtocolModifiedPDP}},
 		{BandwidthMbps: 1},
 	} {
 		eng := mustEngine(t, cfg)
 		var mirror []SnapshotStream
-		for step, s := range []Stream{
+		for step, s := range []wire.StreamSpec{
 			{Name: "one", PeriodMs: 10, LengthBits: 1},
 			{Name: "huge", PeriodMs: 10, LengthBits: 1e18},
 			{Name: "mid", PeriodMs: 20, LengthBits: 1e6},
@@ -318,7 +316,7 @@ func TestEngineRefusesNonFiniteVerdicts(t *testing.T) {
 			{Name: "dense", PeriodMs: 1, LengthBits: 1e10},
 		} {
 			before := state{eng.Snapshot(), eng.Verdicts()}
-			next := append(append([]SnapshotStream(nil), mirror...), SnapshotStream{ID: eng.nextID, Stream: s})
+			next := append(append([]SnapshotStream(nil), mirror...), SnapshotStream{ID: eng.nextID, StreamSpec: s})
 			want, werr := FullVerdicts(cfg, next)
 			bad, nonFinite := wireNonFinite(reflect.ValueOf(want))
 			id, _, err := eng.Add(s)
@@ -361,14 +359,14 @@ func TestEngineRefusesNonFiniteVerdicts(t *testing.T) {
 				case m.ID != first.ID:
 					next = append(next, m)
 				case op == OpModify:
-					next = append(next, SnapshotStream{ID: m.ID, Stream: Stream{Name: "huge", PeriodMs: 10, LengthBits: 1e18}})
+					next = append(next, SnapshotStream{ID: m.ID, StreamSpec: wire.StreamSpec{Name: "huge", PeriodMs: 10, LengthBits: 1e18}})
 				}
 			}
 			want, werr := FullVerdicts(cfg, next)
 			_, nonFinite := wireNonFinite(reflect.ValueOf(want))
 			var err error
 			if op == OpModify {
-				_, err = eng.Modify(first.ID, Stream{Name: "huge", PeriodMs: 10, LengthBits: 1e18})
+				_, err = eng.Modify(first.ID, wire.StreamSpec{Name: "huge", PeriodMs: 10, LengthBits: 1e18})
 			} else {
 				_, err = eng.Remove(first.ID)
 			}

@@ -1,12 +1,13 @@
 package ringstate
 
 import (
-	"sort"
+	"slices"
 
 	"ringsched/internal/core"
 	"ringsched/internal/faults"
 	"ringsched/internal/message"
 	"ringsched/internal/ring"
+	"ringsched/internal/wire"
 )
 
 // FullVerdicts computes the ring's verdicts from scratch, mirroring the
@@ -18,16 +19,17 @@ import (
 //
 // The snapshot is stably sorted into canonical order first, so callers
 // may pass streams in any order; ID ties follow input order, exactly as
-// the engine places ties in arrival order.
-func FullVerdicts(cfg Config, streams []SnapshotStream) ([]Verdict, error) {
+// the engine places ties in arrival order. Stream handles are left empty
+// (stampHandles fills them), so the reference allocates no handle
+// strings.
+func FullVerdicts(cfg Config, streams []SnapshotStream) ([]wire.Verdict, error) {
 	norm, fm, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	snap := append([]SnapshotStream(nil), streams...)
-	sort.SliceStable(snap, func(i, j int) bool { return canonLess(snap[i].Stream, snap[j].Stream) })
+	snap := canonical(streams)
 	for _, s := range snap {
-		if err := s.validate(); err != nil {
+		if err := validateStream(s.StreamSpec); err != nil {
 			return nil, err
 		}
 	}
@@ -36,17 +38,17 @@ func FullVerdicts(cfg Config, streams []SnapshotStream) ([]Verdict, error) {
 		set[i] = message.Stream{Name: s.Name, Period: s.PeriodMs / 1e3, LengthBits: s.LengthBits}
 	}
 	bw := ring.Mbps(norm.BandwidthMbps)
-	out := make([]Verdict, 0, len(norm.Protocols))
+	out := make([]wire.Verdict, 0, len(norm.Protocols))
 	for _, proto := range norm.Protocols {
 		if len(set) == 0 {
-			out = append(out, Verdict{Protocol: proto, Schedulable: true})
+			out = append(out, wire.Verdict{Protocol: proto, Schedulable: true})
 			continue
 		}
-		var v Verdict
-		if proto == ProtocolTTP {
-			v, err = fullTTP(bw, set, snap, fm)
+		var v wire.Verdict
+		if proto == wire.ProtocolTTP {
+			v, err = fullTTP(bw, set, fm)
 		} else {
-			v, err = fullPDP(proto, bw, set, snap, fm)
+			v, err = fullPDP(proto, bw, set, fm)
 		}
 		if err != nil {
 			return nil, err
@@ -56,13 +58,32 @@ func FullVerdicts(cfg Config, streams []SnapshotStream) ([]Verdict, error) {
 	return out, nil
 }
 
-// fullPDP mirrors the service's analyzePDP with detail always on and
-// ring-assigned IDs attached. Because the set is canonically sorted —
-// which is a stable rate-monotonic order — the report's RM-sorted
-// streams align index-by-index with the snapshot.
-func fullPDP(proto string, bw float64, set message.Set, snap []SnapshotStream, fm *faults.Model) (Verdict, error) {
+// canonical returns a copy of streams stably sorted into the canonical
+// stream order.
+func canonical(streams []SnapshotStream) []SnapshotStream {
+	snap := slices.Clone(streams)
+	slices.SortStableFunc(snap, func(a, b SnapshotStream) int { return wire.CompareStreams(a.StreamSpec, b.StreamSpec) })
+	return snap
+}
+
+// stampHandles writes the stream handles into from-scratch verdicts of
+// streams: the i-th stream verdict is the i-th stream in canonical order.
+func stampHandles(vs []wire.Verdict, streams []SnapshotStream) {
+	snap := canonical(streams)
+	for _, v := range vs {
+		for i := range v.Streams {
+			v.Streams[i].ID = wire.StreamHandle(snap[i].ID)
+		}
+	}
+}
+
+// fullPDP mirrors the service's analyzePDP with detail always on.
+// Because the set is canonically sorted — which is a stable
+// rate-monotonic order — the report's RM-sorted streams align
+// index-by-index with the snapshot.
+func fullPDP(proto string, bw float64, set message.Set, fm *faults.Model) (wire.Verdict, error) {
 	p := core.NewStandardPDP(bw)
-	if proto == ProtocolModifiedPDP {
+	if proto == wire.ProtocolModifiedPDP {
 		p = core.NewModifiedPDP(bw)
 	}
 	if len(set) > p.Net.Stations {
@@ -70,9 +91,9 @@ func fullPDP(proto string, bw float64, set message.Set, snap []SnapshotStream, f
 	}
 	rep, err := p.Report(set)
 	if err != nil {
-		return Verdict{}, err
+		return wire.Verdict{}, err
 	}
-	v := Verdict{
+	v := wire.Verdict{
 		Protocol:             proto,
 		Schedulable:          rep.Schedulable,
 		Utilization:          rep.Utilization,
@@ -80,11 +101,10 @@ func fullPDP(proto string, bw float64, set message.Set, snap []SnapshotStream, f
 		Blocking:             rep.Blocking,
 		Theta:                rep.Theta,
 		FrameTime:            rep.FrameTime,
-		Streams:              make([]StreamVerdict, len(rep.Streams)),
+		Streams:              make([]wire.StreamVerdict, len(rep.Streams)),
 	}
 	for i, s := range rep.Streams {
-		v.Streams[i] = StreamVerdict{
-			ID:              snap[i].ID,
+		v.Streams[i] = wire.StreamVerdict{
 			Name:            s.Stream.Name,
 			PeriodMs:        s.Stream.Period * 1e3,
 			Frames:          s.Frames,
@@ -97,9 +117,9 @@ func fullPDP(proto string, bw float64, set message.Set, snap []SnapshotStream, f
 		budget := p.FaultBudgetFor(fm, set)
 		deg, err := p.FaultReport(set, budget)
 		if err != nil {
-			return Verdict{}, err
+			return wire.Verdict{}, err
 		}
-		v.Degraded = &DegradedVerdict{
+		v.Degraded = &wire.DegradedVerdict{
 			Schedulable:  deg.Schedulable,
 			Availability: budget.Availability,
 			Losses:       budget.Losses,
@@ -111,28 +131,27 @@ func fullPDP(proto string, bw float64, set message.Set, snap []SnapshotStream, f
 }
 
 // fullTTP mirrors the service's analyzeTTP (see fullPDP).
-func fullTTP(bw float64, set message.Set, snap []SnapshotStream, fm *faults.Model) (Verdict, error) {
+func fullTTP(bw float64, set message.Set, fm *faults.Model) (wire.Verdict, error) {
 	t := core.NewTTP(bw)
 	if len(set) > t.Net.Stations {
 		t.Net = t.Net.WithStations(len(set))
 	}
 	rep, err := t.Report(set)
 	if err != nil {
-		return Verdict{}, err
+		return wire.Verdict{}, err
 	}
-	v := Verdict{
-		Protocol:        ProtocolTTP,
+	v := wire.Verdict{
+		Protocol:        wire.ProtocolTTP,
 		Schedulable:     rep.Schedulable,
 		Utilization:     rep.Utilization,
 		TTRT:            rep.TTRT,
 		Overhead:        rep.Overhead,
 		TotalAllocation: rep.TotalAllocation,
 		Capacity:        rep.Capacity,
-		Streams:         make([]StreamVerdict, len(rep.Streams)),
+		Streams:         make([]wire.StreamVerdict, len(rep.Streams)),
 	}
 	for i, s := range rep.Streams {
-		v.Streams[i] = StreamVerdict{
-			ID:                snap[i].ID,
+		v.Streams[i] = wire.StreamVerdict{
 			Name:              s.Stream.Name,
 			PeriodMs:          s.Stream.Period * 1e3,
 			Q:                 s.Q,
@@ -146,12 +165,12 @@ func fullTTP(bw float64, set message.Set, snap []SnapshotStream, fm *faults.Mode
 		budget := t.FaultBudgetFor(fm, set)
 		deg, err := t.FaultReport(set, budget)
 		if err != nil {
-			return Verdict{}, err
+			return wire.Verdict{}, err
 		}
-		v.Degraded = &DegradedVerdict{
+		v.Degraded = &wire.DegradedVerdict{
 			Schedulable:     deg.Schedulable,
 			Availability:    deg.Availability,
-			TotalAllocation: deg.TotalAllocation,
+			TotalAllocation: wire.Allocation(deg.TotalAllocation),
 			Capacity:        deg.Capacity,
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"ringsched/internal/wire"
 )
 
 // Defaults for Store capacity limits when the caller passes 0.
@@ -71,13 +73,9 @@ type Ring struct {
 
 // Create builds a new ring from a config and an optional initial stream
 // set (admitted in order, as a sequence of adds at version-build time).
-func (st *Store) Create(cfg Config, streams []Stream) (*Ring, error) {
-	return st.CreateMeta(cfg, streams, EditMeta{})
-}
-
-// CreateMeta is Create with audit metadata: the seed streams land in the
-// audit baseline and a create record opens the trail.
-func (st *Store) CreateMeta(cfg Config, streams []Stream, meta EditMeta) (*Ring, error) {
+// The seed streams land in the audit baseline, and a create record
+// carrying meta opens the trail.
+func (st *Store) Create(cfg Config, streams []wire.StreamSpec, meta EditMeta) (*Ring, error) {
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -189,7 +187,7 @@ func (r *Ring) Version() uint64 {
 
 // State returns a consistent (version, config, snapshot, verdicts)
 // quadruple under the read lock.
-func (r *Ring) State() (uint64, Config, []SnapshotStream, []Verdict, error) {
+func (r *Ring) State() (uint64, Config, []SnapshotStream, []wire.Verdict, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.deleted {
@@ -202,7 +200,7 @@ func (r *Ring) State() (uint64, Config, []SnapshotStream, []Verdict, error) {
 // scratch delta; edit clones it before releasing the lock so the caller
 // owns the result. On success an audit record built from the cloned
 // delta (plus the add/modify stream params) is appended to the trail.
-func (r *Ring) edit(expected uint64, meta EditMeta, params *Stream, op func(*Engine) (*Delta, error)) (uint64, *Delta, error) {
+func (r *Ring) edit(expected uint64, meta EditMeta, params *wire.StreamSpec, op func(*Engine) (*Delta, error)) (uint64, *Delta, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.deleted {
@@ -235,12 +233,7 @@ func (r *Ring) edit(expected uint64, meta EditMeta, params *Stream, op func(*Eng
 
 // AddStream admits a stream under CAS, returning the new version, the
 // assigned stream ID, and the incremental delta.
-func (r *Ring) AddStream(expected uint64, s Stream) (uint64, uint64, *Delta, error) {
-	return r.AddStreamMeta(expected, s, EditMeta{})
-}
-
-// AddStreamMeta is AddStream with audit metadata.
-func (r *Ring) AddStreamMeta(expected uint64, s Stream, meta EditMeta) (uint64, uint64, *Delta, error) {
+func (r *Ring) AddStream(expected uint64, s wire.StreamSpec, meta EditMeta) (uint64, uint64, *Delta, error) {
 	var id uint64
 	v, d, err := r.edit(expected, meta, &s, func(e *Engine) (*Delta, error) {
 		if e.Len() >= r.maxStreams {
@@ -254,24 +247,14 @@ func (r *Ring) AddStreamMeta(expected uint64, s Stream, meta EditMeta) (uint64, 
 }
 
 // RemoveStream evicts a stream under CAS.
-func (r *Ring) RemoveStream(expected, id uint64) (uint64, *Delta, error) {
-	return r.RemoveStreamMeta(expected, id, EditMeta{})
-}
-
-// RemoveStreamMeta is RemoveStream with audit metadata.
-func (r *Ring) RemoveStreamMeta(expected, id uint64, meta EditMeta) (uint64, *Delta, error) {
+func (r *Ring) RemoveStream(expected, id uint64, meta EditMeta) (uint64, *Delta, error) {
 	return r.edit(expected, meta, nil, func(e *Engine) (*Delta, error) {
 		return e.Remove(id)
 	})
 }
 
 // ModifyStream replaces a stream under CAS.
-func (r *Ring) ModifyStream(expected, id uint64, s Stream) (uint64, *Delta, error) {
-	return r.ModifyStreamMeta(expected, id, s, EditMeta{})
-}
-
-// ModifyStreamMeta is ModifyStream with audit metadata.
-func (r *Ring) ModifyStreamMeta(expected, id uint64, s Stream, meta EditMeta) (uint64, *Delta, error) {
+func (r *Ring) ModifyStream(expected, id uint64, s wire.StreamSpec, meta EditMeta) (uint64, *Delta, error) {
 	return r.edit(expected, meta, &s, func(e *Engine) (*Delta, error) {
 		return e.Modify(id, s)
 	})

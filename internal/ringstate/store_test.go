@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ringsched/internal/wire"
 )
 
 // goroutineLeakCheck snapshots the goroutines running this package's
@@ -51,7 +53,7 @@ func testConfig() Config { return Config{BandwidthMbps: 16} }
 
 func TestStoreCreateGetDelete(t *testing.T) {
 	st := NewStore(2, 4)
-	r1, err := st.Create(testConfig(), []Stream{{Name: "a", PeriodMs: 10, LengthBits: 1024}})
+	r1, err := st.Create(testConfig(), []wire.StreamSpec{{Name: "a", PeriodMs: 10, LengthBits: 1024}}, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +66,11 @@ func TestStoreCreateGetDelete(t *testing.T) {
 	if _, err := st.Get("r9"); err != ErrRingNotFound {
 		t.Fatalf("Get(missing) = %v, want ErrRingNotFound", err)
 	}
-	r2, err := st.Create(testConfig(), nil)
+	r2, err := st.Create(testConfig(), nil, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Create(testConfig(), nil); !errors.Is(err, ErrTooManyRings) {
+	if _, err := st.Create(testConfig(), nil, EditMeta{}); !errors.Is(err, ErrTooManyRings) {
 		t.Fatalf("third ring: %v, want ErrTooManyRings", err)
 	}
 	if ids := st.List(); len(ids) != 2 || ids[0] != r1 || ids[1] != r2 {
@@ -89,7 +91,7 @@ func TestStoreCreateGetDelete(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("Len() = %d after delete, want 1", st.Len())
 	}
-	if _, _, _, err := r1.AddStream(0, Stream{PeriodMs: 10, LengthBits: 100}); err != ErrRingNotFound {
+	if _, _, _, err := r1.AddStream(0, wire.StreamSpec{PeriodMs: 10, LengthBits: 100}, EditMeta{}); err != ErrRingNotFound {
 		t.Fatalf("edit after delete: %v, want ErrRingNotFound", err)
 	}
 	if _, _, _, _, err := r1.State(); err != ErrRingNotFound {
@@ -99,16 +101,16 @@ func TestStoreCreateGetDelete(t *testing.T) {
 
 func TestStoreStreamLimitAndCAS(t *testing.T) {
 	st := NewStore(0, 2)
-	r, err := st.Create(testConfig(), nil)
+	r, err := st.Create(testConfig(), nil, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, id1, _, err := r.AddStream(1, Stream{Name: "a", PeriodMs: 10, LengthBits: 1024})
+	v, id1, _, err := r.AddStream(1, wire.StreamSpec{Name: "a", PeriodMs: 10, LengthBits: 1024}, EditMeta{})
 	if err != nil || v != 2 {
 		t.Fatalf("first add: v=%d err=%v", v, err)
 	}
 	// Stale expected version: typed conflict, nothing changes.
-	if _, _, _, err := r.AddStream(1, Stream{Name: "b", PeriodMs: 10, LengthBits: 1024}); err == nil {
+	if _, _, _, err := r.AddStream(1, wire.StreamSpec{Name: "b", PeriodMs: 10, LengthBits: 1024}, EditMeta{}); err == nil {
 		t.Fatal("stale add succeeded")
 	} else {
 		var ce *ConflictError
@@ -120,16 +122,16 @@ func TestStoreStreamLimitAndCAS(t *testing.T) {
 		t.Fatalf("version moved on conflict: %d", r.Version())
 	}
 	// Expected 0 is unconditional.
-	if _, _, _, err := r.AddStream(0, Stream{Name: "b", PeriodMs: 20, LengthBits: 1024}); err != nil {
+	if _, _, _, err := r.AddStream(0, wire.StreamSpec{Name: "b", PeriodMs: 20, LengthBits: 1024}, EditMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := r.AddStream(0, Stream{Name: "c", PeriodMs: 30, LengthBits: 1024}); !errors.Is(err, ErrTooManyStreams) {
+	if _, _, _, err := r.AddStream(0, wire.StreamSpec{Name: "c", PeriodMs: 30, LengthBits: 1024}, EditMeta{}); !errors.Is(err, ErrTooManyStreams) {
 		t.Fatalf("over-limit add: %v, want ErrTooManyStreams", err)
 	}
-	if v, _, err := r.RemoveStream(3, id1); err != nil || v != 4 {
+	if v, _, err := r.RemoveStream(3, id1, EditMeta{}); err != nil || v != 4 {
 		t.Fatalf("remove: v=%d err=%v", v, err)
 	}
-	if _, _, err := r.ModifyStream(4, id1, Stream{PeriodMs: 10, LengthBits: 1}); err != ErrStreamNotFound {
+	if _, _, err := r.ModifyStream(4, id1, wire.StreamSpec{PeriodMs: 10, LengthBits: 1}, EditMeta{}); err != ErrStreamNotFound {
 		t.Fatalf("modify removed stream: %v, want ErrStreamNotFound", err)
 	}
 	if r.Version() != 4 {
@@ -142,7 +144,7 @@ func TestStoreStreamLimitAndCAS(t *testing.T) {
 func TestStoreParallelCASEditors(t *testing.T) {
 	goroutineLeakCheck(t)
 	st := NewStore(0, 0)
-	r, err := st.Create(testConfig(), nil)
+	r, err := st.Create(testConfig(), nil, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +157,9 @@ func TestStoreParallelCASEditors(t *testing.T) {
 			wg.Add(1)
 			go func(e int) {
 				defer wg.Done()
-				v, _, _, err := r.AddStream(uint64(round), Stream{
+				v, _, _, err := r.AddStream(uint64(round), wire.StreamSpec{
 					Name: "w", PeriodMs: float64(10 + e), LengthBits: 512,
-				})
+				}, EditMeta{})
 				switch {
 				case err == nil:
 					wins <- v
@@ -195,7 +197,7 @@ func TestStoreParallelCASEditors(t *testing.T) {
 func TestStoreConcurrentReadsDuringEdits(t *testing.T) {
 	goroutineLeakCheck(t)
 	st := NewStore(0, 0)
-	r, err := st.Create(testConfig(), []Stream{{Name: "base", PeriodMs: 50, LengthBits: 1024}})
+	r, err := st.Create(testConfig(), []wire.StreamSpec{{Name: "base", PeriodMs: 50, LengthBits: 1024}}, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +232,12 @@ func TestStoreConcurrentReadsDuringEdits(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		_, id, _, err := r.AddStream(0, Stream{PeriodMs: 10 + float64(i%11), LengthBits: 2048})
+		_, id, _, err := r.AddStream(0, wire.StreamSpec{PeriodMs: 10 + float64(i%11), LengthBits: 2048}, EditMeta{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 1 {
-			if _, _, err := r.RemoveStream(0, id); err != nil {
+			if _, _, err := r.RemoveStream(0, id, EditMeta{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,7 +252,7 @@ func TestStoreConcurrentReadsDuringEdits(t *testing.T) {
 func TestStoreDeleteWithInflightEdits(t *testing.T) {
 	goroutineLeakCheck(t)
 	st := NewStore(0, 0)
-	r, err := st.Create(testConfig(), nil)
+	r, err := st.Create(testConfig(), nil, EditMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestStoreDeleteWithInflightEdits(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; ; i++ {
-				_, _, _, err := r.AddStream(0, Stream{PeriodMs: float64(10 + e), LengthBits: 256})
+				_, _, _, err := r.AddStream(0, wire.StreamSpec{PeriodMs: float64(10 + e), LengthBits: 256}, EditMeta{})
 				if err != nil {
 					if err != ErrRingNotFound {
 						t.Errorf("editor %d: %v, want ErrRingNotFound", e, err)

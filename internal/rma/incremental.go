@@ -146,9 +146,6 @@ func (w *Incremental) Rebase(blocking float64) (int, error) {
 	return w.recomputeFrom(0), nil
 }
 
-// RecomputeAll re-runs the analysis for every resident task.
-func (w *Incremental) RecomputeAll() int { return w.recomputeFrom(0) }
-
 // recomputeFrom re-runs the response-time fixpoint for tasks [k, Len).
 func (w *Incremental) recomputeFrom(k int) int {
 	for i := k; i < len(w.tasks); i++ {

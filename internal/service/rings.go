@@ -12,6 +12,7 @@ import (
 	"ringsched/internal/ringstate"
 	"ringsched/internal/rma"
 	"ringsched/internal/trace"
+	"ringsched/internal/wire"
 )
 
 // This file is the stateful half of the API: /v1/rings sessions backed
@@ -34,10 +35,8 @@ type RingCreateRequest struct {
 
 // RingStream is one resident stream with its server-assigned handle.
 type RingStream struct {
-	ID         string  `json:"id"`
-	Name       string  `json:"name,omitempty"`
-	PeriodMs   float64 `json:"periodMs"`
-	LengthBits float64 `json:"lengthBits"`
+	ID string `json:"id"`
+	StreamSpec
 }
 
 // RingResponse is the full state of a ring at one version: config,
@@ -124,19 +123,6 @@ func editMeta(r *http.Request) ringstate.EditMeta {
 	return meta
 }
 
-// ringStreamID renders an engine stream ID on the wire.
-func ringStreamID(id uint64) string { return "s" + strconv.FormatUint(id, 10) }
-
-// parseRingStreamID inverts ringStreamID.
-func parseRingStreamID(s string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(s, "s")
-	if !ok || rest == "" {
-		return 0, false
-	}
-	id, err := strconv.ParseUint(rest, 10, 64)
-	return id, err == nil
-}
-
 // ringError maps ringstate errors onto the wire. Conflicts get a
 // dedicated body carrying the ring's current version, so a client can
 // rebase its edit without an extra GET.
@@ -174,78 +160,10 @@ func (s *Server) ringError(w http.ResponseWriter, err error) {
 	}
 }
 
-// ringSnapshotKey computes the cache key of the /v1/analyze request
-// equivalent to this ring snapshot (Detail on, so per-stream verdicts
-// are included — the shape RingResponse.Verdicts carries).
-func ringSnapshotKey(cfg ringstate.Config, snap []ringstate.SnapshotStream) string {
-	if len(snap) == 0 {
-		return ""
-	}
-	req := AnalyzeRequest{
-		Protocols:     cfg.Protocols,
-		BandwidthMbps: cfg.BandwidthMbps,
-		FaultModel:    cfg.FaultSpec,
-		Detail:        true,
-		Streams:       make([]StreamSpec, len(snap)),
-	}
-	for i, st := range snap {
-		req.Streams[i] = StreamSpec{Name: st.Name, PeriodMs: st.PeriodMs, LengthBits: st.LengthBits}
-	}
-	canon, err := req.Canonicalize()
-	if err != nil {
-		// A resident ring only holds streams that already passed the same
-		// validation; an error here is a programming bug, not a request
-		// problem — surface it as a missing key rather than a 500.
-		return ""
-	}
-	return canon.CacheKey()
-}
-
-// ringVerdicts converts engine verdicts to the wire shape shared with
-// /v1/analyze, stamping wire stream IDs in.
-func ringVerdicts(vs []ringstate.Verdict) []Verdict {
-	out := make([]Verdict, len(vs))
-	for i, v := range vs {
-		out[i] = Verdict{
-			Protocol:             v.Protocol,
-			Schedulable:          v.Schedulable,
-			Utilization:          v.Utilization,
-			AugmentedUtilization: v.AugmentedUtilization,
-			Blocking:             v.Blocking,
-			Theta:                v.Theta,
-			FrameTime:            v.FrameTime,
-			TTRT:                 v.TTRT,
-			Overhead:             v.Overhead,
-			TotalAllocation:      v.TotalAllocation,
-			Capacity:             v.Capacity,
-		}
-		if v.Degraded != nil {
-			d := DegradedVerdict(*v.Degraded)
-			d.TotalAllocation = wireAllocation(d.TotalAllocation)
-			out[i].Degraded = &d
-		}
-		if len(v.Streams) > 0 {
-			out[i].Streams = make([]StreamVerdict, len(v.Streams))
-			for j, sv := range v.Streams {
-				out[i].Streams[j] = StreamVerdict{
-					ID:                ringStreamID(sv.ID),
-					Name:              sv.Name,
-					PeriodMs:          sv.PeriodMs,
-					Frames:            sv.Frames,
-					Q:                 sv.Q,
-					AugmentedLength:   sv.AugmentedLength,
-					ResponseTime:      sv.ResponseTime,
-					Allocation:        sv.Allocation,
-					WorstCaseResponse: sv.WorstCaseResponse,
-					Schedulable:       sv.Schedulable,
-				}
-			}
-		}
-	}
-	return out
-}
-
 // ringResponse renders a ring's full state at its current version.
+// SnapshotKey is the cache key of the /v1/analyze request equivalent to
+// the snapshot (Detail on, so per-stream verdicts are included — the
+// shape RingResponse.Verdicts carries).
 func ringResponse(r *ringstate.Ring) (RingResponse, error) {
 	version, cfg, snap, verdicts, err := r.State()
 	if err != nil {
@@ -257,17 +175,28 @@ func ringResponse(r *ringstate.Ring) (RingResponse, error) {
 		Protocols:     cfg.Protocols,
 		BandwidthMbps: cfg.BandwidthMbps,
 		FaultModel:    cfg.FaultSpec,
-		SnapshotKey:   ringSnapshotKey(cfg, snap),
 		Streams:       make([]RingStream, len(snap)),
-		Verdicts:      ringVerdicts(verdicts),
+		Verdicts:      verdicts,
+	}
+	req := AnalyzeRequest{
+		Protocols:     cfg.Protocols,
+		BandwidthMbps: cfg.BandwidthMbps,
+		FaultModel:    cfg.FaultSpec,
+		Detail:        true,
+		Streams:       make([]StreamSpec, len(snap)),
 	}
 	for i, st := range snap {
-		resp.Streams[i] = RingStream{
-			ID:         ringStreamID(st.ID),
-			Name:       st.Name,
-			PeriodMs:   st.PeriodMs,
-			LengthBits: st.LengthBits,
-		}
+		resp.Streams[i] = RingStream{ID: wire.StreamHandle(st.ID), StreamSpec: st.StreamSpec}
+		req.Streams[i] = st.StreamSpec
+	}
+	if len(snap) == 0 {
+		return resp, nil
+	}
+	// A resident ring only holds streams that already passed the same
+	// validation; an error here is a programming bug, not a request
+	// problem — surface it as a missing key rather than a 500.
+	if canon, err := req.Canonicalize(); err == nil {
+		resp.SnapshotKey = canon.CacheKey()
 	}
 	return resp, nil
 }
@@ -301,7 +230,7 @@ func ringDeltas(d *ringstate.Delta) []RingProtocolDelta {
 		}
 		for _, f := range pd.Flipped {
 			out[i].Flipped = append(out[i].Flipped, RingStreamFlip{
-				ID: ringStreamID(f.ID), Name: f.Name, Schedulable: f.Schedulable,
+				ID: wire.StreamHandle(f.ID), Name: f.Name, Schedulable: f.Schedulable,
 			})
 		}
 	}
@@ -341,11 +270,7 @@ func (s *Server) handleRings(w http.ResponseWriter, r *http.Request) {
 			BandwidthMbps: req.BandwidthMbps,
 			FaultSpec:     spec,
 		}
-		streams := make([]ringstate.Stream, len(req.Streams))
-		for i, sp := range req.Streams {
-			streams[i] = ringstate.Stream{Name: sp.Name, PeriodMs: sp.PeriodMs, LengthBits: sp.LengthBits}
-		}
-		ring, err := s.rings.CreateMeta(cfg, streams, editMeta(r))
+		ring, err := s.rings.Create(cfg, req.Streams, editMeta(r))
 		if err != nil {
 			s.ringEdits.Add(ringEditLabels[[2]string{ringstate.OpCreate, "error"}], 1)
 			s.ringError(w, err)
@@ -415,7 +340,7 @@ func (s *Server) handleRingItem(w http.ResponseWriter, r *http.Request) {
 	case len(parts) == 2 && parts[1] == "streams" && r.Method == http.MethodPost:
 		s.handleRingEdit(w, r, ringID, ringstate.OpAdd, 0)
 	case len(parts) == 3 && parts[1] == "streams":
-		sid, ok := parseRingStreamID(parts[2])
+		sid, ok := wire.ParseStreamHandle(parts[2])
 		if !ok {
 			writeError(w, http.StatusNotFound,
 				resilience.Errorf(resilience.CodeNotFound, http.StatusNotFound,
@@ -527,7 +452,7 @@ func outcomeFor(err error) string {
 // stays incremental" claim is observable in production.
 func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, op string, sid uint64) {
 	var expected uint64
-	var stream ringstate.Stream
+	var stream StreamSpec
 	if op == ringstate.OpRemove {
 		v, err := expectedVersionParam(r)
 		if err != nil {
@@ -541,12 +466,7 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		expected = req.ExpectedVersion
-		stream = ringstate.Stream{
-			Name:       req.Stream.Name,
-			PeriodMs:   req.Stream.PeriodMs,
-			LengthBits: req.Stream.LengthBits,
-		}
+		expected, stream = req.ExpectedVersion, req.Stream
 	}
 	ring, err := s.rings.Get(ringID)
 	if err != nil {
@@ -562,11 +482,11 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 	meta := editMeta(r)
 	switch op {
 	case ringstate.OpAdd:
-		version, sid, delta, err = ring.AddStreamMeta(expected, stream, meta)
+		version, sid, delta, err = ring.AddStream(expected, stream, meta)
 	case ringstate.OpModify:
-		version, delta, err = ring.ModifyStreamMeta(expected, sid, stream, meta)
+		version, delta, err = ring.ModifyStream(expected, sid, stream, meta)
 	case ringstate.OpRemove:
-		version, delta, err = ring.RemoveStreamMeta(expected, sid, meta)
+		version, delta, err = ring.RemoveStream(expected, sid, meta)
 	}
 	if err != nil {
 		sp.SetError(err)
@@ -591,7 +511,7 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 		RingID:   ringID,
 		Version:  version,
 		Op:       op,
-		StreamID: ringStreamID(sid),
+		StreamID: wire.StreamHandle(sid),
 		Reprobed: delta.Reprobed,
 		Deltas:   ringDeltas(delta),
 	})

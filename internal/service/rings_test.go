@@ -201,71 +201,139 @@ func TestRingsEditCASAndDelta(t *testing.T) {
 	}
 }
 
+// agreementRing is a ring built by a create and a run of stream adds,
+// shared by the route-agreement tests here and in cmd/ringadmit.
+type agreementRing struct {
+	name   string
+	create string   // the /v1/rings create body
+	adds   []string // stream objects, each added by its own edit
+	// wire, when set, is text the ring's GET body must hold: the case
+	// exists to pin that rendering.
+	wire string
+}
+
+// agreementRings are the rings every route to a verdict must agree on:
+//   - a 4 Mbps ring under the lossy-token scenario, grown by edits;
+//   - FDDI at 100 Mbps under lossy-token, whose degraded Σh is unbounded
+//     and travels as -1;
+//   - 101 streams, past the paper's 100 stations, so the last add
+//     re-plants the ring.
+func agreementRings() []agreementRing {
+	var plant strings.Builder
+	for i := 0; i < 99; i++ {
+		if i > 0 {
+			plant.WriteByte(',')
+		}
+		fmt.Fprintf(&plant, `{"name": "n%d", "periodMs": %d, "lengthBits": %d}`, i, 20+i%17, 512+64*(i%5))
+	}
+	rings := []agreementRing{
+		{
+			name: "lossy-token 4 Mbps",
+			create: `{
+	  "bandwidthMbps": 4,
+	  "scenario": "lossy-token",
+	  "streams": [{"name": "a", "periodMs": 12, "lengthBits": 16384}]
+	}`,
+		},
+		{
+			name:   "fddi unbounded degraded allocation",
+			create: `{"protocols": ["fddi"], "bandwidthMbps": 100, "scenario": "lossy-token", "streams": [{"periodMs": 1, "lengthBits": 1000}]}`,
+			adds:   []string{`{"periodMs": 3, "lengthBits": 1000}`},
+			wire:   `"totalAllocation": -1`,
+		},
+		{
+			name:   "101 streams",
+			create: `{"bandwidthMbps": 100, "faultModel": "loss:p=1e-3", "streams": [` + plant.String() + `]}`,
+			adds:   []string{`{"name": "n99", "periodMs": 7, "lengthBits": 4096}`, `{"name": "n100", "periodMs": 25, "lengthBits": 2048}`},
+		},
+	}
+	// Grow the first ring through the incremental path so the comparison
+	// exercises edited state, not just the bulk-create path.
+	for i := 0; i < 4; i++ {
+		rings[0].adds = append(rings[0].adds, fmt.Sprintf(`{"name": "h%d", "periodMs": 6, "lengthBits": 16384}`, i))
+	}
+	return rings
+}
+
 // TestRingSnapshotMatchesAnalyze is the snapshot-consistency satellite:
 // the verdicts a ring session reports at one version must be exactly the
 // verdicts /v1/analyze computes for the same snapshot, and the ring's
 // snapshotKey must be the analyze request's cache key.
 func TestRingSnapshotMatchesAnalyze(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	create := `{
-	  "bandwidthMbps": 4,
-	  "scenario": "lossy-token",
-	  "streams": [{"name": "a", "periodMs": 12, "lengthBits": 16384}]
-	}`
-	_, b := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings", create)
-	ring := decodeJSON[RingResponse](t, b)
+	for _, tc := range agreementRings() {
+		t.Run(tc.name, func(t *testing.T) {
+			_, b := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings", tc.create)
+			ring := decodeJSON[RingResponse](t, b)
+			for i, add := range tc.adds {
+				resp, eb := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings/"+ring.ID+"/streams", `{"stream": `+add+`}`)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("add %d: %d %s", i, resp.StatusCode, eb)
+				}
+			}
+			_, b = ringJSON(t, ts.URL, http.MethodGet, "/v1/rings/"+ring.ID, "")
+			if !bytes.Contains(b, []byte(tc.wire)) {
+				t.Fatalf("ring body lacks %s:\n%s", tc.wire, b)
+			}
+			ring = decodeJSON[RingResponse](t, b)
 
-	// Grow the ring through the incremental path so the comparison
-	// exercises edited state, not just the bulk-create path.
-	for i := 0; i < 4; i++ {
-		body := fmt.Sprintf(`{"stream": {"name": "h%d", "periodMs": 6, "lengthBits": 16384}}`, i)
-		resp, eb := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings/"+ring.ID+"/streams", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("add %d: %d %s", i, resp.StatusCode, eb)
+			// Rebuild the equivalent stateless request from the ring snapshot.
+			areq := AnalyzeRequest{
+				Protocols:     ring.Protocols,
+				BandwidthMbps: ring.BandwidthMbps,
+				FaultModel:    ring.FaultModel,
+				Detail:        true,
+			}
+			for _, st := range ring.Streams {
+				areq.Streams = append(areq.Streams, StreamSpec{Name: st.Name, PeriodMs: st.PeriodMs, LengthBits: st.LengthBits})
+			}
+			body, err := json.Marshal(areq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, b := post(t, ts.URL+"/v1/analyze", string(body))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("analyze: %d %s", resp.StatusCode, b)
+			}
+			analyzed := decodeJSON[AnalyzeResponse](t, b)
+
+			if ring.SnapshotKey == "" || ring.SnapshotKey != analyzed.CacheKey {
+				t.Fatalf("snapshotKey %q != analyze cacheKey %q", ring.SnapshotKey, analyzed.CacheKey)
+			}
+			// The verdicts must be identical except for the ring-only stream IDs.
+			stripped := ring.Verdicts
+			for i := range stripped {
+				for j := range stripped[i].Streams {
+					stripped[i].Streams[j].ID = ""
+				}
+			}
+			want, err := json.Marshal(analyzed.Verdicts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(stripped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("ring verdicts diverge from /v1/analyze:\nring:    %s\nanalyze: %s", got, want)
+			}
+		})
+	}
+}
+
+// TestRingCreateUnknownProtocolMatchesAnalyze: a ring create and
+// /v1/analyze canonicalize protocol lists with one function, so both
+// refuse an unknown slug with the same 400 body.
+func TestRingCreateUnknownProtocolMatchesAnalyze(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	const body = `{"protocols":["token-bus"],"bandwidthMbps":16,"streams":[{"periodMs":10,"lengthBits":1024}]}`
+	const want = `{"error":"service: unknown protocol: \"token-bus\" (valid: modified-802.5, standard-802.5, fddi)","code":"bad_request"}` + "\n"
+	for _, path := range []string{"/v1/analyze", "/v1/rings"} {
+		if w := serve(s.Handler(), path, body); w.Code != http.StatusBadRequest || w.Body.String() != want {
+			t.Errorf("%s: %d %s, want 400 %s", path, w.Code, w.Body, want)
 		}
-	}
-	_, b = ringJSON(t, ts.URL, http.MethodGet, "/v1/rings/"+ring.ID, "")
-	ring = decodeJSON[RingResponse](t, b)
-
-	// Rebuild the equivalent stateless request from the ring snapshot.
-	areq := AnalyzeRequest{
-		BandwidthMbps: ring.BandwidthMbps,
-		FaultModel:    ring.FaultModel,
-		Detail:        true,
-	}
-	for _, st := range ring.Streams {
-		areq.Streams = append(areq.Streams, StreamSpec{Name: st.Name, PeriodMs: st.PeriodMs, LengthBits: st.LengthBits})
-	}
-	body, err := json.Marshal(areq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, b := post(t, ts.URL+"/v1/analyze", string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze: %d %s", resp.StatusCode, b)
-	}
-	analyzed := decodeJSON[AnalyzeResponse](t, b)
-
-	if ring.SnapshotKey == "" || ring.SnapshotKey != analyzed.CacheKey {
-		t.Fatalf("snapshotKey %q != analyze cacheKey %q", ring.SnapshotKey, analyzed.CacheKey)
-	}
-	// The verdicts must be identical except for the ring-only stream IDs.
-	stripped := ring.Verdicts
-	for i := range stripped {
-		for j := range stripped[i].Streams {
-			stripped[i].Streams[j].ID = ""
-		}
-	}
-	want, err := json.Marshal(analyzed.Verdicts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(stripped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("ring verdicts diverge from /v1/analyze:\nring:    %s\nanalyze: %s", got, want)
 	}
 }
 

@@ -831,7 +831,8 @@ func (s *Server) serveTopology(w http.ResponseWriter, r *http.Request, req Topol
 		for _, rv := range resp.Rings {
 			s.verdicts.Add(labels("protocol", rv.Protocol, "schedulable", strconv.FormatBool(rv.Schedulable)), 1)
 		}
-		return encodeTraced(ctx, resp)
+		body, err := encodeTraced(ctx, resp)
+		return body, resultOutOfRange(err)
 	})
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -249,4 +250,95 @@ func TestTopologyUnstableBridgeStillMarshals(t *testing.T) {
 			t.Errorf("unbounded flow carries bound fields: %+v", f)
 		}
 	}
+}
+
+// overflowTopology is a decodable topology whose FDDI ring, at 1e-300
+// bit/s, carries a flow whose verdict overflows to +Inf.
+const overflowTopology = "ring:name=a,proto=fddi,bw=1e-300 + flow:name=f,src=a,dst=a,period=10ms,bits=1e18"
+
+// TestTopologyOverflowAnswersTyped400: a topology whose verdicts hold a
+// number JSON cannot carry is refused with /v1/analyze's typed 400, with
+// and without detail, never a 500.
+func TestTopologyOverflowAnswersTyped400(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	const want = `{"error":"service: bad request: analysis result out of range: json: unsupported value: +Inf","code":"bad_request"}` + "\n"
+	for _, body := range []string{
+		`{"topology":"` + overflowTopology + `"}`,
+		`{"topology":"` + overflowTopology + `","detail":true}`,
+	} {
+		if w := serve(s.Handler(), "/v1/topology/analyze", body); w.Code != http.StatusBadRequest || w.Body.String() != want {
+			t.Errorf("%s: %d %s, want 400 %s", body, w.Code, w.Body, want)
+		}
+	}
+}
+
+// FuzzTopologyHTTP drives /v1/topology/analyze at the HTTP boundary with
+// FuzzAnalyzeHTTP's assertions. Each input is posted twice to one Server,
+// and:
+//   - the status is 200 or a typed 4xx (a JSON error body with a code),
+//     never a 5xx;
+//   - a 200 body is byte-equal to Encode(AnalyzeTopology(the decoded
+//     request));
+//   - the second send of a 200 is an alias hit with a byte-identical
+//     body; a refused input is refused identically.
+func FuzzTopologyHTTP(f *testing.F) {
+	for _, seed := range []string{
+		`{"topology":"` + overflowTopology + `"}`,
+		`{"topology":"` + overflowTopology + `","detail":true}`,
+		`{"topology":"ring:name=a,proto=fddi,bw=100e6 + flow:name=f,src=a,dst=a,period=10ms,bits=1e308"}`,
+		`{"topology":"` + lineTopologySpec + `"}`,
+		`{"topology":"` + lineTopologySpec + `","detail":true}`,
+		// The grammar joins clauses with "+", so an exponent's sign splits
+		// the spec: a typed 400.
+		`{"topology":"ring:name=a,proto=8025,bw=16e6 + flow:name=f,src=a,period=10ms,bits=1e+18"}`,
+		`{"topology":"ring:name=r","flows":[{"src":"r","periodMs":10,"lengthBits":4096}]}`,
+		`{"topology":""}`,
+		`not json`,
+	} {
+		f.Add(seed)
+	}
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		first := serve(h, "/v1/topology/analyze", body)
+		second := serve(h, "/v1/topology/analyze", body)
+		if first.Code != http.StatusOK {
+			var e errorBody
+			if first.Code >= 500 || first.Code < 400 || json.Unmarshal(first.Body.Bytes(), &e) != nil || e.Code == "" {
+				t.Fatalf("status %d %s, want 200 or a typed 4xx", first.Code, first.Body)
+			}
+			if second.Code != first.Code || !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("refused %d %s, then %d %s", first.Code, first.Body, second.Code, second.Body)
+			}
+			return
+		}
+		var req TopologyRequest
+		if err := decodeFrom(strings.NewReader(body), &req); err != nil {
+			t.Fatalf("served 200 for a body that does not decode: %v", err)
+		}
+		resp, err := AnalyzeTopology(context.Background(), req)
+		if err != nil {
+			t.Fatalf("served 200 but AnalyzeTopology fails: %v", err)
+		}
+		want, err := Encode(resp)
+		if err != nil {
+			t.Fatalf("served 200 but Encode fails: %v", err)
+		}
+		if !bytes.Equal(first.Body.Bytes(), want) {
+			t.Fatalf("body differs from Encode(AnalyzeTopology(req)):\n%s\nvs\n%s", first.Body, want)
+		}
+		if second.Code != http.StatusOK || second.Header().Get("X-Cache") != "hit" || !bytes.Equal(second.Body.Bytes(), want) {
+			t.Fatalf("second send: %d X-Cache %q, body equal %v", second.Code, second.Header().Get("X-Cache"),
+				bytes.Equal(second.Body.Bytes(), want))
+		}
+		spans := s.spans.Trace(second.Header().Get("X-Ringsched-Trace"))
+		if spanByName(spans, "decode") != nil {
+			t.Fatal("the repeated body was decoded again")
+		}
+		if sp := spanByName(spans, "cache.lookup"); sp == nil || sp.Attrs["alias"] != true || sp.Attrs["outcome"] != "hit" {
+			t.Fatalf("second send's cache.lookup span %+v, want an alias hit", sp)
+		}
+	})
 }

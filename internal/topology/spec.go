@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -213,12 +214,18 @@ func (p clauseParams) require(key string, duration bool) (float64, error) {
 	return p.take(key, 0, duration)
 }
 
+// leftover names the least unknown key, so a spec is always refused with
+// the same message.
 func (p clauseParams) leftover() error {
-	for key := range p.kv {
-		return fmt.Errorf("%w: unknown %s key %q (valid %s keys: %s)",
-			ErrBadSpec, p.kind, key, p.kind, clauseKeys[p.kind])
+	if len(p.kv) == 0 {
+		return nil
 	}
-	return nil
+	keys := make([]string, 0, len(p.kv))
+	for key := range p.kv {
+		keys = append(keys, key)
+	}
+	return fmt.Errorf("%w: unknown %s key %q (valid %s keys: %s)",
+		ErrBadSpec, p.kind, slices.Min(keys), p.kind, clauseKeys[p.kind])
 }
 
 // clauseKeys lists the accepted keys per clause kind, for error messages.
