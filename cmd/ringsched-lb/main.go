@@ -77,13 +77,14 @@ type lb struct {
 	stages   *promtext.HistogramVec // stage (read | route | forward | stream)
 }
 
-// lbStageForSpan maps lb span names to the stage label of
-// ringschedlb_stage_seconds, mirroring the backend's stage histogram.
-var lbStageForSpan = map[string]string{
-	"lb.read":    "read",
-	"lb.route":   "route",
-	"lb.forward": "forward",
-	"lb.stream":  "stream",
+// lbStageLabels maps lb span names to their rendered stage label of
+// ringschedlb_stage_seconds, mirroring the backend's stage histogram;
+// the labels are rendered once, so a finished span renders none.
+var lbStageLabels = map[string]string{
+	"lb.read":    promtext.Labels("stage", "read"),
+	"lb.route":   promtext.Labels("stage", "route"),
+	"lb.forward": promtext.Labels("stage", "forward"),
+	"lb.stream":  promtext.Labels("stage", "stream"),
 }
 
 func newLB(cfg lbConfig) (*lb, error) {
@@ -133,9 +134,9 @@ func newLB(cfg lbConfig) (*lb, error) {
 				slog.String("backend", member), slog.Bool("healthy", healthy))
 		},
 	})
-	stageSink := trace.SinkFunc(func(rec trace.Record) {
-		if stage, ok := lbStageForSpan[rec.Name]; ok {
-			l.stages.Observe(promtext.Labels("stage", stage), rec.DurationUS/1e6)
+	stageSink := trace.SinkFunc(func(f trace.Finished) {
+		if stage, ok := lbStageLabels[f.Name]; ok {
+			l.stages.Observe(stage, f.DurationUS()/1e6)
 		}
 	})
 	l.tracer = trace.New(trace.Tee(l.spans, stageSink))
@@ -241,8 +242,7 @@ func (l *lb) route(endpoint string) http.HandlerFunc {
 		// context into ringschedclient, which forwards the header, so the
 		// client, the lb, and the serving replica share one trace.
 		id, _ := trace.ParseTraceID(r.Header.Get("X-Ringsched-Trace"))
-		ctx := trace.WithTracer(r.Context(), l.tracer)
-		ctx, sp := trace.StartRoot(ctx, "lb."+endpoint, id)
+		ctx, sp := l.tracer.StartRoot(r.Context(), "lb."+endpoint, id)
 		defer sp.End()
 		w.Header().Set("X-Ringsched-Trace", sp.TraceID().String())
 

@@ -724,6 +724,13 @@ func sweepCanonical(ctx context.Context, req SweepRequest, key string, workers i
 	for _, proto := range req.Protocols {
 		factory := analyzerFactory(proto, req.Streams)
 		s, err := est.SweepContext(ctx, protocolNames[proto], factory, bandwidths)
+		if errors.Is(err, rma.ErrBadTask) || errors.Is(err, breakdown.ErrNoBracket) {
+			// Canonicalize accepted every input, so a task the kernel
+			// refuses or a saturation it cannot bracket comes from the
+			// request's magnitudes (a bandwidth or period near 1e300),
+			// not from the server.
+			err = fmt.Errorf("%w: sweep out of range: %v", ErrBadRequest, err)
+		}
 		if err != nil {
 			return SweepResponse{}, err
 		}

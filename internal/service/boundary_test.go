@@ -69,6 +69,30 @@ func TestOverflowingInputsAnswerTyped400(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeSweepAnswersTyped400: a sweep whose saturation search
+// cannot bracket (a bandwidth of 1e300 Mbps) or whose tasks the kernel
+// refuses (a mean period of 1e300 ms) is the request's fault. The plain
+// response is a 400 and the SSE stream's error event says bad_request,
+// where both used to report code internal.
+func TestOutOfRangeSweepAnswersTyped400(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	for _, body := range []string{
+		`{"bandwidthsMbps":[1e300]}`,
+		`{"meanPeriodMs":1e300}`,
+	} {
+		w := serve(s.Handler(), "/v1/sweep", body)
+		var e errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Errorf("%s: %d %s, want 400 code bad_request", body, w.Code, w.Body)
+		}
+		w = serve(s.Handler(), "/v1/sweep?stream=sse", body)
+		if !strings.Contains(w.Body.String(), "event: error") || !strings.Contains(w.Body.String(), `"code":"bad_request"`) {
+			t.Errorf("%s over SSE: %s, want an error event with code bad_request", body, w.Body)
+		}
+	}
+}
+
 // TestSaturatedTTPVisitsAnswer200: a period allowing 2⁶³ or more token
 // rotations (1e300 ms at 100 Mbps, TTRT ≈ 3.56e146 s) saturates the
 // visit count instead of wrapping it to 1, so FDDI guarantees the stream

@@ -40,18 +40,20 @@ type RequestRecord struct {
 	TraceID   string  `json:"traceId"`
 }
 
-// digestKey carries the mutable per-request digest through the handler
-// chain: instrument allocates it with the request's rendered trace ID,
-// serveCached fills in the canonical key.
+// digestCtxKey carries the mutable per-request digest through the
+// handler chain: instrument allocates it with the request's rendered
+// trace ID, serveCached fills in the canonical key.
 type digestCtxKey struct{}
 
 type requestDigest struct {
-	key     string
-	traceID string
+	key string
+	// traceID holds the rendered trace ID as the X-Ringsched-Trace
+	// header value slice (len == cap, so an Add cannot write into it).
+	traceID [1]string
 }
 
 func withDigest(ctx context.Context, traceID string) (context.Context, *requestDigest) {
-	d := &requestDigest{traceID: traceID}
+	d := &requestDigest{traceID: [1]string{traceID}}
 	return context.WithValue(ctx, digestCtxKey{}, d), d
 }
 

@@ -118,7 +118,7 @@ type RingEditResponse struct {
 func editMeta(r *http.Request) ringstate.EditMeta {
 	meta := ringstate.EditMeta{Client: clientKey(r)}
 	if d, ok := r.Context().Value(digestCtxKey{}).(*requestDigest); ok {
-		meta.TraceID = d.traceID
+		meta.TraceID = d.traceID[0]
 	}
 	return meta
 }
@@ -243,7 +243,7 @@ func (s *Server) writeRingJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(body)
 }

@@ -18,6 +18,7 @@ import (
 	"ringsched/internal/resilience"
 	"ringsched/internal/ringstate"
 	"ringsched/internal/trace"
+	"ringsched/internal/wire"
 )
 
 // Config tunes a Server. The zero value serves with sensible defaults.
@@ -213,6 +214,47 @@ var stageLabels = func() map[string]string {
 	return out
 }()
 
+// endpointLabelOf holds the rendered endpoint label of every API
+// endpoint, and verdictLabelOf the (protocol, schedulable) label of every
+// protocol slug, indexed by the verdict; a request renders neither.
+var endpointLabelOf, verdictLabelOf = func() (map[string]string, map[string][2]string) {
+	endpoints := map[string]string{}
+	for _, e := range []string{"analyze", "topology", "sweep", "experiments", "rings"} {
+		endpoints[e] = labels("endpoint", e)
+	}
+	verdicts := map[string][2]string{}
+	for _, p := range wire.AllProtocols() {
+		verdicts[p] = [2]string{
+			labels("protocol", p, "schedulable", "false"),
+			labels("protocol", p, "schedulable", "true"),
+		}
+	}
+	return endpoints, verdicts
+}()
+
+// endpointLabel returns the endpoint label of endpoint, rendering it only
+// for a name outside endpointLabelOf.
+func endpointLabel(endpoint string) string {
+	if l, ok := endpointLabelOf[endpoint]; ok {
+		return l
+	}
+	return labels("endpoint", endpoint)
+}
+
+// verdictLabel returns the ringschedd_verdicts_total label of one
+// verdict, rendering it only for a protocol outside verdictLabelOf.
+func verdictLabel(protocol string, schedulable bool) string {
+	l, ok := verdictLabelOf[protocol]
+	switch {
+	case !ok:
+		return labels("protocol", protocol, "schedulable", strconv.FormatBool(schedulable))
+	case schedulable:
+		return l[1]
+	default:
+		return l[0]
+	}
+}
+
 // statusesWritten are the statuses the handlers and middleware write; an
 // endpoint's (code, endpoint) label strings are rendered for these once.
 var statusesWritten = []int{
@@ -238,7 +280,7 @@ type endpointLabels struct {
 func newEndpointLabels(endpoint string) *endpointLabels {
 	l := &endpointLabels{
 		name:     endpoint,
-		endpoint: labels("endpoint", endpoint),
+		endpoint: endpointLabel(endpoint),
 		codes:    make(map[int]string, len(statusesWritten)),
 		classes:  make(map[string]string, 3),
 	}
@@ -303,9 +345,9 @@ func New(cfg Config) *Server {
 		s.chaos = resilience.NewChaos(cfg.Chaos)
 		s.chaos.OnInject = func(kind string) { s.chaosInj.Add(labels("kind", kind), 1) }
 	}
-	stageSink := trace.SinkFunc(func(rec trace.Record) {
-		if stage, ok := stageLabels[rec.Name]; ok {
-			s.stages.Observe(stage, rec.DurationUS/1e6)
+	stageSink := trace.SinkFunc(func(f trace.Finished) {
+		if stage, ok := stageLabels[f.Name]; ok {
+			s.stages.Observe(stage, f.DurationUS()/1e6)
 		}
 	})
 	s.tracer = trace.New(trace.Tee(s.spans, stageSink, cfg.TraceSink))
@@ -422,6 +464,7 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 	// real responses; a nil/disabled chaos is a free passthrough.
 	inner := s.chaos.Wrap(http.HandlerFunc(h))
 	lbl := newEndpointLabels(endpoint)
+	rootName := "http." + endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
@@ -430,15 +473,14 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 		// A malformed header must not fail the request: fall back to a
 		// fresh trace ID and note the rejection on the span.
 		id, idErr := trace.ParseTraceID(r.Header.Get("X-Ringsched-Trace"))
-		ctx := trace.WithTracer(r.Context(), s.tracer)
-		ctx, sp := trace.StartRoot(ctx, "http."+endpoint, id)
+		ctx, sp := s.tracer.StartRoot(r.Context(), rootName, id)
 		sp.SetAttr("method", r.Method)
 		if idErr != nil {
 			sp.SetAttr("badTraceHeader", true)
 		}
-		traceID := sp.TraceID().String()
-		sw.Header().Set("X-Ringsched-Trace", traceID)
-		ctx, dig := withDigest(ctx, traceID)
+		ctx, dig := withDigest(ctx, sp.TraceID().String())
+		traceID := dig.traceID[0]
+		sw.Header()["X-Ringsched-Trace"] = dig.traceID[:]
 
 		defer func() {
 			s.inflight.Add(-1)
@@ -580,7 +622,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	out, _ := json.Marshal(body)
 	w.Write(append(out, '\n'))
@@ -602,7 +644,7 @@ func statusFor(err error) int {
 
 func (s *Server) noteCancel(endpoint string, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		s.canceled.Add(labels("endpoint", endpoint), 1)
+		s.canceled.Add(endpointLabel(endpoint), 1)
 	}
 }
 
@@ -656,10 +698,24 @@ func decodeFrom(rd io.Reader, v any) error {
 	return nil
 }
 
+// Header values the handlers share across requests. A handler assigns
+// one of these slices to its response header in place of Header.Set,
+// which allocates a slice per call. Nothing may write through them: each
+// has len == cap, so a later Header.Add appends into a new array, and
+// Header.Set replaces the slice rather than writing into it.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheHit        = []string{"hit"}
+	cacheCoalesced  = []string{"coalesced"}
+	cachePeer       = []string{"peer"}
+	cacheMiss       = []string{"miss"}
+)
+
 // writeHit serves a cached body.
 func writeHit(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "hit")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["X-Cache"] = cacheHit
 	w.Write(body)
 }
 
@@ -730,7 +786,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 		kctx, ksp := trace.Start(trace.ContextWithSpan(ctx, parent), "kernel")
 		defer ksp.End()
 		ksp.SetAttr("endpoint", endpoint)
-		s.computes.Add(labels("endpoint", endpoint), 1)
+		s.computes.Add(endpointLabel(endpoint), 1)
 		b, err := compute(kctx)
 		if err != nil {
 			ksp.SetError(err)
@@ -747,16 +803,17 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 		writeError(w, statusFor(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
 	switch {
 	case shared:
-		w.Header().Set("X-Cache", "coalesced")
+		h["X-Cache"] = cacheCoalesced
 	case viaCache:
-		w.Header().Set("X-Cache", "hit")
+		h["X-Cache"] = cacheHit
 	case viaPeer:
-		w.Header().Set("X-Cache", "peer")
+		h["X-Cache"] = cachePeer
 	default:
-		w.Header().Set("X-Cache", "miss")
+		h["X-Cache"] = cacheMiss
 	}
 	w.Write(body)
 }
@@ -784,7 +841,7 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req Analyz
 			return nil, err
 		}
 		for _, v := range resp.Verdicts {
-			s.verdicts.Add(labels("protocol", v.Protocol, "schedulable", strconv.FormatBool(v.Schedulable)), 1)
+			s.verdicts.Add(verdictLabel(v.Protocol, v.Schedulable), 1)
 		}
 		body, err := encodeTraced(ctx, resp)
 		return body, resultOutOfRange(err)
@@ -829,7 +886,7 @@ func (s *Server) serveTopology(w http.ResponseWriter, r *http.Request, req Topol
 			return nil, err
 		}
 		for _, rv := range resp.Rings {
-			s.verdicts.Add(labels("protocol", rv.Protocol, "schedulable", strconv.FormatBool(rv.Schedulable)), 1)
+			s.verdicts.Add(verdictLabel(rv.Protocol, rv.Schedulable), 1)
 		}
 		body, err := encodeTraced(ctx, resp)
 		return body, resultOutOfRange(err)
@@ -898,7 +955,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, canon Sweep
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	s.sseStream.Add(labels("endpoint", "sweep"), 1)
+	s.sseStream.Add(endpointLabel("sweep"), 1)
 
 	sse := progress.NewSSE(w, flusher.Flush, s.cfg.SampleEvery)
 	if cached {
@@ -933,7 +990,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, canon Sweep
 		return
 	}
 	defer s.flight.release()
-	s.computes.Add(labels("endpoint", "sweep"), 1)
+	s.computes.Add(endpointLabel("sweep"), 1)
 	started := time.Now()
 	resp, err := sweepCanonical(ctx, canon, key, s.cfg.Workers, sse)
 	if err != nil {
@@ -996,7 +1053,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer s.flight.release()
-		s.computes.Add(labels("endpoint", "experiments"), 1)
+		s.computes.Add(endpointLabel("experiments"), 1)
 		started := time.Now()
 		resp, err := RunExperiments(ctx, req, s.cfg.Workers, nil)
 		if err != nil {

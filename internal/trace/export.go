@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"sync"
@@ -27,16 +28,16 @@ type Record struct {
 // Sink receives finished spans. Implementations must be safe for
 // concurrent Export calls: spans end on whatever goroutine ran the work.
 type Sink interface {
-	Export(Record)
+	Export(Finished)
 }
 
 // SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Record)
+type SinkFunc func(Finished)
 
-// Export calls f(rec).
-func (f SinkFunc) Export(rec Record) { f(rec) }
+// Export calls f(fin).
+func (f SinkFunc) Export(fin Finished) { f(fin) }
 
-// Tee fans each record out to every non-nil sink, in order.
+// Tee fans each span out to every non-nil sink, in order.
 func Tee(sinks ...Sink) Sink {
 	kept := make([]Sink, 0, len(sinks))
 	for _, s := range sinks {
@@ -44,9 +45,9 @@ func Tee(sinks ...Sink) Sink {
 			kept = append(kept, s)
 		}
 	}
-	return SinkFunc(func(rec Record) {
+	return SinkFunc(func(fin Finished) {
 		for _, s := range kept {
-			s.Export(rec)
+			s.Export(fin)
 		}
 	})
 }
@@ -63,9 +64,9 @@ type JSONL struct {
 // NewJSONL returns a JSONL sink writing to w.
 func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
 
-// Export writes rec as one line of JSON.
-func (j *JSONL) Export(rec Record) {
-	buf, err := json.Marshal(rec)
+// Export writes the span's Record as one line of JSON.
+func (j *JSONL) Export(fin Finished) {
+	buf, err := json.Marshal(fin.Record())
 	if err != nil {
 		return
 	}
@@ -75,36 +76,44 @@ func (j *JSONL) Export(rec Record) {
 	j.w.Write(buf)
 }
 
-// Ring keeps the most recent finished spans in a fixed-capacity buffer —
-// the store behind ringschedd's /debug/traces endpoint. Old spans are
-// overwritten; Total counts everything ever exported.
+// Ring keeps the most recent finished spans in a bounded buffer — the
+// store behind ringschedd's /debug/traces endpoint. Spans are kept raw;
+// Snapshot and Trace render the Records they return. Slots are allocated
+// as spans arrive, up to the capacity, so an idle process holds none;
+// from then on the oldest span is overwritten. Total counts everything
+// ever exported.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Record
-	next  int
-	full  bool
-	total uint64
+	mu       sync.Mutex
+	buf      []Finished // oldest first until it holds capacity spans
+	capacity int
+	next     int // the oldest slot once len(buf) == capacity
+	total    uint64
 }
 
 // NewRing returns a ring holding up to capacity spans (minimum 1).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Record, capacity)}
+	return &Ring{capacity: max(capacity, 1)}
 }
 
-// Export stores rec, evicting the oldest span once the ring is full.
-func (r *Ring) Export(rec Record) {
+// Export stores fin, evicting the oldest span once the ring is full.
+func (r *Ring) Export(fin Finished) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf[r.next] = rec
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
 	r.total++
+	if len(r.buf) < r.capacity {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Finished, len(r.buf), min(max(2*len(r.buf), 16), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, fin)
+		return
+	}
+	r.buf[r.next] = fin
+	r.next++
+	if r.next == r.capacity {
+		r.next = 0
+	}
 }
 
 // Total returns the number of spans ever exported to the ring.
@@ -116,25 +125,39 @@ func (r *Ring) Total() uint64 {
 
 // Snapshot returns the retained spans, oldest first.
 func (r *Ring) Snapshot() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Record(nil), r.buf[:r.next]...)
-	}
-	out := make([]Record, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return r.collect(func(*Finished) bool { return true })
 }
 
-// Trace returns the retained spans of one trace, oldest first.
+// Trace returns the retained spans of one trace, oldest first. traceID
+// is matched as rendered: anything but 32 lowercase hex digits matches
+// nothing.
 func (r *Ring) Trace(traceID string) []Record {
-	all := r.Snapshot()
-	out := all[:0]
-	for _, rec := range all {
-		if rec.TraceID == traceID {
-			out = append(out, rec)
+	var id TraceID
+	if len(traceID) != 2*len(id) {
+		return nil
+	}
+	if _, err := hex.Decode(id[:], []byte(traceID)); err != nil || id.String() != traceID {
+		return nil
+	}
+	return r.collect(func(f *Finished) bool { return f.TraceID == id })
+}
+
+// collect copies the retained spans that keep accepts, oldest first,
+// under the lock, and renders them outside it.
+func (r *Ring) collect(keep func(*Finished) bool) []Record {
+	r.mu.Lock()
+	var kept []Finished
+	for _, part := range [2][]Finished{r.buf[r.next:], r.buf[:r.next]} {
+		for i := range part {
+			if keep(&part[i]) {
+				kept = append(kept, part[i])
+			}
 		}
 	}
-	return out[:len(out):len(out)]
+	r.mu.Unlock()
+	out := make([]Record, len(kept))
+	for i := range kept {
+		out[i] = kept[i].Record()
+	}
+	return out
 }

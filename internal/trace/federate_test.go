@@ -23,6 +23,24 @@ func rec(traceID, spanID, parentID, name string, start int64, durUS float64) Rec
 	}
 }
 
+// fin is rec as a span a ring stores: its raw IDs hold the labels'
+// bytes, right-aligned, so they render as real hex IDs (tid and sid).
+func fin(traceID, spanID, parentID, name string, start int64, durUS float64) Finished {
+	f := Finished{
+		Name:     name,
+		Start:    time.Unix(0, start*int64(time.Millisecond)).UTC(),
+		Duration: time.Duration(durUS * float64(time.Microsecond)),
+	}
+	copy(f.TraceID[len(f.TraceID)-len(traceID):], traceID)
+	copy(f.SpanID[len(f.SpanID)-len(spanID):], spanID)
+	copy(f.ParentID[len(f.ParentID)-len(parentID):], parentID)
+	return f
+}
+
+// tid and sid render a trace or span label as fin stores it.
+func tid(label string) string { return fin(label, "", "", "", 0, 0).TraceID.String() }
+func sid(label string) string { return fin("", label, "", "", 0, 0).SpanID.String() }
+
 func TestQueryFilter(t *testing.T) {
 	recs := []Record{
 		rec("t1", "a", "", "http.analyze", 1, 5000),
@@ -148,15 +166,15 @@ func decodeTraces(t *testing.T, body []byte) map[string]any {
 
 func TestDebugServerLocal(t *testing.T) {
 	ring := NewRing(16)
-	ring.Export(rec("t1", "a", "", "http.analyze", 1, 100))
-	ring.Export(rec("t1", "b", "a", "kernel", 2, 10))
-	ring.Export(rec("t2", "c", "", "http.analyze", 3, 5))
+	ring.Export(fin("t1", "a", "", "http.analyze", 1, 100))
+	ring.Export(fin("t1", "b", "a", "kernel", 2, 10))
+	ring.Export(fin("t2", "c", "", "http.analyze", 3, 5))
 	ds := &DebugServer{Ring: ring, Self: "m1"}
 
 	srv := httptest.NewServer(ds)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/debug/traces?trace=t1")
+	resp, err := http.Get(srv.URL + "/debug/traces?trace=" + tid("t1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +199,7 @@ func TestDebugServerLocal(t *testing.T) {
 			t.Fatalf("span %s member = %q, want m1", sp.SpanID, sp.Member)
 		}
 	}
-	if len(got.Tree) != 1 || got.Tree[0].SpanID != "a" || len(got.Tree[0].Children) != 1 {
+	if len(got.Tree) != 1 || got.Tree[0].SpanID != sid("a") || len(got.Tree[0].Children) != 1 {
 		t.Fatalf("tree = %+v", got.Tree)
 	}
 }
@@ -189,7 +207,7 @@ func TestDebugServerLocal(t *testing.T) {
 func TestDebugServerFilters(t *testing.T) {
 	ring := NewRing(16)
 	for i := 0; i < 5; i++ {
-		ring.Export(rec("t", fmt.Sprintf("s%d", i), "", "op", int64(i), float64(i)*1000))
+		ring.Export(fin("t", fmt.Sprintf("s%d", i), "", "op", int64(i), float64(i)*1000))
 	}
 	ds := &DebugServer{Ring: ring}
 	srv := httptest.NewServer(ds)
@@ -234,11 +252,11 @@ func TestDebugServerFilters(t *testing.T) {
 
 func TestDebugServerFederation(t *testing.T) {
 	ring := NewRing(16)
-	ring.Export(rec("t1", "a", "", "lb.analyze", 1, 500))
+	ring.Export(fin("t1", "a", "", "lb.analyze", 1, 500))
 
 	peerRecs := map[string][]Record{
-		"peer1:1": {rec("t1", "b", "a", "http.analyze", 2, 300)},
-		"peer2:2": {rec("t1", "c", "b", "peer.fill", 3, 100)},
+		"peer1:1": {rec(tid("t1"), sid("b"), sid("a"), "http.analyze", 2, 300)},
+		"peer2:2": {rec(tid("t1"), sid("c"), sid("b"), "peer.fill", 3, 100)},
 	}
 	ds := &DebugServer{
 		Ring: ring,
@@ -247,7 +265,7 @@ func TestDebugServerFederation(t *testing.T) {
 			return []string{"peer2:2", "peer1:1"}
 		},
 		Fetch: func(ctx context.Context, member, traceID string) ([]Record, error) {
-			if traceID != "t1" {
+			if traceID != tid("t1") {
 				return nil, nil
 			}
 			if member == "peer-down" {
@@ -259,7 +277,7 @@ func TestDebugServerFederation(t *testing.T) {
 	srv := httptest.NewServer(ds)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/debug/traces?trace=t1")
+	resp, err := http.Get(srv.URL + "/debug/traces?trace=" + tid("t1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,23 +297,23 @@ func TestDebugServerFederation(t *testing.T) {
 	for _, sp := range got.Spans {
 		byID[sp.SpanID] = sp.Member
 	}
-	if byID["a"] != "lb" || byID["b"] != "peer1:1" || byID["c"] != "peer2:2" {
+	if byID[sid("a")] != "lb" || byID[sid("b")] != "peer1:1" || byID[sid("c")] != "peer2:2" {
 		t.Fatalf("member attribution = %v", byID)
 	}
 	if len(got.Members) != 3 || got.Members[0].Member != "lb" || got.Members[0].Spans != 1 {
 		t.Fatalf("members = %+v", got.Members)
 	}
 	// One merged tree: a → b → c.
-	if len(got.Tree) != 1 || got.Tree[0].SpanID != "a" ||
-		len(got.Tree[0].Children) != 1 || got.Tree[0].Children[0].SpanID != "b" ||
-		len(got.Tree[0].Children[0].Children) != 1 || got.Tree[0].Children[0].Children[0].SpanID != "c" {
+	if len(got.Tree) != 1 || got.Tree[0].SpanID != sid("a") ||
+		len(got.Tree[0].Children) != 1 || got.Tree[0].Children[0].SpanID != sid("b") ||
+		len(got.Tree[0].Children[0].Children) != 1 || got.Tree[0].Children[0].Children[0].SpanID != sid("c") {
 		t.Fatalf("tree = %s", mustJSON(got.Tree))
 	}
 }
 
 func TestDebugServerFederationPeerError(t *testing.T) {
 	ring := NewRing(4)
-	ring.Export(rec("t1", "a", "", "root", 1, 10))
+	ring.Export(fin("t1", "a", "", "root", 1, 10))
 	ds := &DebugServer{
 		Ring:  ring,
 		Self:  "self",
@@ -306,7 +324,7 @@ func TestDebugServerFederationPeerError(t *testing.T) {
 	}
 	srv := httptest.NewServer(ds)
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/traces?trace=t1")
+	resp, err := http.Get(srv.URL + "/debug/traces?trace=" + tid("t1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +349,7 @@ func TestDebugServerFederationPeerError(t *testing.T) {
 
 func TestDebugServerLocalParamSuppressesScatter(t *testing.T) {
 	ring := NewRing(4)
-	ring.Export(rec("t1", "a", "", "root", 1, 10))
+	ring.Export(fin("t1", "a", "", "root", 1, 10))
 	calls := 0
 	ds := &DebugServer{
 		Ring:  ring,
@@ -344,7 +362,7 @@ func TestDebugServerLocalParamSuppressesScatter(t *testing.T) {
 	}
 	srv := httptest.NewServer(ds)
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/traces?trace=t1&local=1")
+	resp, err := http.Get(srv.URL + "/debug/traces?trace=" + tid("t1") + "&local=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +370,7 @@ func TestDebugServerLocalParamSuppressesScatter(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("local=1 still scattered to %d peers", calls)
 	}
-	body := decodeTraces(t, fetchBody(t, srv.URL+"/debug/traces?trace=t1&local=1"))
+	body := decodeTraces(t, fetchBody(t, srv.URL+"/debug/traces?trace="+tid("t1")+"&local=1"))
 	if _, ok := body["members"]; ok {
 		t.Fatalf("local=1 response carries members: %v", body)
 	}

@@ -57,8 +57,8 @@ func (h idHandler) Handle(ctx context.Context, rec slog.Record) error {
 	if sp := SpanFromContext(ctx); sp != nil {
 		rec = rec.Clone()
 		rec.AddAttrs(
-			slog.String("traceId", sp.traceID.String()),
-			slog.String("spanId", sp.id.String()),
+			slog.String("traceId", sp.fin.TraceID.String()),
+			slog.String("spanId", sp.fin.SpanID.String()),
 		)
 	}
 	return h.inner.Handle(ctx, rec)

@@ -9,11 +9,15 @@
 //     context) when no Tracer is installed, and every Span method is
 //     nil-safe, so hot paths carry tracing calls without branches or
 //     allocations. The kernel benchmarks pin this at 0 allocs/op.
-//  2. Safe under worker pools. Spans are identified by value IDs, carry
+//  2. Cheap when enabled. A span keeps its IDs raw and its attributes in
+//     an inline array; End hands sinks a Finished value, and hex IDs and
+//     the attribute map (the Record form) are rendered only where spans
+//     are read: /debug/traces, federation and the JSONL file sink.
+//  3. Safe under worker pools. Spans are identified by value IDs, carry
 //     their own mutex, and parentage flows through context.Context, so a
 //     span started on one goroutine may be annotated and ended on another
 //     (the service's coalescing flight group does exactly this).
-//  3. No dependencies. IDs come from math/rand/v2, export is JSON lines or
+//  4. No dependencies. IDs come from math/rand/v2, export is JSON lines or
 //     an in-memory ring; there is no OpenTelemetry and never will be here.
 package trace
 
@@ -37,13 +41,21 @@ type SpanID [8]byte
 func (id TraceID) IsZero() bool { return id == TraceID{} }
 
 // String renders the ID as 32 lowercase hex digits.
-func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
+func (id TraceID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the ID is unset.
 func (id SpanID) IsZero() bool { return id == SpanID{} }
 
 // String renders the ID as 16 lowercase hex digits.
-func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
+func (id SpanID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // ErrBadTraceID is returned by ParseTraceID for malformed input.
 var ErrBadTraceID = errors.New("trace: malformed trace id")
@@ -98,20 +110,91 @@ type Attr struct {
 	Value any
 }
 
+// inlineAttrs is how many attributes a span holds without allocating: as
+// many as the largest production span sets (http.*: method, code,
+// coalesced, badTraceHeader, deadlineMs, shed, aborted). More spill into
+// an overflow slice.
+const inlineAttrs = 7
+
+// Finished is a span as End exports it: raw IDs, timing, error and
+// attributes, with nothing rendered. Sinks receive it by value; Record
+// renders the JSON form when a reader asks for it.
+type Finished struct {
+	TraceID  TraceID
+	SpanID   SpanID
+	ParentID SpanID // zero for a root span
+	Name     string
+	Start    time.Time
+	Duration time.Duration
+	Error    string
+
+	attrs  [inlineAttrs]Attr
+	nattrs int
+	more   []Attr
+}
+
+// setAttr attaches or overwrites one annotation.
+func (f *Finished) setAttr(key string, value any) {
+	for i := range f.attrs[:f.nattrs] {
+		if f.attrs[i].Key == key {
+			f.attrs[i].Value = value
+			return
+		}
+	}
+	for i := range f.more {
+		if f.more[i].Key == key {
+			f.more[i].Value = value
+			return
+		}
+	}
+	if f.nattrs < len(f.attrs) {
+		f.attrs[f.nattrs] = Attr{Key: key, Value: value}
+		f.nattrs++
+		return
+	}
+	f.more = append(f.more, Attr{Key: key, Value: value})
+}
+
+// DurationUS is the span's duration in microseconds, as Record reports
+// it.
+func (f *Finished) DurationUS() float64 {
+	return float64(f.Duration) / float64(time.Microsecond)
+}
+
+// Record renders the span's exported JSON form: hex IDs (no parent ID on
+// a root) and the attributes as a map.
+func (f *Finished) Record() Record {
+	rec := Record{
+		TraceID:    f.TraceID.String(),
+		SpanID:     f.SpanID.String(),
+		Name:       f.Name,
+		Start:      f.Start,
+		DurationUS: f.DurationUS(),
+		Error:      f.Error,
+	}
+	if !f.ParentID.IsZero() {
+		rec.ParentID = f.ParentID.String()
+	}
+	if n := f.nattrs + len(f.more); n > 0 {
+		rec.Attrs = make(map[string]any, n)
+		for _, a := range f.attrs[:f.nattrs] {
+			rec.Attrs[a.Key] = a.Value
+		}
+		for _, a := range f.more {
+			rec.Attrs[a.Key] = a.Value
+		}
+	}
+	return rec
+}
+
 // Span is one timed operation. A nil *Span is a valid, inert span: all
 // methods are no-ops, so call sites never need to test for enabled tracing.
 type Span struct {
-	tracer  *Tracer
-	traceID TraceID
-	id      SpanID
-	parent  SpanID
-	name    string
-	start   time.Time
+	tracer *Tracer
 
 	mu    sync.Mutex
-	attrs []Attr
-	err   string
 	ended bool
+	fin   Finished // IDs, name and start are fixed at creation
 }
 
 // TraceID returns the span's trace ID (zero for a nil span).
@@ -119,7 +202,7 @@ func (s *Span) TraceID() TraceID {
 	if s == nil {
 		return TraceID{}
 	}
-	return s.traceID
+	return s.fin.TraceID
 }
 
 // Name returns the span's operation name ("" for a nil span).
@@ -127,7 +210,7 @@ func (s *Span) Name() string {
 	if s == nil {
 		return ""
 	}
-	return s.name
+	return s.fin.Name
 }
 
 // SetAttr attaches or overwrites one annotation. Safe on a nil span and
@@ -138,16 +221,9 @@ func (s *Span) SetAttr(key string, value any) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ended {
-		return
+	if !s.ended {
+		s.fin.setAttr(key, value)
 	}
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value = value
-			return
-		}
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
 // SetError records err's message on the span. nil err and nil span are
@@ -159,7 +235,7 @@ func (s *Span) SetError(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.ended {
-		s.err = err.Error()
+		s.fin.Error = err.Error()
 	}
 }
 
@@ -176,25 +252,10 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	rec := Record{
-		TraceID:    s.traceID.String(),
-		SpanID:     s.id.String(),
-		Name:       s.name,
-		Start:      s.start,
-		DurationUS: float64(end.Sub(s.start)) / float64(time.Microsecond),
-		Error:      s.err,
-	}
-	if !s.parent.IsZero() {
-		rec.ParentID = s.parent.String()
-	}
-	if len(s.attrs) > 0 {
-		rec.Attrs = make(map[string]any, len(s.attrs))
-		for _, a := range s.attrs {
-			rec.Attrs[a.Key] = a.Value
-		}
-	}
+	s.fin.Duration = end.Sub(s.fin.Start)
 	s.mu.Unlock()
-	s.tracer.sink.Export(rec)
+	// Nothing writes s.fin once ended is set.
+	s.tracer.sink.Export(s.fin)
 }
 
 // Duration returns how long the span has been open (or ran, once ended).
@@ -204,7 +265,7 @@ func (s *Span) Duration() time.Duration {
 	if s == nil {
 		return 0
 	}
-	return time.Since(s.start)
+	return time.Since(s.fin.Start)
 }
 
 // Tracer creates spans and routes finished spans to a Sink. A nil *Tracer
@@ -216,7 +277,7 @@ type Tracer struct {
 // New returns a Tracer exporting to sink. A nil sink discards everything.
 func New(sink Sink) *Tracer {
 	if sink == nil {
-		sink = SinkFunc(func(Record) {})
+		sink = SinkFunc(func(Finished) {})
 	}
 	return &Tracer{sink: sink}
 }
@@ -228,14 +289,25 @@ func (t *Tracer) newSpan(name string, traceID TraceID, parent SpanID) *Span {
 	if traceID.IsZero() {
 		traceID = newTraceID()
 	}
-	return &Span{
-		tracer:  t,
-		traceID: traceID,
-		id:      newSpanID(),
-		parent:  parent,
-		name:    name,
-		start:   time.Now(),
+	return &Span{tracer: t, fin: Finished{
+		TraceID:  traceID,
+		SpanID:   newSpanID(),
+		ParentID: parent,
+		Name:     name,
+		Start:    time.Now(),
+	}}
+}
+
+// StartRoot begins a new root span under t, ignoring any current span in
+// ctx; see the package-level StartRoot. A server that owns its tracer
+// starts request roots here, so ctx needs no tracer value. A nil t
+// returns (ctx, nil).
+func (t *Tracer) StartRoot(ctx context.Context, name string, traceID TraceID) (context.Context, *Span) {
+	if t == nil {
+		return ctx, nil
 	}
+	sp := t.newSpan(name, traceID, SpanID{})
+	return context.WithValue(ctx, spanKey, sp), sp
 }
 
 type ctxKey int
@@ -267,14 +339,14 @@ func SpanFromContext(ctx context.Context) *Span {
 }
 
 // ContextWithSpan re-roots ctx under sp, so children started from the
-// returned context parent to sp. It is the bridge for worker pools whose
-// job context does not descend from the request context: capture the span
-// on the request side, then graft it onto the job context with this.
+// returned context parent to sp (and export through sp's tracer). It is
+// the bridge for worker pools whose job context does not descend from the
+// request context: capture the span on the request side, then graft it
+// onto the job context with this.
 func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
 	}
-	ctx = WithTracer(ctx, sp.tracer)
 	return context.WithValue(ctx, spanKey, sp)
 }
 
@@ -285,15 +357,10 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 // End is a no-op) and should pass the returned context downward.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if parent := SpanFromContext(ctx); parent != nil {
-		sp := parent.tracer.newSpan(name, parent.traceID, parent.id)
+		sp := parent.tracer.newSpan(name, parent.fin.TraceID, parent.fin.SpanID)
 		return context.WithValue(ctx, spanKey, sp), sp
 	}
-	tr := FromContext(ctx)
-	if tr == nil {
-		return ctx, nil
-	}
-	sp := tr.newSpan(name, TraceID{}, SpanID{})
-	return context.WithValue(ctx, spanKey, sp), sp
+	return FromContext(ctx).StartRoot(ctx, name, TraceID{})
 }
 
 // StartRoot begins a new root span, ignoring any current span in ctx, under
@@ -302,10 +369,5 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 // lets clients stitch our spans into their own traces. Returns (ctx, nil)
 // when no tracer is installed.
 func StartRoot(ctx context.Context, name string, traceID TraceID) (context.Context, *Span) {
-	tr := FromContext(ctx)
-	if tr == nil {
-		return ctx, nil
-	}
-	sp := tr.newSpan(name, traceID, SpanID{})
-	return context.WithValue(ctx, spanKey, sp), sp
+	return FromContext(ctx).StartRoot(ctx, name, traceID)
 }

@@ -245,7 +245,7 @@ func TestJSONLWritesOneObjectPerLine(t *testing.T) {
 func TestTeeFansOutAndSkipsNil(t *testing.T) {
 	ring := NewRing(2)
 	var n int
-	sink := Tee(nil, ring, SinkFunc(func(Record) { n++ }))
+	sink := Tee(nil, ring, SinkFunc(func(Finished) { n++ }))
 	ctx := WithTracer(context.Background(), New(sink))
 	_, sp := Start(ctx, "op")
 	sp.End()

@@ -4,7 +4,7 @@
 # oracle, FIG1, the simulators, the served analyze path with its body
 # scanner and response writer, ring edits in the engine and served, and
 # the observability-plane hot paths (flight-recorder record, audit
-# append).
+# append, span end).
 #
 # Usage:
 #   scripts/bench.sh [out.json]
@@ -26,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-$(mktemp "${TMPDIR:-/tmp}/ringsched-bench.XXXXXX")}"
-pattern="${BENCH_PATTERN:-^(BenchmarkRTAReference|BenchmarkWorkspaceProbe|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|Benchmark(PDP|TTP|Reservation)SimSecond|BenchmarkServeAnalyze(Hit|Miss)|BenchmarkServeRingEdit|BenchmarkDecodeAnalyzeScan|BenchmarkEncodeAnalyzeResponse)$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkRTAReference|BenchmarkWorkspaceProbe|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|BenchmarkSpanEnd|Benchmark(PDP|TTP|Reservation)SimSecond|BenchmarkServeAnalyze(Hit|Miss)|BenchmarkServeRingEdit|BenchmarkDecodeAnalyzeScan|BenchmarkEncodeAnalyzeResponse)$}"
 count="${BENCH_COUNT:-3}"
 benchtime="${BENCH_TIME:-0.5s}"
 
@@ -35,6 +35,6 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench "$pattern" -benchmem \
     -benchtime "$benchtime" -count "$count" -timeout 60m \
-    . ./internal/rma/ ./internal/core/ ./internal/breakdown/ ./internal/resilience/ ./internal/ringstate/ ./internal/service/ | tee "$tmp"
+    . ./internal/rma/ ./internal/core/ ./internal/breakdown/ ./internal/resilience/ ./internal/ringstate/ ./internal/service/ ./internal/trace/ | tee "$tmp"
 go run ./cmd/benchreport -in "$tmp" -out "$out"
 echo "wrote $out"
