@@ -30,11 +30,11 @@ import (
 	"ringsched"
 	"ringsched/internal/breakdown"
 	"ringsched/internal/cli"
-	"ringsched/internal/core"
 	"ringsched/internal/message"
 	"ringsched/internal/progress"
 	"ringsched/internal/textplot"
 	"ringsched/internal/trace"
+	"ringsched/internal/wire"
 )
 
 func main() {
@@ -145,34 +145,9 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		est.Progress = meter
 	}
 
-	protocols := []struct {
-		name    string
-		factory breakdown.AnalyzerFactory
-	}{
-		{"Modified 802.5", func(bw float64) core.Analyzer {
-			p := core.NewModifiedPDP(bw)
-			p.Net = p.Net.WithStations(*streams)
-			return p
-		}},
-		{"IEEE 802.5", func(bw float64) core.Analyzer {
-			p := core.NewStandardPDP(bw)
-			p.Net = p.Net.WithStations(*streams)
-			return p
-		}},
-		{"FDDI", func(bw float64) core.Analyzer {
-			t := core.NewTTP(bw)
-			t.Net = t.Net.WithStations(*streams)
-			return t
-		}},
-	}
-
-	var series []breakdown.Series
-	for _, p := range protocols {
-		s, err := est.SweepContext(ctx, p.name, p.factory, bandwidths)
-		if err != nil {
-			return err
-		}
-		series = append(series, s)
+	series, err := est.SweepProtocols(ctx, wire.AllProtocols(), *streams, bandwidths)
+	if err != nil {
+		return err
 	}
 	if meter != nil {
 		meter.Close()

@@ -146,3 +146,16 @@ func TestTopologyJSONMatchesServerBody(t *testing.T) {
 			cliOut.Bytes(), serverBody)
 	}
 }
+
+// TestTopologyJSONRefusesPayloadPastBound: -topology -json refuses a flow
+// payload at or past 2^72 bits, naming the flow, on every protocol — as
+// /v1/topology/analyze does.
+func TestTopologyJSONRefusesPayloadPastBound(t *testing.T) {
+	for _, proto := range []string{"fddi", "8025", "8025mod"} {
+		spec := "ring:name=a,proto=" + proto + ",bw=100e6 + flow:name=f,src=a,dst=a,period=10ms,bits=1e308"
+		err := run(context.Background(), []string{"-topology", spec, "-json"}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), `flow "f" bits 1e+308`) {
+			t.Errorf("%s: err = %v, want a refusal naming flow \"f\"", proto, err)
+		}
+	}
+}

@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 			return err
 		}
 		ttrt := lo * math.Pow(hi/lo, float64(i)/float64(*grid))
-		u, err := equalPeriodBreakdown(*streams, p, ttrt, bw)
+		u, err := breakdown.EqualPeriodBreakdown(*streams, p, ttrt, bw)
 		if err != nil {
 			return err
 		}
@@ -102,7 +102,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 			bestU, bestTTRT = u, ttrt
 		}
 	}
-	uSqrt, err := equalPeriodBreakdown(*streams, p, sqrtRule, bw)
+	uSqrt, err := breakdown.EqualPeriodBreakdown(*streams, p, sqrtRule, bw)
 	if err != nil {
 		return err
 	}
@@ -156,24 +156,4 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// equalPeriodBreakdown saturates an equal-period set under a fixed TTRT.
-func equalPeriodBreakdown(n int, period, ttrt, bw float64) (float64, error) {
-	set := make(ringsched.MessageSet, n)
-	for i := range set {
-		set[i] = ringsched.Stream{Period: period, LengthBits: 1}
-	}
-	t := core.NewTTP(bw)
-	t.Net = t.Net.WithStations(n)
-	t.Rule = ringsched.TTRTFixed
-	t.FixedTTRT = ttrt
-	sat, err := ringsched.Saturate(set, t, bw, ringsched.SaturateOptions{})
-	if err != nil {
-		return 0, err
-	}
-	if !sat.Feasible {
-		return 0, nil
-	}
-	return sat.Utilization, nil
 }

@@ -197,3 +197,22 @@ func CheckMonotone(m message.Set, a core.Analyzer, scales []float64) error {
 	}
 	return nil
 }
+
+// EqualPeriodBreakdown is the (deterministic) breakdown utilization of n
+// equal-period streams under TTP on the paper's FDDI plant sized to n
+// stations, with the TTRT fixed at ttrt.
+func EqualPeriodBreakdown(n int, period, ttrt, bandwidthBPS float64) (float64, error) {
+	set := make(message.Set, n)
+	for i := range set {
+		set[i] = message.Stream{Period: period, LengthBits: 1}
+	}
+	t := core.NewTTP(bandwidthBPS)
+	t.Net = t.Net.WithStations(n)
+	t.Rule = core.TTRTFixed
+	t.FixedTTRT = ttrt
+	sat, err := Saturate(set, t, bandwidthBPS, SaturateOptions{})
+	if err != nil || !sat.Feasible {
+		return 0, err
+	}
+	return sat.Utilization, nil
+}

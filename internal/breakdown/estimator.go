@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"ringsched/internal/core"
 	"ringsched/internal/message"
+	"ringsched/internal/par"
 	"ringsched/internal/progress"
 	"ringsched/internal/stats"
 	"ringsched/internal/trace"
@@ -85,8 +84,8 @@ func (e Estimator) Estimate(a core.Analyzer, bandwidthBPS float64) (Estimate, er
 
 // EstimateContext is Estimate with cancellation: the worker pool stops
 // dispatching new samples as soon as ctx is canceled (returning ctx.Err())
-// or any sample fails (returning that sample's error promptly instead of
-// draining the remaining work). Already-dispatched samples run to
+// or any sample fails (returning the lowest-index failing sample's error,
+// whatever the worker count). Already-dispatched samples run to
 // completion — each is one bounded binary search.
 func (e Estimator) EstimateContext(ctx context.Context, a core.Analyzer, bandwidthBPS float64) (Estimate, error) {
 	if e.Samples <= 0 {
@@ -95,14 +94,7 @@ func (e Estimator) EstimateContext(ctx context.Context, a core.Analyzer, bandwid
 	if err := e.Generator.Validate(); err != nil {
 		return Estimate{}, err
 	}
-
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > e.Samples {
-		workers = e.Samples
-	}
+	workers, _ := par.Split(e.Workers, e.Samples)
 
 	ctx, sp := trace.Start(ctx, "breakdown.estimate")
 	defer sp.End()
@@ -110,57 +102,22 @@ func (e Estimator) EstimateContext(ctx context.Context, a core.Analyzer, bandwid
 	sp.SetAttr("samples", e.Samples)
 	sp.SetAttr("workers", workers)
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	obs := progress.OrNop(e.Progress)
 	results := make([]sampleOutcome, e.Samples)
-
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		failure error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = e.sample(a, bandwidthBPS, i)
-				if err := results[i].err; err != nil {
-					// First error wins; cancel the dispatcher and the
-					// sibling workers so the failure surfaces promptly.
-					errOnce.Do(func() {
-						failure = err
-						cancel()
-					})
-					return
-				}
-				obs.SampleDone()
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < e.Samples; i++ {
-		// A select with both cases ready picks one at random, so test for
-		// cancellation first: a canceled estimate dispatches no sample.
-		if ctx.Err() != nil {
-			break
+	// One RNG per worker, reseeded for each sample: Seed resets the whole
+	// source, so sample i draws the stream of NewSource(its seed) without
+	// allocating a ~4.9 KB source per sample.
+	rngs := make([]*rand.Rand, workers)
+	err := par.For(ctx, workers, e.Samples, func(_ context.Context, w, i int) (err error) {
+		if rngs[w] == nil {
+			rngs[w] = rand.New(rand.NewSource(0))
 		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
+		if results[i], err = e.sample(rngs[w], a, bandwidthBPS, i); err == nil {
+			obs.SampleDone()
 		}
-	}
-	close(next)
-	wg.Wait()
-
-	if failure != nil {
-		sp.SetError(failure)
-		return Estimate{}, failure
-	}
-	if err := ctx.Err(); err != nil {
+		return err
+	})
+	if err != nil {
 		sp.SetError(err)
 		return Estimate{}, err
 	}
@@ -209,29 +166,26 @@ type sampleOutcome struct {
 	util       float64
 	infeasible bool
 	probes     int
-	err        error
 }
 
-// sample draws set i and drives it to saturation. Each sample gets its own
-// RNG derived from (Seed, i) so results do not depend on scheduling.
-func (e Estimator) sample(a core.Analyzer, bandwidthBPS float64, i int) (o sampleOutcome) {
+// sample draws set i and drives it to saturation. rng is reseeded from
+// (Seed, i), so results do not depend on which worker draws the set.
+func (e Estimator) sample(rng *rand.Rand, a core.Analyzer, bandwidthBPS float64, i int) (o sampleOutcome, err error) {
 	const mix = int64(-7046029254386353131) // golden-ratio mixer (0x9E3779B97F4A7C15 as int64)
-	rng := rand.New(rand.NewSource(e.Seed ^ (mix * int64(i+1))))
+	rng.Seed(e.Seed ^ (mix * int64(i+1)))
 	set, err := e.Generator.Draw(rng)
 	if err != nil {
-		o.err = err
-		return o
+		return o, err
 	}
 	sat, err := Saturate(set, a, bandwidthBPS, e.Saturate)
 	if err != nil {
-		o.err = fmt.Errorf("sample %d: %w", i, err)
-		return o
+		return o, fmt.Errorf("sample %d: %w", i, err)
 	}
 	o.probes = sat.Probes
 	if !sat.Feasible {
 		o.infeasible = true
-		return o
+		return o, nil
 	}
 	o.util = sat.Utilization
-	return o
+	return o, nil
 }

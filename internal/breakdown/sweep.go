@@ -5,13 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ringsched/internal/core"
+	"ringsched/internal/par"
 	"ringsched/internal/progress"
+	"ringsched/internal/ring"
 	"ringsched/internal/trace"
+	"ringsched/internal/wire"
 )
 
 // ErrRaggedSeries is returned by the table formatters when the series do
@@ -43,10 +44,10 @@ func (e Estimator) Sweep(name string, factory AnalyzerFactory, bandwidthsBPS []f
 }
 
 // SweepContext runs the sweep with cancellation, estimating the bandwidth
-// points in parallel on its own worker pool. The Estimator's Workers budget
-// bounds the *total* parallelism: it is split between concurrent points and
-// the per-point sample pools. Results are bit-identical at any worker
-// count because the RNG stream of (bandwidth, sample) is a pure function of
+// points in parallel. The Estimator's Workers budget bounds the *total*
+// parallelism: par.Split divides it between concurrent points and the
+// per-point sample pools. Results are bit-identical at any worker count
+// because the RNG stream of (bandwidth, sample) is a pure function of
 // (Seed, bandwidth, sample index) — see Estimator.Workers.
 //
 // On the first point error the remaining points are canceled and the error
@@ -56,22 +57,9 @@ func (e Estimator) SweepContext(ctx context.Context, name string, factory Analyz
 	if len(bandwidthsBPS) == 0 {
 		return Series{Name: name}, nil
 	}
-
-	total := e.Workers
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	pointWorkers := total
-	if pointWorkers > len(bandwidthsBPS) {
-		pointWorkers = len(bandwidthsBPS)
-	}
-	// Split the worker budget: pointWorkers concurrent points, each with an
-	// equal share of the sample-level pool.
-	inner := e
-	inner.Workers = total / pointWorkers
-	if inner.Workers < 1 {
-		inner.Workers = 1
-	}
+	pointWorkers, inner := par.Split(e.Workers, len(bandwidthsBPS))
+	point := e
+	point.Workers = inner
 
 	ctx, sweepSpan := trace.Start(ctx, "breakdown.sweep")
 	defer sweepSpan.End()
@@ -79,77 +67,70 @@ func (e Estimator) SweepContext(ctx context.Context, name string, factory Analyz
 	sweepSpan.SetAttr("points", len(bandwidthsBPS))
 	sweepSpan.SetAttr("pointWorkers", pointWorkers)
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	obs := progress.OrNop(e.Progress)
-
 	points := make([]Point, len(bandwidthsBPS))
-	errs := make([]error, len(bandwidthsBPS))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < pointWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				bw := bandwidthsBPS[i]
-				ptCtx, ptSpan := trace.Start(runCtx, "breakdown.point")
-				ptSpan.SetAttr("series", name)
-				ptSpan.SetAttr("bandwidthBPS", bw)
-				est, err := inner.EstimateContext(ptCtx, factory(bw), bw)
-				if err != nil {
-					ptSpan.SetError(err)
-					ptSpan.End()
-					errs[i] = fmt.Errorf("sweep %s at %.3g bps: %w", name, bw, err)
-					cancel()
-					continue
-				}
-				ptSpan.SetAttr("mean", est.Mean)
-				ptSpan.End()
-				points[i] = Point{BandwidthBPS: bw, Estimate: est}
-				obs.SweepPointDone(name, bw)
-			}
-		}()
-	}
-dispatch:
-	for i := range bandwidthsBPS {
-		select {
-		case next <- i:
-		case <-runCtx.Done():
-			break dispatch
+	err := par.For(ctx, pointWorkers, len(bandwidthsBPS), func(ctx context.Context, _, i int) error {
+		bw := bandwidthsBPS[i]
+		ctx, sp := trace.Start(ctx, "breakdown.point")
+		sp.SetAttr("series", name)
+		sp.SetAttr("bandwidthBPS", bw)
+		est, err := point.EstimateContext(ctx, factory(bw), bw)
+		if err != nil {
+			sp.SetError(err)
+			sp.End()
+			return fmt.Errorf("sweep %s at %.3g bps: %w", name, bw, err)
 		}
-	}
-	close(next)
-	wg.Wait()
-
-	// Prefer the lowest-index real failure; cancellation-induced errors at
-	// other indices are a consequence, not the cause.
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil && !errors.Is(firstErr, context.Canceled) {
-		sweepSpan.SetError(firstErr)
-		return Series{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		sp.SetAttr("mean", est.Mean)
+		sp.End()
+		points[i] = Point{BandwidthBPS: bw, Estimate: est}
+		obs.SweepPointDone(name, bw)
+		return nil
+	})
+	if err != nil {
 		sweepSpan.SetError(err)
 		return Series{}, err
 	}
-	if firstErr != nil {
-		sweepSpan.SetError(firstErr)
-		return Series{}, firstErr
-	}
 	return Series{Name: name, Points: points}, nil
+}
+
+// Protocol returns the analyzer factory of one Figure 1 protocol, keyed by
+// its wire slug, on the paper's plant sized to exactly stations stations;
+// nil for a slug outside wire.AllProtocols.
+func Protocol(slug string, stations int) AnalyzerFactory {
+	switch slug {
+	case wire.ProtocolModifiedPDP, wire.ProtocolStandardPDP:
+		v := core.Modified8025
+		if slug == wire.ProtocolStandardPDP {
+			v = core.Standard8025
+		}
+		return func(bw float64) core.Analyzer {
+			return core.PDPFor(ring.IEEE8025(bw).WithStations(stations), v, 0)
+		}
+	case wire.ProtocolTTP:
+		return func(bw float64) core.Analyzer {
+			return core.TTPFor(ring.FDDI(bw).WithStations(stations), 0)
+		}
+	}
+	return nil
+}
+
+// SweepProtocols sweeps each protocol slug in turn (see Protocol), naming
+// each series after its analyzer — one line of Figure 1 per protocol.
+func (e Estimator) SweepProtocols(ctx context.Context, slugs []string, stations int, bandwidthsBPS []float64) ([]Series, error) {
+	series := make([]Series, 0, len(slugs))
+	for _, slug := range slugs {
+		factory := Protocol(slug, stations)
+		if factory == nil {
+			return nil, fmt.Errorf("%w: %q", wire.ErrUnknownProtocol, slug)
+		}
+		// An analyzer's name does not depend on the bandwidth.
+		s, err := e.SweepContext(ctx, factory(1).Name(), factory, bandwidthsBPS)
+		if err != nil {
+			return nil, err
+		}
+		series = append(series, s)
+	}
+	return series, nil
 }
 
 // PaperBandwidths returns the Figure 1 sweep grid: 1 Mbps to 1 Gbps,

@@ -10,7 +10,9 @@ import (
 	"ringsched/internal/frame"
 	"ringsched/internal/message"
 	"ringsched/internal/progress"
+	"ringsched/internal/ring"
 	"ringsched/internal/ttpalloc"
+	"ringsched/internal/wire"
 )
 
 // ablationBandwidths is the small grid used by the "results were similar"
@@ -43,8 +45,8 @@ func ablationPeriods() Experiment {
 							Seed:      cfg.Seed,
 						}, obs)
 						var row [3]float64
-						for i, p := range protocolFactories() {
-							e, err := est.EstimateContext(ctx, p.factory(bw), bw)
+						for i, slug := range wire.AllProtocols() {
+							e, err := est.EstimateContext(ctx, breakdown.Protocol(slug, ring.PaperStations)(bw), bw)
 							if err != nil {
 								return Report{}, err
 							}
@@ -145,17 +147,9 @@ func ablationStations() Experiment {
 					Seed:      cfg.Seed,
 				}, obs)
 				for _, bw := range _ablationBandwidths {
-					mkPDP := func(v core.Variant) core.Analyzer {
-						p := core.NewStandardPDP(bw)
-						p.Net = p.Net.WithStations(n)
-						p.Variant = v
-						return p
-					}
-					ttp := core.NewTTP(bw)
-					ttp.Net = ttp.Net.WithStations(n)
 					var row [3]float64
-					for i, a := range []core.Analyzer{mkPDP(core.Modified8025), mkPDP(core.Standard8025), ttp} {
-						e, err := est.EstimateContext(ctx, a, bw)
+					for i, slug := range wire.AllProtocols() {
+						e, err := est.EstimateContext(ctx, breakdown.Protocol(slug, n)(bw), bw)
 						if err != nil {
 							return Report{}, err
 						}

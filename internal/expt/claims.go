@@ -132,27 +132,6 @@ func claimModifiedDominates() Experiment {
 	}
 }
 
-// equalPeriodBreakdown computes the (deterministic) breakdown utilization
-// of an n-stream equal-period set under TTP with a fixed TTRT.
-func equalPeriodBreakdown(n int, period, ttrt, bandwidthBPS float64) (float64, error) {
-	set := make(message.Set, n)
-	for i := range set {
-		set[i] = message.Stream{Name: fmt.Sprintf("S%d", i+1), Period: period, LengthBits: 1}
-	}
-	t := core.NewTTP(bandwidthBPS)
-	t.Net = t.Net.WithStations(n)
-	t.Rule = core.TTRTFixed
-	t.FixedTTRT = ttrt
-	sat, err := breakdown.Saturate(set, t, bandwidthBPS, breakdown.SaturateOptions{})
-	if err != nil {
-		return 0, err
-	}
-	if !sat.Feasible {
-		return 0, nil
-	}
-	return sat.Utilization, nil
-}
-
 func claimTTRTSelection() Experiment {
 	return Experiment{
 		ID:    "CLAIM-TTRT",
@@ -185,7 +164,7 @@ func claimTTRTSelection() Experiment {
 					return Report{}, err
 				}
 				ttrt := lo * math.Pow(hi/lo, float64(i)/float64(grid))
-				u, err := equalPeriodBreakdown(n, period, ttrt, bw)
+				u, err := breakdown.EqualPeriodBreakdown(n, period, ttrt, bw)
 				if err != nil {
 					return Report{}, err
 				}
@@ -194,11 +173,11 @@ func claimTTRTSelection() Experiment {
 					bestU, bestTTRT = u, ttrt
 				}
 			}
-			uAtSqrt, err := equalPeriodBreakdown(n, period, optimal, bw)
+			uAtSqrt, err := breakdown.EqualPeriodBreakdown(n, period, optimal, bw)
 			if err != nil {
 				return Report{}, err
 			}
-			uAtHalf, err := equalPeriodBreakdown(n, period, period/2, bw)
+			uAtHalf, err := breakdown.EqualPeriodBreakdown(n, period, period/2, bw)
 			if err != nil {
 				return Report{}, err
 			}

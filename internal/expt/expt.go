@@ -10,12 +10,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"ringsched/internal/breakdown"
+	"ringsched/internal/par"
 	"ringsched/internal/progress"
 	"ringsched/internal/trace"
 )
@@ -153,57 +152,23 @@ func RunAll(ctx context.Context, cfg Config, obs progress.Progress, exps []Exper
 	if len(exps) == 0 {
 		return nil
 	}
-	total := cfg.Workers
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	expWorkers := total
-	if expWorkers > len(exps) {
-		expWorkers = len(exps)
-	}
+	expWorkers, childWorkers := par.Split(cfg.Workers, len(exps))
 	childCfg := cfg
-	childCfg.Workers = total / expWorkers
-	if childCfg.Workers < 1 {
-		childCfg.Workers = 1
-	}
+	childCfg.Workers = childWorkers
 
 	outcomes := make([]Outcome, len(exps))
 	ran := make([]bool, len(exps))
-	for i, e := range exps {
-		outcomes[i] = Outcome{Experiment: e}
-	}
-
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < expWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				ran[i] = true
-				start := time.Now()
-				rep, err := RunOne(ctx, exps[i], childCfg, obs)
-				outcomes[i] = Outcome{
-					Experiment: exps[i],
-					Report:     rep,
-					Err:        err,
-					Elapsed:    time.Since(start),
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range exps {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-
+	// An experiment's error is its outcome's, never the batch's: fn never
+	// fails, and For can only report ctx.Err(), which ran shows below.
+	par.For(ctx, expWorkers, len(exps), func(ctx context.Context, _, i int) error {
+		ran[i] = true
+		start := time.Now()
+		rep, err := RunOne(ctx, exps[i], childCfg, obs)
+		outcomes[i] = Outcome{Report: rep, Err: err, Elapsed: time.Since(start)}
+		return nil
+	})
 	for i := range outcomes {
+		outcomes[i].Experiment = exps[i]
 		if !ran[i] {
 			// Never dispatched: the batch was canceled first.
 			outcomes[i].Err = ctx.Err()

@@ -7,41 +7,19 @@ import (
 	"strings"
 
 	"ringsched/internal/breakdown"
-	"ringsched/internal/core"
 	"ringsched/internal/progress"
+	"ringsched/internal/ring"
 	"ringsched/internal/textplot"
+	"ringsched/internal/wire"
 )
 
-// protocolFactories returns the three Figure 1 protocols as analyzer
-// factories keyed in plot order.
-func protocolFactories() []struct {
-	name    string
-	factory breakdown.AnalyzerFactory
-} {
-	return []struct {
-		name    string
-		factory breakdown.AnalyzerFactory
-	}{
-		{"Modified 802.5", func(bw float64) core.Analyzer { return core.NewModifiedPDP(bw) }},
-		{"IEEE 802.5", func(bw float64) core.Analyzer { return core.NewStandardPDP(bw) }},
-		{"FDDI", func(bw float64) core.Analyzer { return core.NewTTP(bw) }},
-	}
-}
-
-// runFig1Sweep produces the three breakdown-vs-bandwidth series. The
-// protocols run sequentially; within each protocol the bandwidth points
-// run on the sweep's parallel worker pool.
+// runFig1Sweep produces the three breakdown-vs-bandwidth series on the
+// paper's 100-station plants, in plot order. The protocols run
+// sequentially; within each protocol the bandwidth points run on the
+// sweep's parallel worker pool.
 func runFig1Sweep(ctx context.Context, cfg Config, obs progress.Progress, bandwidths []float64) ([]breakdown.Series, error) {
 	est := cfg.estimator(breakdown.PaperEstimator(cfg.Samples, cfg.Seed), obs)
-	var series []breakdown.Series
-	for _, p := range protocolFactories() {
-		s, err := est.SweepContext(ctx, p.name, p.factory, bandwidths)
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, s)
-	}
-	return series, nil
+	return est.SweepProtocols(ctx, wire.AllProtocols(), ring.PaperStations, bandwidths)
 }
 
 // crossoverBandwidth locates the first bandwidth at which series b

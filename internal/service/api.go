@@ -41,6 +41,7 @@ import (
 	"ringsched/internal/message"
 	"ringsched/internal/progress"
 	"ringsched/internal/ring"
+	"ringsched/internal/ringstate"
 	"ringsched/internal/rma"
 	"ringsched/internal/trace"
 	"ringsched/internal/wire"
@@ -58,13 +59,6 @@ var (
 	ErrBadRequest      = errors.New("service: bad request")
 	ErrUnknownProtocol = wire.ErrUnknownProtocol
 )
-
-// protocolNames maps slugs to the display names the analyzers report.
-var protocolNames = map[string]string{
-	ProtocolModifiedPDP: "Modified 802.5",
-	ProtocolStandardPDP: "IEEE 802.5",
-	ProtocolTTP:         "FDDI",
-}
 
 // The verdict vocabulary every route shares is package wire's.
 type (
@@ -399,6 +393,18 @@ func (r AnalyzeRequest) messageSet() message.Set {
 	return set
 }
 
+// Sweep size caps. Canonicalize refuses a sweep past any of them with a
+// typed 400 before any sampling: a large enough sweep would run the
+// handler out of memory, a fatal error no middleware can recover.
+const (
+	maxSweepSamples = 1_000_000
+	// maxSweepStreams is the largest set a ring holds.
+	maxSweepStreams = ringstate.DefaultMaxRingStreams
+	// maxSweepPoints is the grid of 100 points per decade over the
+	// paper's three decades.
+	maxSweepPoints = 301
+)
+
 // Canonicalize validates the request and resolves every default, so
 // equivalent sweeps (explicit defaults vs omitted fields, permuted or
 // duplicated grid points) share one cache key. The bandwidth grid is
@@ -434,6 +440,15 @@ func (r SweepRequest) Canonicalize() (SweepRequest, error) {
 		return SweepRequest{}, fmt.Errorf("%w: meanPeriodMs must be positive and periodRatio ≥ 1",
 			ErrBadRequest)
 	}
+	switch {
+	case out.Samples > maxSweepSamples:
+		return SweepRequest{}, fmt.Errorf("%w: samples %d is past the cap of %d", ErrBadRequest, out.Samples, maxSweepSamples)
+	case out.Streams > maxSweepStreams:
+		return SweepRequest{}, fmt.Errorf("%w: streams %d is past the cap of %d", ErrBadRequest, out.Streams, maxSweepStreams)
+	case len(r.BandwidthsMbps) == 0 && out.PointsPerDecade > (maxSweepPoints-1)/3:
+		return SweepRequest{}, fmt.Errorf("%w: pointsPerDecade %d derives a grid past the cap of %d points",
+			ErrBadRequest, out.PointsPerDecade, maxSweepPoints)
+	}
 	out.MeanPeriodMs = canonFloat(out.MeanPeriodMs)
 	out.PeriodRatio = canonFloat(out.PeriodRatio)
 	if len(r.BandwidthsMbps) == 0 {
@@ -454,6 +469,10 @@ func (r SweepRequest) Canonicalize() (SweepRequest, error) {
 			if bw != deduped[len(deduped)-1] {
 				deduped = append(deduped, bw)
 			}
+		}
+		if len(deduped) > maxSweepPoints {
+			return SweepRequest{}, fmt.Errorf("%w: bandwidthsMbps lists %d points, past the cap of %d",
+				ErrBadRequest, len(deduped), maxSweepPoints)
 		}
 		out.BandwidthsMbps = deduped
 	}
@@ -720,21 +739,20 @@ func sweepCanonical(ctx context.Context, req SweepRequest, key string, workers i
 	for i, bw := range req.BandwidthsMbps {
 		bandwidths[i] = ring.Mbps(bw)
 	}
+	all, err := est.SweepProtocols(ctx, req.Protocols, req.Streams, bandwidths)
+	if errors.Is(err, rma.ErrBadTask) || errors.Is(err, breakdown.ErrNoBracket) {
+		// Canonicalize accepted every input, so a task the kernel refuses
+		// or a saturation it cannot bracket comes from the request's
+		// magnitudes (a bandwidth or period near 1e300), not from the
+		// server.
+		err = fmt.Errorf("%w: sweep out of range: %v", ErrBadRequest, err)
+	}
+	if err != nil {
+		return SweepResponse{}, err
+	}
 	resp := SweepResponse{CacheKey: key, Request: req}
-	for _, proto := range req.Protocols {
-		factory := analyzerFactory(proto, req.Streams)
-		s, err := est.SweepContext(ctx, protocolNames[proto], factory, bandwidths)
-		if errors.Is(err, rma.ErrBadTask) || errors.Is(err, breakdown.ErrNoBracket) {
-			// Canonicalize accepted every input, so a task the kernel
-			// refuses or a saturation it cannot bracket comes from the
-			// request's magnitudes (a bandwidth or period near 1e300),
-			// not from the server.
-			err = fmt.Errorf("%w: sweep out of range: %v", ErrBadRequest, err)
-		}
-		if err != nil {
-			return SweepResponse{}, err
-		}
-		series := SweepSeries{Protocol: proto, Name: s.Name}
+	for i, s := range all {
+		series := SweepSeries{Protocol: req.Protocols[i], Name: s.Name}
 		for _, p := range s.Points {
 			series.Points = append(series.Points, SweepPoint{
 				BandwidthMbps: p.BandwidthBPS / 1e6,
@@ -749,32 +767,6 @@ func sweepCanonical(ctx context.Context, req SweepRequest, key string, workers i
 		resp.Series = append(resp.Series, series)
 	}
 	return resp, nil
-}
-
-// analyzerFactory builds the per-bandwidth analyzer for one protocol with
-// the plant resized to the workload's station count, mirroring the
-// breakdown CLI.
-func analyzerFactory(proto string, stations int) breakdown.AnalyzerFactory {
-	switch proto {
-	case ProtocolModifiedPDP:
-		return func(bw float64) core.Analyzer {
-			p := core.NewModifiedPDP(bw)
-			p.Net = p.Net.WithStations(stations)
-			return p
-		}
-	case ProtocolStandardPDP:
-		return func(bw float64) core.Analyzer {
-			p := core.NewStandardPDP(bw)
-			p.Net = p.Net.WithStations(stations)
-			return p
-		}
-	default:
-		return func(bw float64) core.Analyzer {
-			t := core.NewTTP(bw)
-			t.Net = t.Net.WithStations(stations)
-			return t
-		}
-	}
 }
 
 // RunExperiments executes a batch of reproduction experiments; workers

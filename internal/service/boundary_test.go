@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -69,18 +70,41 @@ func TestOverflowingInputsAnswerTyped400(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeSweepAnswersTyped400: a sweep whose saturation search
-// cannot bracket (a bandwidth of 1e300 Mbps) or whose tasks the kernel
-// refuses (a mean period of 1e300 ms) is the request's fault. The plain
-// response is a 400 and the SSE stream's error event says bad_request,
-// where both used to report code internal.
+// outOfRangeSweepBodies pass Canonicalize but cannot be swept: the
+// saturation search cannot bracket a bandwidth of 1e300 Mbps, and the
+// kernel refuses the tasks of a mean period of 1e300 ms.
+var outOfRangeSweepBodies = []string{
+	`{"bandwidthsMbps":[1e300]}`,
+	`{"meanPeriodMs":1e300}`,
+}
+
+// sweepGrid lists the bandwidths 1..n Mbps.
+func sweepGrid(n int) string {
+	parts := make([]string, n)
+	for i := range parts {
+		parts[i] = strconv.Itoa(i + 1)
+	}
+	return strings.Join(parts, ",")
+}
+
+// sweepCapBodies are decodable /v1/sweep inputs one step past a size cap:
+// samples, streams, the derived grid and the listed grid.
+var sweepCapBodies = []string{
+	`{"samples":1000001}`,
+	`{"streams":4097}`,
+	`{"pointsPerDecade":101}`,
+	`{"bandwidthsMbps":[` + sweepGrid(302) + `]}`,
+}
+
+// TestOutOfRangeSweepAnswersTyped400: an out-of-range sweep is the
+// request's fault. The plain response is a 400 and the SSE stream's error
+// event says bad_request, where both used to report code internal. A
+// sweep past a size cap is refused by Canonicalize, before any sampling,
+// with a plain 400 on both routes.
 func TestOutOfRangeSweepAnswersTyped400(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	for _, body := range []string{
-		`{"bandwidthsMbps":[1e300]}`,
-		`{"meanPeriodMs":1e300}`,
-	} {
+	for _, body := range outOfRangeSweepBodies {
 		w := serve(s.Handler(), "/v1/sweep", body)
 		var e errorBody
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest || e.Code != "bad_request" {
@@ -89,6 +113,40 @@ func TestOutOfRangeSweepAnswersTyped400(t *testing.T) {
 		w = serve(s.Handler(), "/v1/sweep?stream=sse", body)
 		if !strings.Contains(w.Body.String(), "event: error") || !strings.Contains(w.Body.String(), `"code":"bad_request"`) {
 			t.Errorf("%s over SSE: %s, want an error event with code bad_request", body, w.Body)
+		}
+	}
+	for _, body := range sweepCapBodies {
+		var req SweepRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatalf("%.60s: %v", body, err)
+		}
+		if _, err := req.Canonicalize(); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%.60s: Canonicalize = %v, want ErrBadRequest", body, err)
+		}
+		for _, path := range []string{"/v1/sweep", "/v1/sweep?stream=sse"} {
+			w := serve(s.Handler(), path, body)
+			var e errorBody
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest || e.Code != "bad_request" {
+				t.Errorf("%.60s on %s: %d %s, want 400 code bad_request", body, path, w.Code, w.Body)
+			}
+		}
+	}
+}
+
+// TestSweepCapsAdmitTheCap: a sweep exactly at every cap canonicalizes.
+func TestSweepCapsAdmitTheCap(t *testing.T) {
+	for _, req := range []SweepRequest{
+		{Samples: maxSweepSamples, Streams: maxSweepStreams, PointsPerDecade: 100},
+		{BandwidthsMbps: make([]float64, maxSweepPoints)},
+	} {
+		for i := range req.BandwidthsMbps {
+			req.BandwidthsMbps[i] = float64(i + 1)
+		}
+		canon, err := req.Canonicalize()
+		if err != nil {
+			t.Errorf("a sweep at the caps: %v", err)
+		} else if n := len(canon.BandwidthsMbps); n != maxSweepPoints {
+			t.Errorf("canonical grid has %d points, want %d", n, maxSweepPoints)
 		}
 	}
 }
@@ -171,6 +229,92 @@ func FuzzAnalyzeHTTP(f *testing.F) {
 		}
 		if !bytes.Equal(first.Body.Bytes(), want) {
 			t.Fatalf("body differs from Encode(Analyze(req)):\n%s\nvs\n%s", first.Body, want)
+		}
+		if second.Code != http.StatusOK || second.Header().Get("X-Cache") != "hit" || !bytes.Equal(second.Body.Bytes(), want) {
+			t.Fatalf("second send: %d X-Cache %q, body equal %v", second.Code, second.Header().Get("X-Cache"),
+				bytes.Equal(second.Body.Bytes(), want))
+		}
+		spans := s.spans.Trace(second.Header().Get("X-Ringsched-Trace"))
+		if spanByName(spans, "decode") != nil {
+			t.Fatal("the repeated body was decoded again")
+		}
+		if sp := spanByName(spans, "cache.lookup"); sp == nil || sp.Attrs["alias"] != true || sp.Attrs["outcome"] != "hit" {
+			t.Fatalf("second send's cache.lookup span %+v, want an alias hit", sp)
+		}
+	})
+}
+
+// sweepFuzzBudget bounds the work one FuzzSweepHTTP input may ask for, in
+// samples × grid points × streams × protocols: a one-point sweep of the
+// three protocols at the default 100 samples and 100 streams, tens of
+// milliseconds.
+const sweepFuzzBudget = 30_000
+
+// FuzzSweepHTTP drives /v1/sweep at the HTTP boundary with
+// FuzzTopologyHTTP's assertions. Each input is posted twice to one
+// Server, and:
+//   - the status is 200 or a typed 4xx (a JSON error body with a code),
+//     never a 5xx;
+//   - a 200 body is byte-equal to Encode(Sweep(the decoded request));
+//   - the second send of a 200 is an alias hit with a byte-identical
+//     body; a refused input is refused identically.
+//
+// An input whose canonical sweep is past sweepFuzzBudget is skipped.
+func FuzzSweepHTTP(f *testing.F) {
+	for _, seed := range sweepCapBodies {
+		f.Add(seed)
+	}
+	for _, seed := range outOfRangeSweepBodies {
+		f.Add(seed)
+	}
+	for _, seed := range []string{
+		`{"bandwidthsMbps":[1e6],"streams":4,"samples":3}`,
+		`{"bandwidthsMbps":[1E+6],"streams":4,"samples":3}`,
+		`{"bandwidthsMbps":[1e-300],"streams":4,"samples":3}`,
+		`{"bandwidthsMbps":[10],"meanPeriodMs":1e6,"streams":4,"samples":3}`,
+		`{"bandwidthsMbps":[10],"meanPeriodMs":1E+6,"streams":4,"samples":3}`,
+		`{"bandwidthsMbps":[10],"meanPeriodMs":1e-300,"streams":4,"samples":3}`,
+		`{"bandwidthsMbps":[10],"meanPeriodMs":1e300,"samples":3}`,
+		`{"protocols":["FDDI"," modified-802.5"],"bandwidthsMbps":[100,4,100],"streams":10,"samples":5,"periodRatio":2,"seed":7}`,
+		`not json`,
+	} {
+		f.Add(seed)
+	}
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		var req SweepRequest
+		decodeErr := decodeFrom(strings.NewReader(body), &req)
+		if canon, err := req.Canonicalize(); decodeErr == nil && err == nil &&
+			canon.Samples*len(canon.BandwidthsMbps)*canon.Streams*len(canon.Protocols) > sweepFuzzBudget {
+			t.Skip("sweep past the fuzz budget")
+		}
+		first := serve(h, "/v1/sweep", body)
+		second := serve(h, "/v1/sweep", body)
+		if first.Code != http.StatusOK {
+			var e errorBody
+			if first.Code >= 500 || first.Code < 400 || json.Unmarshal(first.Body.Bytes(), &e) != nil || e.Code == "" {
+				t.Fatalf("status %d %s, want 200 or a typed 4xx", first.Code, first.Body)
+			}
+			if second.Code != first.Code || !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("refused %d %s, then %d %s", first.Code, first.Body, second.Code, second.Body)
+			}
+			return
+		}
+		if decodeErr != nil {
+			t.Fatalf("served 200 for a body that does not decode: %v", decodeErr)
+		}
+		resp, err := Sweep(context.Background(), req, 0, nil)
+		if err != nil {
+			t.Fatalf("served 200 but Sweep fails: %v", err)
+		}
+		want, err := Encode(resp)
+		if err != nil {
+			t.Fatalf("served 200 but Encode fails: %v", err)
+		}
+		if !bytes.Equal(first.Body.Bytes(), want) {
+			t.Fatalf("body differs from Encode(Sweep(req)):\n%s\nvs\n%s", first.Body, want)
 		}
 		if second.Code != http.StatusOK || second.Header().Get("X-Cache") != "hit" || !bytes.Equal(second.Body.Bytes(), want) {
 			t.Fatalf("second send: %d X-Cache %q, body equal %v", second.Code, second.Header().Get("X-Cache"),

@@ -69,29 +69,23 @@ const recorderShards = 16
 
 type recorderShard struct {
 	mu   sync.Mutex
-	buf  []RequestRecord
-	next int
-	full bool
+	buf  []RequestRecord // oldest first until it holds the shard's share
+	next int             // the oldest slot once the shard is full
 }
 
 // recorder is the sharded ring buffer. Records land in the shard picked
 // by their trace ID, so concurrent requests contend on different locks
-// while one request's retries stay colocated.
+// while one request's retries stay colocated. Each shard grows with use,
+// by doubling, up to its share of the capacity, so a server that records
+// little holds little.
 type recorder struct {
 	shards [recorderShards]recorderShard
+	per    int // each shard's share of the capacity
 	total  atomic.Uint64
 }
 
 func newRecorder(capacity int) *recorder {
-	if capacity < recorderShards {
-		capacity = recorderShards
-	}
-	r := &recorder{}
-	per := (capacity + recorderShards - 1) / recorderShards
-	for i := range r.shards {
-		r.shards[i].buf = make([]RequestRecord, per)
-	}
-	return r
+	return &recorder{per: (max(capacity, recorderShards) + recorderShards - 1) / recorderShards}
 }
 
 // fnv1a hashes a string without allocating (hash/fnv's interface forces
@@ -109,11 +103,16 @@ func fnv1a(s string) uint32 {
 func (r *recorder) Record(rec RequestRecord) {
 	sh := &r.shards[fnv1a(rec.TraceID)%recorderShards]
 	sh.mu.Lock()
-	sh.buf[sh.next] = rec
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
-		sh.full = true
+	switch {
+	case len(sh.buf) < cap(sh.buf):
+		sh.buf = append(sh.buf, rec)
+	case len(sh.buf) < r.per:
+		grown := make([]RequestRecord, len(sh.buf), min(max(2*len(sh.buf), 16), r.per))
+		copy(grown, sh.buf)
+		sh.buf = append(grown, rec)
+	default:
+		sh.buf[sh.next] = rec
+		sh.next = (sh.next + 1) % r.per
 	}
 	sh.mu.Unlock()
 	r.total.Add(1)
@@ -129,9 +128,7 @@ func (r *recorder) Snapshot() []RequestRecord {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		if sh.full {
-			out = append(out, sh.buf[sh.next:]...)
-		}
+		out = append(out, sh.buf[sh.next:]...)
 		out = append(out, sh.buf[:sh.next]...)
 		sh.mu.Unlock()
 	}

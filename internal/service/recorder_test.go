@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -92,9 +94,9 @@ func TestFlightRecorderDigests(t *testing.T) {
 func TestRequestsFilters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	post(t, ts.URL+"/v1/analyze", analyzeBody)               // 200 analyze
-	post(t, ts.URL+"/v1/analyze", `{"bandwidthMbps": -3}`)   // 400 analyze
-	post(t, ts.URL+"/v1/sweep", smallSweepBody)              // 200 sweep
+	post(t, ts.URL+"/v1/analyze", analyzeBody)             // 200 analyze
+	post(t, ts.URL+"/v1/analyze", `{"bandwidthMbps": -3}`) // 400 analyze
+	post(t, ts.URL+"/v1/sweep", smallSweepBody)            // 200 sweep
 
 	if rb := getRequests(t, ts.URL, "?endpoint=analyze"); rb.Retained != 2 {
 		t.Fatalf("endpoint=analyze: want 2, got %d", rb.Retained)
@@ -245,12 +247,12 @@ func TestRingHistoryEndpoint(t *testing.T) {
 		RingID  string `json:"ringId"`
 		Version uint64 `json:"version"`
 		Records []struct {
-			Seq           uint64 `json:"seq"`
-			Op            string `json:"op"`
-			VersionBefore uint64 `json:"versionBefore"`
-			Version       uint64 `json:"version"`
-			TraceID       string `json:"traceId"`
-			Client        string `json:"client"`
+			Seq           uint64    `json:"seq"`
+			Op            string    `json:"op"`
+			VersionBefore uint64    `json:"versionBefore"`
+			Version       uint64    `json:"version"`
+			TraceID       string    `json:"traceId"`
+			Client        string    `json:"client"`
 			Time          time.Time `json:"time"`
 		} `json:"records"`
 	}
@@ -313,6 +315,80 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 	return sb.String()
+}
+
+// preallocRecorder is the flight recorder as it was when every shard
+// allocated its share up front: the reference the growing shards must
+// match.
+type preallocRecorder struct {
+	shards [recorderShards]struct {
+		buf  []RequestRecord
+		next int
+		full bool
+	}
+}
+
+func newPreallocRecorder(capacity int) *preallocRecorder {
+	r := &preallocRecorder{}
+	per := (max(capacity, recorderShards) + recorderShards - 1) / recorderShards
+	for i := range r.shards {
+		r.shards[i].buf = make([]RequestRecord, per)
+	}
+	return r
+}
+
+func (r *preallocRecorder) Record(rec RequestRecord) {
+	sh := &r.shards[fnv1a(rec.TraceID)%recorderShards]
+	sh.buf[sh.next] = rec
+	if sh.next++; sh.next == len(sh.buf) {
+		sh.next, sh.full = 0, true
+	}
+}
+
+func (r *preallocRecorder) Snapshot() []RequestRecord {
+	var out []RequestRecord
+	for i := range r.shards {
+		sh := &r.shards[i]
+		if sh.full {
+			out = append(out, sh.buf[sh.next:]...)
+		}
+		out = append(out, sh.buf[:sh.next]...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.After(out[j].Time) })
+	return out
+}
+
+// TestRecorderGrowthMatchesPrealloc: shards that grow with use retain the
+// same records in the same newest-first order as preallocated shards, at
+// every fill level through three wraps. Records share timestamps in
+// threes, so the order among equal times (shard, then arrival) counts too.
+func TestRecorderGrowthMatchesPrealloc(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0)
+	for _, capacity := range []int{1, 16, 100, 700} {
+		got, want := newRecorder(capacity), newPreallocRecorder(capacity)
+		for i := 0; i <= 3*max(capacity, recorderShards)+5; i++ {
+			if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("capacity %d after %d records: snapshot of %d records, want %d:\n%v\nvs\n%v",
+					capacity, i, len(g), len(w), g, w)
+			}
+			rec := RequestRecord{
+				Time:     base.Add(time.Duration(i/3) * time.Millisecond),
+				Endpoint: "analyze",
+				Code:     200 + i,
+				TraceID:  fmt.Sprintf("%032x", i*7919),
+			}
+			got.Record(rec)
+			want.Record(rec)
+		}
+		if got.Total() != uint64(3*max(capacity, recorderShards)+6) {
+			t.Errorf("capacity %d: Total %d", capacity, got.Total())
+		}
+		for i := range got.shards {
+			if c := cap(got.shards[i].buf); c > got.per {
+				t.Errorf("capacity %d: shard %d grew to %d slots, past its share %d", capacity, i, c, got.per)
+			}
+		}
+	}
 }
 
 // BenchmarkFlightRecorderRecord holds the record path to its budget:

@@ -108,9 +108,10 @@ func TestCloseReapsStreamWithSlowReadingClient(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// A deliberately huge sweep: it cannot finish before Close.
+	// A deliberately huge sweep, at the samples cap: it cannot finish
+	// before Close.
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep",
-		strings.NewReader(`{"bandwidthsMbps": [10, 100], "streams": 12, "samples": 2000000, "seed": 5}`))
+		strings.NewReader(`{"bandwidthsMbps": [10, 100], "streams": 12, "samples": 1000000, "seed": 5}`))
 	if err != nil {
 		t.Fatal(err)
 	}

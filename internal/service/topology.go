@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"ringsched/internal/core"
+	"ringsched/internal/frame"
 	"ringsched/internal/topology"
 	"ringsched/internal/trace"
 )
@@ -63,6 +64,13 @@ func (r TopologyRequest) Canonicalize() (TopologyRequest, error) {
 	topo = topo.Canonicalize()
 	if err := topo.Validate(); err != nil {
 		return TopologyRequest{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	for _, f := range topo.Flows {
+		// The payload bound /v1/analyze applies to a stream's lengthBits.
+		if f.LengthBits >= frame.MaxPayloadBits {
+			return TopologyRequest{}, fmt.Errorf("%w: flow %q bits %v is at or past 2^72 bits (2^63 frames of %v bits)",
+				ErrBadRequest, f.Name, f.LengthBits, frame.PaperInfoBits)
+		}
 	}
 	return TopologyRequest{Topology: topo.Spec(), Detail: r.Detail}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -269,6 +270,39 @@ func TestTopologyOverflowAnswersTyped400(t *testing.T) {
 	} {
 		if w := serve(s.Handler(), "/v1/topology/analyze", body); w.Code != http.StatusBadRequest || w.Body.String() != want {
 			t.Errorf("%s: %d %s, want 400 %s", body, w.Code, w.Body, want)
+		}
+	}
+}
+
+// payloadPastBoundTopologies carry a flow at or past frame.MaxPayloadBits
+// (2^72 bits): on an FDDI ring it used to answer 200 with utilization
+// 1e302, on an 802.5 ring a 400 naming no flow.
+var payloadPastBoundTopologies = []string{
+	`{"topology":"ring:name=a,proto=fddi,bw=100e6 + flow:name=f,src=a,dst=a,period=10ms,bits=1e308"}`,
+	`{"topology":"ring:name=a,proto=8025,bw=16e6 + flow:name=f,src=a,dst=a,period=10ms,bits=1e308"}`,
+	`{"topology":"ring:name=a,proto=8025mod,bw=16e6","flows":[{"name":"f","src":"a","periodMs":10,"lengthBits":4722366482869645213696}]}`,
+}
+
+// TestTopologyPayloadBoundNamesTheFlow: a flow payload past the bound,
+// from the spec or from the structured flows, is refused by Canonicalize
+// with a typed 400 naming the flow, as /v1/analyze names
+// streams[i].lengthBits.
+func TestTopologyPayloadBoundNamesTheFlow(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	for _, body := range payloadPastBoundTopologies {
+		var req TopologyRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if _, err := req.Canonicalize(); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), `flow "f"`) {
+			t.Errorf("%s: Canonicalize = %v, want ErrBadRequest naming flow \"f\"", body, err)
+		}
+		w := serve(s.Handler(), "/v1/topology/analyze", body)
+		var e errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest ||
+			e.Code != "bad_request" || !strings.Contains(e.Error, `flow "f" bits`) {
+			t.Errorf("%s: %d %s, want 400 bad_request naming flow \"f\"", body, w.Code, w.Body)
 		}
 	}
 }
