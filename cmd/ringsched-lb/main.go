@@ -182,13 +182,18 @@ func (l *lb) fetchBackendTrace(ctx context.Context, backend, traceID string) ([]
 	return resp.Spans, nil
 }
 
-// routeKeyBytes budgets the lb's body-to-key alias (~18k bodies).
+// routeKeyBytes budgets the lb's body-to-key alias. An alias entry is
+// charged its whole body, so 4 MiB holds about 950 distinct 55-stream
+// analyze bodies (4.2 KB each, plus the tag, the 64-byte key and the
+// entry overhead). It stays 4 MiB because it bounds the lb's memory: a
+// body that is not resident, or is past a shard's 256 KiB, still routes
+// by the key a decode gives, at the cost of that decode.
 const routeKeyBytes = 4 << 20
 
 // shardKey returns the canonical cluster key of one cacheable request
 // body through the same alias the backends use: a body routed before
-// costs a digest and a lookup, a new one is decoded, canonicalized and
-// keyed once. ok is false when the body does not decode or canonicalize
+// costs a lookup of its exact bytes, a new one is decoded, canonicalized
+// and keyed once. ok is false when the body does not decode or canonicalize
 // — such requests are routed to any healthy backend, which answers with
 // the canonical 400 (the lb never invents its own request validation).
 func (l *lb) shardKey(endpoint string, body []byte) (string, bool) {
@@ -256,7 +261,7 @@ func (l *lb) route(endpoint string) http.HandlerFunc {
 			}
 		}
 
-		_, rdsp := trace.Start(ctx, "lb.read")
+		rdsp := trace.StartLeaf(ctx, "lb.read")
 		body, err := io.ReadAll(io.LimitReader(r.Body, service.MaxBodyBytes+1))
 		rdsp.End()
 		if err != nil {
@@ -269,7 +274,7 @@ func (l *lb) route(endpoint string) http.HandlerFunc {
 			writeTooLarge(w)
 			return
 		}
-		_, rtsp := trace.Start(ctx, "lb.route")
+		rtsp := trace.StartLeaf(ctx, "lb.route")
 		key, haveKey := "", false
 		if r.Method == http.MethodPost && endpoint != "experiments" {
 			key, haveKey = l.shardKey(endpoint, body)

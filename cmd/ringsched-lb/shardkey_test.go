@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -65,8 +66,57 @@ func TestShardKeyAliasMatchesDecode(t *testing.T) {
 	}
 }
 
+// backendKey is the key a backend gives body on its slow path: decode,
+// canonicalize, key, with no alias involved.
+func backendKey(tb testing.TB, body []byte) string {
+	tb.Helper()
+	var req service.AnalyzeRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		tb.Fatal(err)
+	}
+	canon, err := req.Canonicalize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return canon.CacheKey()
+}
+
+// TestShardKeyRepeatAddsNoEntry: a repeated body resolves to the key its
+// first route gave it, through the one alias entry that route recorded.
+func TestShardKeyRepeatAddsNoEntry(t *testing.T) {
+	l := &lb{keys: service.NewCache(routeKeyBytes)}
+	body := shardKeyBodies(t, 1)[0]
+	want := backendKey(t, body)
+	for i := 0; i < 3; i++ {
+		if got, ok := l.shardKey("analyze", body); !ok || got != want {
+			t.Fatalf("route %d: key %q %v, want %q", i, got, ok, want)
+		}
+		if n := l.keys.Entries(); n != 1 {
+			t.Fatalf("route %d: %d alias entries, want 1", i, n)
+		}
+	}
+}
+
+// TestShardKeyOversizedBodyRoutes: a body too large for one shard's alias
+// budget (here a 55-stream body behind a shard's worth of whitespace) is
+// not aliased, and every route of it still finds the backend's key.
+func TestShardKeyOversizedBodyRoutes(t *testing.T) {
+	l := &lb{keys: service.NewCache(routeKeyBytes)}
+	body := shardKeyBodies(t, 1)[0]
+	big := append(bytes.Repeat([]byte(" "), routeKeyBytes/16), body...)
+	want := backendKey(t, body)
+	for i := 0; i < 2; i++ {
+		if got, ok := l.shardKey("analyze", big); !ok || got != want {
+			t.Fatalf("route %d: key %q %v, want %q", i, got, ok, want)
+		}
+	}
+	if n := l.keys.Entries(); n != 0 {
+		t.Errorf("%d alias entries, want none for a body past a shard's budget", n)
+	}
+}
+
 // BenchmarkShardKey times the lb's route step on 55-stream analyze
-// bodies: hit is a body routed before (digest and alias lookup), miss a
+// bodies: hit is a body routed before (alias lookup), miss a
 // new one (decode, canonicalize, key and the alias insert).
 func BenchmarkShardKey(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {

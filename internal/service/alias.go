@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,46 +11,48 @@ import (
 )
 
 // The alias answers a repeated request body without decoding it. It maps
-// a digest of (endpoint, exact body bytes) to the canonical cache key the
-// body canonicalized to, and lives in the result cache itself: alias
-// entries share the byte budget and the LRU with result bodies. It is
-// exact because decode, Canonicalize and CacheKey are pure functions of
-// the bytes, so the same bytes always reach the same key. An alias is
-// recorded only after its body canonicalized, so a body that fails never
-// gets one.
+// one endpoint's exact body bytes to the canonical cache key the body
+// canonicalized to, and lives in the result cache itself: alias entries
+// share the byte budget and the LRU with result bodies, charged their
+// real size, so an alias too large for a shard is not stored and its
+// body is keyed the slow way each time. It is exact because the map
+// compares every byte of the key, and because decode, Canonicalize and
+// CacheKey are pure functions of the bytes, so the same bytes always
+// reach the same key. A served body's alias is recorded once its result
+// is resident, so a body that fails never gets one.
 
-// aliasSchema versions the alias digest the way keySchema versions keys.
-const aliasSchema = "ringsched/alias/v1/"
-
-// aliasKey is an alias digest: SHA-256 over the schema, the endpoint and
-// the SHA-256 of the body. The zero value means "no alias" (a body that
-// was not read whole, or a door that does not alias).
-type aliasKey [sha256.Size]byte
-
-// aliasOf digests one endpoint's body without allocating.
-func aliasOf(endpoint string, body []byte) aliasKey {
-	inner := sha256.Sum256(body)
-	b := make([]byte, 0, 128)
-	b = append(b, aliasSchema...)
-	b = append(b, endpoint...)
-	b = append(b, 0)
-	b = append(b, inner[:]...)
-	return sha256.Sum256(b)
+// aliasOf returns endpoint's alias key for body, body ‖ 0x00 ‖ endpoint,
+// appended to body in place (the array grows only when it lacks room). No
+// canonical key holds a zero byte, so no alias key equals one, and no
+// endpoint holds one either, so the last zero byte splits a key back into
+// its body and endpoint: distinct pairs never share a key.
+func aliasOf(endpoint string, body []byte) []byte {
+	return append(append(body, 0), endpoint...)
 }
 
-// putAlias records that a's body canonicalizes to key. An alias entry's
-// cache key is the raw 32-byte digest, which can never equal a 64-byte
-// hex canonical key.
-func (c *Cache) putAlias(a aliasKey, key string) {
-	if a == (aliasKey{}) {
+// putAlias records that alias key a keys to key. Recording is the one
+// place the key is copied out of the buffer it lies in.
+func (c *Cache) putAlias(a []byte, key string) {
+	c.put(&cacheEntry{key: string(a), target: key})
+}
+
+// recordAlias is putAlias for a served request: it records a only while
+// key's result body is resident. The alias of a body whose computation
+// failed, or whose result was too large to cache, would hold the body's
+// bytes in the budget and answer nothing. A nil a (a body that was not
+// read whole, or a door that does not alias) records nothing.
+func (c *Cache) recordAlias(a []byte, key string) {
+	if a == nil {
 		return
 	}
-	c.put(&cacheEntry{key: string(a[:]), target: key})
+	if _, ok := c.lookup(key); ok {
+		c.putAlias(a, key)
+	}
 }
 
 // resolveAlias returns the canonical key recorded for a, uncounted.
-func (c *Cache) resolveAlias(a aliasKey) (string, bool) {
-	e, ok := c.entry(string(a[:]))
+func (c *Cache) resolveAlias(a []byte) (string, bool) {
+	e, ok := c.entryBytes(a)
 	if !ok {
 		return "", false
 	}
@@ -61,7 +62,7 @@ func (c *Cache) resolveAlias(a aliasKey) (string, bool) {
 // aliasHit returns the canonical key and cached body of a's target when
 // both are resident, counting one hit. Otherwise it counts nothing: the
 // request falls through to the canonical lookup, which counts it once.
-func (c *Cache) aliasHit(a aliasKey) (key string, body []byte, ok bool) {
+func (c *Cache) aliasHit(a []byte) (key string, body []byte, ok bool) {
 	if key, ok = c.resolveAlias(a); !ok {
 		return "", nil, false
 	}
@@ -78,7 +79,11 @@ func (c *Cache) aliasHit(a aliasKey) (key string, body []byte, ok bool) {
 // keying them, after which the alias is recorded. ok is false when the
 // body does not decode or canonicalize. ringsched-lb routes by it.
 func (c *Cache) KeyOf(endpoint string, body []byte) (key string, ok bool) {
-	a := aliasOf(endpoint, body)
+	// Tag a pooled copy: body belongs to the caller.
+	buf := bodyPool.Get().(*[]byte)
+	defer releaseBody(buf)
+	*buf = aliasOf(endpoint, append((*buf)[:0], body...))
+	a := *buf
 	if key, ok := c.resolveAlias(a); ok {
 		return key, true
 	}
@@ -169,18 +174,20 @@ func releaseBody(buf *[]byte) {
 // whose decoder attribute names what ran: "scan" (scanAnalyze) or "json"
 // (encoding/json, also for a body past MaxBodyBytes). aliased false (an
 // SSE sweep) skips the alias. ok false means the response is written: an
-// alias hit or a 400. The returned alias is the body's digest for prepare
-// to record, zero when there is none.
-func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, aliased bool) (req T, alias aliasKey, ok bool) {
+// alias hit or a 400. buf holds the body until the caller releases it
+// with releaseBody, after the request is served: alias, the body's alias
+// key to record then (nil when there is none), lies in buf's array.
+func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, aliased bool) (req T, buf *[]byte, alias []byte, ok bool) {
 	buf, whole, err := readBody(r.Body)
-	defer releaseBody(buf)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadRequest, err))
-		return req, alias, false
+		return req, buf, nil, false
 	}
 	if aliased && whole {
+		n := len(*buf)
 		alias = aliasOf(endpoint, *buf)
-		_, sp := trace.Start(r.Context(), "cache.lookup")
+		*buf = alias[:n] // the pool keeps the array if the tag grew it
+		sp := trace.StartLeaf(r.Context(), "cache.lookup")
 		sp.SetAttr("alias", true)
 		key, body, hit := s.cache.aliasHit(alias)
 		if hit {
@@ -192,10 +199,10 @@ func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, e
 		if hit {
 			setDigestKey(r.Context(), key)
 			writeHit(w, body)
-			return req, alias, false
+			return req, buf, nil, false
 		}
 	}
-	_, dsp := trace.Start(r.Context(), "decode")
+	dsp := trace.StartLeaf(r.Context(), "decode")
 	scanned, err := decodeRead(*buf, whole, r.Body, &req)
 	if scanned {
 		dsp.SetAttr("decoder", "scan")
@@ -206,9 +213,9 @@ func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, e
 	dsp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return req, alias, false
+		return req, buf, nil, false
 	}
-	return req, alias, true
+	return req, buf, alias, true
 }
 
 // decodeRead decodes a body readBody read into v: a whole body through
@@ -233,10 +240,9 @@ func decodeBody(r *http.Request, v any) error {
 }
 
 // prepare canonicalizes a decoded request and keys it, under the
-// "canonicalize" and "key" spans, then records the body's alias. ok false
-// means the 400 is written.
-func prepare[T canonical[T]](s *Server, w http.ResponseWriter, r *http.Request, req T, alias aliasKey) (canon T, key string, ok bool) {
-	_, csp := trace.Start(r.Context(), "canonicalize")
+// "canonicalize" and "key" spans. ok false means the 400 is written.
+func prepare[T canonical[T]](s *Server, w http.ResponseWriter, r *http.Request, req T) (canon T, key string, ok bool) {
+	csp := trace.StartLeaf(r.Context(), "canonicalize")
 	canon, err := req.Canonicalize()
 	csp.SetError(err)
 	csp.End()
@@ -244,9 +250,8 @@ func prepare[T canonical[T]](s *Server, w http.ResponseWriter, r *http.Request, 
 		writeError(w, statusFor(err), err)
 		return canon, "", false
 	}
-	_, ksp := trace.Start(r.Context(), "key")
+	ksp := trace.StartLeaf(r.Context(), "key")
 	key = canon.CacheKey()
 	ksp.End()
-	s.cache.putAlias(alias, key)
 	return canon, key, true
 }

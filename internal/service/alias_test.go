@@ -80,8 +80,8 @@ func TestAliasWithEvictedTargetCountsNothing(t *testing.T) {
 	if c.Hits() != 1 || c.Misses() != 0 {
 		t.Errorf("hits %d misses %d, want 1 and 0", c.Hits(), c.Misses())
 	}
-	if aliasOf("topology", []byte(analyzeBody)) == a || aliasOf("analyze", []byte(analyzeBody+" ")) == a {
-		t.Error("alias digest ignores the endpoint or a byte of the body")
+	if bytes.Equal(aliasOf("topology", []byte(analyzeBody)), a) || bytes.Equal(aliasOf("analyze", []byte(analyzeBody+" ")), a) {
+		t.Error("alias key ignores the endpoint or a byte of the body")
 	}
 }
 
@@ -135,4 +135,71 @@ func TestAliasConcurrentAccess(t *testing.T) {
 	if n := c.Entries(); n != 32 {
 		t.Errorf("%d entries, want 16 results and 16 aliases", n)
 	}
+}
+
+// aliasEndpoints are the endpoints KeyOf keys.
+var aliasEndpoints = [...]string{"analyze", "sweep", "topology"}
+
+// slowKey keys body the way KeyOf does without an alias.
+func slowKey(endpoint string, body []byte) (string, error) {
+	switch endpoint {
+	case "analyze":
+		return keyOf[AnalyzeRequest](body)
+	case "sweep":
+		return keyOf[SweepRequest](body)
+	default:
+		return keyOf[TopologyRequest](body)
+	}
+}
+
+// FuzzAliasExact holds the alias to what makes it exact. An alias
+// recorded for one (endpoint, body) pair resolves for another pair only
+// when the endpoint and every byte match. The key KeyOf takes from the
+// alias is the key the slow path gives the same bytes, and a body that
+// does not key gets no alias. No alias key equals a canonical key, so an
+// alias and the result it points at are two entries.
+func FuzzAliasExact(f *testing.F) {
+	bodies := []string{analyzeBody, smallSweepBody, `{"topology":"` + lineTopologySpec + `"}`}
+	for i, b := range bodies {
+		f.Add(uint8(i), b, uint8(i), b)
+		f.Add(uint8(i), b, uint8(i), b+" ")
+		f.Add(uint8(i), b, uint8(i+1), b)
+	}
+	f.Add(uint8(0), "a\x00analyze", uint8(0), "a")
+	f.Add(uint8(0), "{", uint8(0), "{}")
+	f.Fuzz(func(t *testing.T, ea uint8, a string, eb uint8, b string) {
+		epA, epB := aliasEndpoints[int(ea)%len(aliasEndpoints)], aliasEndpoints[int(eb)%len(aliasEndpoints)]
+		// Shards of 4 MiB: every fuzzed body fits, so a miss is a mismatch.
+		c := NewCache(64 << 20)
+		c.putAlias(aliasOf(epA, []byte(a)), "target")
+		if _, ok := c.resolveAlias(aliasOf(epB, []byte(b))); ok != (epA == epB && a == b) {
+			t.Fatalf("alias of (%s, %q) resolved %v for (%s, %q)", epA, a, ok, epB, b)
+		}
+
+		for _, p := range [...]struct{ endpoint, body string }{{epA, a}, {epB, b}} {
+			c := NewCache(64 << 20)
+			want, err := slowKey(p.endpoint, []byte(p.body))
+			for round := 0; round < 2; round++ {
+				key, ok := c.KeyOf(p.endpoint, []byte(p.body))
+				if ok != (err == nil) || key != want {
+					t.Fatalf("%s %q round %d: KeyOf = %q %v, slow path %q %v", p.endpoint, p.body, round, key, ok, want, err)
+				}
+			}
+			if err != nil {
+				if n := c.Entries(); n != 0 {
+					t.Fatalf("%s %q does not key but left %d entries", p.endpoint, p.body, n)
+				}
+				continue
+			}
+			alias := aliasOf(p.endpoint, []byte(p.body))
+			if string(alias) == want || strings.IndexByte(want, 0) >= 0 {
+				t.Fatalf("%s %q: alias key can equal the canonical key %q", p.endpoint, p.body, want)
+			}
+			c.Put(want, []byte("result"))
+			if key, body, ok := c.aliasHit(alias); !ok || key != want || string(body) != "result" || c.Entries() != 2 {
+				t.Fatalf("%s %q: aliasHit = %q %q %v with %d entries, want the result and its alias",
+					p.endpoint, p.body, key, body, ok, c.Entries())
+			}
+		}
+	})
 }

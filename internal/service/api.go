@@ -257,7 +257,7 @@ func (e *encoder) release() {
 // The span's encoder attribute names what wrote the body: "append"
 // (appendBody) or "json" (encoding/json).
 func encodeTraced(ctx context.Context, v any) ([]byte, error) {
-	_, sp := trace.Start(ctx, "encode")
+	sp := trace.StartLeaf(ctx, "encode")
 	defer sp.End()
 	b, appended, err := encode(v)
 	if appended {
@@ -553,7 +553,7 @@ func analyzeCanonical(ctx context.Context, req AnalyzeRequest, key string) (Anal
 		if err := ctx.Err(); err != nil {
 			return AnalyzeResponse{}, err
 		}
-		_, sp := trace.Start(ctx, "analyze.protocol")
+		sp := trace.StartLeaf(ctx, "analyze.protocol")
 		sp.SetAttr("protocol", proto)
 		var v Verdict
 		var err error

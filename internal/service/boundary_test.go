@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+
+	"ringsched/internal/progress"
 )
 
 // overflowBodies are decodable /v1/analyze inputs whose magnitudes the
@@ -67,6 +70,9 @@ func TestOverflowingInputsAnswerTyped400(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest || e.Code != "bad_request" {
 			t.Errorf("%s: %d %s, want 400 code bad_request", body, w.Code, w.Body)
 		}
+	}
+	if n := s.cache.Entries(); n != 0 {
+		t.Errorf("%d cache entries after %d refused bodies, want no aliases of them", n, len(bodies))
 	}
 }
 
@@ -130,6 +136,56 @@ func TestOutOfRangeSweepAnswersTyped400(t *testing.T) {
 				t.Errorf("%.60s on %s: %d %s, want 400 code bad_request", body, path, w.Code, w.Body)
 			}
 		}
+	}
+}
+
+// TestNonFiniteSweepAnswersTyped400: a sweep result with no JSON form is
+// put there by the request's magnitudes, as an analyze or topology one
+// is. Encoding it fails with a *json.UnsupportedValueError, which the
+// plain route answers with a 400 and the SSE route with an error event,
+// both with code bad_request, where both reported code internal. Neither
+// leaves a cache entry: no result, and no alias of a body that has none.
+func TestNonFiniteSweepAnswersTyped400(t *testing.T) {
+	overflow := func(ctx context.Context, req SweepRequest, key string, workers int, obs progress.Progress) (SweepResponse, error) {
+		resp, err := sweepCanonical(ctx, req, key, workers, obs)
+		if err == nil {
+			resp.Series[0].Points[0].Mean = math.Inf(1)
+		}
+		return resp, err
+	}
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(smallSweepBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	canon, err := req.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := overflow(context.Background(), canon, canon.CacheKey(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inf *json.UnsupportedValueError
+	if _, err := Encode(resp); !errors.As(err, &inf) {
+		t.Fatalf("Encode = %v, want a *json.UnsupportedValueError", err)
+	}
+
+	s := New(Config{})
+	defer s.Close()
+	s.sweep = overflow
+	w := serve(s.Handler(), "/v1/sweep", smallSweepBody)
+	var e errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest ||
+		e.Code != "bad_request" || !strings.Contains(e.Error, "out of range") {
+		t.Errorf("plain route: %d %s, want 400 code bad_request naming the range", w.Code, w.Body)
+	}
+	w = serve(s.Handler(), "/v1/sweep?stream=sse", smallSweepBody)
+	if body := w.Body.String(); !strings.Contains(body, "event: error") ||
+		!strings.Contains(body, `"code":"bad_request"`) || !strings.Contains(body, "out of range") {
+		t.Errorf("SSE route: %s, want an error event with code bad_request naming the range", body)
+	}
+	if n := s.cache.Entries(); n != 0 {
+		t.Errorf("%d cache entries after two failed sweeps, want none", n)
 	}
 }
 

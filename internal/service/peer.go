@@ -151,21 +151,21 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		s.serveAnalyze(w, r, inner, aliasKey{})
+		s.serveAnalyze(w, r, inner, nil)
 	case "topology":
 		var inner TopologyRequest
 		if _, err := unmarshalStrict(req.Request, &inner); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		s.serveTopology(w, r, inner, aliasKey{})
+		s.serveTopology(w, r, inner, nil)
 	case "sweep":
 		var inner SweepRequest
 		if _, err := unmarshalStrict(req.Request, &inner); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		s.serveSweep(w, r, inner, aliasKey{})
+		s.serveSweep(w, r, inner, nil)
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("%w: unknown fill endpoint %q", ErrBadRequest, req.Endpoint))

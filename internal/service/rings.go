@@ -474,7 +474,7 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 		return
 	}
 
-	_, sp := trace.Start(r.Context(), "ring.edit")
+	sp := trace.StartLeaf(r.Context(), "ring.edit")
 	sp.SetAttr("ring", ringID)
 	sp.SetAttr("op", op)
 	var version uint64
@@ -500,7 +500,7 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 	// ring.reprobe is the span a trace reader greps for to see edit cost;
 	// its wall time is inside ring.edit, so it is recorded zero-width
 	// with the stream count as its payload.
-	_, rsp := trace.Start(r.Context(), "ring.reprobe")
+	rsp := trace.StartLeaf(r.Context(), "ring.reprobe")
 	rsp.SetAttr("streams", delta.Reprobed)
 	rsp.End()
 	sp.End()

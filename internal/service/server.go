@@ -190,6 +190,10 @@ type Server struct {
 	recorder  *recorder
 	slo       *counterVec // endpoint, class (good | slow | error)
 	exemplars *exemplarVec
+
+	// sweep computes a canonical sweep for both of /v1/sweep's routes:
+	// sweepCanonical, or in a test a result no known input produces.
+	sweep func(ctx context.Context, req SweepRequest, key string, workers int, obs progress.Progress) (SweepResponse, error)
 }
 
 // stageForSpan maps span names to the /metrics stage label, so the
@@ -331,6 +335,7 @@ func New(cfg Config) *Server {
 		reprobeStreams: newHistogramVec("ringschedd_reprobe_streams",
 			"Streams re-analyzed per incremental ring edit, by operation."),
 		recorder: newRecorder(cfg.RequestLog),
+		sweep:    sweepCanonical,
 		slo: newCounterVec("ringschedd_slo_requests_total",
 			"Finished requests by endpoint and SLO class (good | slow | error), for burn-rate alerting."),
 		exemplars: newExemplarVec("ringschedd_request_seconds_exemplars",
@@ -729,7 +734,7 @@ func writeHit(w http.ResponseWriter, body []byte) {
 // here), or peer (fetched from the owning shard).
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, peerReq any, compute func(context.Context) ([]byte, error)) {
 	setDigestKey(r.Context(), key)
-	_, lookup := trace.Start(r.Context(), "cache.lookup")
+	lookup := trace.StartLeaf(r.Context(), "cache.lookup")
 	body, cached := s.cache.Get(key)
 	if cached {
 		lookup.SetAttr("outcome", "hit")
@@ -823,15 +828,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
 		return
 	}
-	if req, alias, ok := decodeCacheable[AnalyzeRequest](s, w, r, "analyze", true); ok {
+	req, buf, alias, ok := decodeCacheable[AnalyzeRequest](s, w, r, "analyze", true)
+	if ok {
 		s.serveAnalyze(w, r, req, alias)
 	}
+	releaseBody(buf)
 }
 
 // serveAnalyze is the decoded-request half of /v1/analyze, shared with
 // the peer-fill door (which passes no alias).
-func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req AnalyzeRequest, alias aliasKey) {
-	canon, key, ok := prepare(s, w, r, req, alias)
+func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req AnalyzeRequest, alias []byte) {
+	canon, key, ok := prepare(s, w, r, req)
 	if !ok {
 		return
 	}
@@ -846,6 +853,7 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req Analyz
 		body, err := encodeTraced(ctx, resp)
 		return body, resultOutOfRange(err)
 	})
+	s.cache.recordAlias(alias, key)
 }
 
 // resultOutOfRange maps a result with no JSON form to the typed 400: a
@@ -868,15 +876,17 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
 		return
 	}
-	if req, alias, ok := decodeCacheable[TopologyRequest](s, w, r, "topology", true); ok {
+	req, buf, alias, ok := decodeCacheable[TopologyRequest](s, w, r, "topology", true)
+	if ok {
 		s.serveTopology(w, r, req, alias)
 	}
+	releaseBody(buf)
 }
 
 // serveTopology is the decoded-request half of /v1/topology/analyze,
 // shared with the peer-fill door.
-func (s *Server) serveTopology(w http.ResponseWriter, r *http.Request, req TopologyRequest, alias aliasKey) {
-	canon, key, ok := prepare(s, w, r, req, alias)
+func (s *Server) serveTopology(w http.ResponseWriter, r *http.Request, req TopologyRequest, alias []byte) {
+	canon, key, ok := prepare(s, w, r, req)
 	if !ok {
 		return
 	}
@@ -891,6 +901,7 @@ func (s *Server) serveTopology(w http.ResponseWriter, r *http.Request, req Topol
 		body, err := encodeTraced(ctx, resp)
 		return body, resultOutOfRange(err)
 	})
+	s.cache.recordAlias(alias, key)
 }
 
 // wantsSSE reports whether the client asked for a progress stream.
@@ -903,15 +914,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
 		return
 	}
-	if req, alias, ok := decodeCacheable[SweepRequest](s, w, r, "sweep", !wantsSSE(r)); ok {
+	req, buf, alias, ok := decodeCacheable[SweepRequest](s, w, r, "sweep", !wantsSSE(r))
+	if ok {
 		s.serveSweep(w, r, req, alias)
 	}
+	releaseBody(buf)
 }
 
 // serveSweep is the decoded-request half of /v1/sweep, shared with the
 // peer-fill door (which never asks for the SSE variant).
-func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, alias aliasKey) {
-	canon, key, ok := prepare(s, w, r, req, alias)
+func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, alias []byte) {
+	canon, key, ok := prepare(s, w, r, req)
 	if !ok {
 		return
 	}
@@ -920,12 +933,14 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 		return
 	}
 	s.serveCached(w, r, "sweep", key, canon, func(ctx context.Context) ([]byte, error) {
-		resp, err := sweepCanonical(ctx, canon, key, s.cfg.Workers, nil)
+		resp, err := s.sweep(ctx, canon, key, s.cfg.Workers, nil)
 		if err != nil {
 			return nil, err
 		}
-		return encodeTraced(ctx, resp)
+		body, err := encodeTraced(ctx, resp)
+		return body, resultOutOfRange(err)
 	})
+	s.cache.recordAlias(alias, key)
 }
 
 // streamSweep serves one sweep as an SSE stream: progress frames while
@@ -992,7 +1007,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, canon Sweep
 	defer s.flight.release()
 	s.computes.Add(endpointLabel("sweep"), 1)
 	started := time.Now()
-	resp, err := sweepCanonical(ctx, canon, key, s.cfg.Workers, sse)
+	resp, err := s.sweep(ctx, canon, key, s.cfg.Workers, sse)
 	if err != nil {
 		s.noteCancel("sweep", err)
 		sse.Event("error", errorBody{Error: err.Error(), Code: string(codeForStatus(statusFor(err)))})
@@ -1001,7 +1016,8 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, canon Sweep
 	s.admission.Observe(time.Since(started))
 	body, err := Encode(resp)
 	if err != nil {
-		sse.Event("error", errorBody{Error: err.Error(), Code: string(resilience.CodeInternal)})
+		err = resultOutOfRange(err)
+		sse.Event("error", errorBody{Error: err.Error(), Code: string(codeForStatus(statusFor(err)))})
 		return
 	}
 	s.cache.Put(key, body)

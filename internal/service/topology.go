@@ -196,7 +196,7 @@ func topologyCanonical(ctx context.Context, req TopologyRequest, key string) (To
 	if err != nil {
 		return TopologyResponse{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	_, span := trace.Start(ctx, "topology.compose")
+	span := trace.StartLeaf(ctx, "topology.compose")
 	rep, err := core.AnalyzeTopology(topo)
 	if err != nil {
 		span.End()

@@ -2,6 +2,7 @@ package tokensim
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"ringsched/internal/faults"
@@ -51,7 +52,9 @@ func (c ringConfig) validate() (float64, error) {
 
 // resolveHorizon gives a zero horizon the default length for the streams
 // m (20 periods of the slowest) and checks that the result is positive
-// and finite.
+// and finite, and fine enough for every period: a release time within the
+// horizon must move when a period is added to it, or stationState.release
+// would add it for ever.
 func resolveHorizon(h float64, m message.Set) (float64, error) {
 	if h == 0 {
 		h = horizonFor(m, 20)
@@ -59,7 +62,22 @@ func resolveHorizon(h float64, m message.Set) (float64, error) {
 	if !(h > 0) || math.IsInf(h, 1) {
 		return 0, ErrBadHorizon
 	}
+	for _, s := range m {
+		if !advances(h, s.Period) {
+			return 0, fmt.Errorf("%w: %g s is too long to count stream %s's %g s periods in float64",
+				ErrBadHorizon, h, s.Name, s.Period)
+		}
+	}
 	return h, nil
+}
+
+// advances reports whether adding step to, or subtracting it from, any
+// float64 in [0, limit] changes it. It holds when step exceeds half the
+// gap between limit and the next float64, the widest gap in the range;
+// otherwise some value rounds back to itself, as limit + step == limit
+// at the extreme.
+func advances(limit, step float64) bool {
+	return step > (math.Nextafter(limit, math.Inf(1))-limit)/2
 }
 
 // harness is the run plumbing every MAC shares. pdpRun, ttpRun and resRun

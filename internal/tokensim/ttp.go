@@ -155,6 +155,13 @@ func newTTPRun(c TTPSim, engine *sim.Engine) (*ttpRun, error) {
 	if !(c.TTRT > 0) || c.TTRT > horizon || math.IsInf(horizon/c.TTRT, 1) {
 		return nil, fmt.Errorf("%w: %g s against a %g s horizon", ErrBadTTRT, c.TTRT, horizon)
 	}
+	// The holding-time loop spends up to TTRT one asynchronous frame at a
+	// time, which never ends if taking a frame from the time left can
+	// leave it unchanged.
+	if fa := c.AsyncFrame.Time(c.Net.BandwidthBPS); !advances(c.TTRT, fa) {
+		return nil, fmt.Errorf("%w: %g s is too long to count %g s asynchronous frames in float64",
+			ErrBadTTRT, c.TTRT, fa)
+	}
 	if len(c.Allocations) != len(c.Workload.Streams) {
 		return nil, fmt.Errorf("%w: %d allocations for %d streams",
 			ErrBadAllocations, len(c.Allocations), len(c.Workload.Streams))

@@ -103,6 +103,16 @@ func TestSimulatorsRejectMalformedConfig(t *testing.T) {
 		{"NaN horizon", nil, func(k *simKnobs) { k.horizon = nan }, ErrBadHorizon},
 		{"+Inf horizon", nil, func(k *simKnobs) { k.horizon = inf }, ErrBadHorizon},
 		{"negative horizon", nil, func(k *simKnobs) { k.horizon = -1 }, ErrBadHorizon},
+		// 2⁵⁴ periods of the fastest stream (2 ms), every stream first
+		// released at 2⁴⁵ s, where adding 2 ms rounds back to the same
+		// time: stationState.release would spin there, and PDP's ring,
+		// idle without asynchronous traffic, reaches it in one step.
+		{"horizon past 2^53 periods", nil, func(k *simKnobs) {
+			k.horizon, k.async = math.Ldexp(2e-3, 54), false
+			for i := range k.workload.Offsets {
+				k.workload.Offsets[i] = math.Ldexp(1, 45)
+			}
+		}, ErrBadHorizon},
 		{"offsets shorter than streams", nil, func(k *simKnobs) {
 			k.workload.Offsets = k.workload.Offsets[:len(k.workload.Offsets)-1]
 		}, ErrBadOffsets},
@@ -114,6 +124,17 @@ func TestSimulatorsRejectMalformedConfig(t *testing.T) {
 		{"NaN TTRT", []string{"ttp"}, func(k *simKnobs) { k.ttrt = nan }, ErrBadTTRT},
 		{"TTRT longer than the horizon", []string{"ttp"}, func(k *simKnobs) { k.ttrt = 2 * k.horizon }, ErrBadTTRT},
 		{"subnormal TTRT", []string{"ttp"}, func(k *simKnobs) { k.ttrt = 5e-324 }, ErrBadTTRT},
+		// 2⁵⁴ asynchronous frames: TTRT − Fasync == TTRT, so the holding
+		// time would never run out. The periods stretch with the horizon
+		// so that only the TTRT is at fault.
+		{"TTRT past 2^53 asynchronous frames", []string{"ttp"}, func(k *simKnobs) {
+			a := goldenTTP(k.stations)
+			k.ttrt = math.Ldexp(a.AsyncFrame.Time(a.Net.BandwidthBPS), 54)
+			k.horizon = k.ttrt
+			for i := range k.workload.Streams {
+				k.workload.Streams[i].Period = k.ttrt / 4
+			}
+		}, ErrBadTTRT},
 		{"allocation per stream", []string{"ttp"}, func(k *simKnobs) {
 			k.allocations = k.allocations[:len(k.allocations)-1]
 		}, ErrBadAllocations},
@@ -142,6 +163,31 @@ func TestSimulatorsRejectMalformedConfig(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAdvances: a step advances every value up to a limit only when it
+// exceeds half the gap above the limit. A step of exactly half the gap
+// moves an odd-mantissa limit (the tie rounds up to even) but not the
+// even value below it, so limit + step != limit alone does not suffice.
+func TestAdvances(t *testing.T) {
+	odd := math.Ldexp(1, 44) + math.Ldexp(1, -8) // the gap is 2⁻⁸
+	for _, tc := range []struct {
+		limit, step float64
+		want        bool
+	}{
+		{0.02, 2e-3, true},
+		{math.Ldexp(2e-3, 54), 2e-3, false},
+		{odd, math.Ldexp(1, -9), false},
+		{odd, math.Nextafter(math.Ldexp(1, -9), 1), true},
+		{math.MaxFloat64, 1e300, false},
+	} {
+		if got := advances(tc.limit, tc.step); got != tc.want {
+			t.Errorf("advances(%g, %g) = %v, want %v", tc.limit, tc.step, got, tc.want)
+		}
+	}
+	if odd+math.Ldexp(1, -9) == odd || math.Ldexp(1, 44)+math.Ldexp(1, -9) != math.Ldexp(1, 44) {
+		t.Error("the tie case rounds differently than assumed")
 	}
 }
 

@@ -356,11 +356,18 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 // (ctx, nil) without allocating. Callers must End the returned span (nil
 // End is a no-op) and should pass the returned context downward.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
+	sp := StartLeaf(ctx, name)
+	return ContextWithSpan(ctx, sp), sp
+}
+
+// StartLeaf is Start for a span that starts no children: the same span,
+// parent, IDs and record, without the context that would carry it
+// downward. A leaf costs one allocation fewer than Start.
+func StartLeaf(ctx context.Context, name string) *Span {
 	if parent := SpanFromContext(ctx); parent != nil {
-		sp := parent.tracer.newSpan(name, parent.fin.TraceID, parent.fin.SpanID)
-		return context.WithValue(ctx, spanKey, sp), sp
+		return parent.tracer.newSpan(name, parent.fin.TraceID, parent.fin.SpanID)
 	}
-	return FromContext(ctx).StartRoot(ctx, name, TraceID{})
+	return FromContext(ctx).newSpan(name, TraceID{}, SpanID{})
 }
 
 // StartRoot begins a new root span, ignoring any current span in ctx, under

@@ -82,6 +82,45 @@ func TestParentChildLinkage(t *testing.T) {
 	}
 }
 
+// TestStartLeafMatchesStart: a leaf span has the parent, trace and record
+// Start would give it, is a fresh root under a bare tracer and nil with
+// no tracer, and costs one allocation fewer than Start.
+func TestStartLeafMatchesStart(t *testing.T) {
+	if StartLeaf(context.Background(), "op") != nil {
+		t.Fatal("StartLeaf without a tracer must return a nil span")
+	}
+	ring := NewRing(16)
+	ctx := WithTracer(context.Background(), New(ring))
+	lone := StartLeaf(ctx, "lone")
+	lone.End()
+	if rec := ring.Snapshot()[0]; rec.Name != "lone" || rec.ParentID != "" || rec.TraceID == "" {
+		t.Fatalf("leaf under a bare tracer = %+v, want a root", rec)
+	}
+
+	ctx, root := Start(ctx, "root")
+	_, child := Start(ctx, "child")
+	leaf := StartLeaf(ctx, "leaf")
+	leaf.SetAttr("k", 1)
+	leaf.End()
+	child.SetAttr("k", 1)
+	child.End()
+	root.End()
+	byName := map[string]Record{}
+	for _, r := range ring.Snapshot() {
+		byName[r.Name] = r
+	}
+	want, got := byName["child"], byName["leaf"]
+	if got.TraceID != want.TraceID || got.ParentID != want.ParentID || got.Attrs["k"] != want.Attrs["k"] {
+		t.Fatalf("leaf %+v, want the child's trace, parent and attrs %+v", got, want)
+	}
+
+	starts := testing.AllocsPerRun(100, func() { _, sp := Start(ctx, "op"); sp.End() })
+	leaves := testing.AllocsPerRun(100, func() { StartLeaf(ctx, "op").End() })
+	if leaves != starts-1 {
+		t.Fatalf("StartLeaf %v allocs/op, Start %v: want one fewer", leaves, starts)
+	}
+}
+
 func TestStartRootAdoptsSuppliedTraceID(t *testing.T) {
 	ring := NewRing(4)
 	ctx := WithTracer(context.Background(), New(ring))
