@@ -91,6 +91,14 @@ func (d *runDigest) sum(t *testing.T, res any) string {
 	return hex.EncodeToString(d.h.Sum(nil))
 }
 
+// resultDigest is the digest of a run that emitted no trace events: its
+// event count and result alone.
+func resultDigest(t *testing.T, events int, res any) string {
+	d := newRunDigest()
+	d.events = events
+	return d.sum(t, res)
+}
+
 // goldenCase is one simulator configuration of the golden matrix. run
 // executes it under ctx with the given tracer (ignored by the topology,
 // which takes none) and progress observer.
@@ -243,6 +251,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			}
 		}
 	}
+	cases = append(cases, goldenLargeCases(t)...)
 	for _, tc := range []struct {
 		name  string
 		short bool
@@ -266,6 +275,103 @@ func goldenCases(t *testing.T) []goldenCase {
 				return cfg.RunContext(ctx)
 			},
 		})
+	}
+	return cases
+}
+
+// largeStations is the station count of the large golden cases, the
+// paper's 100 stations times ten.
+const largeStations = 1000
+
+// goldenLargeFaults are the fault models of the large cases. goldenFaults'
+// rates are per station and per token pass, and at 1000 stations they
+// would hold the ring in bypass or recovery for most of the horizon; this
+// model keeps about fifty stations down at a time and costs the ring a
+// few token losses.
+var goldenLargeFaults = []struct{ name, spec string }{
+	{"clean", ""},
+	{"loss+crash", "loss:p=1e-4+crash:rate=1,down=50ms,bypass=10us"},
+}
+
+// goldenLargeSet is one fixed draw of the paper generator at 1000 streams,
+// scaled to utilization util at bw. An 802.5 frame holds a 1000-station
+// ring for at least its latency Θ ≈ 0.7 ms, so at the paper's 100 ms mean
+// period the messages alone would ask for ten Θ per Θ; the mean period is
+// stretched to 5 s, which the ring carries at about a third of its frame
+// rate. Periods are rounded to 10 ms, so that most share their period
+// with another stream and the tie-break by station index decides among
+// them.
+func goldenLargeSet(t *testing.T, util, bw float64) message.Set {
+	gen := message.PaperGenerator()
+	gen.Streams, gen.MeanPeriod = largeStations, 5
+	set, err := gen.Draw(rand.New(rand.NewSource(1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range set {
+		set[i].Period = math.Round(set[i].Period*100) / 100
+	}
+	set, err = set.ScaleToUtilization(util, bw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// goldenLargeCases runs each MAC on a 1000-station ring at light load with
+// saturated asynchronous traffic, clean and faulted, from the critical
+// instant and randomly phased: the 802.5 MACs at 0.5 % payload
+// utilization of 16 Mbps, FDDI at 10 % of 100 Mbps.
+func goldenLargeCases(t *testing.T) []goldenCase {
+	net := ring.IEEE8025(16e6).WithStations(largeStations)
+	set := goldenLargeSet(t, 0.005, 16e6)
+	ttpA := core.NewTTP(100e6)
+	ttpA.Net = ttpA.Net.WithStations(largeStations)
+	ttpSet := goldenLargeSet(t, 0.1, 100e6)
+	var cases []goldenCase
+	for _, fm := range goldenLargeFaults {
+		for _, phasing := range []Phasing{PhasingSynchronized, PhasingRandom} {
+			suffix := onOff(phasing == PhasingRandom, "random", "synchronized") + "/" + fm.name
+			pdp := PDPSim{
+				Net: net, Frame: frame.PaperSpec(), Variant: core.Modified8025,
+				Workload:       goldenWorkload(t, set, largeStations, phasing),
+				AsyncSaturated: true, Horizon: 3, Faults: goldenFaultModel(t, fm.spec),
+			}
+			ttp, err := NewTTPSimFromAnalysis(ttpA, ttpSet, goldenWorkload(t, ttpSet, largeStations, phasing))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ttp.AsyncSaturated, ttp.Horizon = true, 1
+			ttp.Faults = goldenFaultModel(t, fm.spec)
+			res := ReservationSim{
+				Net: net, Frame: frame.PaperSpec(),
+				Workload:       goldenWorkload(t, set, largeStations, phasing),
+				PriorityLevels: 8, AsyncSaturated: true, Horizon: 0.5,
+				Faults: goldenFaultModel(t, fm.spec),
+			}
+			cases = append(cases,
+				goldenCase{
+					name: "pdp-1000/" + suffix,
+					run: func(ctx context.Context, tr Tracer, obs progress.Progress) (any, error) {
+						pdp.Tracer, pdp.Progress = tr, obs
+						return pdp.RunContext(ctx)
+					},
+				},
+				goldenCase{
+					name: "ttp-1000/" + suffix,
+					run: func(ctx context.Context, tr Tracer, obs progress.Progress) (any, error) {
+						ttp.Tracer, ttp.Progress = tr, obs
+						return ttp.RunContext(ctx)
+					},
+				},
+				goldenCase{
+					name: "reservation-1000/" + suffix,
+					run: func(ctx context.Context, tr Tracer, obs progress.Progress) (any, error) {
+						res.Tracer, res.Progress = tr, obs
+						return res.RunContext(ctx)
+					},
+				})
+		}
 	}
 	return cases
 }
@@ -308,6 +414,19 @@ func TestSimulatorGoldenDigest(t *testing.T) {
 			t.Fatalf("%s: fired no events", c.name)
 		}
 		got[c.name] = d.sum(t, res)
+
+		// Untraced, the run must take the same path: the same event count
+		// and the same result, bit for bit.
+		u := newRunDigest()
+		obs = progress.Funcs{OnSimulatorAdvanced: func(events int, _ float64) { u.events = events }}
+		ures, err := c.run(context.Background(), nil, obs)
+		if err != nil {
+			t.Fatalf("%s untraced: %v", c.name, err)
+		}
+		if traced, untraced := resultDigest(t, d.events, res), u.sum(t, ures); traced != untraced {
+			t.Errorf("%s: untraced run fired %d events (traced %d) and its result differs",
+				c.name, u.events, d.events)
+		}
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {
