@@ -187,14 +187,21 @@ func BenchmarkSaturate(b *testing.B) {
 
 // BenchmarkPDPSimSecond measures simulating one second of a loaded
 // 20-station modified-802.5 ring.
-func BenchmarkPDPSimSecond(b *testing.B) {
-	set, err := benchSet(20, 2).ScaleToUtilization(0.3, 16e6)
+func BenchmarkPDPSimSecond(b *testing.B) { benchPDPSim(b, 20) }
+
+// BenchmarkPDPSimSecond1000 is BenchmarkPDPSimSecond with 1000 streams on
+// 1000 stations, where every frame holds the ring for its 0.7 ms latency
+// and the queues grow all second.
+func BenchmarkPDPSimSecond1000(b *testing.B) { benchPDPSim(b, 1000) }
+
+func benchPDPSim(b *testing.B, n int) {
+	set, err := benchSet(n, 2).ScaleToUtilization(0.3, 16e6)
 	if err != nil {
 		b.Fatal(err)
 	}
 	pdp := ringsched.NewModifiedPDP(16e6)
-	pdp.Net = pdp.Net.WithStations(20)
-	w, err := ringsched.NewWorkload(set, 20, ringsched.PhasingSynchronized, nil)
+	pdp.Net = pdp.Net.WithStations(n)
+	w, err := ringsched.NewWorkload(set, n, ringsched.PhasingSynchronized, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -215,14 +222,20 @@ func BenchmarkPDPSimSecond(b *testing.B) {
 
 // BenchmarkTTPSimSecond measures simulating one second of a loaded
 // 20-station FDDI ring.
-func BenchmarkTTPSimSecond(b *testing.B) {
-	set, err := benchSet(20, 2).ScaleToUtilization(0.4, 100e6)
+func BenchmarkTTPSimSecond(b *testing.B) { benchTTPSim(b, 20) }
+
+// BenchmarkTTPSimSecond1000 is BenchmarkTTPSimSecond with 1000 streams on
+// 1000 stations.
+func BenchmarkTTPSimSecond1000(b *testing.B) { benchTTPSim(b, 1000) }
+
+func benchTTPSim(b *testing.B, n int) {
+	set, err := benchSet(n, 2).ScaleToUtilization(0.4, 100e6)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ttp := ringsched.NewTTP(100e6)
-	ttp.Net = ttp.Net.WithStations(20)
-	w, err := ringsched.NewWorkload(set, 20, ringsched.PhasingSynchronized, nil)
+	ttp.Net = ttp.Net.WithStations(n)
+	w, err := ringsched.NewWorkload(set, n, ringsched.PhasingSynchronized, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -242,14 +255,21 @@ func BenchmarkTTPSimSecond(b *testing.B) {
 
 // BenchmarkReservationSimSecond measures simulating one second of the
 // faithful 802.5 reservation MAC on a loaded 20-station ring.
-func BenchmarkReservationSimSecond(b *testing.B) {
-	set, err := benchSet(20, 2).ScaleToUtilization(0.3, 16e6)
+func BenchmarkReservationSimSecond(b *testing.B) { benchReservationSim(b, 20) }
+
+// BenchmarkReservationSimSecond1000 is BenchmarkReservationSimSecond with
+// 1000 streams on 1000 stations, overloaded as BenchmarkPDPSimSecond1000
+// is.
+func BenchmarkReservationSimSecond1000(b *testing.B) { benchReservationSim(b, 1000) }
+
+func benchReservationSim(b *testing.B, n int) {
+	set, err := benchSet(n, 2).ScaleToUtilization(0.3, 16e6)
 	if err != nil {
 		b.Fatal(err)
 	}
 	pdp := ringsched.NewStandardPDP(16e6)
-	pdp.Net = pdp.Net.WithStations(20)
-	w, err := ringsched.NewWorkload(set, 20, ringsched.PhasingSynchronized, nil)
+	pdp.Net = pdp.Net.WithStations(n)
+	w, err := ringsched.NewWorkload(set, n, ringsched.PhasingSynchronized, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -103,10 +103,20 @@ type harness struct {
 	inj *faults.Injector
 
 	// syncs holds the synchronous state of stations 0..len(streams)-1,
-	// the stations that carry streams; nextDue is their earliest next
-	// arrival, below which releaseDue skips the release sweep.
-	syncs   []*stationState
-	nextDue float64
+	// the stations that carry streams.
+	syncs []*stationState
+
+	// The indexes of the MACs that pick among pending stations (built by
+	// arbitrate; TTP leaves them nil). rank[i] is station i's
+	// rate-monotonic rank — its place in the order by period, ties by
+	// station index — and byRank its inverse. pending holds the ranks of
+	// the stations with a queued message. arrivals is a min-heap of the
+	// stations' next release times and nextDue the least of them; due
+	// and dueSet are releaseArrivals' scratch.
+	rank, byRank, due []int32
+	pending, dueSet   rankSet
+	arrivals          []arrival
+	nextDue           float64
 
 	// kick is the service handler of a MAC that sleeps while no frame is
 	// pending (PDP). Token-passing MACs leave it nil: their circulating
@@ -142,13 +152,11 @@ func (h *harness) setup(c ringConfig, horizon float64, engine *sim.Engine) {
 	h.protocol, h.horizon, h.tracer = c.protocol, horizon, c.tracer
 	h.plant = newPlant(c.net, c.sync, c.async)
 	h.inj = c.faults.Injector(c.net.Stations, h.plant.theta, horizon)
-	h.syncs = make([]*stationState, len(c.workload.Streams))
-	h.nextDue = math.Inf(1)
+	states := make([]stationState, len(c.workload.Streams))
+	h.syncs = make([]*stationState, len(states))
 	for i, s := range c.workload.Streams {
-		h.syncs[i] = &stationState{stream: s, nextArrival: c.workload.Offsets[i]}
-		if h.syncs[i].nextArrival < h.nextDue {
-			h.nextDue = h.syncs[i].nextArrival
-		}
+		states[i] = stationState{stream: s, nextArrival: c.workload.Offsets[i]}
+		h.syncs[i] = &states[i]
 	}
 }
 
@@ -204,29 +212,13 @@ func (h *harness) collect() Result {
 
 // release releases station idx's messages due by now, tracing each.
 func (h *harness) release(idx int, now float64) {
-	h.syncs[idx].release(now, func(msg pendingMessage) {
+	st := h.syncs[idx]
+	empty := len(st.queue) == 0
+	st.release(now, func(msg pendingMessage) {
 		emit(h.tracer, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: idx})
 	})
-}
-
-// releaseDue releases every station's messages due by now. Only release
-// moves a station's nextArrival, so while the clock is below nextDue, the
-// earliest of them, the sweep would release nothing and is skipped; the
-// check inlines into the handlers.
-func (h *harness) releaseDue(now float64) {
-	if now >= h.nextDue {
-		h.releaseAll(now)
-	}
-}
-
-// releaseAll runs the release sweep and recomputes nextDue.
-func (h *harness) releaseAll(now float64) {
-	h.nextDue = math.Inf(1)
-	for i, st := range h.syncs {
-		h.release(i, now)
-		if st.nextArrival < h.nextDue {
-			h.nextDue = st.nextArrival
-		}
+	if empty && len(st.queue) > 0 {
+		h.queued(idx)
 	}
 }
 
@@ -250,7 +242,10 @@ func (h *harness) sleep(at float64) {
 // another ring — to station idx, waking a sleeping MAC to serve it now.
 // Local traffic never calls it, so single-ring runs are untouched.
 func (h *harness) inject(idx int, msg pendingMessage) {
-	h.syncs[idx].push(msg)
+	st := h.syncs[idx]
+	if st.push(msg); len(st.queue) == 1 {
+		h.queued(idx)
+	}
 	emit(h.tracer, TraceEvent{Time: msg.arrival, Kind: TraceArrival, Station: idx})
 	if h.idle {
 		h.engine.Cancel(h.idleWake)
@@ -314,6 +309,9 @@ func (h *harness) send(station int, at, dur, bits float64, msg *pendingMessage, 
 func (h *harness) finishMessage(station int, at float64) {
 	st := h.syncs[station]
 	msg := st.pop()
+	if len(st.queue) == 0 {
+		h.drained(station)
+	}
 	lateness := st.finish(msg, at)
 	kind := TraceComplete
 	if lateness > 0 {

@@ -146,6 +146,7 @@ func newPDPRun(c PDPSim, engine *sim.Engine) (*pdpRun, error) {
 	}
 	r := &pdpRun{cfg: c}
 	r.setup(rc, horizon, engine)
+	r.arbitrate()
 	r.kick, r.completeFn = r.service, r.complete
 	start := 0.0
 	if !c.AsyncSaturated {
@@ -153,34 +154,6 @@ func newPDPRun(c PDPSim, engine *sim.Engine) (*pdpRun, error) {
 	}
 	r.sleep(start)
 	return r, nil
-}
-
-// highestPriorityPending returns the station index with the highest
-// rate-monotonic priority pending frame, or -1. Shorter period wins; ties
-// break by station index, matching the deterministic order the analysis
-// assumes. Crashed stations cannot transmit; their queues wait.
-func (r *pdpRun) highestPriorityPending(now float64) int {
-	best := -1
-	for i, st := range r.syncs {
-		if len(st.queue) == 0 || r.inj.Down(i, now) {
-			continue
-		}
-		if best == -1 || st.stream.Period < r.syncs[best].stream.Period {
-			best = i
-		}
-	}
-	return best
-}
-
-// anyPending reports whether any station holds a queued frame (including
-// crashed stations whose service must wait for their restart).
-func (r *pdpRun) anyPending() bool {
-	for _, st := range r.syncs {
-		if len(st.queue) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // advanceIdleToken rotates the free token for the time the medium sat
@@ -207,7 +180,7 @@ func (r *pdpRun) service() {
 		return
 	}
 
-	target := r.highestPriorityPending(now)
+	target := r.firstUp(now)
 	if target == -1 {
 		if r.cfg.AsyncSaturated {
 			r.serviceAsync(now)
@@ -219,7 +192,7 @@ func (r *pdpRun) service() {
 			r.idleSince = now
 		}
 		next := r.nextDue
-		if r.anyPending() {
+		if r.pending.size > 0 {
 			next = math.Min(next, r.inj.NextRestart(now))
 		}
 		r.sleep(next)

@@ -91,6 +91,12 @@ type resRun struct {
 	harness
 	cfg      ReservationSim
 	stations []*resStation
+	// levels is the number of priority levels in use, and perLevel the
+	// streams per level: the streams of ranks g·perLevel up to
+	// (g+1)·perLevel share level levels−g.
+	levels, perLevel int
+	// bids is the reservation walk's scratch, one entry per level.
+	bids []int32
 
 	// arrive[i] is tokenAt(i) and completeFn is complete, bound once so
 	// that scheduling them allocates nothing.
@@ -134,34 +140,10 @@ func (c ReservationSim) Run() (ReservationResult, error) {
 // RunContext is Run with cancellation: the event loop polls ctx
 // periodically and aborts with ctx.Err() once it is canceled.
 func (c ReservationSim) RunContext(ctx context.Context) (ReservationResult, error) {
-	if c.PriorityLevels < 0 {
-		return ReservationResult{}, ErrBadPriorityLevels
-	}
-	rc := ringConfig{
-		protocol: "IEEE 802.5 (reservation MAC)", net: c.Net, sync: c.Frame, async: c.Frame,
-		workload: c.Workload, horizon: c.Horizon, faults: c.Faults, tracer: c.Tracer,
-	}
-	horizon, err := rc.validate()
+	r, err := newResRun(c)
 	if err != nil {
 		return ReservationResult{}, err
 	}
-
-	r := &resRun{cfg: c}
-	r.setup(rc, horizon, nil)
-	r.stations = make([]*resStation, c.Net.Stations)
-	r.arrive = make([]sim.Handler, c.Net.Stations)
-	for i := range r.stations {
-		r.stations[i] = &resStation{}
-		r.arrive[i] = func() { r.tokenAt(i) }
-	}
-	r.completeFn = r.complete
-	for i, sync := range r.syncs {
-		r.stations[i].sync = sync
-	}
-	r.assignPriorities()
-	// The free token starts at station 0 at priority 0.
-	_, _ = r.engine.At(0, r.arrive[0])
-
 	ctx, sp := trace.Start(ctx, "sim.reservation")
 	defer sp.End()
 	sp.SetAttr("levels", c.PriorityLevels)
@@ -171,6 +153,43 @@ func (c ReservationSim) RunContext(ctx context.Context) (ReservationResult, erro
 	}
 	sp.SetAttr("inversions", r.inversions)
 	return ReservationResult{Result: res, PriorityInversions: r.inversions}, nil
+}
+
+// newResRun validates the configuration and builds its run, with the free
+// token at station 0 at priority 0 at time 0.
+func newResRun(c ReservationSim) (*resRun, error) {
+	if c.PriorityLevels < 0 {
+		return nil, ErrBadPriorityLevels
+	}
+	rc := ringConfig{
+		protocol: "IEEE 802.5 (reservation MAC)", net: c.Net, sync: c.Frame, async: c.Frame,
+		workload: c.Workload, horizon: c.Horizon, faults: c.Faults, tracer: c.Tracer,
+	}
+	horizon, err := rc.validate()
+	if err != nil {
+		return nil, err
+	}
+
+	r := &resRun{cfg: c}
+	r.setup(rc, horizon, nil)
+	r.arbitrate()
+	r.stations = make([]*resStation, c.Net.Stations)
+	r.arrive = make([]sim.Handler, c.Net.Stations)
+	// Each station's priority stack takes its first slot from one array,
+	// so that a long run does not allocate as station after station first
+	// raises the ring's priority.
+	stacks := make([]stackedPriority, c.Net.Stations)
+	for i := range r.stations {
+		r.stations[i] = &resStation{stack: stacks[i : i : i+1]}
+		r.arrive[i] = func() { r.tokenAt(i) }
+	}
+	r.completeFn = r.complete
+	for i, sync := range r.syncs {
+		r.stations[i].sync = sync
+	}
+	r.assignPriorities()
+	_, _ = r.engine.At(0, r.arrive[0])
+	return r, nil
 }
 
 // ReservationResult extends Result with arbitration quality metrics.
@@ -185,37 +204,31 @@ type ReservationResult struct {
 
 // assignPriorities maps streams to ring priority levels rate-monotonically:
 // the shortest period gets the highest level. With L levels and more
-// streams than levels, streams are partitioned into L rate groups.
+// streams than levels, streams are partitioned into L rate groups of
+// consecutive ranks.
 func (r *resRun) assignPriorities() {
-	type ranked struct {
-		station int
-		period  float64
+	m := len(r.syncs)
+	r.levels = r.cfg.PriorityLevels
+	if r.levels == 0 || r.levels > m {
+		r.levels = m
 	}
-	var order []ranked
-	for i, st := range r.stations {
-		if st.sync != nil {
-			order = append(order, ranked{station: i, period: st.sync.stream.Period})
-		}
+	r.perLevel = (m + r.levels - 1) / r.levels
+	for k, i := range r.byRank {
+		r.stations[i].priority = r.level(k)
 	}
-	// Insertion sort by period ascending (n is small; avoids an import).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].period < order[j-1].period; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
+	r.bids = make([]int32, 0, r.levels)
+}
+
+// level returns the ring priority of the stream of rank k.
+func (r *resRun) level(k int) int { return r.levels - k/r.perLevel }
+
+// background is the pending priority of a station with no synchronous
+// message queued.
+func (r *resRun) background() int {
+	if r.cfg.AsyncSaturated {
+		return asyncPriority
 	}
-	levels := r.cfg.PriorityLevels
-	if levels == 0 || levels > len(order) {
-		levels = len(order)
-	}
-	if levels == 0 {
-		return
-	}
-	perLevel := (len(order) + levels - 1) / levels
-	for rank, o := range order {
-		// rank 0 (shortest period) → highest level number.
-		group := rank / perLevel
-		r.stations[o.station].priority = levels - group
-	}
+	return noPending
 }
 
 // topPending returns the station's highest pending priority, or noPending
@@ -225,22 +238,66 @@ func (r *resRun) topPending(idx int) int {
 	if st.sync != nil && len(st.sync.queue) > 0 {
 		return st.priority
 	}
-	if r.cfg.AsyncSaturated {
-		return asyncPriority
-	}
-	return noPending
+	return r.background()
 }
 
 // highestPendingOnRing returns the maximum pending priority across all
-// stations (noPending when the ring is silent).
+// stations (noPending when the ring is silent): that of the pending
+// station of least rank.
 func (r *resRun) highestPendingOnRing() int {
-	best := noPending
-	for i := range r.stations {
-		if p := r.topPending(i); p > best {
-			best = p
+	if k := r.pending.next(0); k >= 0 {
+		return r.level(k)
+	}
+	return r.background()
+}
+
+// reservations returns the reservation field the frame of station idx
+// brings back — the highest priority pending at any other station — and
+// traces the bids that write it on the way round: in station order, each
+// station whose pending priority exceeds every earlier bid.
+//
+// The pending stations are walked by rank, one priority level at a time
+// from the highest: a level bids at its least station index when that lies
+// below floor, the least index of the levels above, so these bids come in
+// falling station order. The stations below floor bid as a sweep over
+// them in station order would, and the sweep takes over from the walk
+// once floor is no larger than the members left to walk; it stops at
+// ceiling, the highest priority a station below floor can hold.
+func (r *resRun) reservations(idx int, now float64) int {
+	n := r.plant.n
+	bids := r.bids[:0]
+	floor, ceiling, left := n, r.background(), r.pending.size
+	for k := r.pending.next(0); k >= 0; {
+		if floor <= left {
+			ceiling = r.level(k)
+			break
+		}
+		least := n
+		for end := (k/r.perLevel + 1) * r.perLevel; k >= 0 && k < end; k = r.pending.next(k + 1) {
+			if i := int(r.byRank[k]); i != idx && i < least {
+				least = i
+			}
+			left--
+		}
+		if least < floor {
+			bids = append(bids, int32(least))
+			floor = least
 		}
 	}
-	return best
+	reserved := noPending
+	for i := 0; i < floor && reserved < ceiling; i++ {
+		if q := r.topPending(i); i != idx && q > reserved {
+			reserved = q
+			emit(r.tracer, TraceEvent{Time: now, Kind: TraceReserve, Station: i, Detail: float64(q)})
+		}
+	}
+	for j := len(bids) - 1; j >= 0; j-- {
+		i := int(bids[j])
+		reserved = r.stations[i].priority
+		emit(r.tracer, TraceEvent{Time: now, Kind: TraceReserve, Station: i, Detail: float64(reserved)})
+	}
+	r.bids = bids
+	return reserved
 }
 
 // tokenAt processes the free token arriving at station idx.
@@ -335,18 +392,7 @@ func (r *resRun) complete() {
 
 	// Issue the new token. The reservation field collected during the
 	// frame's circulation is the max pending priority elsewhere.
-	reserved := noPending
-	for i := range r.stations {
-		if i == idx {
-			continue
-		}
-		if q := r.topPending(i); q > reserved {
-			reserved = q
-			emit(r.tracer, TraceEvent{
-				Time: now, Kind: TraceReserve, Station: i, Detail: float64(q),
-			})
-		}
-	}
+	reserved := r.reservations(idx, now)
 	if reserved > r.tokenPrio {
 		// Raise the ring priority and stack.
 		r.stations[idx].stack = append(r.stations[idx].stack,

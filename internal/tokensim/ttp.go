@@ -21,6 +21,14 @@ var (
 	ErrBadAllocations = errors.New("tokensim: one finite, non-negative synchronous allocation per stream required")
 )
 
+// maxHoldFrames bounds the asynchronous frames one TTRT may hold. An early
+// token's holding time is spent one frame per step inside a single event,
+// where MaxEvents cannot stop it, so a visit costs up to TTRT/Fasync
+// steps. FDDI's longest TTRT, 165 ms, holds about 2.6·10⁵ of the paper's
+// frames (64-byte payload) at 1 Gbps; the bound is four times that, a few
+// milliseconds of work.
+const maxHoldFrames = 1 << 20
+
 // TTPSim simulates the timed token protocol with the real FDDI timer
 // rules: every station runs a token rotation timer against TTRT; a station
 // receiving an early token may send asynchronous traffic for the earliness
@@ -156,11 +164,11 @@ func newTTPRun(c TTPSim, engine *sim.Engine) (*ttpRun, error) {
 		return nil, fmt.Errorf("%w: %g s against a %g s horizon", ErrBadTTRT, c.TTRT, horizon)
 	}
 	// The holding-time loop spends up to TTRT one asynchronous frame at a
-	// time, which never ends if taking a frame from the time left can
-	// leave it unchanged.
-	if fa := c.AsyncFrame.Time(c.Net.BandwidthBPS); !advances(c.TTRT, fa) {
-		return nil, fmt.Errorf("%w: %g s is too long to count %g s asynchronous frames in float64",
-			ErrBadTTRT, c.TTRT, fa)
+	// time. Within the bound, taking a frame from the time left always
+	// changes it, so the loop ends.
+	if fa := c.AsyncFrame.Time(c.Net.BandwidthBPS); !(c.TTRT/fa <= maxHoldFrames) {
+		return nil, fmt.Errorf("%w: %g s holds more than %d asynchronous frames of %g s",
+			ErrBadTTRT, c.TTRT, maxHoldFrames, fa)
 	}
 	if len(c.Allocations) != len(c.Workload.Streams) {
 		return nil, fmt.Errorf("%w: %d allocations for %d streams",

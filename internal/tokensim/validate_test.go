@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"ringsched/internal/core"
 	"ringsched/internal/frame"
@@ -127,14 +128,18 @@ func TestSimulatorsRejectMalformedConfig(t *testing.T) {
 		// 2⁵⁴ asynchronous frames: TTRT − Fasync == TTRT, so the holding
 		// time would never run out. The periods stretch with the horizon
 		// so that only the TTRT is at fault.
-		{"TTRT past 2^53 asynchronous frames", []string{"ttp"}, func(k *simKnobs) {
-			a := goldenTTP(k.stations)
-			k.ttrt = math.Ldexp(a.AsyncFrame.Time(a.Net.BandwidthBPS), 54)
-			k.horizon = k.ttrt
-			for i := range k.workload.Streams {
-				k.workload.Streams[i].Period = k.ttrt / 4
-			}
+		{"TTRT past 2^53 asynchronous frames", []string{"ttp"}, holdFrames(54), ErrBadTTRT},
+		// 2²⁹ frames (20 938 s at 16 Mbps) end, but the first visit would
+		// spend seconds holding them, past the MaxEvents guard.
+		{"TTRT of 2^29 asynchronous frames", []string{"ttp"}, func(k *simKnobs) {
+			holdFrames(29)(k)
+			k.maxEvents = 3
 		}, ErrBadTTRT},
+		// The bound itself is accepted: one visit holds 2²⁰ frames.
+		{"TTRT of 2^20 asynchronous frames", []string{"ttp"}, func(k *simKnobs) {
+			holdFrames(20)(k)
+			k.maxEvents = 3
+		}, nil},
 		{"allocation per stream", []string{"ttp"}, func(k *simKnobs) {
 			k.allocations = k.allocations[:len(k.allocations)-1]
 		}, ErrBadAllocations},
@@ -150,7 +155,12 @@ func TestSimulatorsRejectMalformedConfig(t *testing.T) {
 		for _, name := range sims {
 			k := goldenKnobs(t)
 			tc.edit(&k)
+			start := time.Now()
 			res, err := k.run(name)
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s on %s: ran %v; a run of at most %d events must return within a second",
+					tc.name, name, d, k.maxEvents)
+			}
 			switch {
 			case tc.want == nil && err != nil:
 				t.Errorf("%s on %s: %v", tc.name, name, err)
@@ -162,6 +172,20 @@ func TestSimulatorsRejectMalformedConfig(t *testing.T) {
 					t.Errorf("%s on %s: %s is not finite", tc.name, name, path)
 				}
 			}
+		}
+	}
+}
+
+// holdFrames sets a TTRT of 2^e asynchronous frames on the golden TTP
+// plant, with the horizon stretched to it and the periods to a quarter of
+// it, so that only the TTRT can be at fault.
+func holdFrames(e int) func(*simKnobs) {
+	return func(k *simKnobs) {
+		a := goldenTTP(k.stations)
+		k.ttrt = math.Ldexp(a.AsyncFrame.Time(a.Net.BandwidthBPS), e)
+		k.horizon = k.ttrt
+		for i := range k.workload.Streams {
+			k.workload.Streams[i].Period = k.ttrt / 4
 		}
 	}
 }

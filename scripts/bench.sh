@@ -26,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-$(mktemp "${TMPDIR:-/tmp}/ringsched-bench.XXXXXX")}"
-pattern="${BENCH_PATTERN:-^(BenchmarkRTAReference|BenchmarkWorkspaceProbe|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|BenchmarkSpanEnd|Benchmark(PDP|TTP|Reservation)SimSecond|BenchmarkServeAnalyze(Hit|Miss)|BenchmarkServeRingEdit|BenchmarkDecodeAnalyzeScan|BenchmarkEncodeAnalyzeResponse)$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkRTAReference|BenchmarkWorkspaceProbe|Benchmark(PDP|TTP)Probe(Bind)?|BenchmarkAnalyzeBatch|BenchmarkSaturate(TTP|PDP)(Reference)?|BenchmarkTheorem(41|51)|BenchmarkFig1Experiment|BenchmarkAnalyzeTopologySingleRing|BenchmarkResilienceAdmit|BenchmarkRingEdit(Incremental|IncrementalTTP|Full)|BenchmarkAuditAppend|BenchmarkFlightRecorderRecord|BenchmarkSpanEnd|Benchmark(PDP|TTP|Reservation)SimSecond(1000)?|BenchmarkServeAnalyze(Hit|Miss)|BenchmarkServeRingEdit|BenchmarkDecodeAnalyzeScan|BenchmarkEncodeAnalyzeResponse)$}"
 count="${BENCH_COUNT:-3}"
 benchtime="${BENCH_TIME:-0.5s}"
 
