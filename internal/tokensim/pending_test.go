@@ -164,16 +164,16 @@ func TestRankSetMatchesModel(t *testing.T) {
 }
 
 // FuzzPendingSet holds the pending set and the arrival heap to the station
-// scans they replace. One reservation run is built, never started, on
-// 1..1100 stations with up to one stream each, drawn from few enough
-// periods that ties are common, optionally with saturated asynchronous
-// traffic and with crashes holding about a third of the stations down. The ops
-// advance the clock and release what is due, inject messages, complete
-// head-of-queue messages and ask for the new token's reservations; after
-// each one, PDPSim's pick, the pending count and the highest pending
-// priority must equal the scans' answers, every release must trace the
-// sweep's arrival events in the sweep's order, and every reservation must
-// return the scan's field and trace its bids.
+// scans. One reservation run is built, never started, on 1..1100 stations
+// with up to one stream each, drawn from few enough periods that ties are
+// common, optionally with saturated asynchronous traffic and with crashes
+// holding about a third of the stations down. The ops advance the clock
+// and release what is due, inject messages, complete head-of-queue
+// messages and ask for the new token's reservations; after each one,
+// PDPSim's pick, the pending count and the highest pending priority must
+// equal the scans' answers, every release must trace the sweep's arrival
+// events in the sweep's order, and every reservation must return the
+// scan's field and trace its bids.
 func FuzzPendingSet(f *testing.F) {
 	// stations, streams, distinct periods, levels, flags (bit 0: saturated
 	// asynchronous traffic; bit 1: crashes), seed, ops.
