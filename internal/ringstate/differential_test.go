@@ -132,7 +132,9 @@ func replayEditScript(t *testing.T, data []byte) {
 	checkStep(t, cfg, eng, mirror, maxScriptOps)
 }
 
-// checkDeltaShape validates the structural fields of an edit delta.
+// checkDeltaShape validates the structural fields of an edit delta, and
+// that each protocol re-probed every stream at most once per pass: one
+// clean pass, plus a degraded one on a non-empty faulted ring.
 func checkDeltaShape(t *testing.T, eng *Engine, d *Delta, op string, id uint64, step int) {
 	t.Helper()
 	if d == nil {
@@ -144,10 +146,18 @@ func checkDeltaShape(t *testing.T, eng *Engine, d *Delta, op string, id uint64, 
 	if len(d.Protocols) != len(eng.Config().Protocols) {
 		t.Fatalf("step %d: %d protocol deltas, want %d", step, len(d.Protocols), len(eng.Config().Protocols))
 	}
+	passes := 1
+	if eng.Config().FaultSpec != "" && eng.Len() > 0 {
+		passes = 2
+	}
 	sum := 0
 	for _, pd := range d.Protocols {
 		if pd.Reprobed < 0 {
 			t.Fatalf("step %d: negative reprobe count in %+v", step, pd)
+		}
+		if pd.Reprobed > passes*eng.Len() {
+			t.Fatalf("step %d: %s %s re-probed %d streams, past %d passes over %d",
+				step, op, pd.Protocol, pd.Reprobed, passes, eng.Len())
 		}
 		sum += pd.Reprobed
 	}

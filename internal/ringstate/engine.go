@@ -44,51 +44,38 @@ type Engine struct {
 	delta Delta // scratch, reused across edits
 }
 
-// splice describes one edit's index arithmetic: where a stream left the
-// canonical array and/or where one entered it.
+// splice describes one edit's index arithmetic: the stream at canonical
+// index j left (none when j < 0), and the added or modified stream
+// entered at index k of the array that remained (none when k < 0, a
+// remove). op is only the Delta's label.
 type splice struct {
 	op   string
-	j, k int // remove index (pre-edit coords) and insert index (post-remove coords)
+	j, k int
 }
 
 // mapIndex translates a pre-edit canonical index to its post-edit
-// position, or -1 for the removed/edited stream itself.
+// position, or -1 for the stream that left.
 func (sp splice) mapIndex(i int) int {
-	switch sp.op {
-	case OpAdd:
-		if i >= sp.k {
-			return i + 1
-		}
-		return i
-	case OpRemove:
-		switch {
-		case i == sp.j:
-			return -1
-		case i > sp.j:
-			return i - 1
-		}
-		return i
-	default: // OpModify: remove at j, then insert at k
-		if i == sp.j {
-			return -1
-		}
-		if i > sp.j {
-			i--
-		}
-		if i >= sp.k {
-			i++
-		}
-		return i
-	}
-}
-
-// editedIndex is the edited stream's post-edit canonical index, or -1
-// for a remove.
-func (sp splice) editedIndex() int {
-	if sp.op == OpRemove {
+	if i == sp.j {
 		return -1
 	}
-	return sp.k
+	if sp.j >= 0 && i > sp.j {
+		i--
+	}
+	if sp.k >= 0 && i >= sp.k {
+		i++
+	}
+	return i
+}
+
+// from is the first post-edit canonical index whose stream or verdict the
+// edit can have changed: every stream before it kept its place, and its
+// response time, which depends only on streams of higher priority.
+func (sp splice) from() int {
+	if sp.j < 0 || sp.k >= 0 && sp.k < sp.j {
+		return sp.k
+	}
+	return sp.j
 }
 
 // NewEngine builds an empty engine for a normalized or raw config.
@@ -167,16 +154,12 @@ func (e *Engine) Add(s wire.StreamSpec) (uint64, *Delta, error) {
 		return 0, nil, err
 	}
 	id := e.nextID
-	k := e.upperBound(s)
-	e.snapshotAll()
-	e.spliceIn(k, id, s)
-	if err := e.applyEdit(splice{op: OpAdd, k: k}, id); err != nil {
-		e.spliceOut(k)
-		e.restore()
+	d, err := e.edit(OpAdd, -1, id, s)
+	if err != nil {
 		return 0, nil, err
 	}
 	e.nextID++
-	return id, &e.delta, nil
+	return id, d, nil
 }
 
 // Remove evicts the stream with the given ID.
@@ -185,15 +168,7 @@ func (e *Engine) Remove(id uint64) (*Delta, error) {
 	if j < 0 {
 		return nil, ErrStreamNotFound
 	}
-	old := e.specs[j]
-	e.snapshotAll()
-	e.spliceOut(j)
-	if err := e.applyEdit(splice{op: OpRemove, j: j}, id); err != nil {
-		e.spliceIn(j, id, old)
-		e.restore()
-		return nil, err
-	}
-	return &e.delta, nil
+	return e.edit(OpRemove, j, id, wire.StreamSpec{})
 }
 
 // Modify replaces the stream with the given ID. The stream keeps its ID
@@ -207,15 +182,38 @@ func (e *Engine) Modify(id uint64, s wire.StreamSpec) (*Delta, error) {
 	if j < 0 {
 		return nil, ErrStreamNotFound
 	}
-	old := e.specs[j]
+	return e.edit(OpModify, j, id, s)
+}
+
+// edit is every edit's one path: the stream at canonical index j leaves
+// (none when j < 0), s enters under id at its canonical place unless op
+// is a remove, and every protocol engine catches up. An edit the analysis
+// refuses puts the canonical arrays back and rebuilds from them: that set
+// analyzed before the edit, so the rebuild cannot fail, and it is
+// bit-identical to the incremental state it replaces (the invariant the
+// differential suite checks).
+func (e *Engine) edit(op string, j int, id uint64, s wire.StreamSpec) (*Delta, error) {
+	sp := splice{op: op, j: j, k: -1}
 	e.snapshotAll()
-	e.spliceOut(j)
-	k := e.upperBound(s)
-	e.spliceIn(k, id, s)
-	if err := e.applyEdit(splice{op: OpModify, j: j, k: k}, id); err != nil {
-		e.spliceOut(k)
-		e.spliceIn(j, id, old)
-		e.restore()
+	var old wire.StreamSpec
+	if j >= 0 {
+		old = e.specs[j]
+		e.spliceOut(j)
+	}
+	if op != OpRemove {
+		sp.k = e.upperBound(s)
+		e.spliceIn(sp.k, id, s)
+	}
+	if err := e.applyEdit(sp, id); err != nil {
+		if sp.k >= 0 {
+			e.spliceOut(sp.k)
+		}
+		if j >= 0 {
+			e.spliceIn(j, id, old)
+		}
+		if rerr := e.rebuildAll(); rerr != nil {
+			panic(rerr)
+		}
 		return nil, err
 	}
 	return &e.delta, nil
@@ -226,16 +224,6 @@ func (e *Engine) spliceIn(k int, id uint64, s wire.StreamSpec) {
 	e.ids = slices.Insert(e.ids, k, id)
 	e.specs = slices.Insert(e.specs, k, s)
 	e.set = slices.Insert(e.set, k, message.Stream{Name: s.Name, Period: s.PeriodMs / 1e3, LengthBits: s.LengthBits})
-}
-
-// restore rebuilds every protocol engine once a refused edit has put the
-// canonical arrays back. That set analyzed before the edit, so the
-// rebuild cannot fail, and a rebuild is bit-identical to the incremental
-// state it replaces (the invariant the differential suite checks).
-func (e *Engine) restore() {
-	if err := e.rebuildAll(); err != nil {
-		panic(err)
-	}
 }
 
 // spliceOut deletes the stream at canonical index j.
@@ -289,20 +277,6 @@ func (e *Engine) applyEdit(sp splice, id uint64) error {
 	}
 	e.buildDelta(sp, id)
 	return nil
-}
-
-// from is the first post-edit canonical index whose stream or verdict the
-// edit can have changed: every stream before it kept its place, and its
-// response time, which depends only on streams of higher priority.
-func (sp splice) from() int {
-	switch sp.op {
-	case OpAdd:
-		return sp.k
-	case OpRemove:
-		return sp.j
-	default:
-		return min(sp.j, sp.k)
-	}
 }
 
 // checkFinite refuses verdicts the wire cannot carry. It walks the numbers
@@ -390,7 +364,6 @@ func (e *Engine) buildDelta(sp splice, id uint64) {
 	d.StreamID = id
 	d.Reprobed = 0
 	d.Protocols = d.Protocols[:0]
-	ei := sp.editedIndex()
 	for _, pe := range e.pdps {
 		pd := ProtocolDelta{
 			Protocol:       pe.proto,
@@ -403,8 +376,8 @@ func (e *Engine) buildDelta(sp splice, id uint64) {
 			pd.DegradedWasSchedulable = pe.oldDegSched
 			pd.DegradedSchedulable = pe.drta.Schedulable()
 		}
-		if ei >= 0 {
-			pd.EditedSchedulable = pe.newSched[ei]
+		if sp.k >= 0 {
+			pd.EditedSchedulable = pe.newSched[sp.k]
 		}
 		pd.Flipped = e.appendFlips(sp, pe.oldSched, pe.newSched, pe.flips)
 		pe.flips = pd.Flipped
@@ -423,8 +396,8 @@ func (e *Engine) buildDelta(sp splice, id uint64) {
 			pd.DegradedWasSchedulable = te.oldDegSched
 			pd.DegradedSchedulable = te.deg.total <= te.capacity
 		}
-		if ei >= 0 {
-			pd.EditedSchedulable = te.newSched[ei]
+		if sp.k >= 0 {
+			pd.EditedSchedulable = te.newSched[sp.k]
 		}
 		pd.Flipped = e.appendFlips(sp, te.oldSched, te.newSched, te.flips)
 		te.flips = pd.Flipped
@@ -527,7 +500,7 @@ func (pe *pdpEngine) rebuild(e *Engine) error {
 		_, k := pe.p.Frame.Split(s.LengthBits)
 		pe.costs = append(pe.costs, cost)
 		pe.frames = append(pe.frames, k)
-		re, err := pe.rta.Insert(i, rma.Task{Cost: cost, Period: s.Period})
+		re, err := pe.rta.Splice(-1, i, rma.Task{Cost: cost, Period: s.Period}, pe.rta.Blocking())
 		if err != nil {
 			return err
 		}
@@ -557,7 +530,7 @@ func (pe *pdpEngine) rebuildDegraded(e *Engine) error {
 	for i, s := range e.set {
 		dc := pe.costs[i] * pe.scale
 		pe.dcosts = append(pe.dcosts, dc)
-		re, err := pe.drta.Insert(i, rma.Task{Cost: dc, Period: s.Period})
+		re, err := pe.drta.Splice(-1, i, rma.Task{Cost: dc, Period: s.Period}, pe.drta.Blocking())
 		if err != nil {
 			return err
 		}
@@ -566,98 +539,65 @@ func (pe *pdpEngine) rebuildDegraded(e *Engine) error {
 	return nil
 }
 
-// applySplice is the incremental PDP edit. Invalidation rule: a clean
-// response time depends only on the blocking term and on streams at
-// strictly higher RM priority, so the edit at canonical index k
-// re-probes indices ≥ k and reuses the prefix verbatim. The degraded
-// blocking B' = B + Nloss·R folds the whole set's frame rate, so any
-// edit can move it — when it does, the degraded pass re-probes
-// everything (Rebase); when it does not (bitwise), the suffix re-probe
-// from the splice suffices. An error is an rma refusal, as in rebuild.
+// applySplice is the incremental PDP edit: one Splice per pass.
+// Invalidation rule: a clean response time depends only on the blocking
+// term and on streams at strictly higher RM priority, so the clean pass
+// re-probes from the first edited index and reuses the prefix verbatim.
+// The degraded blocking B' = B + Nloss·R folds the whole set's frame
+// rate, so any edit can move it; the degraded pass installs the new B',
+// and re-probes everything when its bits moved and only the suffix when
+// they did not. An error is an rma refusal, as in rebuild.
 func (pe *pdpEngine) applySplice(e *Engine, sp splice) error {
-	pe.reprobed = 0
-	if e.fm != nil && len(e.set) > 0 {
-		// Refresh the budget BEFORE splicing: insertAt prices the new
-		// stream's degraded cost with pe.scale, which is stale coming off
-		// an empty ring (scale 1). The availability itself is a pure
-		// function of (model, stations), so resident dcosts stay valid —
-		// a stations change takes the rebuild path instead.
-		pe.budget = pe.p.FaultBudgetFor(e.fm, e.set)
-		pe.scale = 1 / pe.budget.Availability
+	var t rma.Task
+	if sp.j >= 0 {
+		pe.costs = slices.Delete(pe.costs, sp.j, sp.j+1)
+		pe.frames = slices.Delete(pe.frames, sp.j, sp.j+1)
 	}
-	switch sp.op {
-	case OpAdd:
-		if err := pe.insertAt(e, sp.k); err != nil {
-			return err
-		}
-	case OpRemove:
-		pe.removeAt(sp.j)
-	default:
-		pe.removeAt(sp.j)
-		if err := pe.insertAt(e, sp.k); err != nil {
-			return err
-		}
+	if sp.k >= 0 {
+		s := e.set[sp.k]
+		_, kf := pe.p.Frame.Split(s.LengthBits)
+		t = rma.Task{Cost: pe.p.AugmentedLength(s), Period: s.Period}
+		pe.costs = slices.Insert(pe.costs, sp.k, t.Cost)
+		pe.frames = slices.Insert(pe.frames, sp.k, kf)
 	}
+	re, err := pe.rta.Splice(sp.j, sp.k, t, pe.rta.Blocking())
+	if err != nil {
+		return err
+	}
+	pe.reprobed = re
 	pe.refold(e)
 	if e.fm != nil {
-		if len(e.set) == 0 {
-			if err := pe.rebuildDegraded(e); err != nil {
-				return err
-			}
-		} else {
-			newBlocking := pe.p.RecoveryBlocking(pe.budget)
-			if math.Float64bits(newBlocking) != math.Float64bits(pe.drta.Blocking()) {
-				re, err := pe.drta.Rebase(newBlocking)
-				if err != nil {
-					return err
-				}
-				pe.reprobed += re
-			}
+		if err := pe.spliceDegraded(e, sp, t); err != nil {
+			return err
 		}
 	}
 	pe.fillNewSched()
 	return nil
 }
 
-func (pe *pdpEngine) insertAt(e *Engine, k int) error {
-	s := e.set[k]
-	cost := pe.p.AugmentedLength(s)
-	_, kf := pe.p.Frame.Split(s.LengthBits)
-	pe.costs = slices.Insert(pe.costs, k, cost)
-	pe.frames = slices.Insert(pe.frames, k, kf)
-	re, err := pe.rta.Insert(k, rma.Task{Cost: cost, Period: s.Period})
-	if err != nil {
-		return err
+// spliceDegraded is applySplice's degraded pass; t is the entering
+// stream's clean task.
+func (pe *pdpEngine) spliceDegraded(e *Engine, sp splice, t rma.Task) error {
+	if len(e.set) == 0 {
+		return pe.rebuildDegraded(e)
 	}
+	// Refresh the budget before pricing the entering stream's degraded
+	// cost: pe.scale is stale coming off an empty ring (scale 1). The
+	// availability itself is a pure function of (model, stations), so
+	// resident dcosts stay valid — a stations change takes the rebuild
+	// path instead.
+	pe.budget = pe.p.FaultBudgetFor(e.fm, e.set)
+	pe.scale = 1 / pe.budget.Availability
+	if sp.j >= 0 {
+		pe.dcosts = slices.Delete(pe.dcosts, sp.j, sp.j+1)
+	}
+	if sp.k >= 0 {
+		t.Cost *= pe.scale
+		pe.dcosts = slices.Insert(pe.dcosts, sp.k, t.Cost)
+	}
+	re, err := pe.drta.Splice(sp.j, sp.k, t, pe.p.RecoveryBlocking(pe.budget))
 	pe.reprobed += re
-	if e.fm != nil {
-		dc := cost * pe.scale
-		pe.dcosts = slices.Insert(pe.dcosts, k, dc)
-		re, err := pe.drta.Insert(k, rma.Task{Cost: dc, Period: s.Period})
-		if err != nil {
-			return err
-		}
-		pe.reprobed += re
-	}
-	return nil
-}
-
-func (pe *pdpEngine) removeAt(j int) {
-	pe.costs = slices.Delete(pe.costs, j, j+1)
-	pe.frames = slices.Delete(pe.frames, j, j+1)
-	re, err := pe.rta.Remove(j)
-	if err != nil {
-		panic(err)
-	}
-	pe.reprobed += re
-	if len(pe.dcosts) > 0 {
-		pe.dcosts = slices.Delete(pe.dcosts, j, j+1)
-		re, err := pe.drta.Remove(j)
-		if err != nil {
-			panic(err)
-		}
-		pe.reprobed += re
-	}
+	return err
 }
 
 func (pe *pdpEngine) verdict(e *Engine) wire.Verdict {
@@ -787,16 +727,16 @@ func (tt *ttpTerms) recompute(te *ttpEngine, set message.Set, avail float64) {
 	}
 }
 
-// splice applies one edit: the removed or modified stream's terms leave
-// and the added or modified stream's enter, computed at avail.
+// splice applies one edit: the leaving stream's terms go and the
+// entering stream's come in, computed at avail.
 func (tt *ttpTerms) splice(te *ttpEngine, set message.Set, sp splice, avail float64) {
-	if sp.op != OpAdd {
+	if sp.j >= 0 {
 		tt.q = slices.Delete(tt.q, sp.j, sp.j+1)
 		tt.cAug = slices.Delete(tt.cAug, sp.j, sp.j+1)
 		tt.h = slices.Delete(tt.h, sp.j, sp.j+1)
 		tt.wcr = slices.Delete(tt.wcr, sp.j, sp.j+1)
 	}
-	if sp.op != OpRemove {
+	if sp.k >= 0 {
 		tt.insert(te, set[sp.k], sp.k, avail)
 	}
 }

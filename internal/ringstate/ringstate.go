@@ -14,9 +14,13 @@
 //
 //   - PDP (Theorem 4.1): a stream's response time depends only on the
 //     blocking term and on strictly higher-priority (shorter-period)
-//     streams, so an edit at rate-monotonic index k re-runs the
-//     fixpoint for indices ≥ k only (rma.Incremental). The cached
-//     response times of the untouched prefix are reused verbatim.
+//     streams. Every edit is one splice — the stream at rate-monotonic
+//     index j leaves, the new one enters at index k, either may be
+//     absent — and each pass (clean, plus degraded on a faulted ring)
+//     is one rma.Incremental.Splice that re-runs the fixpoint once for
+//     the indices from the first edited one on, or for all of them when
+//     the pass's blocking term moved. The cached response times of the untouched
+//     prefix are reused verbatim.
 //   - TTP (Theorem 5.1): each stream's allocation h_i is a pure
 //     function of (stream, TTRT, availability), so a single edit
 //     recomputes one stream's terms in O(1) and re-folds the aggregate

@@ -88,8 +88,8 @@ func FuzzExactTest(f *testing.F) {
 			t.Fatalf("Reset: %v", err)
 		}
 		for i, task := range scaled {
-			if _, err := inc.Insert(i, task); err != nil {
-				t.Fatalf("Insert %d: %v", i, err)
+			if _, err := inc.Splice(-1, i, task, blocking); err != nil {
+				t.Fatalf("Splice(-1, %d): %v", i, err)
 			}
 		}
 		for i, want := range refRTA.ResponseTimes {

@@ -1,12 +1,19 @@
 package rma
 
+import (
+	"math"
+	"slices"
+)
+
 // Incremental is a response-time-analysis workspace for long-lived,
-// RM-ordered task sets that are edited one task at a time. It keeps the
-// task array and every computed response time resident, so a single-task
-// edit at RM index k only re-runs the fixpoint iteration for tasks at or
-// below the edited priority (indices ≥ k): a task's response time depends
-// exclusively on the blocking term and on the cost/period of tasks at
-// higher priority, so the prefix [0, k) is untouched by construction.
+// RM-ordered task sets that are edited one splice at a time: a task
+// leaves, a task enters, or both, and the blocking term may move. It
+// keeps the task array and every computed response time resident, so an
+// edit whose first edited RM index is k re-runs the fixpoint iteration
+// once for the tasks at or below it (indices ≥ k): a task's response time
+// depends exclusively on the blocking term and on the cost/period of
+// tasks at higher priority, so the prefix [0, k) is untouched by
+// construction.
 //
 // Every response time comes from the same fixpoint function
 // ResponseTimeAnalysis runs, so the retained response times are
@@ -74,82 +81,58 @@ func (w *Incremental) FirstFailure() int {
 	return -1
 }
 
-// orderedInsert reports whether period p keeps the array RM-sorted when
-// placed at index i (with the current occupant shifted right for
-// inserts — hence the two bounds are checked against i-1 and i).
-func (w *Incremental) orderedInsert(i int, p float64) bool {
-	if i > 0 && w.tasks[i-1].Period > p {
-		return false
-	}
-	if i < len(w.tasks) && p > w.tasks[i].Period {
-		return false
-	}
-	return true
-}
-
-// Insert places t at RM index i (0 ≤ i ≤ Len), shifts lower-priority
-// tasks down, and recomputes the response times of every task at or
-// below the insertion point. It returns how many tasks were re-probed
-// (Len − i after the insert). The period must preserve RM order;
-// ErrBadTask is returned for an invalid task or index.
-func (w *Incremental) Insert(i int, t Task) (int, error) {
-	if i < 0 || i > len(w.tasks) || !validTask(t) || !w.orderedInsert(i, t.Period) {
+// Splice is the one edit. It removes the task at RM index j (nothing
+// when j < 0), inserts t at RM index k of the array that remains (nothing
+// when k < 0, and t is ignored) and installs blocking. It then runs the
+// fixpoint once for every task from the first edited index on, or from
+// index 0 when the blocking term's bits changed, since blocking enters
+// every task's fixpoint, and returns how many tasks it re-probed. The edit
+// is checked whole before any state moves: an index out of range, an
+// invalid t or a period that breaks RM order at k is ErrBadTask, an
+// invalid blocking term ErrBadBlocking, and either leaves the workspace
+// as it was.
+func (w *Incremental) Splice(j, k int, t Task, blocking float64) (int, error) {
+	if j >= len(w.tasks) || k >= 0 && !w.fits(j, k, t) {
 		return 0, ErrBadTask
 	}
-	w.tasks = append(w.tasks, Task{})
-	copy(w.tasks[i+1:], w.tasks[i:])
-	w.tasks[i] = t
-	w.resp = append(w.resp, 0)
-	copy(w.resp[i+1:], w.resp[i:])
-	return w.recomputeFrom(i), nil
-}
-
-// Remove deletes the task at RM index i and recomputes the response
-// times of every task that was below it. It returns how many tasks were
-// re-probed.
-func (w *Incremental) Remove(i int) (int, error) {
-	if i < 0 || i >= len(w.tasks) {
-		return 0, ErrBadTask
-	}
-	copy(w.tasks[i:], w.tasks[i+1:])
-	w.tasks = w.tasks[:len(w.tasks)-1]
-	copy(w.resp[i:], w.resp[i+1:])
-	w.resp = w.resp[:len(w.resp)-1]
-	return w.recomputeFrom(i), nil
-}
-
-// Set replaces the task at RM index i in place (the new period must keep
-// the array RM-sorted at the same index) and recomputes from i.
-func (w *Incremental) Set(i int, t Task) (int, error) {
-	if i < 0 || i >= len(w.tasks) || !validTask(t) {
-		return 0, ErrBadTask
-	}
-	if i > 0 && w.tasks[i-1].Period > t.Period {
-		return 0, ErrBadTask
-	}
-	if i+1 < len(w.tasks) && t.Period > w.tasks[i+1].Period {
-		return 0, ErrBadTask
-	}
-	w.tasks[i] = t
-	return w.recomputeFrom(i), nil
-}
-
-// Rebase installs a new blocking term and recomputes every response
-// time: blocking enters every task's fixpoint, so no prefix survives a
-// change to it. The degraded-mode PDP engine rebases on every edit
-// (its recovery-augmented blocking B' depends on the whole set).
-func (w *Incremental) Rebase(blocking float64) (int, error) {
 	if !validBlocking(blocking) {
 		return 0, ErrBadBlocking
 	}
-	w.blocking = blocking
-	return w.recomputeFrom(0), nil
-}
-
-// recomputeFrom re-runs the response-time fixpoint for tasks [k, Len).
-func (w *Incremental) recomputeFrom(k int) int {
-	for i := k; i < len(w.tasks); i++ {
+	from := len(w.tasks)
+	if j >= 0 {
+		w.tasks = slices.Delete(w.tasks, j, j+1)
+		w.resp = slices.Delete(w.resp, j, j+1)
+		from = j
+	}
+	if k >= 0 {
+		w.tasks = slices.Insert(w.tasks, k, t)
+		w.resp = slices.Insert(w.resp, k, 0)
+		from = min(from, k)
+	}
+	if math.Float64bits(blocking) != math.Float64bits(w.blocking) {
+		w.blocking, from = blocking, 0
+	}
+	for i := from; i < len(w.tasks); i++ {
 		w.resp[i], _ = fixpoint(w.tasks, i, w.blocking, 0)
 	}
-	return len(w.tasks) - k
+	return len(w.tasks) - from, nil
+}
+
+// fits reports whether t is a valid task whose period keeps the array
+// RM-sorted at index k once the task at index j (none when j < 0) is
+// removed.
+func (w *Incremental) fits(j, k int, t Task) bool {
+	n, lo, hi := len(w.tasks), k-1, k // lo and hi: t's neighbours, in current indices
+	if j >= 0 {
+		n--
+		if lo >= j {
+			lo++
+		}
+		if hi >= j {
+			hi++
+		}
+	}
+	return k <= n && validTask(t) &&
+		(k == 0 || w.tasks[lo].Period <= t.Period) &&
+		(k == n || t.Period <= w.tasks[hi].Period)
 }

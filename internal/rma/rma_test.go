@@ -357,7 +357,7 @@ func TestZeroCostTaskWithOverflowingCeiling(t *testing.T) {
 				return false, 0, err
 			}
 			for i, task := range ts {
-				if _, err := w.Insert(i, task); err != nil {
+				if _, err := w.Splice(-1, i, task, 0); err != nil {
 					return false, 0, err
 				}
 			}

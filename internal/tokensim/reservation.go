@@ -90,7 +90,7 @@ type stackedPriority struct {
 type resRun struct {
 	harness
 	cfg      ReservationSim
-	stations []*resStation
+	stations []resStation
 	// levels is the number of priority levels in use, and perLevel the
 	// streams per level: the streams of ranks g·perLevel up to
 	// (g+1)·perLevel share level levels−g.
@@ -98,16 +98,16 @@ type resRun struct {
 	// bids is the reservation walk's scratch, one entry per level.
 	bids []int32
 
-	// arrive[i] is tokenAt(i) and completeFn is complete, bound once so
-	// that scheduling them allocates nothing.
-	arrive     []sim.Handler
-	completeFn sim.Handler
-	// sender is the station whose frame is on the medium, and finishMsg
+	// arriveFn is tokenAt and completeFn is complete, bound once so that
+	// scheduling them allocates nothing. at is the station the free token
+	// is travelling to, or whose frame is on the medium, and finishMsg
 	// reports that the frame carries its message's last bits. A frame and
-	// a free token never circulate together, so the ring has at most one
-	// frame in flight and complete reads them from here.
-	sender    int
-	finishMsg bool
+	// a free token never circulate together, so the ring has one token or
+	// frame event in flight at a time, and both handlers read it from
+	// here.
+	arriveFn, completeFn sim.Handler
+	at                   int
+	finishMsg            bool
 
 	// tokenPrio is the priority field of the circulating free token;
 	// reservation is its reservation field.
@@ -173,22 +173,20 @@ func newResRun(c ReservationSim) (*resRun, error) {
 	r := &resRun{cfg: c}
 	r.setup(rc, horizon, nil)
 	r.arbitrate()
-	r.stations = make([]*resStation, c.Net.Stations)
-	r.arrive = make([]sim.Handler, c.Net.Stations)
+	r.stations = make([]resStation, c.Net.Stations)
 	// Each station's priority stack takes its first slot from one array,
 	// so that a long run does not allocate as station after station first
 	// raises the ring's priority.
 	stacks := make([]stackedPriority, c.Net.Stations)
 	for i := range r.stations {
-		r.stations[i] = &resStation{stack: stacks[i : i : i+1]}
-		r.arrive[i] = func() { r.tokenAt(i) }
+		r.stations[i].stack = stacks[i : i : i+1]
 	}
-	r.completeFn = r.complete
+	r.arriveFn, r.completeFn = r.tokenAt, r.complete
 	for i, sync := range r.syncs {
 		r.stations[i].sync = sync
 	}
 	r.assignPriorities()
-	_, _ = r.engine.At(0, r.arrive[0])
+	_, _ = r.engine.At(0, r.arriveFn)
 	return r, nil
 }
 
@@ -234,7 +232,7 @@ func (r *resRun) background() int {
 // topPending returns the station's highest pending priority, or noPending
 // when it has nothing to send.
 func (r *resRun) topPending(idx int) int {
-	st := r.stations[idx]
+	st := &r.stations[idx]
 	if st.sync != nil && len(st.sync.queue) > 0 {
 		return st.priority
 	}
@@ -300,12 +298,12 @@ func (r *resRun) reservations(idx int, now float64) int {
 	return reserved
 }
 
-// tokenAt processes the free token arriving at station idx.
-func (r *resRun) tokenAt(idx int) {
-	now := r.engine.Now()
+// tokenAt processes the free token arriving at station r.at.
+func (r *resRun) tokenAt() {
+	now, idx := r.engine.Now(), r.at
 	r.releaseDue(now)
-	st := r.stations[idx]
-	if r.bypass(now, idx, r.arrive[idx]) {
+	st := &r.stations[idx]
+	if r.bypass(now, idx, r.arriveFn) {
 		return
 	}
 
@@ -348,7 +346,7 @@ func (r *resRun) tokenAt(idx int) {
 
 // transmit sends one frame from station idx at priority p.
 func (r *resRun) transmit(idx, p int, now float64) {
-	st := r.stations[idx]
+	st := &r.stations[idx]
 
 	// Priority inversion accounting: someone strictly higher is waiting.
 	if r.highestPendingOnRing() > p {
@@ -376,14 +374,14 @@ func (r *resRun) transmit(idx, p int, now float64) {
 		r.rotation.Add(now - r.lastService)
 	}
 
-	r.sender, r.finishMsg = idx, finishMsg
+	r.finishMsg = finishMsg
 	r.schedule(now+eff, r.completeFn)
 }
 
 // complete strips the frame on the medium, completing its message when it
 // carried the last bits, and issues the new free token.
 func (r *resRun) complete() {
-	now, idx := r.engine.Now(), r.sender
+	now, idx := r.engine.Now(), r.at
 	if r.finishMsg {
 		r.finishMessage(idx, now)
 	}
@@ -410,5 +408,6 @@ func (r *resRun) forwardToken(idx int, now float64) {
 	hop := r.plant.hop
 	r.tokenTime += hop
 	emit(r.tracer, TraceEvent{Time: now, Kind: TraceTokenPass, Station: idx, Duration: hop})
-	r.schedule(now+hop+rec, r.arrive[(idx+1)%r.cfg.Net.Stations])
+	r.at = (idx + 1) % r.cfg.Net.Stations
+	r.schedule(now+hop+rec, r.arriveFn)
 }

@@ -115,10 +115,13 @@ type ttpStation struct {
 type ttpRun struct {
 	harness
 	cfg      TTPSim
-	stations []*ttpStation
-	// arrive[i] is tokenArrive(i), bound once per station so that passing
-	// the token allocates nothing.
-	arrive []sim.Handler
+	stations []ttpStation
+	// at is the station the token is travelling to, and arriveFn is
+	// tokenArrive, bound once so that passing the token allocates
+	// nothing. The ring has one token event in flight at a time, so
+	// tokenArrive reads its station from here.
+	at       int
+	arriveFn sim.Handler
 }
 
 // Run executes the simulation. It is the uncancelable convenience wrapper
@@ -182,26 +185,22 @@ func newTTPRun(c TTPSim, engine *sim.Engine) (*ttpRun, error) {
 
 	r := &ttpRun{cfg: c}
 	r.setup(rc, horizon, engine)
-	r.stations = make([]*ttpStation, c.Net.Stations)
-	r.arrive = make([]sim.Handler, c.Net.Stations)
-	for i := range r.stations {
-		r.stations[i] = &ttpStation{}
-		r.arrive[i] = func() { r.tokenArrive(i) }
-	}
+	r.stations = make([]ttpStation, c.Net.Stations)
 	for i, sync := range r.syncs {
 		r.stations[i].sync = sync
 		r.stations[i].allocation = c.Allocations[i]
 	}
-	_, _ = r.engine.At(0, r.arrive[0])
+	r.arriveFn = r.tokenArrive
+	_, _ = r.engine.At(0, r.arriveFn)
 	return r, nil
 }
 
-// tokenArrive services station idx and forwards the token.
-func (r *ttpRun) tokenArrive(idx int) {
-	now := r.engine.Now()
-	st := r.stations[idx]
+// tokenArrive services station r.at and forwards the token.
+func (r *ttpRun) tokenArrive() {
+	now, idx := r.engine.Now(), r.at
+	st := &r.stations[idx]
 
-	if r.bypass(now, idx, r.arrive[idx]) {
+	if r.bypass(now, idx, r.arriveFn) {
 		return
 	}
 
@@ -284,14 +283,16 @@ func (r *ttpRun) forwardToken(idx int, now, busy float64) {
 	if lost {
 		r.markLate(now + busy + hop + rec)
 	}
-	r.schedule(now+busy+hop+rec, r.arrive[(idx+1)%r.cfg.Net.Stations])
+	r.at = (idx + 1) % r.cfg.Net.Stations
+	r.schedule(now+busy+hop+rec, r.arriveFn)
 }
 
 // markLate raises the late-counter suppression flag of every station whose
 // rotation timer will have expired by the time recovery completes at
 // recoveryEnd.
 func (r *ttpRun) markLate(recoveryEnd float64) {
-	for i, st := range r.stations {
+	for i := range r.stations {
+		st := &r.stations[i]
 		if recoveryEnd-st.timerStart >= r.cfg.TTRT {
 			st.suppress = true
 			emit(r.tracer, TraceEvent{
