@@ -34,6 +34,7 @@ import (
 	"ringsched/internal/cli"
 	"ringsched/internal/message"
 	"ringsched/internal/progress"
+	"ringsched/internal/wire"
 )
 
 func main() {
@@ -280,21 +281,11 @@ func buildFaults(spec, scenario string, lossProb float64, recovery time.Duration
 	if spec != "" && scenario != "" {
 		return nil, fmt.Errorf("-fault-model and -scenario are mutually exclusive")
 	}
-	var model ringsched.FaultModel
+	_, model, err := wire.ResolveFaults(spec, scenario)
 	switch {
-	case spec != "":
-		m, err := ringsched.ParseFaultModel(spec)
-		if err != nil {
-			return nil, err
-		}
-		model = m
-	case scenario != "":
-		sc, err := ringsched.FaultScenarioByName(scenario)
-		if err != nil {
-			return nil, err
-		}
-		model = sc.Model
-	case lossProb > 0:
+	case err != nil:
+		return nil, err
+	case spec == "" && scenario == "" && lossProb > 0:
 		model = ringsched.FaultModel{
 			TokenLossProb: lossProb,
 			Recovery:      ringsched.FaultRecovery{Fixed: recovery.Seconds()},

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFDDISim(t *testing.T) {
@@ -200,5 +201,39 @@ func TestTopologySim(t *testing.T) {
 	if err := run(context.Background(), []string{"-topology", "ring:name=", "-quiet"},
 		&out, io.Discard); err == nil {
 		t.Error("bad topology spec accepted")
+	}
+}
+
+// TestBuildFaults covers the fault flags: -fault-model and -scenario
+// resolve as the API resolves them, -loss-prob applies only when neither
+// is set, and -burst-len and -crash-rate override any of them.
+func TestBuildFaults(t *testing.T) {
+	for _, tc := range []struct {
+		spec, scenario                string
+		lossProb, burstLen, crashRate float64
+		want                          string // the model's Spec(), "nil", or "error: " and a fragment
+	}{
+		{"", "", 0, 0, -1, "nil"},
+		{"none", "", 0.01, 0, -1, "nil"},
+		{"", "", 0.01, 0, -1, "loss:p=0.01,fixed=0.002"},
+		{"", " flaky-stations ", 0, 0, -1, "crash:rate=0.2,down=0.02,bypass=0.001"},
+		{"", "flaky-stations", 0.01, 0, 0, "nil"},
+		{"loss:p=1e-3", "", 0, 4, 0.5, "loss:p=0.001+gilbert:pgood=0,pbad=0.5,burst=4,gap=1000+crash:rate=0.5,down=0.05,bypass=0.002"},
+		{"loss:p=1e-3", "lossy-token", 0, 0, -1, "error: -fault-model and -scenario are mutually exclusive"},
+		{"loss:p=2", "", 0, 0, -1, "error: faults: probability must be in [0, 1]"},
+		{"loss:p=x", "", 0, 0, -1, "error: faults: bad fault-model spec"},
+		{"", "bogus", 0, 0, -1, "error: faults: unknown scenario"},
+	} {
+		m, err := buildFaults(tc.spec, tc.scenario, tc.lossProb, 2*time.Millisecond, tc.burstLen, tc.crashRate, 1)
+		got := "nil"
+		switch {
+		case err != nil:
+			got = "error: " + err.Error()
+		case m != nil:
+			got = m.Spec()
+		}
+		if !strings.HasPrefix(got, tc.want) {
+			t.Errorf("buildFaults(%q, %q, ...) = %s, want %s", tc.spec, tc.scenario, got, tc.want)
+		}
 	}
 }

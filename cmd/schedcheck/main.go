@@ -29,6 +29,7 @@ import (
 	"ringsched/internal/core"
 	"ringsched/internal/message"
 	"ringsched/internal/trace"
+	"ringsched/internal/wire"
 )
 
 func main() {
@@ -268,25 +269,9 @@ func loadFaultModel(spec, scenario string) (*ringsched.FaultModel, error) {
 	if spec != "" && scenario != "" {
 		return nil, fmt.Errorf("-fault-model and -scenario are mutually exclusive")
 	}
-	var m ringsched.FaultModel
-	switch {
-	case spec != "":
-		parsed, err := ringsched.ParseFaultModel(spec)
-		if err != nil {
-			return nil, err
-		}
-		m = parsed
-	case scenario != "":
-		sc, err := ringsched.FaultScenarioByName(scenario)
-		if err != nil {
-			return nil, err
-		}
-		m = sc.Model
-	default:
-		return nil, nil
-	}
-	if !m.Active() {
-		return nil, nil
+	_, m, err := wire.ResolveFaults(spec, scenario)
+	if err != nil || !m.Active() {
+		return nil, err
 	}
 	return &m, nil
 }

@@ -94,3 +94,33 @@ func TestNameHelper(t *testing.T) {
 		t.Error("explicit name dropped")
 	}
 }
+
+// TestLoadFaultModel covers the fault flags, which resolve as the API
+// resolves them.
+func TestLoadFaultModel(t *testing.T) {
+	for _, tc := range []struct {
+		spec, scenario string
+		want           string // the model's Spec(), "nil", or "error: " and a fragment
+	}{
+		{"", "", "nil"},
+		{"none", "", "nil"},
+		{"", "clean", "nil"},
+		{"loss:p=1e-3+crash:rate=0.2", "", "loss:p=0.001+crash:rate=0.2,down=0.05,bypass=0.002"},
+		{"", " lossy-token ", "loss:p=0.001,detect=0.001,rounds=2"},
+		{"loss", "lossy-token", "error: -fault-model and -scenario are mutually exclusive"},
+		{"loss:p=x", "", "error: faults: bad fault-model spec"},
+		{"", "bogus", "error: faults: unknown scenario"},
+	} {
+		m, err := loadFaultModel(tc.spec, tc.scenario)
+		got := "nil"
+		switch {
+		case err != nil:
+			got = "error: " + err.Error()
+		case m != nil:
+			got = m.Spec()
+		}
+		if !strings.HasPrefix(got, tc.want) {
+			t.Errorf("loadFaultModel(%q, %q) = %s, want %s", tc.spec, tc.scenario, got, tc.want)
+		}
+	}
+}

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzFaultModel exercises the spec parser: it must never panic, every
-// accepted spec must yield a valid model, and the canonical Spec() form
-// must parse back to the identical model.
+// FuzzFaultModel exercises the spec parser: it must never panic, a
+// refused spec must be refused with the same text again, every accepted
+// spec must yield a valid model, and the canonical Spec() form must parse
+// back to the identical model.
 func FuzzFaultModel(f *testing.F) {
 	seeds := []string{
 		"none",
@@ -26,6 +27,7 @@ func FuzzFaultModel(f *testing.F) {
 		"bogus:x=1",
 		"loss:p=",
 		"loss:p=1e-3,p=2e-3",
+		"loss:zz=1,aa=2,mm=3",
 		// Values of 10⁶ and up, which %g renders with an "e+" exponent.
 		"gilbert:gap=1e6",
 		"crash:rate=1e6",
@@ -36,6 +38,9 @@ func FuzzFaultModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		m, err := ParseModel(spec)
 		if err != nil {
+			if _, again := ParseModel(spec); again == nil || again.Error() != err.Error() {
+				t.Fatalf("ParseModel(%q) refused with %q, then with %v", spec, err, again)
+			}
 			return
 		}
 		if verr := m.Validate(); verr != nil {

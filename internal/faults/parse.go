@@ -3,10 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"ringsched/internal/specnum"
 )
@@ -18,7 +15,8 @@ var ErrBadSpec = errors.New("faults: bad fault-model spec")
 var ErrUnknownScenario = errors.New("faults: unknown scenario")
 
 // ParseModel parses the compact fault-model specification used by the CLI
-// -fault-model flags. Grammar:
+// -fault-model flags, in the clause grammar of internal/specnum that
+// topology and chaos specs share:
 //
 //	spec    := "none" | clause { "+" clause }
 //	clause  := kind [ ":" key "=" value { "," key "=" value } ]
@@ -42,10 +40,10 @@ func ParseModel(spec string) (Model, error) {
 	if spec == "" || spec == "none" {
 		return m, nil
 	}
-	for _, clause := range strings.Split(spec, "+") {
-		if err := parseClause(&m, clause); err != nil {
-			return Model{}, err
-		}
+	if err := specnum.Clauses(spec, ErrBadSpec, func(c *specnum.Clause) error {
+		return parseClause(&m, c)
+	}); err != nil {
+		return Model{}, err
 	}
 	if err := m.Validate(); err != nil {
 		return Model{}, err
@@ -53,38 +51,17 @@ func ParseModel(spec string) (Model, error) {
 	return m, nil
 }
 
-func parseClause(m *Model, clause string) error {
-	kind, params, _ := strings.Cut(strings.TrimSpace(clause), ":")
-	kv, err := parseParams(params)
-	if err != nil {
-		return err
-	}
-	take := func(key string, def float64, duration bool) (float64, error) {
-		raw, ok := kv[key]
-		if !ok {
-			return def, nil
-		}
-		delete(kv, key)
-		if duration {
-			if d, derr := time.ParseDuration(raw); derr == nil {
-				return d.Seconds(), nil
-			}
-		}
-		v, perr := strconv.ParseFloat(raw, 64)
-		if perr != nil {
-			return 0, fmt.Errorf("%w: %s=%q", ErrBadSpec, key, raw)
-		}
-		return v, nil
-	}
-	switch kind {
+func parseClause(m *Model, c *specnum.Clause) error {
+	var err error
+	switch c.Kind {
 	case "loss":
-		if m.TokenLossProb, err = take("p", 1e-3, false); err != nil {
+		if m.TokenLossProb, err = c.Num("p", 1e-3, false); err != nil {
 			return err
 		}
-		if m.Recovery.Detect, err = take("detect", 0, true); err != nil {
+		if m.Recovery.Detect, err = c.Num("detect", 0, true); err != nil {
 			return err
 		}
-		rounds, err := take("rounds", 0, false)
+		rounds, err := c.Num("rounds", 0, false)
 		if err != nil {
 			return err
 		}
@@ -92,47 +69,43 @@ func parseClause(m *Model, clause string) error {
 			return fmt.Errorf("%w: rounds=%g is not a non-negative integer", ErrBadSpec, rounds)
 		}
 		m.Recovery.ClaimRounds = int(rounds)
-		if m.Recovery.Fixed, err = take("fixed", 0, true); err != nil {
+		if m.Recovery.Fixed, err = c.Num("fixed", 0, true); err != nil {
 			return err
 		}
 	case "corrupt":
 		m.Channel.Kind = ChannelBernoulli
-		if m.Channel.CorruptProb, err = take("p", 1e-3, false); err != nil {
+		if m.Channel.CorruptProb, err = c.Num("p", 1e-3, false); err != nil {
 			return err
 		}
 	case "gilbert":
 		m.Channel.Kind = ChannelGilbertElliott
-		if m.Channel.CorruptProb, err = take("pgood", 0, false); err != nil {
+		if m.Channel.CorruptProb, err = c.Num("pgood", 0, false); err != nil {
 			return err
 		}
-		if m.Channel.BurstCorruptProb, err = take("pbad", 0.5, false); err != nil {
+		if m.Channel.BurstCorruptProb, err = c.Num("pbad", 0.5, false); err != nil {
 			return err
 		}
-		if m.Channel.MeanBurst, err = take("burst", 8, false); err != nil {
+		if m.Channel.MeanBurst, err = c.Num("burst", 8, false); err != nil {
 			return err
 		}
-		if m.Channel.MeanGap, err = take("gap", 1000, false); err != nil {
+		if m.Channel.MeanGap, err = c.Num("gap", 1000, false); err != nil {
 			return err
 		}
 	case "crash":
-		if m.Crash.Rate, err = take("rate", 0.1, false); err != nil {
+		if m.Crash.Rate, err = c.Num("rate", 0.1, false); err != nil {
 			return err
 		}
-		if m.Crash.MeanDowntime, err = take("down", 50e-3, true); err != nil {
+		if m.Crash.MeanDowntime, err = c.Num("down", 50e-3, true); err != nil {
 			return err
 		}
-		if m.Crash.Bypass, err = take("bypass", 2e-3, true); err != nil {
+		if m.Crash.Bypass, err = c.Num("bypass", 2e-3, true); err != nil {
 			return err
 		}
 	default:
-		return fmt.Errorf("%w: unknown clause kind %q (valid kinds: %s; or \"none\")",
-			ErrBadSpec, kind, validKindList())
+		return fmt.Errorf("%w: unknown clause kind %q (valid kinds: corrupt, crash, gilbert, loss; or \"none\")",
+			ErrBadSpec, c.Kind)
 	}
-	for key := range kv {
-		return fmt.Errorf("%w: unknown %s key %q (valid %s keys: %s)",
-			ErrBadSpec, kind, key, kind, clauseKeys[kind])
-	}
-	return nil
+	return c.Done(clauseKeys[c.Kind])
 }
 
 // clauseKeys lists the accepted keys per clause kind, for error messages.
@@ -141,34 +114,6 @@ var clauseKeys = map[string]string{
 	"corrupt": "p",
 	"gilbert": "pgood, pbad, burst, gap",
 	"crash":   "rate, down, bypass",
-}
-
-func validKindList() string {
-	kinds := make([]string, 0, len(clauseKeys))
-	for k := range clauseKeys {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return strings.Join(kinds, ", ")
-}
-
-func parseParams(params string) (map[string]string, error) {
-	kv := map[string]string{}
-	if strings.TrimSpace(params) == "" {
-		return kv, nil
-	}
-	for _, pair := range strings.Split(params, ",") {
-		key, val, ok := strings.Cut(pair, "=")
-		key = strings.TrimSpace(key)
-		if !ok || key == "" {
-			return nil, fmt.Errorf("%w: want key=value, got %q", ErrBadSpec, pair)
-		}
-		if _, dup := kv[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate key %q", ErrBadSpec, key)
-		}
-		kv[key] = strings.TrimSpace(val)
-	}
-	return kv, nil
 }
 
 // Spec renders the model in the canonical form ParseModel accepts, with

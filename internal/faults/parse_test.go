@@ -86,6 +86,19 @@ func TestParseModelUnknownKeyListsValidKeys(t *testing.T) {
 	}
 }
 
+// TestParseModelNamesLeastUnknownKey checks that a clause with several
+// unknown keys is refused naming the least of them, with the same text on
+// every parse.
+func TestParseModelNamesLeastUnknownKey(t *testing.T) {
+	const spec = "loss:zz=1,aa=2,mm=3"
+	const want = `faults: bad fault-model spec: unknown loss key "aa" (valid loss keys: p, detect, rounds, fixed)`
+	for i := 0; i < 100; i++ {
+		if _, err := ParseModel(spec); err == nil || err.Error() != want {
+			t.Fatalf("parse %d of %q: err = %v, want %s", i, spec, err, want)
+		}
+	}
+}
+
 func TestScenarioByNameUnknownListsAllScenarios(t *testing.T) {
 	_, err := ScenarioByName("bogus")
 	if err == nil {

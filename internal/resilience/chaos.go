@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,7 +71,8 @@ func (m ChaosModel) Validate() error {
 }
 
 // ParseChaos parses the compact chaos specification used by the
-// ringschedd -chaos flag. Grammar (mirroring the fault-model grammar):
+// ringschedd -chaos flag, in the clause grammar of internal/specnum that
+// fault-model and topology specs share:
 //
 //	spec    := "none" | clause { "+" clause }
 //	clause  := kind [ ":" key "=" value { "," key "=" value } ]
@@ -81,7 +81,7 @@ func (m ChaosModel) Validate() error {
 // Keys per kind (a bare kind takes the defaults in parentheses):
 //
 //	latency: p (0.1), ms (50)
-//	error:   p (0.05), code (503)
+//	error:   p (0.05), code (503; 0 reads as 503)
 //	reset:   p (0.01)
 //	seed:    n (1)
 //
@@ -92,68 +92,16 @@ func ParseChaos(spec string) (ChaosModel, error) {
 	if spec == "" || spec == "none" {
 		return m, nil
 	}
-	for _, clause := range strings.Split(spec, "+") {
-		kind, params, _ := strings.Cut(strings.TrimSpace(clause), ":")
-		kv, err := parseChaosParams(params)
-		if err != nil {
-			return ChaosModel{}, err
-		}
-		take := func(key string, def float64) (float64, error) {
-			raw, ok := kv[key]
-			if !ok {
-				return def, nil
-			}
-			delete(kv, key)
-			v, perr := strconv.ParseFloat(raw, 64)
-			if perr != nil {
-				return 0, fmt.Errorf("%w: %s=%q", ErrBadChaosSpec, key, raw)
-			}
-			return v, nil
-		}
-		switch kind {
-		case "latency":
-			if m.LatencyProb, err = take("p", 0.1); err != nil {
-				return ChaosModel{}, err
-			}
-			ms, err := take("ms", 50)
-			if err != nil {
-				return ChaosModel{}, err
-			}
-			m.Latency = time.Duration(ms * float64(time.Millisecond))
-		case "error":
-			if m.ErrorProb, err = take("p", 0.05); err != nil {
-				return ChaosModel{}, err
-			}
-			code, err := take("code", 503)
-			if err != nil {
-				return ChaosModel{}, err
-			}
-			if code != float64(int(code)) {
-				return ChaosModel{}, fmt.Errorf("%w: code=%g is not an integer", ErrBadChaosSpec, code)
-			}
-			m.ErrorStatus = int(code)
-		case "reset":
-			if m.ResetProb, err = take("p", 0.01); err != nil {
-				return ChaosModel{}, err
-			}
-		case "seed":
-			n, err := take("n", 1)
-			if err != nil {
-				return ChaosModel{}, err
-			}
-			m.Seed = int64(n)
-		default:
-			return ChaosModel{}, fmt.Errorf("%w: unknown clause kind %q (valid kinds: error, latency, reset, seed; or \"none\")",
-				ErrBadChaosSpec, kind)
-		}
-		for key := range kv {
-			return ChaosModel{}, fmt.Errorf("%w: unknown %s key %q", ErrBadChaosSpec, kind, key)
-		}
+	if err := specnum.Clauses(spec, ErrBadChaosSpec, func(c *specnum.Clause) error {
+		return parseChaosClause(&m, c)
+	}); err != nil {
+		return ChaosModel{}, err
 	}
 	if err := m.Validate(); err != nil {
 		return ChaosModel{}, err
 	}
-	// Normalize: a zero-probability process carries no parameters, so
+	// Normalize: a zero-probability process carries no parameters, and an
+	// active error process's code 0 is the 503 it injects, so
 	// ParseChaos(m.Spec()) == m holds exactly (the fuzz target's
 	// round-trip invariant).
 	if m.LatencyProb == 0 {
@@ -161,27 +109,59 @@ func ParseChaos(spec string) (ChaosModel, error) {
 	}
 	if m.ErrorProb == 0 {
 		m.ErrorStatus = 0
+	} else if m.ErrorStatus == 0 {
+		m.ErrorStatus = 503
 	}
 	return m, nil
 }
 
-func parseChaosParams(params string) (map[string]string, error) {
-	kv := map[string]string{}
-	if strings.TrimSpace(params) == "" {
-		return kv, nil
-	}
-	for _, pair := range strings.Split(params, ",") {
-		key, val, ok := strings.Cut(pair, "=")
-		key = strings.TrimSpace(key)
-		if !ok || key == "" {
-			return nil, fmt.Errorf("%w: want key=value, got %q", ErrBadChaosSpec, pair)
+func parseChaosClause(m *ChaosModel, c *specnum.Clause) error {
+	var err error
+	switch c.Kind {
+	case "latency":
+		if m.LatencyProb, err = c.Num("p", 0.1, false); err != nil {
+			return err
 		}
-		if _, dup := kv[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate key %q", ErrBadChaosSpec, key)
+		ms, err := c.Num("ms", 50, false)
+		if err != nil {
+			return err
 		}
-		kv[key] = strings.TrimSpace(val)
+		m.Latency = time.Duration(ms * float64(time.Millisecond))
+	case "error":
+		if m.ErrorProb, err = c.Num("p", 0.05, false); err != nil {
+			return err
+		}
+		code, err := c.Num("code", 503, false)
+		if err != nil {
+			return err
+		}
+		if code != float64(int(code)) {
+			return fmt.Errorf("%w: code=%g is not an integer", ErrBadChaosSpec, code)
+		}
+		m.ErrorStatus = int(code)
+	case "reset":
+		if m.ResetProb, err = c.Num("p", 0.01, false); err != nil {
+			return err
+		}
+	case "seed":
+		n, err := c.Num("n", 1, false)
+		if err != nil {
+			return err
+		}
+		m.Seed = int64(n)
+	default:
+		return fmt.Errorf("%w: unknown clause kind %q (valid kinds: error, latency, reset, seed; or \"none\")",
+			ErrBadChaosSpec, c.Kind)
 	}
-	return kv, nil
+	return c.Done(chaosKeys[c.Kind])
+}
+
+// chaosKeys lists the accepted keys per clause kind, for error messages.
+var chaosKeys = map[string]string{
+	"latency": "p, ms",
+	"error":   "p, code",
+	"reset":   "p",
+	"seed":    "n",
 }
 
 // Spec renders the model in the canonical form ParseChaos accepts;

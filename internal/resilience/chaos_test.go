@@ -21,6 +21,8 @@ func TestParseChaosRoundTrip(t *testing.T) {
 		{"latency", ChaosModel{LatencyProb: 0.1, Latency: 50 * time.Millisecond}},
 		{"latency:p=0.2,ms=30", ChaosModel{LatencyProb: 0.2, Latency: 30 * time.Millisecond}},
 		{"error:p=0.5,code=500", ChaosModel{ErrorProb: 0.5, ErrorStatus: 500}},
+		// Code 0 is the 503 an active error process injects.
+		{"error:code=0", ChaosModel{ErrorProb: 0.05, ErrorStatus: 503}},
 		{"reset:p=0.02", ChaosModel{ResetProb: 0.02}},
 		{"latency:p=0.2,ms=30+error:p=0.1,code=503+reset:p=0.02+seed:n=7",
 			ChaosModel{Seed: 7, LatencyProb: 0.2, Latency: 30 * time.Millisecond,
@@ -58,6 +60,19 @@ func TestParseChaosRejectsBadSpecs(t *testing.T) {
 	} {
 		if _, err := ParseChaos(spec); !errors.Is(err, ErrBadChaosSpec) {
 			t.Errorf("ParseChaos(%q) err = %v, want ErrBadChaosSpec", spec, err)
+		}
+	}
+}
+
+// TestParseChaosNamesLeastUnknownKey checks that a clause with several
+// unknown keys is refused naming the least of them and the valid keys,
+// with the same text on every parse.
+func TestParseChaosNamesLeastUnknownKey(t *testing.T) {
+	const spec = "latency:zz=1,aa=2,mm=3"
+	const want = `resilience: bad chaos spec: unknown latency key "aa" (valid latency keys: p, ms)`
+	for i := 0; i < 100; i++ {
+		if _, err := ParseChaos(spec); err == nil || err.Error() != want {
+			t.Fatalf("parse %d of %q: err = %v, want %s", i, spec, err, want)
 		}
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzChaosSpec asserts the chaos-spec parser never panics, and that
-// every accepted spec survives a canonical round trip: Spec() renders a
-// form ParseChaos accepts and that reproduces the model exactly — the
-// same contract the fault-model and topology grammars keep.
+// FuzzChaosSpec asserts the chaos-spec parser never panics, that a
+// refused spec is refused with the same text again, and that every
+// accepted spec survives a canonical round trip: Spec() renders a form
+// ParseChaos accepts and that reproduces the model exactly — the same
+// contract the fault-model and topology grammars keep.
 func FuzzChaosSpec(f *testing.F) {
 	for _, seed := range []string{
 		"", "none", "latency", "error", "reset",
@@ -16,12 +17,16 @@ func FuzzChaosSpec(f *testing.F) {
 		"latency:p=1e-3", "error:code=599", "seed:n=-3",
 		"latency:p=0.1,ms=0", "latency:+error", "a=b", "latency:p==1",
 		"latency:p=0.1,ms=1e6", // %g renders ms=1e+06
+		"error:code=0", "latency:zz=1,aa=2,mm=3",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
 		m, err := ParseChaos(spec)
 		if err != nil {
+			if _, again := ParseChaos(spec); again == nil || again.Error() != err.Error() {
+				t.Fatalf("ParseChaos(%q) refused with %q, then with %v", spec, err, again)
+			}
 			return
 		}
 		canon := m.Spec()

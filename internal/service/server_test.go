@@ -366,6 +366,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownFaultKeysAnswerOneBody posts a fault model whose clause holds
+// three unknown keys: every post is refused with the same 400 body, which
+// names the least of them.
+func TestUnknownFaultKeysAnswerOneBody(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	const body = `{"bandwidthMbps": 100, "faultModel": "loss:zz=1,aa=2,mm=3", "streams": [{"periodMs": 10, "lengthBits": 64}]}`
+	answers := map[string]int{}
+	for i := 0; i < 50; i++ {
+		w := serve(s.Handler(), "/v1/analyze", body)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("post %d: %d %s, want 400", i, w.Code, w.Body)
+		}
+		answers[w.Body.String()]++
+	}
+	if len(answers) != 1 {
+		t.Fatalf("50 posts answered %d different bodies: %v", len(answers), answers)
+	}
+	for answer := range answers {
+		if !strings.Contains(answer, `unknown loss key \"aa\"`) {
+			t.Errorf("body %s should name key aa", answer)
+		}
+	}
+}
+
 func TestFaultScenarioAnalyzeReportsDegradedVerdicts(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"bandwidthMbps": 100, "scenario": "lossy-token", "streams": [{"periodMs": 10, "lengthBits": 4096}]}`

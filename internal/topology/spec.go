@@ -3,10 +3,7 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"strconv"
 	"strings"
-	"time"
 
 	"ringsched/internal/specnum"
 )
@@ -15,8 +12,8 @@ import (
 var ErrBadSpec = errors.New("topology: bad topology spec")
 
 // Parse parses the compact topology specification used by the -topology
-// CLI flags and the /v1/topology/analyze endpoint. The grammar mirrors the
-// fault-model spec of internal/faults:
+// CLI flags and the /v1/topology/analyze endpoint, in the clause grammar of
+// internal/specnum that fault-model and chaos specs share:
 //
 //	spec    := clause { "+" clause }
 //	clause  := kind ":" key "=" value { "," key "=" value }
@@ -46,10 +43,10 @@ func Parse(spec string) (Topology, error) {
 	if spec == "" {
 		return Topology{}, fmt.Errorf("%w: empty spec", ErrBadSpec)
 	}
-	for _, clause := range strings.Split(spec, "+") {
-		if err := parseClause(&t, clause); err != nil {
-			return Topology{}, err
-		}
+	if err := specnum.Clauses(spec, ErrBadSpec, func(c *specnum.Clause) error {
+		return parseClause(&t, c)
+	}); err != nil {
+		return Topology{}, err
 	}
 	t = t.Canonicalize()
 	if err := t.Validate(); err != nil {
@@ -58,46 +55,41 @@ func Parse(spec string) (Topology, error) {
 	return t, nil
 }
 
-func parseClause(t *Topology, clause string) error {
-	kind, params, _ := strings.Cut(strings.TrimSpace(clause), ":")
-	kv, err := parseParams(params)
-	if err != nil {
-		return err
-	}
-	p := clauseParams{kind: kind, kv: kv}
-	switch kind {
+func parseClause(t *Topology, c *specnum.Clause) error {
+	var err error
+	switch c.Kind {
 	case "ring":
-		err = parseRing(t, p)
+		err = parseRing(t, c)
 	case "bridge":
-		err = parseBridge(t, p)
+		err = parseBridge(t, c)
 	case "flow":
-		err = parseFlow(t, p)
+		err = parseFlow(t, c)
 	default:
 		return fmt.Errorf("%w: unknown clause kind %q (valid kinds: bridge, flow, ring)",
-			ErrBadSpec, kind)
+			ErrBadSpec, c.Kind)
 	}
 	if err != nil {
 		return err
 	}
-	return p.leftover()
+	return c.Done(clauseKeys[c.Kind])
 }
 
-func parseRing(t *Topology, p clauseParams) error {
-	name, err := p.requireStr("name")
+func parseRing(t *Topology, c *specnum.Clause) error {
+	name, err := c.NeedStr("name")
 	if err != nil {
 		return err
 	}
-	proto := Protocol(p.takeStr("proto", string(FDDI)))
+	proto := Protocol(c.Str("proto", string(FDDI)))
 	if !proto.Valid() {
 		return fmt.Errorf("%w: proto=%q (valid: 8025, 8025mod, fddi)", ErrBadSpec, proto)
 	}
-	bw, err := p.take("bw", 100e6, false)
+	bw, err := c.Num("bw", 100e6, false)
 	if err != nil {
 		return err
 	}
 	base := proto.PlantPreset().New(bw)
 	cfg := base
-	n, err := p.take("n", float64(base.Stations), false)
+	n, err := c.Num("n", float64(base.Stations), false)
 	if err != nil {
 		return err
 	}
@@ -105,127 +97,63 @@ func parseRing(t *Topology, p clauseParams) error {
 		return fmt.Errorf("%w: n=%g is not an integer in [1, %d]", ErrBadSpec, n, MaxStations)
 	}
 	cfg.Stations = int(n)
-	if cfg.SpacingMeters, err = p.take("spacing", base.SpacingMeters, false); err != nil {
+	if cfg.SpacingMeters, err = c.Num("spacing", base.SpacingMeters, false); err != nil {
 		return err
 	}
-	if cfg.BitDelayPerStation, err = p.take("delay", base.BitDelayPerStation, false); err != nil {
+	if cfg.BitDelayPerStation, err = c.Num("delay", base.BitDelayPerStation, false); err != nil {
 		return err
 	}
-	if cfg.TokenBits, err = p.take("token", base.TokenBits, false); err != nil {
+	if cfg.TokenBits, err = c.Num("token", base.TokenBits, false); err != nil {
 		return err
 	}
-	if cfg.PropagationFraction, err = p.take("prop", base.PropagationFraction, false); err != nil {
+	if cfg.PropagationFraction, err = c.Num("prop", base.PropagationFraction, false); err != nil {
 		return err
 	}
 	t.Nodes = append(t.Nodes, Node{Name: name, Protocol: proto, Ring: cfg})
 	return nil
 }
 
-func parseBridge(t *Topology, p clauseParams) error {
-	a, err := p.requireStr("a")
+func parseBridge(t *Topology, c *specnum.Clause) error {
+	a, err := c.NeedStr("a")
 	if err != nil {
 		return err
 	}
-	b, err := p.requireStr("b")
+	b, err := c.NeedStr("b")
 	if err != nil {
 		return err
 	}
 	br := Bridge{A: a, B: b}
-	if br.Latency, err = p.take("latency", 0, true); err != nil {
+	if br.Latency, err = c.Num("latency", 0, true); err != nil {
 		return err
 	}
-	if br.RateBPS, err = p.take("rate", 0, false); err != nil {
+	if br.RateBPS, err = c.Num("rate", 0, false); err != nil {
 		return err
 	}
-	if br.BufferBits, err = p.take("buffer", 0, false); err != nil {
+	if br.BufferBits, err = c.Num("buffer", 0, false); err != nil {
 		return err
 	}
 	t.Bridges = append(t.Bridges, br)
 	return nil
 }
 
-func parseFlow(t *Topology, p clauseParams) error {
-	src, err := p.requireStr("src")
+func parseFlow(t *Topology, c *specnum.Clause) error {
+	src, err := c.NeedStr("src")
 	if err != nil {
 		return err
 	}
 	f := Flow{
-		Name: p.takeStr("name", ""),
+		Name: c.Str("name", ""),
 		Src:  src,
-		Dst:  p.takeStr("dst", src),
+		Dst:  c.Str("dst", src),
 	}
-	if f.Period, err = p.require("period", true); err != nil {
+	if f.Period, err = c.Need("period", true); err != nil {
 		return err
 	}
-	if f.LengthBits, err = p.require("bits", false); err != nil {
+	if f.LengthBits, err = c.Need("bits", false); err != nil {
 		return err
 	}
 	t.Flows = append(t.Flows, f)
 	return nil
-}
-
-// clauseParams wraps one clause's key/value pairs; taken keys are removed
-// so leftover can flag unknown keys.
-type clauseParams struct {
-	kind string
-	kv   map[string]string
-}
-
-func (p clauseParams) takeStr(key, def string) string {
-	raw, ok := p.kv[key]
-	if !ok {
-		return def
-	}
-	delete(p.kv, key)
-	return raw
-}
-
-func (p clauseParams) requireStr(key string) (string, error) {
-	raw, ok := p.kv[key]
-	if !ok {
-		return "", fmt.Errorf("%w: %s clause needs %s=", ErrBadSpec, p.kind, key)
-	}
-	delete(p.kv, key)
-	return raw, nil
-}
-
-func (p clauseParams) take(key string, def float64, duration bool) (float64, error) {
-	raw, ok := p.kv[key]
-	if !ok {
-		return def, nil
-	}
-	delete(p.kv, key)
-	if duration {
-		if d, derr := time.ParseDuration(raw); derr == nil {
-			return d.Seconds(), nil
-		}
-	}
-	v, perr := strconv.ParseFloat(raw, 64)
-	if perr != nil {
-		return 0, fmt.Errorf("%w: %s=%q", ErrBadSpec, key, raw)
-	}
-	return v, nil
-}
-
-func (p clauseParams) require(key string, duration bool) (float64, error) {
-	if _, ok := p.kv[key]; !ok {
-		return 0, fmt.Errorf("%w: %s clause needs %s=", ErrBadSpec, p.kind, key)
-	}
-	return p.take(key, 0, duration)
-}
-
-// leftover names the least unknown key, so a spec is always refused with
-// the same message.
-func (p clauseParams) leftover() error {
-	if len(p.kv) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(p.kv))
-	for key := range p.kv {
-		keys = append(keys, key)
-	}
-	return fmt.Errorf("%w: unknown %s key %q (valid %s keys: %s)",
-		ErrBadSpec, p.kind, slices.Min(keys), p.kind, clauseKeys[p.kind])
 }
 
 // clauseKeys lists the accepted keys per clause kind, for error messages.
@@ -233,25 +161,6 @@ var clauseKeys = map[string]string{
 	"ring":   "name, proto, bw, n, spacing, delay, token, prop",
 	"bridge": "a, b, latency, rate, buffer",
 	"flow":   "name, src, dst, period, bits",
-}
-
-func parseParams(params string) (map[string]string, error) {
-	kv := map[string]string{}
-	if strings.TrimSpace(params) == "" {
-		return kv, nil
-	}
-	for _, pair := range strings.Split(params, ",") {
-		key, val, ok := strings.Cut(pair, "=")
-		key = strings.TrimSpace(key)
-		if !ok || key == "" {
-			return nil, fmt.Errorf("%w: want key=value, got %q", ErrBadSpec, pair)
-		}
-		if _, dup := kv[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate key %q", ErrBadSpec, key)
-		}
-		kv[key] = strings.TrimSpace(val)
-	}
-	return kv, nil
 }
 
 // Spec renders the topology in the canonical form Parse accepts: rings,

@@ -86,6 +86,19 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseNamesLeastUnknownKey checks that a clause with several unknown
+// keys is refused naming the least of them, with the same text on every
+// parse.
+func TestParseNamesLeastUnknownKey(t *testing.T) {
+	const spec = "ring:name=a,zz=1,aa=2,mm=3"
+	const want = `topology: bad topology spec: unknown ring key "aa" (valid ring keys: name, proto, bw, n, spacing, delay, token, prop)`
+	for i := 0; i < 100; i++ {
+		if _, err := Parse(spec); err == nil || err.Error() != want {
+			t.Fatalf("parse %d of %q: err = %v, want %s", i, spec, err, want)
+		}
+	}
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []string{
 		lineSpec,
