@@ -167,8 +167,9 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	defer replay.close(ctx)
 
 	enc := json.NewEncoder(out)
+	ids := map[string]string{}
 	for _, e := range edits {
-		res, err := replay.apply(ctx, e)
+		res, err := replayEdit(ctx, replay, ids, e)
 		if err != nil {
 			return fmt.Errorf("line %d (%s %s): %w", e.line, e.op, e.name, err)
 		}
@@ -181,16 +182,13 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		fmt.Fprintf(out, "%-6s %-12s v%-3d reprobed=%-3d %s\n",
 			e.op, e.name, res.Version, res.Reprobed, res.verdictSummary())
 	}
-	if *jsonOut {
-		state, err := replay.state(ctx)
-		if err != nil {
-			return err
-		}
-		return enc.Encode(state)
-	}
-	state, err := replay.state(ctx)
+	rs, err := replay.state(ctx)
 	if err != nil {
 		return err
+	}
+	state := finalStateOf(rs)
+	if *jsonOut {
+		return enc.Encode(state)
 	}
 	fmt.Fprintf(out, "final: %d streams at version %d\n", len(state.Streams), state.Version)
 	for _, v := range state.Summary {
@@ -242,16 +240,62 @@ type finalState struct {
 	Summary []protoOutcome `json:"summary"`
 }
 
+// replayer applies edits to one ring and reports them in the /v1/rings
+// schema, whether the ring is in process or behind a ringschedd.
 type replayer interface {
-	apply(ctx context.Context, e edit) (editResult, error)
-	state(ctx context.Context) (finalState, error)
+	// apply runs one add, modify or remove; id is the stream's handle
+	// (unused by an add).
+	apply(ctx context.Context, op, id string, s wire.StreamSpec) (wire.RingEditResponse, error)
+	state(ctx context.Context) (wire.RingResponse, error)
 	close(ctx context.Context)
+}
+
+// replayEdit runs one script edit through rp. ids maps the script's
+// stream names to the handles rp assigned them.
+func replayEdit(ctx context.Context, rp replayer, ids map[string]string, e edit) (editResult, error) {
+	id, known := ids[e.name]
+	if e.op != ringstate.OpAdd && !known {
+		return editResult{}, fmt.Errorf("no stream named %q has been added", e.name)
+	}
+	re, err := rp.apply(ctx, e.op, id, e.stream)
+	if err != nil {
+		return editResult{}, err
+	}
+	switch e.op {
+	case ringstate.OpAdd:
+		ids[e.name] = re.StreamID
+	case ringstate.OpRemove:
+		delete(ids, e.name)
+	}
+	res := editResult{
+		Op: e.op, Name: e.name, Version: re.Version,
+		StreamID: re.StreamID, Reprobed: re.Reprobed,
+	}
+	for _, d := range re.Deltas {
+		res.Deltas = append(res.Deltas, protoOutcome{
+			Protocol:          d.Protocol,
+			Schedulable:       d.Schedulable,
+			EditedSchedulable: d.EditedSchedulable,
+		})
+	}
+	return res, nil
+}
+
+// finalStateOf summarizes a ring's state.
+func finalStateOf(rs wire.RingResponse) finalState {
+	st := finalState{Version: rs.Version, Streams: []string{}}
+	for _, s := range rs.Streams {
+		st.Streams = append(st.Streams, s.Name)
+	}
+	for _, v := range rs.Verdicts {
+		st.Summary = append(st.Summary, protoOutcome{Protocol: v.Protocol, Schedulable: v.Schedulable})
+	}
+	return st
 }
 
 // offlineReplayer drives the in-process incremental engine directly.
 type offlineReplayer struct {
 	eng *ringstate.Engine
-	ids map[string]uint64
 	ver uint64
 }
 
@@ -267,61 +311,40 @@ func newOfflineReplayer(cfg ringstate.Config, scenario string) (*offlineReplayer
 	if err != nil {
 		return nil, err
 	}
-	return &offlineReplayer{eng: eng, ids: map[string]uint64{}, ver: 1}, nil
+	return &offlineReplayer{eng: eng, ver: 1}, nil
 }
 
-func (o *offlineReplayer) apply(_ context.Context, e edit) (editResult, error) {
+func (o *offlineReplayer) apply(_ context.Context, op, id string, s wire.StreamSpec) (wire.RingEditResponse, error) {
+	sid, _ := wire.ParseStreamHandle(id)
 	var delta *ringstate.Delta
 	var err error
-	id, known := o.ids[e.name]
-	switch e.op {
-	case "add":
-		id, delta, err = o.eng.Add(e.stream)
-		if err == nil {
-			o.ids[e.name] = id
-		}
-	case "modify":
-		if !known {
-			return editResult{}, fmt.Errorf("no stream named %q has been added", e.name)
-		}
-		delta, err = o.eng.Modify(id, e.stream)
-	case "remove":
-		if !known {
-			return editResult{}, fmt.Errorf("no stream named %q has been added", e.name)
-		}
-		delta, err = o.eng.Remove(id)
-		if err == nil {
-			delete(o.ids, e.name)
-		}
+	switch op {
+	case ringstate.OpAdd:
+		_, delta, err = o.eng.Add(s)
+	case ringstate.OpModify:
+		delta, err = o.eng.Modify(sid, s)
+	default:
+		delta, err = o.eng.Remove(sid)
 	}
 	if err != nil {
-		return editResult{}, err
+		return wire.RingEditResponse{}, err
 	}
 	o.ver++
-	res := editResult{
-		Op: e.op, Name: e.name, Version: o.ver,
-		StreamID: wire.StreamHandle(id), Reprobed: delta.Reprobed,
-	}
-	for _, pd := range delta.Protocols {
-		po := protoOutcome{Protocol: pd.Protocol, Schedulable: pd.Schedulable}
-		if e.op != "remove" {
-			ok := pd.EditedSchedulable
-			po.EditedSchedulable = &ok
-		}
-		res.Deltas = append(res.Deltas, po)
-	}
-	return res, nil
+	return wire.RingEditResponse{
+		Version:  o.ver,
+		Op:       op,
+		StreamID: wire.StreamHandle(delta.StreamID),
+		Reprobed: delta.Reprobed,
+		Deltas:   delta.Wire(),
+	}, nil
 }
 
-func (o *offlineReplayer) state(context.Context) (finalState, error) {
-	st := finalState{Version: o.ver, Streams: []string{}}
+func (o *offlineReplayer) state(context.Context) (wire.RingResponse, error) {
+	rs := wire.RingResponse{Version: o.ver, Verdicts: o.eng.Verdicts()}
 	for _, s := range o.eng.Snapshot() {
-		st.Streams = append(st.Streams, s.Name)
+		rs.Streams = append(rs.Streams, wire.RingStream{ID: wire.StreamHandle(s.ID), StreamSpec: s.StreamSpec})
 	}
-	for _, v := range o.eng.Verdicts() {
-		st.Summary = append(st.Summary, protoOutcome{Protocol: v.Protocol, Schedulable: v.Schedulable})
-	}
-	return st, nil
+	return rs, nil
 }
 
 func (o *offlineReplayer) close(context.Context) {}
@@ -329,7 +352,6 @@ func (o *offlineReplayer) close(context.Context) {}
 // onlineReplayer drives a live /v1/rings session.
 type onlineReplayer struct {
 	sess *ringschedclient.RingSession
-	ids  map[string]string
 }
 
 func newOnlineReplayer(ctx context.Context, base string, protos []string, bw float64, faultSpec, scenario string) (*onlineReplayer, error) {
@@ -343,71 +365,32 @@ func newOnlineReplayer(ctx context.Context, base string, protos []string, bw flo
 	if err != nil {
 		return nil, err
 	}
-	return &onlineReplayer{sess: sess, ids: map[string]string{}}, nil
+	return &onlineReplayer{sess: sess}, nil
 }
 
-func (o *onlineReplayer) apply(ctx context.Context, e edit) (editResult, error) {
+func (o *onlineReplayer) apply(ctx context.Context, op, id string, s wire.StreamSpec) (wire.RingEditResponse, error) {
 	var re *ringschedclient.RingEdit
 	var err error
-	id, known := o.ids[e.name]
-	spec := ringschedclient.RingStreamSpec{Name: e.stream.Name, PeriodMs: e.stream.PeriodMs, LengthBits: e.stream.LengthBits}
-	switch e.op {
-	case "add":
-		re, err = o.sess.AddStream(ctx, spec)
-		if err == nil {
-			o.ids[e.name] = re.StreamID
-		}
-	case "modify":
-		if !known {
-			return editResult{}, fmt.Errorf("no stream named %q has been added", e.name)
-		}
-		re, err = o.sess.ModifyStream(ctx, id, spec)
-	case "remove":
-		if !known {
-			return editResult{}, fmt.Errorf("no stream named %q has been added", e.name)
-		}
+	switch op {
+	case ringstate.OpAdd:
+		re, err = o.sess.AddStream(ctx, s)
+	case ringstate.OpModify:
+		re, err = o.sess.ModifyStream(ctx, id, s)
+	default:
 		re, err = o.sess.RemoveStream(ctx, id)
-		if err == nil {
-			delete(o.ids, e.name)
-		}
 	}
 	if err != nil {
-		return editResult{}, err
+		return wire.RingEditResponse{}, err
 	}
-	res := editResult{
-		Op: e.op, Name: e.name, Version: re.Version,
-		StreamID: re.StreamID, Reprobed: re.Reprobed,
-	}
-	for _, pd := range re.Deltas {
-		res.Deltas = append(res.Deltas, protoOutcome{
-			Protocol:          pd.Protocol,
-			Schedulable:       pd.Schedulable,
-			EditedSchedulable: pd.EditedSchedulable,
-		})
-	}
-	return res, nil
+	return *re, nil
 }
 
-func (o *onlineReplayer) state(ctx context.Context) (finalState, error) {
+func (o *onlineReplayer) state(ctx context.Context) (wire.RingResponse, error) {
 	rs, err := o.sess.Refresh(ctx)
 	if err != nil {
-		return finalState{}, err
+		return wire.RingResponse{}, err
 	}
-	st := finalState{Version: rs.Version, Streams: []string{}}
-	for _, s := range rs.Streams {
-		st.Streams = append(st.Streams, s.Name)
-	}
-	var verdicts []struct {
-		Protocol    string `json:"protocol"`
-		Schedulable bool   `json:"schedulable"`
-	}
-	if err := json.Unmarshal(rs.Verdicts, &verdicts); err != nil {
-		return finalState{}, err
-	}
-	for _, v := range verdicts {
-		st.Summary = append(st.Summary, protoOutcome{Protocol: v.Protocol, Schedulable: v.Schedulable})
-	}
-	return st, nil
+	return *rs, nil
 }
 
 func (o *onlineReplayer) close(ctx context.Context) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ringsched/internal/ringstate"
 	"ringsched/internal/service"
 	"ringsched/internal/wire"
 	"ringsched/ringschedclient"
@@ -89,8 +90,8 @@ func TestVerifyHistory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(string(state.Verdicts), `"totalAllocation": -1`) {
-					t.Fatalf("ring verdicts lack the unbounded degraded allocation: %s", state.Verdicts)
+				if d := state.Verdicts[0].Degraded; d == nil || d.TotalAllocation != -1 {
+					t.Fatalf("ring verdicts lack the unbounded degraded allocation: %+v", state.Verdicts)
 				}
 			},
 		},
@@ -129,6 +130,121 @@ func TestVerifyHistory(t *testing.T) {
 				t.Fatalf("unexpected output: %s", out.String())
 			}
 		})
+	}
+}
+
+// TestClientHistoryRebuildsCompactedRing edits a ring through a
+// RingSession past its audit cap, then rebuilds it from the structured
+// History alone (config, baseline adds, then the retained records)
+// through a fresh engine, and requires the rebuilt ring's streams and
+// verdicts to be the live ring's by -verify-history's comparison.
+func TestClientHistoryRebuildsCompactedRing(t *testing.T) {
+	srv := service.New(service.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	ctx := context.Background()
+	c := ringschedclient.New(ts.URL, ringschedclient.Options{})
+	sess, _, err := c.CreateRing(ctx, ringschedclient.RingCreateRequest{
+		BandwidthMbps: 100,
+		Scenario:      "lossy-token",
+		Streams:       []ringschedclient.RingStreamSpec{{Name: "seed", PeriodMs: 40, LengthBits: 2048}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every edit but the modifies and removes adds a stream; every tenth
+	// add is a hog that the next edit removes again, so the retained
+	// records hold verdict flips.
+	var ids []string
+	for i := 0; i < ringstate.DefaultRingAudit+64; i++ {
+		spec := ringschedclient.RingStreamSpec{
+			Name: fmt.Sprintf("s%d", i), PeriodMs: 20 + float64(i%23)/3, LengthBits: float64(256 * (1 + i%4)),
+		}
+		var re *ringschedclient.RingEdit
+		switch {
+		case i%10 == 9:
+			spec.LengthBits = 1e9
+			re, err = sess.AddStream(ctx, spec)
+		case i%10 == 0 && i > 0:
+			re, err = sess.RemoveStream(ctx, ids[len(ids)-1])
+			ids = ids[:len(ids)-1]
+		case i%10 == 5:
+			re, err = sess.ModifyStream(ctx, ids[i%len(ids)], spec)
+		case i%10 == 7:
+			j := i % len(ids)
+			re, err = sess.RemoveStream(ctx, ids[j])
+			ids = append(ids[:j], ids[j+1:]...)
+		default:
+			re, err = sess.AddStream(ctx, spec)
+		}
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		if re.Op == ringstate.OpAdd {
+			ids = append(ids, re.StreamID)
+		}
+	}
+
+	h, err := sess.History(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Compacted == 0 || len(h.Baseline) == 0 || h.Config.FaultSpec == "" {
+		t.Fatalf("history lacks a compacted baseline or the fault model: compacted %d, %d baseline streams, config %+v",
+			h.Compacted, len(h.Baseline), h.Config)
+	}
+	flips := 0
+	for _, rec := range h.Records {
+		flips += len(rec.Flips)
+	}
+	if flips == 0 {
+		t.Fatal("no retained record carries a verdict flip")
+	}
+	eng, err := ringstate.NewEngine(h.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := map[uint64]uint64{} // live stream ID → rebuilt stream ID
+	for _, b := range h.Baseline {
+		if handles[b.ID], _, err = eng.Add(b.StreamSpec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rec := range h.Records {
+		switch rec.Op {
+		case ringstate.OpAdd:
+			handles[rec.StreamID], _, err = eng.Add(*rec.Stream)
+		case ringstate.OpModify:
+			_, err = eng.Modify(handles[rec.StreamID], *rec.Stream)
+		case ringstate.OpRemove:
+			_, err = eng.Remove(handles[rec.StreamID])
+		}
+		if err != nil {
+			t.Fatalf("record %d (%s): %v", rec.Seq, rec.Op, err)
+		}
+	}
+
+	state, err := sess.Refresh(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state.Version != h.Version {
+		t.Fatalf("state at version %d, history at %d", state.Version, h.Version)
+	}
+	rebuilt := eng.Snapshot()
+	if len(rebuilt) != len(state.Streams) {
+		t.Fatalf("rebuilt %d streams, live ring holds %d", len(rebuilt), len(state.Streams))
+	}
+	for i, s := range rebuilt {
+		if s.StreamSpec != state.Streams[i].StreamSpec {
+			t.Fatalf("stream %d: rebuilt %+v, live %+v", i, s.StreamSpec, state.Streams[i].StreamSpec)
+		}
+	}
+	if err := compareVerdicts(state.Verdicts, eng.Verdicts()); err != nil {
+		t.Fatal(err)
 	}
 }
 

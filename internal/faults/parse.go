@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"ringsched/internal/specnum"
@@ -61,12 +62,9 @@ func parseClause(m *Model, c *specnum.Clause) error {
 		if m.Recovery.Detect, err = c.Num("detect", 0, true); err != nil {
 			return err
 		}
-		rounds, err := c.Num("rounds", 0, false)
+		rounds, err := c.Int("rounds", 0, 0, math.MaxInt)
 		if err != nil {
 			return err
-		}
-		if rounds != float64(int(rounds)) || rounds < 0 {
-			return fmt.Errorf("%w: rounds=%g is not a non-negative integer", ErrBadSpec, rounds)
 		}
 		m.Recovery.ClaimRounds = int(rounds)
 		if m.Recovery.Fixed, err = c.Num("fixed", 0, true); err != nil {

@@ -11,6 +11,8 @@ func TestParseModelRoundTripsSpec(t *testing.T) {
 		"none",
 		"loss:p=0.001",
 		"loss:p=0.001,detect=0.001,rounds=2",
+		// Past 2⁵³ the round count is read exactly, not through a float.
+		"loss:p=0.001,rounds=9007199254740993",
 		"corrupt:p=0.0001",
 		"gilbert:pgood=0.0001,pbad=0.3,burst=16,gap=500",
 		"crash:rate=0.1,down=0.05,bypass=0.002",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -126,17 +127,18 @@ func parseChaosClause(m *ChaosModel, c *specnum.Clause) error {
 		if err != nil {
 			return err
 		}
-		m.Latency = time.Duration(ms * float64(time.Millisecond))
+		ns := ms * float64(time.Millisecond)
+		if !(ns > -(1<<63) && ns < 1<<63) {
+			return fmt.Errorf("%w: ms=%g is past time.Duration's range", ErrBadChaosSpec, ms)
+		}
+		m.Latency = time.Duration(ns)
 	case "error":
 		if m.ErrorProb, err = c.Num("p", 0.05, false); err != nil {
 			return err
 		}
-		code, err := c.Num("code", 503, false)
+		code, err := c.Int("code", 503, 0, 599)
 		if err != nil {
 			return err
-		}
-		if code != float64(int(code)) {
-			return fmt.Errorf("%w: code=%g is not an integer", ErrBadChaosSpec, code)
 		}
 		m.ErrorStatus = int(code)
 	case "reset":
@@ -144,11 +146,9 @@ func parseChaosClause(m *ChaosModel, c *specnum.Clause) error {
 			return err
 		}
 	case "seed":
-		n, err := c.Num("n", 1, false)
-		if err != nil {
+		if m.Seed, err = c.Int("n", 1, math.MinInt64, math.MaxInt64); err != nil {
 			return err
 		}
-		m.Seed = int64(n)
 	default:
 		return fmt.Errorf("%w: unknown clause kind %q (valid kinds: error, latency, reset, seed; or \"none\")",
 			ErrBadChaosSpec, c.Kind)

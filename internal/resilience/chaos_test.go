@@ -46,6 +46,38 @@ func TestParseChaosRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseChaosReadsIntegersExactly: code and seed read a decimal
+// integer exactly and any other number only when it is whole and in
+// range, and a latency past time.Duration's range is refused naming ms.
+func TestParseChaosReadsIntegersExactly(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want string // the canonical spec, or text the refusal holds
+	}{
+		{"seed:n=9007199254740993", "seed:n=9007199254740993"},
+		{"seed:n=1e18", "seed:n=1000000000000000000"},
+		{"seed:n=-9223372036854775808", "seed:n=-9223372036854775808"},
+		{"error:code=5.03e2", "error:p=0.05,code=503"},
+		{"seed:n=1.5", "n=1.5 is not an integer"},
+		{"seed:n=1e30", "n=1e30 is not an integer"},
+		{"seed:n=-1e30", "n=-1e30 is not an integer"},
+		{"seed:n=9223372036854775808", "n=9223372036854775808 is not an integer"},
+		{"seed:n=NaN", "n=NaN is not an integer"},
+		{"error:code=502.5", "code=502.5 is not an integer in [0, 599]"},
+		{"latency:p=0.1,ms=1e13", "ms=1e+13 is past time.Duration's range"},
+		{"latency:p=0.1,ms=NaN", "ms=NaN is past time.Duration's range"},
+	} {
+		m, err := ParseChaos(tc.spec)
+		got := m.Spec()
+		if err != nil {
+			got = err.Error()
+		}
+		if !strings.Contains(got, tc.want) || (err == nil) != (got == tc.want) {
+			t.Errorf("ParseChaos(%q) = %q, want %q", tc.spec, got, tc.want)
+		}
+	}
+}
+
 func TestParseChaosRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"latency:p=2",         // probability out of range

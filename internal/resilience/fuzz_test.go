@@ -18,6 +18,8 @@ func FuzzChaosSpec(f *testing.F) {
 		"latency:p=0.1,ms=0", "latency:+error", "a=b", "latency:p==1",
 		"latency:p=0.1,ms=1e6", // %g renders ms=1e+06
 		"error:code=0", "latency:zz=1,aa=2,mm=3",
+		"seed:n=9007199254740993", "seed:n=1e18", "seed:n=1.5", "seed:n=-1e30",
+		"error:code=5.03e2", "latency:p=0.1,ms=1e13",
 	} {
 		f.Add(seed)
 	}

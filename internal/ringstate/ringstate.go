@@ -187,3 +187,43 @@ func (d *Delta) Clone() *Delta {
 	}
 	return &out
 }
+
+// Wire renders the delta's per-protocol outcomes as /v1/rings reports
+// them: degraded verdicts only on a faulted ring, the edited stream's
+// verdict except on a remove, and flipped streams by handle. The result
+// shares nothing with the engine's buffers.
+func (d *Delta) Wire() []wire.RingProtocolDelta {
+	out := make([]wire.RingProtocolDelta, len(d.Protocols))
+	for i, pd := range d.Protocols {
+		out[i] = wire.RingProtocolDelta{
+			Protocol:       pd.Protocol,
+			Reprobed:       pd.Reprobed,
+			WasSchedulable: pd.WasSchedulable,
+			Schedulable:    pd.Schedulable,
+		}
+		if pd.HasDegraded {
+			out[i].DegradedWasSchedulable = boolPtr(pd.DegradedWasSchedulable)
+			out[i].DegradedSchedulable = boolPtr(pd.DegradedSchedulable)
+		}
+		if d.Op != OpRemove {
+			out[i].EditedSchedulable = boolPtr(pd.EditedSchedulable)
+		}
+		for _, f := range pd.Flipped {
+			out[i].Flipped = append(out[i].Flipped, wire.RingStreamFlip{
+				ID: wire.StreamHandle(f.ID), Name: f.Name, Schedulable: f.Schedulable,
+			})
+		}
+	}
+	return out
+}
+
+// yes and no back the optional booleans of a wire delta, which are only
+// read.
+var yes, no = true, false
+
+func boolPtr(v bool) *bool {
+	if v {
+		return &yes
+	}
+	return &no
+}

@@ -1,12 +1,12 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
 
+	"ringsched/internal/resilience"
 	"ringsched/internal/trace"
 )
 
@@ -126,19 +126,22 @@ func keyOf[T canonical[T]](body []byte) (string, error) {
 	return canon.CacheKey(), nil
 }
 
-// MaxBodyBytes is how much of a cacheable request body the server buffers.
-// A longer body is decoded as a stream, as it always was, and gets no
-// alias. ringsched-lb reads the same amount to route a body and refuses a
-// longer one with a 413.
+// MaxBodyBytes is how much of a request body the server reads. A longer
+// body is refused with errBodyTooLarge, a typed 413, as ringsched-lb
+// refuses it before forwarding.
 const MaxBodyBytes = 8 << 20
+
+var errBodyTooLarge = resilience.Errorf(resilience.CodeBadRequest, http.StatusRequestEntityTooLarge,
+	"service: request body exceeds %d bytes", MaxBodyBytes)
 
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
 
-// readBody reads body into a pooled buffer until EOF or until it holds
-// more than MaxBodyBytes; whole reports the former. The buffer grows with
-// what arrives, never with a declared Content-Length a client could
-// inflate.
-func readBody(body io.Reader) (buf *[]byte, whole bool, err error) {
+// readBody reads body into a pooled buffer until EOF, refusing a body
+// past MaxBodyBytes with errBodyTooLarge and a failed read with a 400.
+// The buffer grows with what arrives, never with a declared
+// Content-Length a client could inflate. The caller releases buf with
+// releaseBody, after an error too.
+func readBody(body io.Reader) (buf *[]byte, err error) {
 	buf = bodyPool.Get().(*[]byte)
 	b := (*buf)[:0]
 	for {
@@ -147,16 +150,14 @@ func readBody(body io.Reader) (buf *[]byte, whole bool, err error) {
 		}
 		n, rerr := body.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
+		*buf = b
 		switch {
 		case len(b) > MaxBodyBytes:
-			*buf = b
-			return buf, false, nil
+			return buf, errBodyTooLarge
 		case rerr == io.EOF:
-			*buf = b
-			return buf, true, nil
+			return buf, nil
 		case rerr != nil:
-			*buf = b
-			return buf, false, rerr
+			return buf, fmt.Errorf("%w: %v", ErrBadRequest, rerr)
 		}
 	}
 }
@@ -172,18 +173,18 @@ func releaseBody(buf *[]byte) {
 // body once, answers a body seen before straight from the alias as
 // X-Cache: hit, and otherwise decodes it into a T under a "decode" span,
 // whose decoder attribute names what ran: "scan" (scanAnalyze) or "json"
-// (encoding/json, also for a body past MaxBodyBytes). aliased false (an
-// SSE sweep) skips the alias. ok false means the response is written: an
-// alias hit or a 400. buf holds the body until the caller releases it
-// with releaseBody, after the request is served: alias, the body's alias
-// key to record then (nil when there is none), lies in buf's array.
+// (encoding/json). aliased false (an SSE sweep) skips the alias. ok false
+// means the response is written: an alias hit, a 400 or a 413. buf holds
+// the body until the caller releases it with releaseBody, after the
+// request is served: alias, the body's alias key to record then (nil when
+// there is none), lies in buf's array.
 func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, aliased bool) (req T, buf *[]byte, alias []byte, ok bool) {
-	buf, whole, err := readBody(r.Body)
+	buf, err := readBody(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		writeError(w, statusFor(err), err)
 		return req, buf, nil, false
 	}
-	if aliased && whole {
+	if aliased {
 		n := len(*buf)
 		alias = aliasOf(endpoint, *buf)
 		*buf = alias[:n] // the pool keeps the array if the tag grew it
@@ -203,7 +204,7 @@ func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, e
 		}
 	}
 	dsp := trace.StartLeaf(r.Context(), "decode")
-	scanned, err := decodeRead(*buf, whole, r.Body, &req)
+	scanned, err := unmarshalStrict(*buf, &req)
 	if scanned {
 		dsp.SetAttr("decoder", "scan")
 	} else {
@@ -218,24 +219,16 @@ func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, e
 	return req, buf, alias, true
 }
 
-// decodeRead decodes a body readBody read into v: a whole body through
-// unmarshalStrict, a longer one as a stream of what was read and the rest.
-func decodeRead(buf []byte, whole bool, rest io.Reader, v any) (scanned bool, err error) {
-	if whole {
-		return unmarshalStrict(buf, v)
-	}
-	return false, decodeFrom(io.MultiReader(bytes.NewReader(buf), rest), v)
-}
-
-// decodeBody reads r's body into a pooled buffer and decodes it into v
-// with decodeRead.
+// decodeBody is the front of every other door that takes a body: it reads
+// r's body with readBody and decodes it into v with unmarshalStrict. A
+// refused body's error carries its status for statusFor.
 func decodeBody(r *http.Request, v any) error {
-	buf, whole, err := readBody(r.Body)
+	buf, err := readBody(r.Body)
 	defer releaseBody(buf)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return err
 	}
-	_, err = decodeRead(*buf, whole, r.Body, v)
+	_, err = unmarshalStrict(*buf, v)
 	return err
 }
 

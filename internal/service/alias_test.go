@@ -85,24 +85,34 @@ func TestAliasWithEvictedTargetCountsNothing(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyDecodesAsAStream: a body past MaxBodyBytes (leading
-// whitespace here, so the JSON value sits beyond the buffered prefix)
-// still decodes and serves, gets no alias, and repeats as a canonical hit.
-func TestOversizedBodyDecodesAsAStream(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	body := strings.Repeat(" ", MaxBodyBytes) + analyzeBody
-	for i, want := range []string{"miss", "hit"} {
-		w := serve(s.Handler(), "/v1/analyze", body)
-		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != want {
-			t.Fatalf("send %d: %d X-Cache %q, want 200 %s", i, w.Code, w.Header().Get("X-Cache"), want)
+// TestOversizedBodyIsRefused: a body one byte past MaxBodyBytes (leading
+// whitespace, so the JSON value lies past the cap) gets ringsched-lb's
+// typed 413 at every door that takes a body, and leaves no cache entry
+// and no ring; the same body padded to exactly MaxBodyBytes is read.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		path, body string
+		atCap      int // the status of the body padded to MaxBodyBytes
+	}{
+		{"/v1/analyze", analyzeBody, http.StatusOK},
+		{"/v1/sweep", smallSweepBody, http.StatusOK},
+		{"/v1/topology/analyze", `{"topology":"` + lineTopologySpec + `"}`, http.StatusOK},
+		{"/v1/rings", ringCreateBody, http.StatusCreated},
+		{"/v1/experiments", `{"ids": ["NO-SUCH-EXPERIMENT"]}`, http.StatusBadRequest},
+	} {
+		s := New(Config{})
+		pad := strings.Repeat(" ", MaxBodyBytes-len(tc.body))
+		w := serve(s.Handler(), tc.path, pad+" "+tc.body)
+		if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), `"code":"bad_request"`) {
+			t.Errorf("%s: %d %s, want 413 bad_request", tc.path, w.Code, w.Body)
 		}
-		if spanByName(s.spans.Trace(w.Header().Get("X-Ringsched-Trace")), "decode") == nil {
-			t.Errorf("send %d skipped decode", i)
+		if n, rings := s.cache.Entries(), len(s.rings.List()); n != 0 || rings != 0 {
+			t.Errorf("%s: %d cache entries and %d rings after a refused body, want none", tc.path, n, rings)
 		}
-	}
-	if n := s.cache.Entries(); n != 1 {
-		t.Errorf("%d cache entries, want the result alone (no alias)", n)
+		if w := serve(s.Handler(), tc.path, pad+tc.body); w.Code != tc.atCap {
+			t.Errorf("%s: a body of exactly MaxBodyBytes answered %d %s, want %d", tc.path, w.Code, w.Body, tc.atCap)
+		}
+		s.Close()
 	}
 }
 

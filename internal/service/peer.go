@@ -12,6 +12,7 @@ import (
 
 	"ringsched/internal/cluster"
 	"ringsched/internal/trace"
+	"ringsched/internal/wire"
 	"ringsched/ringschedclient"
 )
 
@@ -137,8 +138,8 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req peerFillRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeBody(r, &req); err != nil {
+		writeError(w, statusFor(err), err)
 		return
 	}
 	if sp := trace.SpanFromContext(r.Context()); sp != nil {
@@ -173,16 +174,17 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 }
 
 // unmarshalStrict is decodeFrom's twin for a body held whole in memory,
-// and the one decoder behind /v1/analyze, Cache.KeyOf, the peer-fill door
-// and ring edits. It decodes into a zero v exactly as decodeFrom does: an
-// analyze body inside scanAnalyze's grammar or a ring edit body inside
-// scanRingEdit's is scanned, and every other input goes through
-// encoding/json. scanned reports which of the two ran.
+// and the one decoder behind Cache.KeyOf and every request body the
+// server reads (readBody holds each whole). It decodes into a zero v
+// exactly as decodeFrom does: an analyze body inside scanAnalyze's
+// grammar or a ring edit body inside scanRingEdit's is scanned, and every
+// other input goes through encoding/json. scanned reports which of the
+// two ran.
 func unmarshalStrict(raw []byte, v any) (scanned bool, err error) {
 	switch req := v.(type) {
 	case *AnalyzeRequest:
 		*req, scanned = scanAnalyze(raw)
-	case *RingEditRequest:
+	case *wire.RingEditRequest:
 		*req, scanned = scanRingEdit(raw)
 	}
 	if scanned {

@@ -217,6 +217,43 @@ func TestPeerFillOwnerDownFallsBack(t *testing.T) {
 	}
 }
 
+// TestPeerFillOversizedEnvelopeFallsBack: a body within MaxBodyBytes can
+// re-marshal past it (encoding/json writes each '<' of a name as six
+// bytes), and the owner refuses that fill envelope with its 413, as any
+// door refuses such a body; the requester computes locally, as after any
+// failed fill.
+func TestPeerFillOversizedEnvelopeFallsBack(t *testing.T) {
+	tc := startTestCluster(t, 2, nil)
+	a, b := tc.servers[0], tc.servers[1]
+	name := strings.Repeat("<", MaxBodyBytes/5)
+	var body string
+	for bw := 1; body == ""; bw++ {
+		req := AnalyzeRequest{BandwidthMbps: float64(bw), Streams: []StreamSpec{{Name: name, PeriodMs: 10, LengthBits: 4096}}}
+		canon, err := req.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.clust.ring.Owner(canon.CacheKey()) == tc.addrs[1] {
+			body = fmt.Sprintf(`{"bandwidthMbps":%d,"streams":[{"name":%q,"periodMs":10,"lengthBits":4096}]}`, bw, name)
+		}
+	}
+	resp, err := http.Post("http://"+tc.addrs[0]+"/v1/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if xc := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || xc != "miss" {
+		t.Fatalf("oversized-envelope request answered %d X-Cache=%q, want 200 miss (local fallback)", resp.StatusCode, xc)
+	}
+	if got := a.peerFill.Value(labels("result", "error")); got != 1 {
+		t.Errorf("peer_fill_total{result=error} = %v, want 1", got)
+	}
+	if ga, gb := computes(a, "analyze"), computes(b, "analyze"); ga != 1 || gb != 0 {
+		t.Errorf("requester computed %v times and owner %v, want 1 and 0", ga, gb)
+	}
+}
+
 // TestPeerFillClusterWideCoalescing is the tentpole invariant: an
 // identical burst hitting EVERY replica concurrently still costs exactly
 // one computation cluster-wide. Non-owners coalesce their local callers

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ringsched/internal/promtext"
+	"ringsched/internal/wire"
 )
 
 type requestsBody struct {
@@ -190,7 +191,7 @@ func TestMetricsConformance(t *testing.T) {
 	post(t, ts.URL+"/v1/analyze", analyzeBody)
 	post(t, ts.URL+"/v1/sweep", smallSweepBody)
 	_, b := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings", ringCreateBody)
-	ring := decodeJSON[RingResponse](t, b)
+	ring := decodeJSON[wire.RingResponse](t, b)
 	ringJSON(t, ts.URL, http.MethodPost, "/v1/rings/"+ring.ID+"/streams",
 		`{"stream": {"name": "x", "periodMs": 5, "lengthBits": 1024}}`)
 
@@ -231,7 +232,7 @@ func TestRingHistoryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	_, b := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings", ringCreateBody)
-	ring := decodeJSON[RingResponse](t, b)
+	ring := decodeJSON[wire.RingResponse](t, b)
 	resp, b := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings/"+ring.ID+"/streams",
 		`{"stream": {"name": "audio", "periodMs": 20, "lengthBits": 8192}}`)
 	if resp.StatusCode != http.StatusOK {

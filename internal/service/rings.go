@@ -22,95 +22,6 @@ import (
 // streams whose verdict can change — with optimistic concurrency so
 // concurrent controllers never clobber each other's admissions.
 
-// RingCreateRequest creates a ring session. The analysis parameters are
-// exactly /v1/analyze's (FaultModel and Scenario mutually exclusive);
-// Streams optionally seeds the ring.
-type RingCreateRequest struct {
-	Protocols     []string     `json:"protocols,omitempty"`
-	BandwidthMbps float64      `json:"bandwidthMbps"`
-	FaultModel    string       `json:"faultModel,omitempty"`
-	Scenario      string       `json:"scenario,omitempty"`
-	Streams       []StreamSpec `json:"streams,omitempty"`
-}
-
-// RingStream is one resident stream with its server-assigned handle.
-type RingStream struct {
-	ID string `json:"id"`
-	StreamSpec
-}
-
-// RingResponse is the full state of a ring at one version: config,
-// resident streams in canonical order, and the verdicts /v1/analyze
-// would report for the same snapshot. SnapshotKey is that equivalent
-// analyze request's cache key ("" for an empty ring), so a client can
-// check the stateless endpoint agrees without re-posting the set.
-type RingResponse struct {
-	ID            string       `json:"id"`
-	Version       uint64       `json:"version"`
-	Protocols     []string     `json:"protocols"`
-	BandwidthMbps float64      `json:"bandwidthMbps"`
-	FaultModel    string       `json:"faultModel,omitempty"`
-	SnapshotKey   string       `json:"snapshotKey,omitempty"`
-	Streams       []RingStream `json:"streams"`
-	Verdicts      []Verdict    `json:"verdicts"`
-}
-
-// RingListResponse is the /v1/rings listing.
-type RingListResponse struct {
-	Rings []RingSummary `json:"rings"`
-}
-
-// RingSummary is one ring in the listing.
-type RingSummary struct {
-	ID      string `json:"id"`
-	Version uint64 `json:"version"`
-	Streams int    `json:"streams"`
-}
-
-// RingEditRequest is the body of a stream add (POST .../streams) or
-// modify (PUT .../streams/{id}). ExpectedVersion 0 is unconditional;
-// any other value must match the ring's current version or the edit
-// fails with 409 and changes nothing.
-type RingEditRequest struct {
-	ExpectedVersion uint64     `json:"expectedVersion,omitempty"`
-	Stream          StreamSpec `json:"stream"`
-}
-
-// RingStreamFlip names a resident stream (other than the edited one)
-// whose per-stream verdict changed because of an edit.
-type RingStreamFlip struct {
-	ID          string `json:"id"`
-	Name        string `json:"name,omitempty"`
-	Schedulable bool   `json:"schedulable"`
-}
-
-// RingProtocolDelta is one protocol's incremental verdict delta for a
-// single edit. Degraded fields appear only when the ring has a fault
-// model; EditedSchedulable only for add/modify.
-type RingProtocolDelta struct {
-	Protocol               string           `json:"protocol"`
-	Reprobed               int              `json:"reprobed"`
-	WasSchedulable         bool             `json:"wasSchedulable"`
-	Schedulable            bool             `json:"schedulable"`
-	DegradedWasSchedulable *bool            `json:"degradedWasSchedulable,omitempty"`
-	DegradedSchedulable    *bool            `json:"degradedSchedulable,omitempty"`
-	EditedSchedulable      *bool            `json:"editedSchedulable,omitempty"`
-	Flipped                []RingStreamFlip `json:"flipped,omitempty"`
-}
-
-// RingEditResponse reports one applied edit: the new version, the edit's
-// subject, how much analysis it cost, and the per-protocol deltas. A
-// 200 does not mean the stream is schedulable — read the deltas; an
-// infeasible admission is a successful edit with a negative verdict.
-type RingEditResponse struct {
-	RingID   string              `json:"ringId"`
-	Version  uint64              `json:"version"`
-	Op       string              `json:"op"`
-	StreamID string              `json:"streamId"`
-	Reprobed int                 `json:"reprobed"`
-	Deltas   []RingProtocolDelta `json:"deltas"`
-}
-
 // editMeta captures the mutating request's identity for the ring audit
 // trail: the root span's trace ID as the middleware rendered it for the
 // response header (so a history row links straight into /debug/traces)
@@ -163,19 +74,19 @@ func (s *Server) ringError(w http.ResponseWriter, err error) {
 // ringResponse renders a ring's full state at its current version.
 // SnapshotKey is the cache key of the /v1/analyze request equivalent to
 // the snapshot (Detail on, so per-stream verdicts are included — the
-// shape RingResponse.Verdicts carries).
-func ringResponse(r *ringstate.Ring) (RingResponse, error) {
+// shape wire.RingResponse.Verdicts carries).
+func ringResponse(r *ringstate.Ring) (wire.RingResponse, error) {
 	version, cfg, snap, verdicts, err := r.State()
 	if err != nil {
-		return RingResponse{}, err
+		return wire.RingResponse{}, err
 	}
-	resp := RingResponse{
+	resp := wire.RingResponse{
 		ID:            r.ID(),
 		Version:       version,
 		Protocols:     cfg.Protocols,
 		BandwidthMbps: cfg.BandwidthMbps,
 		FaultModel:    cfg.FaultSpec,
-		Streams:       make([]RingStream, len(snap)),
+		Streams:       make([]wire.RingStream, len(snap)),
 		Verdicts:      verdicts,
 	}
 	req := AnalyzeRequest{
@@ -186,7 +97,7 @@ func ringResponse(r *ringstate.Ring) (RingResponse, error) {
 		Streams:       make([]StreamSpec, len(snap)),
 	}
 	for i, st := range snap {
-		resp.Streams[i] = RingStream{ID: wire.StreamHandle(st.ID), StreamSpec: st.StreamSpec}
+		resp.Streams[i] = wire.RingStream{ID: wire.StreamHandle(st.ID), StreamSpec: st.StreamSpec}
 		req.Streams[i] = st.StreamSpec
 	}
 	if len(snap) == 0 {
@@ -199,42 +110,6 @@ func ringResponse(r *ringstate.Ring) (RingResponse, error) {
 		resp.SnapshotKey = canon.CacheKey()
 	}
 	return resp, nil
-}
-
-// yes and no back the optional booleans of a delta, which are only read.
-var yes, no = true, false
-
-func boolPtr(v bool) *bool {
-	if v {
-		return &yes
-	}
-	return &no
-}
-
-// ringDeltas converts an engine delta to the wire shape.
-func ringDeltas(d *ringstate.Delta) []RingProtocolDelta {
-	out := make([]RingProtocolDelta, len(d.Protocols))
-	for i, pd := range d.Protocols {
-		out[i] = RingProtocolDelta{
-			Protocol:       pd.Protocol,
-			Reprobed:       pd.Reprobed,
-			WasSchedulable: pd.WasSchedulable,
-			Schedulable:    pd.Schedulable,
-		}
-		if pd.HasDegraded {
-			out[i].DegradedWasSchedulable = boolPtr(pd.DegradedWasSchedulable)
-			out[i].DegradedSchedulable = boolPtr(pd.DegradedSchedulable)
-		}
-		if d.Op != ringstate.OpRemove {
-			out[i].EditedSchedulable = boolPtr(pd.EditedSchedulable)
-		}
-		for _, f := range pd.Flipped {
-			out[i].Flipped = append(out[i].Flipped, RingStreamFlip{
-				ID: wire.StreamHandle(f.ID), Name: f.Name, Schedulable: f.Schedulable,
-			})
-		}
-	}
-	return out
 }
 
 func (s *Server) writeRingJSON(w http.ResponseWriter, status int, v any) {
@@ -253,9 +128,9 @@ func (s *Server) writeRingJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) handleRings(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var req RingCreateRequest
-		if err := decode(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		var req wire.RingCreateRequest
+		if err := decodeBody(r, &req); err != nil {
+			writeError(w, statusFor(err), err)
 			return
 		}
 		// Resolve FaultModel/Scenario exactly like /v1/analyze, so a ring
@@ -284,13 +159,13 @@ func (s *Server) handleRings(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writeRingJSON(w, http.StatusCreated, resp)
 	case http.MethodGet:
-		list := RingListResponse{Rings: []RingSummary{}}
+		list := wire.RingListResponse{Rings: []wire.RingSummary{}}
 		for _, ring := range s.rings.List() {
 			version, _, snap, _, err := ring.State()
 			if err != nil {
 				continue // deleted between List and State
 			}
-			list.Rings = append(list.Rings, RingSummary{ID: ring.ID(), Version: version, Streams: len(snap)})
+			list.Rings = append(list.Rings, wire.RingSummary{ID: ring.ID(), Version: version, Streams: len(snap)})
 		}
 		s.writeRingJSON(w, http.StatusOK, list)
 	default:
@@ -461,9 +336,9 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 		}
 		expected = v
 	} else {
-		var req RingEditRequest
+		var req wire.RingEditRequest
 		if err := decodeBody(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		expected, stream = req.ExpectedVersion, req.Stream
@@ -507,12 +382,12 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 	s.ringEdits.Add(ringEditLabels[[2]string{op, "ok"}], 1)
 	s.reprobeStreams.Observe(reprobeLabels[op], float64(delta.Reprobed))
 
-	s.writeRingJSON(w, http.StatusOK, RingEditResponse{
+	s.writeRingJSON(w, http.StatusOK, wire.RingEditResponse{
 		RingID:   ringID,
 		Version:  version,
 		Op:       op,
 		StreamID: wire.StreamHandle(sid),
 		Reprobed: delta.Reprobed,
-		Deltas:   ringDeltas(delta),
+		Deltas:   delta.Wire(),
 	})
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"ringsched/internal/wire"
 )
 
 func ringJSON(t *testing.T, ts string, method, path, body string) (*http.Response, []byte) {
@@ -61,7 +63,7 @@ func TestRingsCRUD(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d %s", resp.StatusCode, b)
 	}
-	ring := decodeJSON[RingResponse](t, b)
+	ring := decodeJSON[wire.RingResponse](t, b)
 	if ring.ID == "" || ring.Version != 1 {
 		t.Fatalf("create: id %q version %d, want non-empty id at version 1", ring.ID, ring.Version)
 	}
@@ -87,7 +89,7 @@ func TestRingsCRUD(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("get: %d %s", resp.StatusCode, b)
 	}
-	got := decodeJSON[RingResponse](t, b)
+	got := decodeJSON[wire.RingResponse](t, b)
 	if got.Version != 1 || len(got.Streams) != 2 {
 		t.Fatalf("get: version %d streams %d, want 1 and 2", got.Version, len(got.Streams))
 	}
@@ -96,7 +98,7 @@ func TestRingsCRUD(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list: %d %s", resp.StatusCode, b)
 	}
-	list := decodeJSON[RingListResponse](t, b)
+	list := decodeJSON[wire.RingListResponse](t, b)
 	if len(list.Rings) != 1 || list.Rings[0].ID != ring.ID || list.Rings[0].Streams != 2 {
 		t.Fatalf("list: %+v, want one ring %s with 2 streams", list.Rings, ring.ID)
 	}
@@ -132,7 +134,7 @@ func TestRingsCRUD(t *testing.T) {
 func TestRingsEditCASAndDelta(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	_, b := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings", ringCreateBody)
-	ring := decodeJSON[RingResponse](t, b)
+	ring := decodeJSON[wire.RingResponse](t, b)
 
 	// A lowest-priority add against the right version succeeds and
 	// re-probes just itself on every protocol.
@@ -141,7 +143,7 @@ func TestRingsEditCASAndDelta(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("add: %d %s", resp.StatusCode, b)
 	}
-	edit := decodeJSON[RingEditResponse](t, b)
+	edit := decodeJSON[wire.RingEditResponse](t, b)
 	if edit.Version != 2 || edit.Op != "add" || edit.StreamID == "" {
 		t.Fatalf("add response %+v, want version 2 op add with a stream id", edit)
 	}
@@ -170,7 +172,7 @@ func TestRingsEditCASAndDelta(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("modify: %d %s", resp.StatusCode, b)
 	}
-	if got := decodeJSON[RingEditResponse](t, b); got.Version != 3 || got.StreamID != edit.StreamID {
+	if got := decodeJSON[wire.RingEditResponse](t, b); got.Version != 3 || got.StreamID != edit.StreamID {
 		t.Fatalf("modify response %+v, want version 3 same stream id", got)
 	}
 	resp, b = ringJSON(t, ts.URL, http.MethodDelete,
@@ -178,7 +180,7 @@ func TestRingsEditCASAndDelta(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("remove: %d %s", resp.StatusCode, b)
 	}
-	if got := decodeJSON[RingEditResponse](t, b); got.Version != 4 || got.Op != "remove" {
+	if got := decodeJSON[wire.RingEditResponse](t, b); got.Version != 4 || got.Op != "remove" {
 		t.Fatalf("remove response %+v, want version 4 op remove", got)
 	}
 
@@ -264,7 +266,7 @@ func TestRingSnapshotMatchesAnalyze(t *testing.T) {
 	for _, tc := range agreementRings() {
 		t.Run(tc.name, func(t *testing.T) {
 			_, b := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings", tc.create)
-			ring := decodeJSON[RingResponse](t, b)
+			ring := decodeJSON[wire.RingResponse](t, b)
 			for i, add := range tc.adds {
 				resp, eb := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings/"+ring.ID+"/streams", `{"stream": `+add+`}`)
 				if resp.StatusCode != http.StatusOK {
@@ -275,7 +277,7 @@ func TestRingSnapshotMatchesAnalyze(t *testing.T) {
 			if !bytes.Contains(b, []byte(tc.wire)) {
 				t.Fatalf("ring body lacks %s:\n%s", tc.wire, b)
 			}
-			ring = decodeJSON[RingResponse](t, b)
+			ring = decodeJSON[wire.RingResponse](t, b)
 
 			// Rebuild the equivalent stateless request from the ring snapshot.
 			areq := AnalyzeRequest{
@@ -343,7 +345,7 @@ func TestRingCreateUnknownProtocolMatchesAnalyze(t *testing.T) {
 func TestRingsParallelEditors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	_, b := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings", `{"bandwidthMbps": 16}`)
-	ring := decodeJSON[RingResponse](t, b)
+	ring := decodeJSON[wire.RingResponse](t, b)
 
 	const editors, rounds = 4, 8
 	// Versions start at 1 and every winning edit bumps it once, so the
@@ -362,7 +364,7 @@ func TestRingsParallelEditors(t *testing.T) {
 				resp, rb := ringJSON(t, ts.URL, http.MethodPost, "/v1/rings/"+ring.ID+"/streams", body)
 				switch resp.StatusCode {
 				case http.StatusOK:
-					edit := decodeJSON[RingEditResponse](t, rb)
+					edit := decodeJSON[wire.RingEditResponse](t, rb)
 					mu.Lock()
 					wins[edit.Version]++
 					mu.Unlock()
@@ -459,7 +461,7 @@ func TestRingOverflowAnswersTyped400(t *testing.T) {
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", w.Code, w.Body)
 	}
-	ring := decodeJSON[RingResponse](t, w.Body.Bytes())
+	ring := decodeJSON[wire.RingResponse](t, w.Body.Bytes())
 	state := func() []byte {
 		t.Helper()
 		w := httptest.NewRecorder()
@@ -519,7 +521,7 @@ func TestRingNonFiniteVerdictsAnswer400(t *testing.T) {
 			t.Fatalf("%s: create %d %s, analyze %d %s", body, create.Code, create.Body, analyze.Code, analyze.Body)
 		}
 	}
-	if list := decodeJSON[RingListResponse](t, get("/v1/rings")); len(list.Rings) != 0 {
+	if list := decodeJSON[wire.RingListResponse](t, get("/v1/rings")); len(list.Rings) != 0 {
 		t.Fatalf("refused creates left rings: %+v", list.Rings)
 	}
 
@@ -531,7 +533,7 @@ func TestRingNonFiniteVerdictsAnswer400(t *testing.T) {
 		if w.Code != http.StatusCreated {
 			t.Fatalf("create %s: %d %s", tc.create, w.Code, w.Body)
 		}
-		id := decodeJSON[RingResponse](t, w.Body.Bytes()).ID
+		id := decodeJSON[wire.RingResponse](t, w.Body.Bytes()).ID
 		before, history := get("/v1/rings/"+id), get("/v1/rings/"+id+"/history")
 		w = send(tc.method, "/v1/rings/"+id+tc.path, `{"expectedVersion":1,"stream":{"periodMs":10,"lengthBits":1e18}}`)
 		if w.Code != http.StatusBadRequest || w.Body.String() != refusal {
@@ -608,7 +610,7 @@ func FuzzRingsHTTP(f *testing.F) {
 		if w.Code != http.StatusCreated {
 			w = do(t, http.MethodPost, "/v1/rings", ringCreateBody)
 		}
-		var ring RingResponse
+		var ring wire.RingResponse
 		canonical(t, w, &ring)
 		base := "/v1/rings/" + ring.ID
 		defer do(t, http.MethodDelete, base, "")
@@ -618,26 +620,26 @@ func FuzzRingsHTTP(f *testing.F) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("GET %s: %d %s", base, w.Code, w.Body)
 			}
-			canonical(t, w, &RingResponse{})
+			canonical(t, w, &wire.RingResponse{})
 		}
 		check()
 		if w := do(t, http.MethodPost, base+"/streams", add); w.Code == http.StatusOK {
-			canonical(t, w, &RingEditResponse{})
+			canonical(t, w, &wire.RingEditResponse{})
 		}
 		check()
 		w = do(t, http.MethodGet, base, "")
-		var now RingResponse
+		var now wire.RingResponse
 		canonical(t, w, &now)
 		if len(now.Streams) == 0 {
 			return
 		}
 		sid := base + "/streams/" + now.Streams[0].ID
 		if w := do(t, http.MethodPut, sid, modify); w.Code == http.StatusOK {
-			canonical(t, w, &RingEditResponse{})
+			canonical(t, w, &wire.RingEditResponse{})
 		}
 		check()
 		if w := do(t, http.MethodDelete, sid, ""); w.Code == http.StatusOK {
-			canonical(t, w, &RingEditResponse{})
+			canonical(t, w, &wire.RingEditResponse{})
 		}
 		check()
 	})

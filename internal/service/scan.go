@@ -3,6 +3,8 @@ package service
 import (
 	"strconv"
 	"strings"
+
+	"ringsched/internal/wire"
 )
 
 // scanAnalyze decodes an /v1/analyze body in one pass over its bytes,
@@ -92,7 +94,7 @@ func scanAnalyze(body []byte) (req AnalyzeRequest, ok bool) {
 // stream is scanAnalyze's stream object. Everything else (a fraction or an
 // exponent such as 1e3, a sign, a value past 2⁶⁴−1, null, an unknown key)
 // makes ok false, and the caller decodes with decodeFrom.
-func scanRingEdit(body []byte) (req RingEditRequest, ok bool) {
+func scanRingEdit(body []byte) (req wire.RingEditRequest, ok bool) {
 	s := scanner{src: string(body)}
 	var seen uint8 // as in scanAnalyze
 	ok = s.object(func(key string) bool {
@@ -113,7 +115,7 @@ func scanRingEdit(body []byte) (req RingEditRequest, ok bool) {
 		return ok
 	})
 	if !ok {
-		return RingEditRequest{}, false
+		return wire.RingEditRequest{}, false
 	}
 	return req, true
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ringsched/internal/wire"
 )
 
 // show renders a decoded request exactly: %#v tells a nil slice from an
@@ -304,10 +306,10 @@ func TestScanRingEditMatchesEncodingJSON(t *testing.T) {
 		if _, ok := scanRingEdit([]byte(body)); ok {
 			t.Errorf("scanner accepted %q", body)
 		}
-		checkStrict[RingEditRequest](t, []byte(body))
+		checkStrict[wire.RingEditRequest](t, []byte(body))
 	}
 	for _, body := range editAccepts {
-		if !checkStrict[RingEditRequest](t, []byte(body)) {
+		if !checkStrict[wire.RingEditRequest](t, []byte(body)) {
 			t.Errorf("scanner declined %q", body)
 		}
 	}
@@ -323,8 +325,8 @@ func FuzzRingEditScanner(f *testing.F) {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		checkStrict[RingEditRequest](t, []byte(body))
-		var req RingEditRequest
+		checkStrict[wire.RingEditRequest](t, []byte(body))
+		var req wire.RingEditRequest
 		if decodeFrom(strings.NewReader(body), &req) != nil || !marshalSafe(AnalyzeRequest{Streams: []StreamSpec{req.Stream}}) {
 			return
 		}
@@ -332,7 +334,7 @@ func FuzzRingEditScanner(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !checkStrict[RingEditRequest](t, again) {
+		if !checkStrict[wire.RingEditRequest](t, again) {
 			t.Fatalf("scanner declined json.Marshal output %s", again)
 		}
 	})

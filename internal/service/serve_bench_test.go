@@ -9,6 +9,7 @@ import (
 
 	"ringsched/internal/message"
 	"ringsched/internal/ring"
+	"ringsched/internal/wire"
 )
 
 // benchWriter is a reusable ResponseWriter that keeps only what the
@@ -150,7 +151,7 @@ func BenchmarkServeRingEdit(b *testing.B) {
 	if err := json.Unmarshal(benchAnalyzeBody(b, 32, 16), &req); err != nil {
 		b.Fatal(err)
 	}
-	create, err := json.Marshal(RingCreateRequest{BandwidthMbps: req.BandwidthMbps, Streams: req.Streams})
+	create, err := json.Marshal(wire.RingCreateRequest{BandwidthMbps: req.BandwidthMbps, Streams: req.Streams})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,12 +159,12 @@ func BenchmarkServeRingEdit(b *testing.B) {
 	if w.Code != http.StatusCreated {
 		b.Fatalf("create: %d %s", w.Code, w.Body)
 	}
-	ring := decodeJSON[RingResponse](b, w.Body.Bytes())
+	ring := decodeJSON[wire.RingResponse](b, w.Body.Bytes())
 	mid := ring.Streams[16]
 	bs := newBenchServer(b, s, http.MethodPut, "/v1/rings/"+ring.ID+"/streams/"+mid.ID)
 	bodies := make([][]byte, b.N)
 	for i := range bodies {
-		edit := RingEditRequest{ExpectedVersion: ring.Version + uint64(i), Stream: StreamSpec{
+		edit := wire.RingEditRequest{ExpectedVersion: ring.Version + uint64(i), Stream: StreamSpec{
 			Name: mid.Name, PeriodMs: mid.PeriodMs * (1 + float64(i%2)/64), LengthBits: mid.LengthBits,
 		}}
 		if bodies[i], err = json.Marshal(edit); err != nil {

@@ -633,8 +633,12 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	w.Write(append(out, '\n'))
 }
 
-// statusFor maps computation errors to HTTP statuses.
+// statusFor maps errors to HTTP statuses: a typed error's own, else by
+// the error's kind.
 func statusFor(err error) int {
+	if te, ok := resilience.AsError(err); ok {
+		return te.Status
+	}
 	switch {
 	case errors.Is(err, ErrBadRequest) || errors.Is(err, ErrUnknownProtocol):
 		return http.StatusBadRequest
@@ -688,9 +692,6 @@ func (s *Server) admit(ctx context.Context, endpoint, key string) error {
 	te, _ := resilience.AsError(err)
 	return te.WithRetryAfter(retryAfter)
 }
-
-// decode parses a request body strictly.
-func decode(r *http.Request, v any) error { return decodeFrom(r.Body, v) }
 
 // decodeFrom parses the first JSON value in rd into v, refusing unknown
 // fields; what follows the value is ignored.
@@ -752,8 +753,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	// pass admission too: a fill can always fall back to local compute,
 	// so it must hold a reservation the fallback is allowed to spend.
 	if err := s.admit(r.Context(), endpoint, key); err != nil {
-		te, _ := resilience.AsError(err)
-		writeError(w, te.Status, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	owner := ""
@@ -961,8 +961,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, canon Sweep
 	cachedBody, cached := s.cache.Get(key)
 	if !cached {
 		if err := s.admit(r.Context(), "sweep", key); err != nil {
-			te, _ := resilience.AsError(err)
-			writeError(w, te.Status, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 	}
@@ -1036,8 +1035,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		w.Write(body)
 	case http.MethodPost:
 		var req ExperimentsRequest
-		if err := decode(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if err := decodeBody(r, &req); err != nil {
+			writeError(w, statusFor(err), err)
 			return
 		}
 		// Experiment batches are not cached: they are operator-initiated
@@ -1059,8 +1058,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			defer tcancel()
 		}
 		if err := s.admit(ctx, "experiments", ""); err != nil {
-			te, _ := resilience.AsError(err)
-			writeError(w, te.Status, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		if err := s.flight.acquire(ctx); err != nil {

@@ -3,6 +3,8 @@ package service
 import (
 	"math"
 	"strconv"
+
+	"ringsched/internal/wire"
 )
 
 // appendBody renders the three hot response types, AnalyzeResponse,
@@ -29,9 +31,9 @@ func appendBody(dst []byte, v any) (out []byte, ok bool) {
 	switch v := v.(type) {
 	case AnalyzeResponse:
 		w.analyzeResponse(&v)
-	case RingResponse:
+	case wire.RingResponse:
 		w.ringResponse(&v)
-	case RingEditResponse:
+	case wire.RingEditResponse:
 		w.ringEditResponse(&v)
 	default:
 		return dst, false
@@ -264,7 +266,7 @@ func (w *bodyWriter) streamVerdict(s *StreamVerdict) {
 	w.close('}')
 }
 
-func (w *bodyWriter) ringResponse(r *RingResponse) {
+func (w *bodyWriter) ringResponse(r *wire.RingResponse) {
 	w.open('{')
 	w.strField("id", r.ID)
 	w.uintField("version", r.Version)
@@ -272,7 +274,7 @@ func (w *bodyWriter) ringResponse(r *RingResponse) {
 	w.floatField("bandwidthMbps", r.BandwidthMbps)
 	w.strOmit("faultModel", r.FaultModel)
 	w.strOmit("snapshotKey", r.SnapshotKey)
-	array(w, "streams", r.Streams, func(s *RingStream) {
+	array(w, "streams", r.Streams, func(s *wire.RingStream) {
 		w.open('{')
 		w.strField("id", s.ID)
 		w.strOmit("name", s.Name)
@@ -284,14 +286,14 @@ func (w *bodyWriter) ringResponse(r *RingResponse) {
 	w.close('}')
 }
 
-func (w *bodyWriter) ringEditResponse(r *RingEditResponse) {
+func (w *bodyWriter) ringEditResponse(r *wire.RingEditResponse) {
 	w.open('{')
 	w.strField("ringId", r.RingID)
 	w.uintField("version", r.Version)
 	w.strField("op", r.Op)
 	w.strField("streamId", r.StreamID)
 	w.intField("reprobed", r.Reprobed)
-	array(w, "deltas", r.Deltas, func(d *RingProtocolDelta) {
+	array(w, "deltas", r.Deltas, func(d *wire.RingProtocolDelta) {
 		w.open('{')
 		w.strField("protocol", d.Protocol)
 		w.intField("reprobed", d.Reprobed)
@@ -300,7 +302,7 @@ func (w *bodyWriter) ringEditResponse(r *RingEditResponse) {
 		w.boolPtrOmit("degradedWasSchedulable", d.DegradedWasSchedulable)
 		w.boolPtrOmit("degradedSchedulable", d.DegradedSchedulable)
 		w.boolPtrOmit("editedSchedulable", d.EditedSchedulable)
-		arrayOmit(w, "flipped", d.Flipped, func(f *RingStreamFlip) {
+		arrayOmit(w, "flipped", d.Flipped, func(f *wire.RingStreamFlip) {
 			w.open('{')
 			w.strField("id", f.ID)
 			w.strOmit("name", f.Name)

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"ringsched/internal/wire"
 )
 
 // checkAppend holds appendBody and Encode to json.MarshalIndent on one
@@ -182,7 +184,7 @@ func inGrammar(v reflect.Value) bool {
 
 // hotTypes are the response types appendBody writes.
 var hotTypes = []reflect.Type{
-	reflect.TypeFor[AnalyzeResponse](), reflect.TypeFor[RingResponse](), reflect.TypeFor[RingEditResponse](),
+	reflect.TypeFor[AnalyzeResponse](), reflect.TypeFor[wire.RingResponse](), reflect.TypeFor[wire.RingEditResponse](),
 }
 
 // checkFilled fills one hot type from data and checks it, failing when a
@@ -249,16 +251,16 @@ func TestAppendBodyMatchesMarshalIndent(t *testing.T) {
 func TestAppendBodyDeclines(t *testing.T) {
 	var declined []any
 	for _, s := range escapedStrings {
-		declined = append(declined, RingResponse{ID: s})
+		declined = append(declined, wire.RingResponse{ID: s})
 	}
 	for _, v := range append(declined,
 		AnalyzeResponse{CacheKey: "<k>"},
 		AnalyzeResponse{Verdicts: []Verdict{{Protocol: "a&b"}}},
-		RingEditResponse{Op: `"`},
+		wire.RingEditResponse{Op: `"`},
 		AnalyzeResponse{BandwidthMbps: math.Inf(1)},
-		RingResponse{Verdicts: []Verdict{{Streams: []StreamVerdict{{ResponseTime: math.NaN()}}}}},
+		wire.RingResponse{Verdicts: []Verdict{{Streams: []StreamVerdict{{ResponseTime: math.NaN()}}}}},
 		&AnalyzeResponse{},
-		RingListResponse{},
+		wire.RingListResponse{},
 	) {
 		if checkAppend(t, v) {
 			t.Errorf("appendBody accepted %#v", v)

@@ -12,6 +12,7 @@ package specnum
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -113,6 +114,33 @@ func (c *Clause) Num(key string, def float64, duration bool) (float64, error) {
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %s=%q", c.bad, key, raw)
+	}
+	return v, nil
+}
+
+// Int takes key's value as an integer in [lo, hi], or def when the
+// clause has no key. A decimal integer is read exactly; any other number
+// ("1e3", "5.03e2") must be whole. A value outside [lo, hi] is refused
+// naming the key and the range.
+func (c *Clause) Int(key string, def, lo, hi int64) (int64, error) {
+	raw, ok := c.kv[key]
+	if !ok {
+		return def, nil
+	}
+	v, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil {
+		f, ferr := c.Num(key, 0, false)
+		if ferr != nil {
+			return 0, ferr
+		}
+		// int64's range is [-2⁶³, 2⁶³), both ends exact as float64.
+		if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+			v, err = int64(f), nil
+		}
+	}
+	delete(c.kv, key)
+	if err != nil || v < lo || v > hi {
+		return 0, fmt.Errorf("%w: %s=%s is not an integer in [%d, %d]", c.bad, key, raw, lo, hi)
 	}
 	return v, nil
 }

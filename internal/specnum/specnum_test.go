@@ -163,6 +163,29 @@ func TestClauseGetters(t *testing.T) {
 		{"a:n=3", func(c *Clause) (any, error) { return c.Need("n", false) }, "3"},
 		{"a:n=1m", func(c *Clause) (any, error) { return c.Need("n", true) }, "60"},
 		{"a:n=", func(c *Clause) (any, error) { return c.Need("n", false) }, `error: bad spec: n=""`},
+		{"a", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 9) }, "7"},
+		{"a:n=09", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 9) }, "9"},
+		{"a:n=5.03e2", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 599) }, "503"},
+		{"a:n=-0.0", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 9) }, "0"},
+		{"a:n=10", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 9) }, `error: bad spec: n=10 is not an integer in [0, 9]`},
+		{"a:n=-1", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 9) }, `error: bad spec: n=-1 is not an integer in [0, 9]`},
+		{"a:n=1.5", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 9) }, `error: bad spec: n=1.5 is not an integer in [0, 9]`},
+		{"a:n=x", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 9) }, `error: bad spec: n="x"`},
+		{"a:n=2ms", func(c *Clause) (any, error) { return c.Int("n", 7, 0, 9) }, `error: bad spec: n="2ms"`},
+		// Past 2⁵³ a decimal integer is read exactly, not through a float.
+		{"a:n=9007199254740993", func(c *Clause) (any, error) { return c.Int("n", 7, math.MinInt64, math.MaxInt64) }, "9007199254740993"},
+		{"a:n=-9223372036854775808", func(c *Clause) (any, error) { return c.Int("n", 7, math.MinInt64, math.MaxInt64) }, "-9223372036854775808"},
+		{"a:n=1e18", func(c *Clause) (any, error) { return c.Int("n", 7, math.MinInt64, math.MaxInt64) }, "1000000000000000000"},
+		{"a:n=9223372036854775808", func(c *Clause) (any, error) { return c.Int("n", 7, math.MinInt64, math.MaxInt64) },
+			`error: bad spec: n=9223372036854775808 is not an integer in [-9223372036854775808, 9223372036854775807]`},
+		{"a:n=9.223372036854775807e18", func(c *Clause) (any, error) { return c.Int("n", 7, math.MinInt64, math.MaxInt64) },
+			`error: bad spec: n=9.223372036854775807e18 is not an integer in [-9223372036854775808, 9223372036854775807]`},
+		{"a:n=-1e30", func(c *Clause) (any, error) { return c.Int("n", 7, math.MinInt64, math.MaxInt64) },
+			`error: bad spec: n=-1e30 is not an integer in [-9223372036854775808, 9223372036854775807]`},
+		{"a:n=NaN", func(c *Clause) (any, error) { return c.Int("n", 7, math.MinInt64, math.MaxInt64) },
+			`error: bad spec: n=NaN is not an integer in [-9223372036854775808, 9223372036854775807]`},
+		{"a:n=Inf", func(c *Clause) (any, error) { return c.Int("n", 7, math.MinInt64, math.MaxInt64) },
+			`error: bad spec: n=Inf is not an integer in [-9223372036854775808, 9223372036854775807]`},
 	} {
 		var got string
 		if err := scan(tc.spec, func(c *Clause) error {

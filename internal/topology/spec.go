@@ -89,12 +89,9 @@ func parseRing(t *Topology, c *specnum.Clause) error {
 	}
 	base := proto.PlantPreset().New(bw)
 	cfg := base
-	n, err := c.Num("n", float64(base.Stations), false)
+	n, err := c.Int("n", int64(base.Stations), 1, MaxStations)
 	if err != nil {
 		return err
-	}
-	if !(n >= 1 && n <= MaxStations) || n != float64(int(n)) {
-		return fmt.Errorf("%w: n=%g is not an integer in [1, %d]", ErrBadSpec, n, MaxStations)
 	}
 	cfg.Stations = int(n)
 	if cfg.SpacingMeters, err = c.Num("spacing", base.SpacingMeters, false); err != nil {

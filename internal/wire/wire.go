@@ -1,9 +1,11 @@
 // Package wire is the verdict vocabulary every route to a Theorem 4.1 or
-// 5.1 verdict shares: /v1/analyze, /v1/rings, /v1/topology/analyze and
-// ringadmit's offline replay build and read these types, so the routes
-// cannot drift apart in their wire form. It owns:
+// 5.1 verdict shares: /v1/analyze, /v1/rings, /v1/topology/analyze,
+// ringschedclient and ringadmit's offline replay build and read these
+// types, so the routes cannot drift apart in their wire form. It owns:
 //
 //   - the JSON shapes of a stream and of a verdict;
+//   - the /v1/rings requests and responses (rings.go), which
+//     ringschedclient and ringadmit read as the server writes them;
 //   - the protocol slugs, their canonical order and the canonicalizer;
 //   - the resolution of a (faultModel, scenario) pair to a canonical spec;
 //   - the canonical stream order, (PeriodMs, LengthBits, Name);

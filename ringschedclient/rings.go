@@ -8,98 +8,48 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"time"
 
 	"ringsched/internal/resilience"
+	"ringsched/internal/ringstate"
+	"ringsched/internal/wire"
 )
 
 // This file is the client side of the stateful /v1/rings API: a
 // RingSession tracks one server-side ring and its version, applies
 // optimistic-concurrency edits, and transparently rebases on CAS
-// conflicts. The wire structs mirror the server's ring schema; like the
-// rest of this package they are duplicated rather than imported, so the
-// client stays decoupled from server internals.
+// conflicts. The ring types are the server's own schema, declared once
+// in internal/wire (the audit trail in internal/ringstate); the names
+// here are aliases, so a client reads every field the server writes.
 
-// RingStreamSpec is one synchronous message stream on the wire.
-type RingStreamSpec struct {
-	Name       string  `json:"name,omitempty"`
-	PeriodMs   float64 `json:"periodMs"`
-	LengthBits float64 `json:"lengthBits"`
-}
-
-// RingCreateRequest creates a ring session; parameters are exactly
-// /v1/analyze's, plus an optional seed stream set.
-type RingCreateRequest struct {
-	Protocols     []string         `json:"protocols,omitempty"`
-	BandwidthMbps float64          `json:"bandwidthMbps"`
-	FaultModel    string           `json:"faultModel,omitempty"`
-	Scenario      string           `json:"scenario,omitempty"`
-	Streams       []RingStreamSpec `json:"streams,omitempty"`
-}
-
-// RingStream is one resident stream with its server-assigned handle.
-type RingStream struct {
-	ID         string  `json:"id"`
-	Name       string  `json:"name,omitempty"`
-	PeriodMs   float64 `json:"periodMs"`
-	LengthBits float64 `json:"lengthBits"`
-}
-
-// RingState is the ring's full state at one version. Verdicts is kept
-// raw: its shape is /v1/analyze's verdict list, and callers that care
-// decode exactly the fields they need.
-type RingState struct {
-	ID            string          `json:"id"`
-	Version       uint64          `json:"version"`
-	Protocols     []string        `json:"protocols"`
-	BandwidthMbps float64         `json:"bandwidthMbps"`
-	FaultModel    string          `json:"faultModel,omitempty"`
-	SnapshotKey   string          `json:"snapshotKey,omitempty"`
-	Streams       []RingStream    `json:"streams"`
-	Verdicts      json.RawMessage `json:"verdicts"`
-}
-
-// RingStreamFlip names a stream whose verdict changed under an edit.
-type RingStreamFlip struct {
-	ID          string `json:"id"`
-	Name        string `json:"name,omitempty"`
-	Schedulable bool   `json:"schedulable"`
-}
-
-// RingProtocolDelta is one protocol's incremental verdict delta.
-type RingProtocolDelta struct {
-	Protocol               string           `json:"protocol"`
-	Reprobed               int              `json:"reprobed"`
-	WasSchedulable         bool             `json:"wasSchedulable"`
-	Schedulable            bool             `json:"schedulable"`
-	DegradedWasSchedulable *bool            `json:"degradedWasSchedulable,omitempty"`
-	DegradedSchedulable    *bool            `json:"degradedSchedulable,omitempty"`
-	EditedSchedulable      *bool            `json:"editedSchedulable,omitempty"`
-	Flipped                []RingStreamFlip `json:"flipped,omitempty"`
-}
-
-// RingEdit is one applied edit's outcome. A nil error from an edit call
-// does NOT mean the stream is schedulable — read the deltas; an
-// infeasible admission is a successful edit with a negative verdict.
-type RingEdit struct {
-	RingID   string              `json:"ringId"`
-	Version  uint64              `json:"version"`
-	Op       string              `json:"op"`
-	StreamID string              `json:"streamId"`
-	Reprobed int                 `json:"reprobed"`
-	Deltas   []RingProtocolDelta `json:"deltas"`
-}
-
-// Admitted reports whether every protocol's edited-stream verdict came
-// back schedulable (vacuously true for removes).
-func (e *RingEdit) Admitted() bool {
-	for _, d := range e.Deltas {
-		if d.EditedSchedulable != nil && !*d.EditedSchedulable {
-			return false
-		}
-	}
-	return true
-}
+type (
+	// RingStreamSpec is one synchronous message stream on the wire.
+	RingStreamSpec = wire.StreamSpec
+	// RingCreateRequest creates a ring session; parameters are exactly
+	// /v1/analyze's, plus an optional seed stream set.
+	RingCreateRequest = wire.RingCreateRequest
+	// RingStream is one resident stream with its server-assigned handle.
+	RingStream = wire.RingStream
+	// RingState is the ring's full state at one version, its verdicts
+	// those /v1/analyze reports for the same stream set.
+	RingState = wire.RingResponse
+	// RingStreamFlip names a stream whose verdict changed under an edit.
+	RingStreamFlip = wire.RingStreamFlip
+	// RingProtocolDelta is one protocol's incremental verdict delta.
+	RingProtocolDelta = wire.RingProtocolDelta
+	// RingEdit is one applied edit's outcome. A nil error from an edit
+	// call does NOT mean the stream is schedulable — read the deltas or
+	// Admitted; an infeasible admission is a successful edit with a
+	// negative verdict.
+	RingEdit = wire.RingEditResponse
+	// RingHistory is the server's audit trail for one ring: its config,
+	// the baseline stream set that compacted records folded into, and the
+	// retained mutation records, oldest first. Replaying the baseline and
+	// then the records through a ringstate.Engine with that config
+	// rebuilds the ring.
+	RingHistory = ringstate.History
+	// RingHistoryRecord is one entry in a ring's audit trail.
+	RingHistoryRecord = ringstate.AuditRecord
+)
 
 // ringConflictRetries bounds transparent CAS rebases per edit call:
 // under heavy contention the caller gets the conflict back rather than
@@ -186,10 +136,7 @@ func (s *RingSession) Delete(ctx context.Context) error {
 // AddStream admits one stream through the CAS edit loop.
 func (s *RingSession) AddStream(ctx context.Context, spec RingStreamSpec) (*RingEdit, error) {
 	return s.edit(ctx, func(expected uint64) (json.RawMessage, error) {
-		body := struct {
-			ExpectedVersion uint64         `json:"expectedVersion,omitempty"`
-			Stream          RingStreamSpec `json:"stream"`
-		}{expected, spec}
+		body := wire.RingEditRequest{ExpectedVersion: expected, Stream: spec}
 		return s.c.Call(ctx, http.MethodPost, "/v1/rings/"+url.PathEscape(s.id)+"/streams", body)
 	})
 }
@@ -197,10 +144,7 @@ func (s *RingSession) AddStream(ctx context.Context, spec RingStreamSpec) (*Ring
 // ModifyStream replaces the named stream's parameters.
 func (s *RingSession) ModifyStream(ctx context.Context, streamID string, spec RingStreamSpec) (*RingEdit, error) {
 	return s.edit(ctx, func(expected uint64) (json.RawMessage, error) {
-		body := struct {
-			ExpectedVersion uint64         `json:"expectedVersion,omitempty"`
-			Stream          RingStreamSpec `json:"stream"`
-		}{expected, spec}
+		body := wire.RingEditRequest{ExpectedVersion: expected, Stream: spec}
 		return s.c.Call(ctx, http.MethodPut,
 			"/v1/rings/"+url.PathEscape(s.id)+"/streams/"+url.PathEscape(streamID), body)
 	})
@@ -242,30 +186,6 @@ func (s *RingSession) edit(ctx context.Context, do func(expected uint64) (json.R
 	}
 	return nil, fmt.Errorf("ringschedclient: edit still conflicting after %d rebases: %w",
 		ringConflictRetries, lastErr)
-}
-
-// RingHistoryRecord is one entry in a ring's audit trail.
-type RingHistoryRecord struct {
-	Seq           uint64          `json:"seq"`
-	VersionBefore uint64          `json:"versionBefore"`
-	Version       uint64          `json:"version"`
-	Op            string          `json:"op"`
-	StreamID      uint64          `json:"streamId,omitempty"`
-	Stream        *RingStreamSpec `json:"stream,omitempty"`
-	Reprobed      int             `json:"reprobed"`
-	Time          time.Time       `json:"time"`
-	TraceID       string          `json:"traceId,omitempty"`
-	Client        string          `json:"client,omitempty"`
-}
-
-// RingHistory is the server's audit trail for one ring: the retained
-// mutation records plus how many older records were compacted into the
-// baseline.
-type RingHistory struct {
-	RingID    string              `json:"ringId"`
-	Version   uint64              `json:"version"`
-	Records   []RingHistoryRecord `json:"records"`
-	Compacted uint64              `json:"compacted"`
 }
 
 // History fetches the ring's audit trail as structured records.

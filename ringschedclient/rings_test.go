@@ -2,7 +2,6 @@ package ringschedclient_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"sync"
@@ -40,15 +39,8 @@ func TestRingSessionLifecycle(t *testing.T) {
 	if state.Version != 1 || len(state.Streams) != 1 {
 		t.Fatalf("created state %+v, want version 1 with one stream", state)
 	}
-	var verdicts []struct {
-		Protocol    string `json:"protocol"`
-		Schedulable bool   `json:"schedulable"`
-	}
-	if err := json.Unmarshal(state.Verdicts, &verdicts); err != nil {
-		t.Fatalf("verdicts don't decode: %v", err)
-	}
-	if len(verdicts) != 3 {
-		t.Fatalf("%d verdicts, want 3", len(verdicts))
+	if len(state.Verdicts) != 3 {
+		t.Fatalf("%d verdicts, want 3", len(state.Verdicts))
 	}
 
 	edit, err := sess.AddStream(ctx, ringschedclient.RingStreamSpec{
