@@ -24,10 +24,11 @@ var (
 	_ BatchAnalyzer = IdealRM{}
 )
 
-// byPeriod is message.Set.SortRM's comparator. The PDP probe sorts into
-// its pooled buffer with it, which gives SortRM's permutation without
-// SortRM's copy; message cannot import it from here, and exporting it
-// from message would widen that package's API for one caller.
+// byPeriod is message.Set.SortRM's comparator. The PDP and ideal-RM
+// probes sort into their pooled buffers with it, which gives SortRM's
+// permutation without SortRM's copy; message cannot import it from here,
+// and exporting it from message would widen that package's API for the
+// probes alone.
 func byPeriod(a, b message.Stream) int {
 	switch {
 	case a.Period < b.Period:
@@ -190,10 +191,11 @@ func (j *ttpJob) Schedulable(scale float64) (bool, error) {
 // idealJob is the zero-overhead baseline probe: costs are the scaled bit
 // counts directly, blocking is zero.
 type idealJob struct {
-	orig  message.Set
-	bits  []float64 // RM-sorted order
-	tasks rma.TaskSet
-	ws    rma.Workspace
+	orig    message.Set
+	streams []message.Stream
+	bits    []float64 // RM-sorted order
+	tasks   rma.TaskSet
+	ws      rma.Workspace
 }
 
 // NewProbe implements BatchAnalyzer.
@@ -211,10 +213,11 @@ func (IdealRM) NewProbe(m message.Set) (Probe, func(), error) {
 
 func (j *idealJob) bind(m message.Set) error {
 	j.orig = m
+	j.streams = append(j.streams[:0], m...)
+	slices.SortStableFunc(j.streams, byPeriod)
 	j.tasks = j.tasks[:0]
 	j.bits = j.bits[:0]
-	sorted := m.SortRM()
-	for _, s := range sorted {
+	for _, s := range j.streams {
 		j.bits = append(j.bits, s.LengthBits)
 		j.tasks = append(j.tasks, rma.Task{Cost: s.LengthBits, Period: s.Period})
 	}

@@ -66,6 +66,31 @@ func BenchmarkTTPProbeBind(b *testing.B) {
 	}
 }
 
+// TestProbeBindAllocs pins a bind+probe+release round trip at one
+// allocation (the release closure) for every analyzer: each binds into
+// its pooled job's buffers, copying nothing.
+func TestProbeBindAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled jobs")
+	}
+	set := benchProbeSet(1)
+	for _, ba := range []BatchAnalyzer{NewModifiedPDP(16e6), NewTTP(100e6), IdealRM{}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			probe, release, err := ba.NewProbe(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := probe.Schedulable(1.0); err != nil {
+				t.Fatal(err)
+			}
+			release()
+		})
+		if allocs != 1 {
+			t.Errorf("%s: bind+probe+release allocates %v times, want 1", ba.Name(), allocs)
+		}
+	}
+}
+
 // BenchmarkAnalyzeBatch measures the batched entry point end to end
 // (bind once, probe the whole scale ladder, release).
 func BenchmarkAnalyzeBatch(b *testing.B) {

@@ -48,8 +48,9 @@ func TestWorkspaceCounters(t *testing.T) {
 		t.Fatalf("counters not zero after Load: %+v", got)
 	}
 
-	// The bench ladder, then a probe below its last pass (0.9).
-	ladder := append(append([]float64(nil), benchScales...), 0.7)
+	// The bench ladder; a probe below its last pass (0.9); then two passes
+	// climbing toward its last failure (0.97).
+	ladder := append(append([]float64(nil), benchScales...), 0.7, 0.92, 0.94)
 	for _, scale := range ladder {
 		ws.ScaleCosts(scale)
 		if _, err := ws.Schedulable(1e-4); err != nil {
@@ -64,20 +65,26 @@ func TestWorkspaceCounters(t *testing.T) {
 	// Passes and failures alternate around the threshold, so every
 	// inference must have fired: 0.7 sits below the last pass, 1.2 above
 	// a failure, the probes between a pass and a failure skip the tasks
-	// the failure proved and warm-start the rest.
+	// the failure proved, most other tasks fit at their deadlines, and
+	// the climbs left start from the task above. Hi's failing task is
+	// settled first, so it never starts from the task above: it fits at
+	// 0.92 and 0.94 only before its deadline, and 0.94 starts its climb
+	// from its response time at 0.92.
 	for name, n := range map[string]int{
-		"DominancePasses": c.DominancePasses,
-		"DominanceFails":  c.DominanceFails,
-		"KnownSkips":      c.KnownSkips,
-		"WarmStarts":      c.WarmStarts,
+		"DominancePasses":   c.DominancePasses,
+		"DominanceFails":    c.DominanceFails,
+		"KnownSkips":        c.KnownSkips,
+		"DeadlineWitnesses": c.DeadlineWitnesses,
+		"WarmStarts":        c.WarmStarts,
+		"ChainedStarts":     c.ChainedStarts,
 	} {
 		if n == 0 {
 			t.Errorf("%s never counted across the probe ladder: %+v", name, c)
 		}
 	}
-	if c.TaskEvals == 0 || c.Iterations < c.WarmStarts {
-		t.Errorf("TaskEvals=%d Iterations=%d WarmStarts=%d: evaluations not counted",
-			c.TaskEvals, c.Iterations, c.WarmStarts)
+	if c.TaskEvals == 0 || c.Iterations < c.WarmStarts+c.ChainedStarts {
+		t.Errorf("TaskEvals=%d Iterations=%d WarmStarts=%d ChainedStarts=%d: evaluations not counted",
+			c.TaskEvals, c.Iterations, c.WarmStarts, c.ChainedStarts)
 	}
 
 	if err := ws.Load(ts); err != nil {

@@ -116,7 +116,8 @@ func FuzzExactTest(f *testing.F) {
 // single-ulp moves of one cost, and framed costs — payloads on exact
 // 512-bit frame boundaries, probed at dyadic scales, that plateau at one
 // frame for small scales. Every verdict must equal the frozen reference
-// loop's on a freshly built set with the same costs.
+// loop's on a freshly built set with the same costs, and after every pass
+// the response times the workspace keeps must pass checkLoBounds.
 func probeSequence(t *testing.T, rng *rand.Rand, ts TaskSet, blocking, scale float64) {
 	t.Helper()
 	sorted := ts.SortRM() // the workspace's order
@@ -184,6 +185,7 @@ func probeSequence(t *testing.T, rng *rand.Rand, ts TaskSet, blocking, scale flo
 		}
 		if got {
 			lo = s
+			checkLoBounds(t, &ws)
 		} else {
 			hi = s
 		}

@@ -4,9 +4,12 @@
 // It provides the exact test of Theorem 4.1 of Kamat & Zhao 1993 (the
 // Lehoczky–Sha–Ding criterion extended with a blocking term) in its
 // equivalent response-time form, and the classical Liu–Layland and
-// hyperbolic sufficient bounds as baselines. One fixpoint function holds
-// the arithmetic; ResponseTimeAnalysis, Workspace and Incremental all run
-// it. The scheduling-point form of the criterion is kept as a test oracle.
+// hyperbolic sufficient bounds as baselines. One demand function holds
+// the arithmetic and one fixpoint function iterates it; ResponseTimeAnalysis,
+// Workspace and Incremental all run that fixpoint, and Workspace also
+// evaluates the demand once at a task's deadline, which settles most tasks
+// without iterating. The scheduling-point form of the criterion is kept as
+// a test oracle.
 //
 // Tasks here are abstract (cost, period) pairs: the token-ring analyzers
 // map message streams to tasks by computing the protocol-specific augmented
@@ -182,8 +185,9 @@ func fixpoint(ts TaskSet, i int, blocking, r float64) (float64, int) {
 
 // demand is the Theorem 4.1 demand at r: base plus Σ_{h} C_h·⌈r/P_h⌉
 // over the higher-priority tasks, summed in order, skipping zero costs
-// when skipZero is set. fixpoint passes constants, so each inlined call
-// compiles to its own loop and the common one tests nothing per term.
+// when skipZero is set. Its callers (fixpoint, and Workspace's deadline
+// witness) pass constants, so each inlined call compiles to its own loop
+// and the common one tests nothing per term.
 func demand(higher TaskSet, base, r float64, skipZero bool) float64 {
 	for _, h := range higher {
 		if skipZero && h.Cost == 0 {

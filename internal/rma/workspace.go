@@ -1,6 +1,9 @@
 package rma
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Workspace evaluates the exact schedulability test repeatedly over one
 // task set without per-call allocation. It is the hot-path kernel behind
@@ -13,8 +16,10 @@ import "slices"
 // task's converged response time, and the last failing probe (hi) with its
 // failing task and the tasks known to pass there. A probe whose costs
 // dominate, or are dominated by, a bracket end inherits its facts exactly
-// (see Schedulable); every task that is still undecided runs the package's
-// one response-time fixpoint, and the differential property suite asserts
+// (see Schedulable). A task still undecided is settled by one demand
+// evaluation at its deadline where that fits, and otherwise runs the
+// package's one response-time fixpoint from the highest start the bracket
+// and the task above it prove; the differential property suite asserts
 // verdicts bit-identical to test-only reference implementations. The zero
 // value is ready to use; a Workspace must not be shared between
 // goroutines.
@@ -24,7 +29,7 @@ type Workspace struct {
 
 	lo  probeLo
 	hi  probeHi
-	cur []float64 // this probe's per-task response times, becoming lo.resp on a pass
+	cur []float64 // this probe's per-task response-time lower bounds, becoming lo.resp on a pass
 
 	counters Counters
 }
@@ -35,7 +40,7 @@ type probeLo struct {
 	blocking float64
 	cost     []float64
 	// resp[i] is a lower bound on the least time at which task i's demand
-	// at cost fits — its converged response time when it was evaluated
+	// at cost fits — its converged response time when its fixpoint ran
 	// there; 0 when unknown.
 	resp []float64
 }
@@ -65,6 +70,8 @@ type Counters struct {
 	// failing task.
 	DominanceFails int
 	// TaskEvals counts per-task response-time iterations Schedulable ran.
+	// Each follows one demand evaluation at the task's deadline that did
+	// not fit.
 	TaskEvals int
 	// Iterations counts the demand evaluations of those iterations.
 	Iterations int
@@ -72,9 +79,15 @@ type Counters struct {
 	// evaluation because they passed at the last failing probe and none
 	// of their costs grew since.
 	KnownSkips int
+	// DeadlineWitnesses counts tasks Schedulable settled schedulable by
+	// one demand evaluation at their deadline: D_i(P_i) ≤ P_i.
+	DeadlineWitnesses int
 	// WarmStarts counts task iterations Schedulable started from the
 	// task's response time at the last passing probe.
 	WarmStarts int
+	// ChainedStarts counts task iterations Schedulable started higher,
+	// from the task above's response time plus the task's own cost.
+	ChainedStarts int
 }
 
 // Counters returns the probe telemetry accumulated since Load.
@@ -157,10 +170,22 @@ func (w *Workspace) validate(blocking float64) error {
 //  4. costs ≥ lo's on tasks 0..i: task i's iteration starts at its
 //     response time at lo, which is no larger than its least fitting t.
 //
+// Two more need no bracket. The float demand is non-decreasing in t too,
+// and every start used is at most the least fitting t, so:
+//
+//  5. D_i(P_i) ≤ P_i: task i passes after that one evaluation, since
+//     every iterate would stay at or below D_i(P_i);
+//  6. L bounds task i−1's least fitting t from below (its response time,
+//     or a bound from 3–6): task i's iteration starts at
+//     (L + c_i)·(1 − chainMargin) where that is higher than 4's start.
+//     In exact arithmetic R_i ≥ R_{i−1} + c_i; chainMargin covers the
+//     rounding (see chainedStart).
+//
 // None of these needs the costs to be monotone in any scale factor: a
 // probe that compares neither way with a bracket end just loses that
 // inference. The rest is the response-time fixpoint, hi's failing task
-// first, stopping at the first failure.
+// first, stopping at the first failure. Inference 6 skips hi's failing
+// task: it is settled before the task above it.
 func (w *Workspace) Schedulable(blocking float64) (bool, error) {
 	if err := w.validate(blocking); err != nil {
 		return false, err
@@ -187,12 +212,12 @@ func (w *Workspace) Schedulable(blocking float64) (bool, error) {
 		}
 	}
 
-	if first >= 0 && !w.settle(first, blocking, loGE, hiLE) {
+	if first >= 0 && !w.settle(first, blocking, loGE, hiLE, false) {
 		w.failAt(first, first, blocking, hiLE)
 		return false, nil
 	}
 	for i := range w.tasks {
-		if i != first && !w.settle(i, blocking, loGE, hiLE) {
+		if i != first && !w.settle(i, blocking, loGE, hiLE, i > 0) {
 			w.failAt(i, first, blocking, hiLE)
 			return false, nil
 		}
@@ -226,34 +251,79 @@ func (w *Workspace) dominance(ref []float64) (le, ge int) {
 	return le, ge
 }
 
-// settle decides task i for Schedulable and records its response time in
-// cur: known from hi (inference 3), or by the response-time fixpoint,
-// warm-started from lo when the costs allow (inference 4). loGE and hiLE
-// are the dominance prefixes against lo and hi.
-func (w *Workspace) settle(i int, blocking float64, loGE, hiLE int) bool {
+// settle decides task i for Schedulable and records in cur a lower bound
+// on its response time, the response time itself when its fixpoint ran:
+// known from hi (inference 3), witnessed at its deadline (5), or by the
+// response-time fixpoint started from lo (4) or from task i−1 (6, when
+// chain is set: task i−1 was settled earlier in this probe). loGE and
+// hiLE are the dominance prefixes against lo and hi.
+func (w *Workspace) settle(i int, blocking float64, loGE, hiLE int, chain bool) bool {
 	// The start must be positive: at t = 0 every ceiling vanishes, so the
 	// iteration could stop below the least fitting time.
+	var start float64
 	warm := i < loGE && w.lo.resp[i] > 0
+	if warm {
+		start = w.lo.resp[i]
+	}
+	chained := false
+	if chain {
+		if s := w.chainedStart(i); s > start {
+			start, chained = s, true
+		}
+	}
+	w.cur[i] = start
 	if i < hiLE && w.hi.pass[i] {
 		w.counters.KnownSkips++
-		// This probe's response time stays unknown; lo's still bounds it
-		// from below when the costs dominate lo's.
-		w.cur[i] = 0
-		if warm {
-			w.cur[i] = w.lo.resp[i]
-		}
+		return true
+	}
+	t := w.tasks[i]
+	if demand(w.tasks[:i], blocking+t.Cost, t.Period, false) <= t.Period {
+		w.counters.DeadlineWitnesses++
 		return true
 	}
 	w.counters.TaskEvals++
-	var start float64
-	if warm {
+	switch {
+	case chained:
+		w.counters.ChainedStarts++
+	case warm:
 		w.counters.WarmStarts++
-		start = w.lo.resp[i]
 	}
 	r, evals := fixpoint(w.tasks, i, blocking, start)
 	w.counters.Iterations += evals
 	w.cur[i] = r
-	return r <= w.tasks[i].Period
+	return r <= t.Period
+}
+
+// Inference 6's constants. Let u = 2⁻⁵³ and let L ≤ task i−1's least
+// fitting time, so every positive float below L misses task i−1. With the
+// same float ceilings, each at least 1, D_i(t) ≥ D_{i−1}(t) + c_i exactly.
+// Each float demand is within a factor (1 ± u)^(i+1) of its exact sum: the
+// terms are non-negative, and a sum of non-negatives or a cost times an
+// integer ≥ 1 rounds by at most a relative u, subnormals included. So a
+// t < L that fits task i has t > c_i/(2(i+1)·u), which is above L when
+// c_i ≥ chainMargin·L and i < chainTasks; and a t ≥ L that fits task i,
+// compared through the float just below a normal L, has
+// t ≥ (L + c_i)·(1 − (2i+4)·u − O(u²)). chainMargin covers that and the
+// start's two roundings with room to spare for every i < chainTasks.
+const (
+	chainMargin = 0x1p-30
+	chainTasks  = 1 << 20
+)
+
+// chainedStart is inference 6's start for task i from L = cur[i−1]:
+// (L + c_i)·(1 − chainMargin), or 0 where the argument above does not
+// cover it. L must be normal and at least 2⁻⁴⁰·P_i, so that no quotient
+// t/P_j at a candidate t underflows and every ceiling there is at least 1,
+// and c_i at least chainMargin·L.
+func (w *Workspace) chainedStart(i int) float64 {
+	l, t := w.cur[i-1], w.tasks[i]
+	if i >= chainTasks || l < 0x1p-1022 || l < t.Period*0x1p-40 || t.Cost < l*chainMargin {
+		return 0
+	}
+	if s := (l + t.Cost) * (1 - chainMargin); s <= math.MaxFloat64 {
+		return s
+	}
+	return 0 // L + c_i overflowed
 }
 
 // failAt makes the current probe the new hi after task f missed its

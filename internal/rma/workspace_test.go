@@ -95,6 +95,97 @@ func TestWorkspaceDifferentialParity(t *testing.T) {
 	}
 }
 
+// TestWorkspaceLowerBounds holds the invariant inferences 4 and 6 start
+// from: after every passing probe, each response time the workspace keeps
+// for the next one (lo.resp) is at most the frozen reference loop's at
+// lo's costs, and equal to it wherever the task's fixpoint ran there. A
+// chained start without its margin stores bounds one ulp too high.
+func TestWorkspaceLowerBounds(t *testing.T) {
+	sets := 20000
+	if testing.Short() {
+		sets = 3000
+	}
+	rng := rand.New(rand.NewSource(29))
+	var ws Workspace
+	exact := 0
+	for k := 0; k < sets; k++ {
+		ts := randomTaskSet(rng)
+		blocking := rng.Float64() * 0.1
+		if rng.Intn(6) == 0 {
+			blocking = 0
+		}
+		if err := ws.Load(ts); err != nil {
+			t.Fatalf("set %d: Load: %v", k, err)
+		}
+		// A halving walk to the first pass, then bisection: the
+		// saturation search's probe pattern.
+		lo, hi := 0.0, 4.0
+		for step := 0; step < 16; step++ {
+			scale := hi / 2
+			if lo > 0 {
+				scale = lo + (hi-lo)/2
+			}
+			ws.ScaleCosts(scale)
+			ok, err := ws.Schedulable(blocking)
+			if err != nil {
+				t.Fatalf("set %d scale %g: %v", k, scale, err)
+			}
+			if !ok {
+				hi = scale
+				continue
+			}
+			lo = scale
+			exact += checkLoBounds(t, &ws)
+		}
+	}
+	if exact == 0 {
+		t.Fatal("no stored response time was a converged fixpoint: the equality half checked nothing")
+	}
+}
+
+// checkLoBounds asserts the workspace's lo bracket end against the frozen
+// reference loop run at lo's costs and blocking: every stored response
+// time is a lower bound on the reference's, and one the task's demand
+// fits (a converged fixpoint) is bit-identical to it. It returns how many
+// stored times were fixpoints.
+func checkLoBounds(t *testing.T, ws *Workspace) int {
+	t.Helper()
+	if !ws.lo.ok {
+		return 0
+	}
+	ts := make(TaskSet, len(ws.tasks))
+	for i, task := range ws.tasks {
+		ts[i] = Task{Cost: ws.lo.cost[i], Period: task.Period}
+	}
+	ref, err := referenceRTA(ts, ws.lo.blocking)
+	if err != nil {
+		t.Fatalf("reference at lo: %v", err)
+	}
+	exact := 0
+	for i, got := range ws.lo.resp {
+		want := ref.ResponseTimes[i]
+		if !(got <= want) {
+			t.Fatalf("task %d: stored bound %v (%x) above the reference response time %v (%x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got <= 0 {
+			continue
+		}
+		d := ws.lo.blocking + ts[i].Cost
+		for j := 0; j < i; j++ {
+			d += ts[j].Cost * math.Ceil(got/ts[j].Period)
+		}
+		if d <= got {
+			exact++
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("task %d: stored fixpoint %v (%x), reference %v (%x)",
+					i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	return exact
+}
+
 // checkRTA asserts a production response-time analysis is bit-identical
 // to the frozen reference loop's.
 func checkRTA(t *testing.T, got, want Result) {
