@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"ringsched/internal/cluster"
+	"ringsched/internal/lb"
 	"ringsched/internal/service"
 )
 
@@ -39,9 +41,18 @@ func startBackends(t *testing.T, n int) (addrs []string, stop []func()) {
 	return addrs, stop
 }
 
-func newTestLB(t *testing.T, backends []string) *lb {
+// testLB is the front door under test beside the placement its backends
+// compute: the canonical keys and the hash ring are built from the same
+// backends apart from the lb, so routing is checked against them.
+type testLB struct {
+	*lb.Balancer
+	ring *cluster.Ring
+	keys *service.Cache
+}
+
+func newTestLB(t *testing.T, backends []string) *testLB {
 	t.Helper()
-	l, err := newLB(lbConfig{
+	l, err := lb.New(lb.Config{
 		Backends:     backends,
 		Rise:         1,
 		Fall:         1,
@@ -52,13 +63,18 @@ func newTestLB(t *testing.T, backends []string) *lb {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.checker.CheckOnce(t.Context())
-	return l
+	l.CheckOnce(t.Context())
+	return &testLB{Balancer: l, ring: cluster.New(0, backends...), keys: service.NewCache(4 << 20)}
+}
+
+// shardKey is the canonical key a backend gives body.
+func (l *testLB) shardKey(endpoint string, body []byte) (string, bool) {
+	return l.keys.KeyOf(endpoint, body)
 }
 
 // analyzeBodyOwnedBy scans bandwidths until the canonical key's owner on
 // the lb's ring is the wanted backend, so routing tests are deterministic.
-func analyzeBodyOwnedBy(t *testing.T, l *lb, owner string) string {
+func analyzeBodyOwnedBy(t *testing.T, l *testLB, owner string) string {
 	t.Helper()
 	for bw := 1; bw < 4096; bw++ {
 		body := fmt.Sprintf(`{"bandwidthMbps":%d,"streams":[{"name":"s","periodMs":10,"lengthBits":4096}]}`, bw)
@@ -70,7 +86,7 @@ func analyzeBodyOwnedBy(t *testing.T, l *lb, owner string) string {
 	return ""
 }
 
-func postVia(t *testing.T, l *lb, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
+func postVia(t *testing.T, l *testLB, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -110,7 +126,7 @@ func TestLBFailsOverWhenOwnerDown(t *testing.T) {
 	dead := addrs[0]
 	body := analyzeBodyOwnedBy(t, l, dead)
 	stop[0]()
-	l.checker.CheckOnce(t.Context()) // fall=1: one failed probe marks it down
+	l.CheckOnce(t.Context()) // fall=1: one failed probe marks it down
 
 	rr := postVia(t, l, "/v1/analyze", body, nil)
 	if rr.Code != http.StatusOK {
@@ -231,7 +247,7 @@ func TestLBHealthzReflectsBackends(t *testing.T) {
 	}
 
 	stop[0]()
-	l.checker.CheckOnce(t.Context())
+	l.CheckOnce(t.Context())
 	rr = httptest.NewRecorder()
 	l.Handler().ServeHTTP(rr, req)
 	if rr.Code != http.StatusServiceUnavailable {
@@ -299,7 +315,7 @@ func TestLBClientIdentityPassthrough(t *testing.T) {
 }
 
 // metricsSnapshot scrapes the lb's own /metrics handler.
-func (l *lb) metricsSnapshot(t *testing.T) string {
+func (l *testLB) metricsSnapshot(t *testing.T) string {
 	t.Helper()
 	rr := httptest.NewRecorder()
 	l.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))

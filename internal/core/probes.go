@@ -11,7 +11,9 @@ import (
 
 // The protocol analyzers keep their probe workspaces in per-type pools so
 // that sweep worker goroutines recycle a handful of workspaces across
-// millions of Monte Carlo samples instead of allocating per sample.
+// millions of Monte Carlo samples instead of allocating per sample. A job
+// builds the release func NewProbe returns the first time it is handed
+// out, and keeps it, so a bind allocates nothing.
 var (
 	pdpJobs   = sync.Pool{New: func() any { return new(pdpJob) }}
 	ttpJobs   = sync.Pool{New: func() any { return new(ttpJob) }}
@@ -61,6 +63,7 @@ func scaleError(m message.Set, scale float64) error {
 type pdpJob struct {
 	c        plant
 	orig     message.Set
+	release  func()
 	streams  []message.Stream
 	bits     []float64
 	tasks    rma.TaskSet
@@ -77,11 +80,14 @@ func (p PDP) NewProbe(m message.Set) (Probe, func(), error) {
 		return nil, nil, err
 	}
 	j := pdpJobs.Get().(*pdpJob)
+	if j.release == nil {
+		j.release = func() { j.orig = nil; pdpJobs.Put(j) }
+	}
 	if err := j.bind(p, m); err != nil {
-		pdpJobs.Put(j)
+		j.release()
 		return nil, nil, err
 	}
-	return j, func() { j.orig = nil; pdpJobs.Put(j) }, nil
+	return j, j.release, nil
 }
 
 func (j *pdpJob) bind(p PDP, m message.Set) error {
@@ -123,6 +129,7 @@ func (j *pdpJob) Schedulable(scale float64) (bool, error) {
 type ttpJob struct {
 	t        TTP
 	orig     message.Set
+	release  func()
 	bits     []float64 // input order
 	qm1      []float64 // float64(q_i − 1); 0 when q_i < 2
 	ovhd     []float64 // float64(q_i − 1)·Fovhd, the framing term of C'_i
@@ -140,8 +147,11 @@ func (t TTP) NewProbe(m message.Set) (Probe, func(), error) {
 		return nil, nil, err
 	}
 	j := ttpJobs.Get().(*ttpJob)
+	if j.release == nil {
+		j.release = func() { j.orig = nil; ttpJobs.Put(j) }
+	}
 	j.bind(t, m)
-	return j, func() { j.orig = nil; ttpJobs.Put(j) }, nil
+	return j, j.release, nil
 }
 
 func (j *ttpJob) bind(t TTP, m message.Set) {
@@ -192,6 +202,7 @@ func (j *ttpJob) Schedulable(scale float64) (bool, error) {
 // counts directly, blocking is zero.
 type idealJob struct {
 	orig    message.Set
+	release func()
 	streams []message.Stream
 	bits    []float64 // RM-sorted order
 	tasks   rma.TaskSet
@@ -204,11 +215,14 @@ func (IdealRM) NewProbe(m message.Set) (Probe, func(), error) {
 		return nil, nil, err
 	}
 	j := idealJobs.Get().(*idealJob)
+	if j.release == nil {
+		j.release = func() { j.orig = nil; idealJobs.Put(j) }
+	}
 	if err := j.bind(m); err != nil {
-		idealJobs.Put(j)
+		j.release()
 		return nil, nil, err
 	}
-	return j, func() { j.orig = nil; idealJobs.Put(j) }, nil
+	return j, j.release, nil
 }
 
 func (j *idealJob) bind(m message.Set) error {

@@ -81,7 +81,7 @@ func (c *Cache) aliasHit(a []byte) (key string, body []byte, ok bool) {
 func (c *Cache) KeyOf(endpoint string, body []byte) (key string, ok bool) {
 	// Tag a pooled copy: body belongs to the caller.
 	buf := bodyPool.Get().(*[]byte)
-	defer releaseBody(buf)
+	defer ReleaseBody(buf)
 	*buf = aliasOf(endpoint, append((*buf)[:0], body...))
 	a := *buf
 	if key, ok := c.resolveAlias(a); ok {
@@ -127,8 +127,8 @@ func keyOf[T canonical[T]](body []byte) (string, error) {
 }
 
 // MaxBodyBytes is how much of a request body the server reads. A longer
-// body is refused with errBodyTooLarge, a typed 413, as ringsched-lb
-// refuses it before forwarding.
+// body is refused with errBodyTooLarge, a typed 413, at every door:
+// ringsched-lb reads with ReadBody too, and refuses it before forwarding.
 const MaxBodyBytes = 8 << 20
 
 var errBodyTooLarge = resilience.Errorf(resilience.CodeBadRequest, http.StatusRequestEntityTooLarge,
@@ -136,12 +136,13 @@ var errBodyTooLarge = resilience.Errorf(resilience.CodeBadRequest, http.StatusRe
 
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
 
-// readBody reads body into a pooled buffer until EOF, refusing a body
-// past MaxBodyBytes with errBodyTooLarge and a failed read with a 400.
-// The buffer grows with what arrives, never with a declared
-// Content-Length a client could inflate. The caller releases buf with
-// releaseBody, after an error too.
-func readBody(body io.Reader) (buf *[]byte, err error) {
+// ReadBody reads body into a pooled buffer until EOF, refusing a body
+// past MaxBodyBytes with errBodyTooLarge and a failed read with a 400
+// (StatusFor gives each error's status). The buffer grows with what
+// arrives, never with a declared Content-Length a client could inflate.
+// The caller releases buf with ReleaseBody, after an error too, and only
+// once nothing reads the body any more.
+func ReadBody(body io.Reader) (buf *[]byte, err error) {
 	buf = bodyPool.Get().(*[]byte)
 	b := (*buf)[:0]
 	for {
@@ -162,7 +163,8 @@ func readBody(body io.Reader) (buf *[]byte, err error) {
 	}
 }
 
-func releaseBody(buf *[]byte) {
+// ReleaseBody returns a buffer from ReadBody to the pool.
+func ReleaseBody(buf *[]byte) {
 	if cap(*buf) <= maxPooledBuf {
 		*buf = (*buf)[:0]
 		bodyPool.Put(buf)
@@ -175,13 +177,13 @@ func releaseBody(buf *[]byte) {
 // whose decoder attribute names what ran: "scan" (scanAnalyze) or "json"
 // (encoding/json). aliased false (an SSE sweep) skips the alias. ok false
 // means the response is written: an alias hit, a 400 or a 413. buf holds
-// the body until the caller releases it with releaseBody, after the
+// the body until the caller releases it with ReleaseBody, after the
 // request is served: alias, the body's alias key to record then (nil when
 // there is none), lies in buf's array.
 func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, aliased bool) (req T, buf *[]byte, alias []byte, ok bool) {
-	buf, err := readBody(r.Body)
+	buf, err := ReadBody(r.Body)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, StatusFor(err), err)
 		return req, buf, nil, false
 	}
 	if aliased {
@@ -213,18 +215,18 @@ func decodeCacheable[T any](s *Server, w http.ResponseWriter, r *http.Request, e
 	dsp.SetError(err)
 	dsp.End()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return req, buf, nil, false
 	}
 	return req, buf, alias, true
 }
 
 // decodeBody is the front of every other door that takes a body: it reads
-// r's body with readBody and decodes it into v with unmarshalStrict. A
-// refused body's error carries its status for statusFor.
+// r's body with ReadBody and decodes it into v with unmarshalStrict. A
+// refused body's error carries its status for StatusFor.
 func decodeBody(r *http.Request, v any) error {
-	buf, err := readBody(r.Body)
-	defer releaseBody(buf)
+	buf, err := ReadBody(r.Body)
+	defer ReleaseBody(buf)
 	if err != nil {
 		return err
 	}
@@ -240,7 +242,7 @@ func prepare[T canonical[T]](s *Server, w http.ResponseWriter, r *http.Request, 
 	csp.SetError(err)
 	csp.End()
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, StatusFor(err), err)
 		return canon, "", false
 	}
 	ksp := trace.StartLeaf(r.Context(), "key")

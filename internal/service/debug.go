@@ -2,11 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"net/http/pprof"
-	"net/url"
 
 	"ringsched/internal/trace"
 )
@@ -30,7 +26,11 @@ func (s *Server) registerDebug() {
 			}
 			return peers
 		}
-		ds.Fetch = s.fetchPeerTrace
+		// A peer answers with its own spans only, so it does not scatter
+		// in turn: federation stays one hop deep.
+		ds.Fetch = func(ctx context.Context, member, traceID string) ([]trace.Record, error) {
+			return s.clust.pool.Client(member).Spans(ctx, traceID, true)
+		}
 		ds.ScatterTimeout = s.cfg.PeerFillTimeout
 	}
 	s.mux.Handle("/debug/traces", ds)
@@ -40,23 +40,4 @@ func (s *Server) registerDebug() {
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// fetchPeerTrace retrieves one peer's span records for a trace, riding
-// the same breaker-isolated peer client pool as cache fills. The local=1
-// parameter stops the peer from scattering in turn — each member answers
-// with its own spans only, so federation stays one hop deep.
-func (s *Server) fetchPeerTrace(ctx context.Context, member, traceID string) ([]trace.Record, error) {
-	body, err := s.clust.pool.Client(member).Call(ctx, http.MethodGet,
-		"/debug/traces?local=1&trace="+url.QueryEscape(traceID), nil)
-	if err != nil {
-		return nil, err
-	}
-	var resp struct {
-		Spans []trace.Record `json:"spans"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, fmt.Errorf("service: bad peer trace response from %s: %v", member, err)
-	}
-	return resp.Spans, nil
 }

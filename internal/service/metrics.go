@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"ringsched/internal/promtext"
+	"ringsched/internal/trace"
 )
 
 // The Prometheus text-format primitives the service uses (labeled
@@ -25,3 +26,19 @@ var (
 
 // buildInfo renders the ringschedd_build_info gauge.
 func buildInfo(w io.Writer) { promtext.BuildInfo(w, "ringschedd") }
+
+// StageSink derives a stage-latency histogram from finished spans, so it
+// and /debug/traces can never disagree: a span named in stageOf observes
+// its duration in h under its stage label, rendered once here. It feeds
+// ringschedd_stage_seconds and ringschedlb_stage_seconds alike.
+func StageSink(h *promtext.HistogramVec, stageOf map[string]string) trace.Sink {
+	labelOf := make(map[string]string, len(stageOf))
+	for span, stage := range stageOf {
+		labelOf[span] = labels("stage", stage)
+	}
+	return trace.SinkFunc(func(f trace.Finished) {
+		if l, ok := labelOf[f.Name]; ok {
+			h.Observe(l, f.DurationUS()/1e6)
+		}
+	})
+}

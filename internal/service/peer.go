@@ -134,12 +134,12 @@ func (s *Server) fillFromPeer(ctx context.Context, parent *trace.Span, owner, en
 // inbound request carries the hop header, so it can never forward again.
 func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
 		return
 	}
 	var req peerFillRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, StatusFor(err), err)
 		return
 	}
 	if sp := trace.SpanFromContext(r.Context()); sp != nil {
@@ -149,33 +149,33 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	case "analyze":
 		var inner AnalyzeRequest
 		if _, err := unmarshalStrict(req.Request, &inner); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		s.serveAnalyze(w, r, inner, nil)
 	case "topology":
 		var inner TopologyRequest
 		if _, err := unmarshalStrict(req.Request, &inner); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		s.serveTopology(w, r, inner, nil)
 	case "sweep":
 		var inner SweepRequest
 		if _, err := unmarshalStrict(req.Request, &inner); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		s.serveSweep(w, r, inner, nil)
 	default:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("%w: unknown fill endpoint %q", ErrBadRequest, req.Endpoint))
 	}
 }
 
 // unmarshalStrict is decodeFrom's twin for a body held whole in memory,
 // and the one decoder behind Cache.KeyOf and every request body the
-// server reads (readBody holds each whole). It decodes into a zero v
+// server reads (ReadBody holds each whole). It decodes into a zero v
 // exactly as decodeFrom does: an analyze body inside scanAnalyze's
 // grammar or a ring edit body inside scanRingEdit's is scanned, and every
 // other input goes through encoding/json. scanned reports which of the

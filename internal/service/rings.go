@@ -52,22 +52,22 @@ func (s *Server) ringError(w http.ResponseWriter, err error) {
 		out, _ := json.Marshal(body)
 		w.Write(append(out, '\n'))
 	case errors.Is(err, ringstate.ErrRingNotFound), errors.Is(err, ringstate.ErrStreamNotFound):
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			resilience.Errorf(resilience.CodeNotFound, http.StatusNotFound, "%v", err))
 	case errors.Is(err, ringstate.ErrTooManyRings), errors.Is(err, ringstate.ErrTooManyStreams):
-		writeError(w, http.StatusTooManyRequests,
+		WriteError(w, http.StatusTooManyRequests,
 			resilience.Errorf(resilience.CodeOverloaded, http.StatusTooManyRequests, "%v", err))
 	case errors.Is(err, rma.ErrBadTask), errors.Is(err, rma.ErrBadBlocking):
 		// The streams passed validation, so a task or blocking term the
 		// kernel refuses overflowed (+Inf on a near-zero bandwidth), as
 		// /v1/analyze reports it.
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: analysis out of range: %v", ErrBadRequest, err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: analysis out of range: %v", ErrBadRequest, err))
 	case errors.As(err, &inf):
 		// The engine refused verdicts holding a number JSON cannot carry,
 		// with the error /v1/analyze meets encoding them.
-		writeError(w, http.StatusBadRequest, resultOutOfRange(inf))
+		WriteError(w, http.StatusBadRequest, resultOutOfRange(inf))
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -115,7 +115,7 @@ func ringResponse(r *ringstate.Ring) (wire.RingResponse, error) {
 func (s *Server) writeRingJSON(w http.ResponseWriter, status int, v any) {
 	body, err := Encode(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header()["Content-Type"] = jsonContentType
@@ -130,14 +130,14 @@ func (s *Server) handleRings(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req wire.RingCreateRequest
 		if err := decodeBody(r, &req); err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, StatusFor(err), err)
 			return
 		}
 		// Resolve FaultModel/Scenario exactly like /v1/analyze, so a ring
 		// and the stateless endpoint can never disagree on fault semantics.
 		spec, err := canonFaultSpec(req.FaultModel, req.Scenario)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		cfg := ringstate.Config{
@@ -169,7 +169,7 @@ func (s *Server) handleRings(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writeRingJSON(w, http.StatusOK, list)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, errors.New("service: GET or POST required"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("service: GET or POST required"))
 	}
 }
 
@@ -198,7 +198,7 @@ func expectedVersionParam(r *http.Request) (uint64, error) {
 func (s *Server) handleRingItem(w http.ResponseWriter, r *http.Request) {
 	parts := strings.Split(strings.Trim(strings.TrimPrefix(r.URL.Path, "/v1/rings/"), "/"), "/")
 	if len(parts) == 0 || parts[0] == "" {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			resilience.Errorf(resilience.CodeNotFound, http.StatusNotFound, "service: missing ring id"))
 		return
 	}
@@ -208,7 +208,7 @@ func (s *Server) handleRingItem(w http.ResponseWriter, r *http.Request) {
 		s.handleRing(w, r, ringID)
 	case len(parts) == 2 && parts[1] == "history":
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, errors.New("service: GET required"))
+			WriteError(w, http.StatusMethodNotAllowed, errors.New("service: GET required"))
 			return
 		}
 		s.handleRingHistory(w, r, ringID)
@@ -217,7 +217,7 @@ func (s *Server) handleRingItem(w http.ResponseWriter, r *http.Request) {
 	case len(parts) == 3 && parts[1] == "streams":
 		sid, ok := wire.ParseStreamHandle(parts[2])
 		if !ok {
-			writeError(w, http.StatusNotFound,
+			WriteError(w, http.StatusNotFound,
 				resilience.Errorf(resilience.CodeNotFound, http.StatusNotFound,
 					"service: bad stream id %q", parts[2]))
 			return
@@ -228,10 +228,10 @@ func (s *Server) handleRingItem(w http.ResponseWriter, r *http.Request) {
 		case http.MethodDelete:
 			s.handleRingEdit(w, r, ringID, ringstate.OpRemove, sid)
 		default:
-			writeError(w, http.StatusMethodNotAllowed, errors.New("service: PUT or DELETE required"))
+			WriteError(w, http.StatusMethodNotAllowed, errors.New("service: PUT or DELETE required"))
 		}
 	default:
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			resilience.Errorf(resilience.CodeNotFound, http.StatusNotFound,
 				"service: no such route under /v1/rings/"))
 	}
@@ -254,7 +254,7 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, ringID strin
 	case http.MethodDelete:
 		expected, err := expectedVersionParam(r)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := s.rings.Delete(ringID, expected); err != nil {
@@ -265,7 +265,7 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, ringID strin
 		s.ringEdits.Add(ringEditLabels[[2]string{"delete", "ok"}], 1)
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, errors.New("service: GET or DELETE required"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("service: GET or DELETE required"))
 	}
 }
 
@@ -292,7 +292,7 @@ func (s *Server) handleRingHistory(w http.ResponseWriter, r *http.Request, ringI
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		h.Script(w)
 	default:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			errors.New("service: bad format query parameter: want json or script"))
 	}
 }
@@ -331,14 +331,14 @@ func (s *Server) handleRingEdit(w http.ResponseWriter, r *http.Request, ringID, 
 	if op == ringstate.OpRemove {
 		v, err := expectedVersionParam(r)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		expected = v
 	} else {
 		var req wire.RingEditRequest
 		if err := decodeBody(r, &req); err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, StatusFor(err), err)
 			return
 		}
 		expected, stream = req.ExpectedVersion, req.Stream

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -196,10 +197,8 @@ type Server struct {
 	sweep func(ctx context.Context, req SweepRequest, key string, workers int, obs progress.Progress) (SweepResponse, error)
 }
 
-// stageForSpan maps span names to the /metrics stage label, so the
-// trace pipeline doubles as the per-stage latency instrumentation:
-// ringschedd_stage_seconds is derived from the same spans /debug/traces
-// shows, and the two can never disagree.
+// stageForSpan maps span names to the /metrics stage label of
+// ringschedd_stage_seconds (see StageSink).
 var stageForSpan = map[string]string{
 	"decode":       "decode",
 	"canonicalize": "canonicalize",
@@ -208,15 +207,6 @@ var stageForSpan = map[string]string{
 	"kernel":       "kernel",
 	"encode":       "encode",
 }
-
-// stageLabels holds the rendered stage label of each span in stageForSpan.
-var stageLabels = func() map[string]string {
-	out := make(map[string]string, len(stageForSpan))
-	for span, stage := range stageForSpan {
-		out[span] = labels("stage", stage)
-	}
-	return out
-}()
 
 // endpointLabelOf holds the rendered endpoint label of every API
 // endpoint, and verdictLabelOf the (protocol, schedulable) label of every
@@ -350,12 +340,7 @@ func New(cfg Config) *Server {
 		s.chaos = resilience.NewChaos(cfg.Chaos)
 		s.chaos.OnInject = func(kind string) { s.chaosInj.Add(labels("kind", kind), 1) }
 	}
-	stageSink := trace.SinkFunc(func(f trace.Finished) {
-		if stage, ok := stageLabels[f.Name]; ok {
-			s.stages.Observe(stage, f.DurationUS()/1e6)
-		}
-	})
-	s.tracer = trace.New(trace.Tee(s.spans, stageSink, cfg.TraceSink))
+	s.tracer = trace.New(trace.Tee(s.spans, StageSink(s.stages, stageForSpan), cfg.TraceSink))
 	s.flight = newFlightGroup(baseCtx, cfg.Workers, cfg.JobTimeout)
 	s.flight.observe = s.admission.Observe
 	s.mux.HandleFunc("/v1/analyze", s.instrument("analyze", s.handleAnalyze))
@@ -440,11 +425,35 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// deadlineHeader is the client deadline propagation header: the number
+// DeadlineHeader is the client deadline propagation header: the number
 // of milliseconds the client is still willing to wait. The server turns
 // it into a context deadline, so admission control can shed requests
 // whose answers could only arrive too late.
-const deadlineHeader = "X-Ringsched-Deadline-Ms"
+const DeadlineHeader = "X-Ringsched-Deadline-Ms"
+
+// WithClientDeadline bounds ctx by the budget r's DeadlineHeader grants,
+// noted on ctx's span; without the header ctx comes back as it is. A value
+// that is not a positive integer is a typed 400, the same at every door;
+// one past time.Duration's range (about 292 years) grants the longest
+// budget a Duration holds.
+func WithClientDeadline(ctx context.Context, r *http.Request) (context.Context, context.CancelFunc, error) {
+	raw := r.Header.Get(DeadlineHeader)
+	if raw == "" {
+		return ctx, func() {}, nil
+	}
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || ms <= 0 {
+		return ctx, nil, resilience.Errorf(resilience.CodeBadRequest, http.StatusBadRequest,
+			"service: bad %s header %q: want a positive integer", DeadlineHeader, raw)
+	}
+	budget := time.Duration(math.MaxInt64)
+	if ms <= math.MaxInt64/int64(time.Millisecond) {
+		budget = time.Duration(ms) * time.Millisecond
+	}
+	trace.SpanFromContext(ctx).SetAttr("deadlineMs", budget.Milliseconds())
+	ctx, cancel := context.WithTimeout(ctx, budget)
+	return ctx, cancel, nil
+}
 
 // instrument wraps an API handler with the serving middleware chain, from
 // the outside in: panic recovery (a handler bug answers 500 instead of
@@ -534,7 +543,7 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 			s.logger.LogAttrs(ctx, slog.LevelError, "panic",
 				slog.String("endpoint", endpoint), slog.String("value", fmt.Sprint(p)))
 			if !sw.wrote {
-				writeError(sw, http.StatusInternalServerError,
+				WriteError(sw, http.StatusInternalServerError,
 					resilience.Errorf(resilience.CodeInternal, http.StatusInternalServerError,
 						"service: internal error"))
 			} else {
@@ -542,30 +551,23 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 			}
 		}()
 		if s.draining.Load() {
-			writeError(sw, http.StatusServiceUnavailable, errDraining)
+			WriteError(sw, http.StatusServiceUnavailable, errDraining)
 			return
 		}
 		if s.limiter != nil && !peerExempt {
 			if ok, retryAfter := s.limiter.Allow(clientKey(r), time.Now()); !ok {
 				s.ratelimited.Add(lbl.endpoint, 1)
-				writeError(sw, http.StatusTooManyRequests,
+				WriteError(sw, http.StatusTooManyRequests,
 					resilience.ErrRateLimited.WithRetryAfter(retryAfter))
 				return
 			}
 		}
-		if raw := r.Header.Get(deadlineHeader); raw != "" {
-			ms, err := strconv.ParseInt(raw, 10, 64)
-			if err != nil || ms <= 0 {
-				writeError(sw, http.StatusBadRequest,
-					resilience.Errorf(resilience.CodeBadRequest, http.StatusBadRequest,
-						"service: bad %s header %q: want a positive integer", deadlineHeader, raw))
-				return
-			}
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-			defer cancel()
-			sp.SetAttr("deadlineMs", ms)
+		ctx, cancel, err := WithClientDeadline(ctx, r)
+		if err != nil {
+			WriteError(sw, http.StatusBadRequest, err)
+			return
 		}
+		defer cancel()
 		inner.ServeHTTP(sw, r.WithContext(ctx))
 	}
 }
@@ -601,12 +603,15 @@ func codeForStatus(status int) resilience.Code {
 	}
 }
 
-// writeError emits the structured JSON error body with the given status.
+// WriteError emits the structured JSON error body with the given status.
+// It is the one error writer of both doors: ringsched-lb answers its own
+// refusals with it, and rebuilds a replica's typed 4xx through it, so a
+// client reads the same bytes from either.
 // Every 429/503/504 response carries a Retry-After header: the typed
 // error's hint when it has one (rounded up to whole seconds, minimum 1),
 // else a default of 1s — so even naive clients that only honor the
 // header back off instead of hammering a saturated server.
-func writeError(w http.ResponseWriter, code int, err error) {
+func WriteError(w http.ResponseWriter, code int, err error) {
 	body := errorBody{Error: err.Error(), Code: string(codeForStatus(code))}
 	var retryAfter time.Duration
 	if te, ok := resilience.AsError(err); ok {
@@ -633,9 +638,9 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	w.Write(append(out, '\n'))
 }
 
-// statusFor maps errors to HTTP statuses: a typed error's own, else by
+// StatusFor maps errors to HTTP statuses: a typed error's own, else by
 // the error's kind.
-func statusFor(err error) int {
+func StatusFor(err error) int {
 	if te, ok := resilience.AsError(err); ok {
 		return te.Status
 	}
@@ -670,7 +675,7 @@ func deadlineRemaining(ctx context.Context) (time.Duration, bool) {
 // requests that would coalesce onto an in-flight computation are always
 // admitted (they add no work to the pool); everything else is checked
 // against the queue bound and deadline feasibility. A non-nil error has
-// already been counted in the shed metric and is ready for writeError.
+// already been counted in the shed metric and is ready for WriteError.
 func (s *Server) admit(ctx context.Context, endpoint, key string) error {
 	if s.flight.joinable(key) {
 		return nil
@@ -753,7 +758,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	// pass admission too: a fill can always fall back to local compute,
 	// so it must hold a reservation the fallback is allowed to spend.
 	if err := s.admit(r.Context(), endpoint, key); err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, StatusFor(err), err)
 		return
 	}
 	owner := ""
@@ -805,7 +810,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	}
 	if err != nil {
 		s.noteCancel(endpoint, err)
-		writeError(w, statusFor(err), err)
+		WriteError(w, StatusFor(err), err)
 		return
 	}
 	h := w.Header()
@@ -825,14 +830,14 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
 		return
 	}
 	req, buf, alias, ok := decodeCacheable[AnalyzeRequest](s, w, r, "analyze", true)
 	if ok {
 		s.serveAnalyze(w, r, req, alias)
 	}
-	releaseBody(buf)
+	ReleaseBody(buf)
 }
 
 // serveAnalyze is the decoded-request half of /v1/analyze, shared with
@@ -873,14 +878,14 @@ func resultOutOfRange(err error) error {
 // would, cached under its own canonical key.
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
 		return
 	}
 	req, buf, alias, ok := decodeCacheable[TopologyRequest](s, w, r, "topology", true)
 	if ok {
 		s.serveTopology(w, r, req, alias)
 	}
-	releaseBody(buf)
+	ReleaseBody(buf)
 }
 
 // serveTopology is the decoded-request half of /v1/topology/analyze,
@@ -904,21 +909,22 @@ func (s *Server) serveTopology(w http.ResponseWriter, r *http.Request, req Topol
 	s.cache.recordAlias(alias, key)
 }
 
-// wantsSSE reports whether the client asked for a progress stream.
-func wantsSSE(r *http.Request) bool {
+// WantsSSE reports whether the client asked for a progress stream; the
+// front door proxies exactly these raw.
+func WantsSSE(r *http.Request) bool {
 	return r.Header.Get("Accept") == "text/event-stream" || r.URL.Query().Get("stream") == "sse"
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
 		return
 	}
-	req, buf, alias, ok := decodeCacheable[SweepRequest](s, w, r, "sweep", !wantsSSE(r))
+	req, buf, alias, ok := decodeCacheable[SweepRequest](s, w, r, "sweep", !WantsSSE(r))
 	if ok {
 		s.serveSweep(w, r, req, alias)
 	}
-	releaseBody(buf)
+	ReleaseBody(buf)
 }
 
 // serveSweep is the decoded-request half of /v1/sweep, shared with the
@@ -928,7 +934,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 	if !ok {
 		return
 	}
-	if wantsSSE(r) {
+	if WantsSSE(r) {
 		s.streamSweep(w, r, canon, key)
 		return
 	}
@@ -952,7 +958,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, canon Sweep
 	setDigestKey(r.Context(), key)
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("service: streaming unsupported"))
+		WriteError(w, http.StatusInternalServerError, errors.New("service: streaming unsupported"))
 		return
 	}
 	// Admission runs before the stream is committed, so a shed request is
@@ -961,7 +967,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, canon Sweep
 	cachedBody, cached := s.cache.Get(key)
 	if !cached {
 		if err := s.admit(r.Context(), "sweep", key); err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, StatusFor(err), err)
 			return
 		}
 	}
@@ -979,48 +985,63 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, canon Sweep
 	// The sweep runs inline on this handler goroutine — never in the
 	// flight group — because its progress frames write through a
 	// ResponseWriter that dies when this handler returns; a detached
-	// worker would write into a reclaimed response. It still takes a pool
-	// slot, so streams and coalesced jobs share one computation budget.
-	// The job context closes with the client (cancelling the Monte Carlo
-	// workers promptly), with the server's base context (so Close reaps
-	// lingering streams), and with the job timeout.
-	ctx, cancel := context.WithCancel(r.Context())
+	// worker would write into a reclaimed response. Closing the stream
+	// cancels the Monte Carlo workers promptly.
+	ctx, cancel := s.jobContext(r.Context())
 	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-	if s.cfg.JobTimeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-		defer tcancel()
-	}
 	// Heartbeat while the stream waits for a slot or grinds through a
 	// quiet stretch of the sweep: intermediaries with idle timeouts see
 	// comment frames instead of silence.
 	stopKeepAlive := sse.KeepAlive(ctx, s.cfg.SSEKeepAlive)
 	defer stopKeepAlive()
-	if err := s.flight.acquire(ctx); err != nil {
-		s.noteCancel("sweep", err)
-		sse.Event("error", errorBody{Error: err.Error(), Code: string(codeForStatus(statusFor(err)))})
-		return
-	}
-	defer s.flight.release()
-	s.computes.Add(endpointLabel("sweep"), 1)
-	started := time.Now()
-	resp, err := s.sweep(ctx, canon, key, s.cfg.Workers, sse)
+	var body []byte
+	err := s.runInline(ctx, "sweep", func(ctx context.Context) error {
+		resp, err := s.sweep(ctx, canon, key, s.cfg.Workers, sse)
+		if err == nil {
+			body, err = Encode(resp)
+		}
+		return resultOutOfRange(err)
+	})
 	if err != nil {
-		s.noteCancel("sweep", err)
-		sse.Event("error", errorBody{Error: err.Error(), Code: string(codeForStatus(statusFor(err)))})
-		return
-	}
-	s.admission.Observe(time.Since(started))
-	body, err := Encode(resp)
-	if err != nil {
-		err = resultOutOfRange(err)
-		sse.Event("error", errorBody{Error: err.Error(), Code: string(codeForStatus(statusFor(err)))})
+		sse.Event("error", errorBody{Error: err.Error(), Code: string(codeForStatus(StatusFor(err)))})
 		return
 	}
 	s.cache.Put(key, body)
 	sse.Event("result", json.RawMessage(body))
+}
+
+// jobContext derives the context of a computation that runs inline on a
+// handler goroutine rather than in the flight group: it ends with the
+// request, with the server's base context (so Close reaps it) and with
+// the job timeout.
+func (s *Server) jobContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(ctx)
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	if s.cfg.JobTimeout <= 0 {
+		return ctx, func() { stop(); cancel() }
+	}
+	ctx, cancelTimeout := context.WithTimeout(ctx, s.cfg.JobTimeout)
+	return ctx, func() { cancelTimeout(); stop(); cancel() }
+}
+
+// runInline runs one inline computation of endpoint under a job context,
+// holding a pool slot throughout (inline and flight-group jobs share one
+// budget), and counts it as the flight group counts its own. compute
+// encodes its result too, as a flight-group job does.
+func (s *Server) runInline(ctx context.Context, endpoint string, compute func(context.Context) error) error {
+	if err := s.flight.acquire(ctx); err != nil {
+		s.noteCancel(endpoint, err)
+		return err
+	}
+	defer s.flight.release()
+	s.computes.Add(endpointLabel(endpoint), 1)
+	started := time.Now()
+	if err := compute(ctx); err != nil {
+		s.noteCancel(endpoint, err)
+		return err
+	}
+	s.admission.Observe(time.Since(started))
+	return nil
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -1028,7 +1049,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		body, err := Encode(map[string][]ExperimentInfo{"experiments": ListExperiments()})
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -1036,7 +1057,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req ExperimentsRequest
 		if err := decodeBody(r, &req); err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, StatusFor(err), err)
 			return
 		}
 		// Experiment batches are not cached: they are operator-initiated
@@ -1045,46 +1066,30 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		// pool slot held for the whole batch — so a burst of experiment
 		// posts queues behind the regular traffic instead of stacking
 		// N×Workers uncontrolled computations on the box. The batch runs
-		// inline under the request context (its report streams nowhere,
-		// so coalescing buys nothing), bounded by the job timeout and
-		// reaped by Close like any other computation.
-		ctx, cancel := context.WithCancel(r.Context())
+		// inline (its report streams nowhere, so coalescing buys
+		// nothing).
+		ctx, cancel := s.jobContext(r.Context())
 		defer cancel()
-		stop := context.AfterFunc(s.baseCtx, cancel)
-		defer stop()
-		if s.cfg.JobTimeout > 0 {
-			var tcancel context.CancelFunc
-			ctx, tcancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-			defer tcancel()
-		}
 		if err := s.admit(ctx, "experiments", ""); err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, StatusFor(err), err)
 			return
 		}
-		if err := s.flight.acquire(ctx); err != nil {
-			s.noteCancel("experiments", err)
-			writeError(w, statusFor(err), err)
-			return
-		}
-		defer s.flight.release()
-		s.computes.Add(endpointLabel("experiments"), 1)
-		started := time.Now()
-		resp, err := RunExperiments(ctx, req, s.cfg.Workers, nil)
+		var body []byte
+		err := s.runInline(ctx, "experiments", func(ctx context.Context) error {
+			resp, err := RunExperiments(ctx, req, s.cfg.Workers, nil)
+			if err == nil {
+				body, err = Encode(resp) // a failure here is a 500
+			}
+			return err
+		})
 		if err != nil {
-			s.noteCancel("experiments", err)
-			writeError(w, statusFor(err), err)
-			return
-		}
-		s.admission.Observe(time.Since(started))
-		body, err := Encode(resp)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, StatusFor(err), err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, errors.New("service: GET or POST required"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("service: GET or POST required"))
 	}
 }
 

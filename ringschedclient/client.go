@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -185,6 +186,27 @@ func (c *Client) Topology(ctx context.Context, req any) (json.RawMessage, error)
 	return c.Call(ctx, http.MethodPost, "/v1/topology/analyze", req)
 }
 
+// Spans returns the spans the server holds for one trace, from its
+// /debug/traces. local asks for the server's own spans only; without it
+// a clustered server adds the spans it gathers from its peers.
+func (c *Client) Spans(ctx context.Context, traceID string, local bool) ([]trace.Record, error) {
+	path := "/debug/traces?trace=" + url.QueryEscape(traceID)
+	if local {
+		path += "&local=1"
+	}
+	body, err := c.Call(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	var resp struct {
+		Spans []trace.Record `json:"spans"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return nil, fmt.Errorf("ringschedclient: bad trace response from %s: %v", c.base, err)
+	}
+	return resp.Spans, nil
+}
+
 // Health checks /healthz; a draining or dead server returns an error.
 func (c *Client) Health(ctx context.Context) error {
 	_, err := c.Call(ctx, http.MethodGet, "/healthz", nil)
@@ -206,10 +228,14 @@ func (c *Client) Call(ctx context.Context, method, path string, req any) (json.R
 // routing metadata (X-Cache, trace IDs) off proxied responses.
 func (c *Client) CallHeader(ctx context.Context, method, path string, req any, extra http.Header) (json.RawMessage, http.Header, error) {
 	var payload []byte
-	if req != nil {
+	switch req := req.(type) {
+	case nil:
+	case json.RawMessage:
+		// Sent as is, valid JSON or not, for the server to judge; copied,
+		// since the transport may read a body after the call returns.
+		payload = append([]byte{}, req...)
+	default:
 		var err error
-		// json.RawMessage passes through Marshal verbatim, so proxies can
-		// forward raw bodies without a decode/re-encode round trip.
 		if payload, err = json.Marshal(req); err != nil {
 			return nil, nil, fmt.Errorf("ringschedclient: encode request: %w", err)
 		}
