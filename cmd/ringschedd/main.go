@@ -11,8 +11,8 @@
 //
 // With -peers and -advertise, N ringschedd processes form a sharded
 // cluster over a consistent-hash ring: a cache miss on a key another
-// member owns is filled from that owner over /v1/peer/fill (bounded by
-// -peer-fill-timeout, falling back to local compute), so an identical
+// member owns is filled from that owner on its own public route (bounded
+// by -peer-fill-timeout, falling back to local compute), so an identical
 // burst anywhere in the cluster costs one computation cluster-wide. Put
 // cmd/ringsched-lb in front to route clients by shard ownership.
 //

@@ -26,13 +26,11 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
-	"os"
 	"strings"
 	"time"
 
 	"ringsched"
 	"ringsched/internal/cli"
-	"ringsched/internal/message"
 	"ringsched/internal/progress"
 	"ringsched/internal/wire"
 )
@@ -118,10 +116,11 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	bw := ringsched.Mbps(*bwMbps)
 	rng := rand.New(rand.NewSource(*seed))
 
-	set, stations, err := loadSet(*setPath, *preset, *streams, *utilization, bw, rng)
+	set, err := cli.LoadSet(*setPath, *preset, *streams, *utilization, bw, rng)
 	if err != nil {
 		return err
 	}
+	stations := len(set)
 	logger.LogAttrs(ctx, slog.LevelDebug, "workload loaded",
 		slog.Int("streams", len(set)), slog.Int("stations", stations),
 		slog.Float64("bandwidthMbps", *bwMbps))
@@ -314,39 +313,6 @@ func buildFaults(spec, scenario string, lossProb float64, recovery time.Duration
 		return nil, err
 	}
 	return &model, nil
-}
-
-func loadSet(path, preset string, streams int, utilization, bw float64, rng *rand.Rand) (ringsched.MessageSet, int, error) {
-	if preset != "" {
-		p, err := ringsched.PresetByName(preset)
-		if err != nil {
-			return nil, 0, err
-		}
-		return p.Set, len(p.Set), nil
-	}
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer f.Close()
-		set, err := message.ReadJSON(f)
-		if err != nil {
-			return nil, 0, err
-		}
-		return set, len(set), nil
-	}
-	gen := ringsched.PaperGenerator()
-	gen.Streams = streams
-	drawn, err := gen.Draw(rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	set, err := drawn.ScaleToUtilization(utilization, bw)
-	if err != nil {
-		return nil, 0, err
-	}
-	return set, streams, nil
 }
 
 // printTopologyResult renders a multi-ring run: per-ring occupancy and

@@ -75,7 +75,10 @@ func scrape(ctx context.Context, client *http.Client, target string) memberStats
 	st.hits = byName["ringschedd_cache_hits_total"].Value(nil)
 	st.misses = byName["ringschedd_cache_misses_total"].Value(nil)
 	st.coalesced = byName["ringschedd_coalesced_total"].Value(nil)
-	st.peerFills = byName["ringschedd_peer_fill_total"].Value(map[string]string{"outcome": "hit"})
+	// A fill the owner answered from its cache (hit) or computed (miss)
+	// was served here as X-Cache: peer; a failed one was computed here.
+	fills := byName["ringschedd_peer_fill_total"]
+	st.peerFills = fills.Value(map[string]string{"result": "hit"}) + fills.Value(map[string]string{"result": "miss"})
 	st.rings = byName["ringschedd_rings"].Value(nil)
 	st.inFlight = byName["ringschedd_http_in_flight"].Value(nil)
 

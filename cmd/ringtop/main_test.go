@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -15,18 +16,94 @@ import (
 
 func startMember(t *testing.T) string {
 	t.Helper()
+	ln := listen(t)
+	serveMember(t, ln, service.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	return ln.Addr().String()
+}
+
+func listen(t *testing.T) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := service.New(service.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	return ln
+}
+
+// serveMember serves a member built from cfg on ln until the test ends.
+func serveMember(t *testing.T, ln net.Listener, cfg service.Config) {
+	srv := service.New(cfg)
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
 	t.Cleanup(func() {
 		hs.Close()
 		srv.Close()
 	})
-	return ln.Addr().String()
+}
+
+// postAnalyze posts an analyze body at bandwidth bw to addr and returns
+// its X-Cache header.
+func postAnalyze(t *testing.T, addr string, bw int) string {
+	t.Helper()
+	body := fmt.Sprintf(`{"bandwidthMbps":%d,"streams":[{"name":"s","periodMs":10,"lengthBits":4096}]}`, bw)
+	resp, err := http.Post("http://"+addr+"/v1/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze at %s: %d", addr, resp.StatusCode)
+	}
+	return resp.Header.Get("X-Cache")
+}
+
+// TestRingtopPeerFills: a member's PEER% is the share of its cache
+// lookups it answered from a peer (X-Cache: peer), whether the owner had
+// the result cached or computed it for the fill.
+func TestRingtopPeerFills(t *testing.T) {
+	lnA, lnB := listen(t), listen(t)
+	a, b := lnA.Addr().String(), lnB.Addr().String()
+	serveMember(t, lnA, service.Config{Advertise: a, Peers: []string{b}})
+	serveMember(t, lnB, service.Config{Advertise: b, Peers: []string{a}})
+
+	// A's cache lookups and fills, kept as A counts them.
+	var lookups, fills int
+	bw := 1
+	// A fill the owner answers from its cache: each body goes to B first.
+	// When A owns a body, B's post has A compute it for B's fill, and A's
+	// own post is then a hit there: two lookups, no fill.
+	for ; fills < 1; bw++ {
+		postAnalyze(t, b, bw)
+		lookups++
+		if postAnalyze(t, a, bw) == "peer" {
+			fills++
+		} else {
+			lookups++
+		}
+	}
+	// A fill the owner computes: each body goes to A alone, one lookup.
+	for ; fills < 2; bw++ {
+		lookups++
+		if postAnalyze(t, a, bw) == "peer" {
+			fills++
+		}
+	}
+
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-targets", a, "-count", "1"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%.1f", 100*float64(fills)/float64(lookups))
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 7 && f[0] == a {
+			if f[7] != want {
+				t.Fatalf("member %s PEER%% = %s, want %s (%d fills in %d lookups):\n%s", a, f[7], want, fills, lookups, out.String())
+			}
+			return
+		}
+	}
+	t.Fatalf("no row for %s:\n%s", a, out.String())
 }
 
 func TestRingtopSnapshot(t *testing.T) {

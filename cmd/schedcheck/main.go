@@ -21,13 +21,11 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
-	"os"
 	"strings"
 
 	"ringsched"
 	"ringsched/internal/cli"
 	"ringsched/internal/core"
-	"ringsched/internal/message"
 	"ringsched/internal/trace"
 	"ringsched/internal/wire"
 )
@@ -85,7 +83,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 
 	bw := ringsched.Mbps(*bwMbps)
-	set, err := loadSet(*setPath, *preset, *streams, *seed, *utilization, bw)
+	set, err := cli.LoadSet(*setPath, *preset, *streams, *utilization, bw, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		return err
 	}
@@ -274,31 +272,6 @@ func loadFaultModel(spec, scenario string) (*ringsched.FaultModel, error) {
 		return nil, err
 	}
 	return &m, nil
-}
-
-func loadSet(path, preset string, streams int, seed int64, utilization, bw float64) (ringsched.MessageSet, error) {
-	if preset != "" {
-		p, err := ringsched.PresetByName(preset)
-		if err != nil {
-			return nil, err
-		}
-		return p.Set, nil
-	}
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return message.ReadJSON(f)
-	}
-	gen := ringsched.PaperGenerator()
-	gen.Streams = streams
-	set, err := gen.Draw(rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
-	}
-	return set.ScaleToUtilization(utilization, bw)
 }
 
 func printPDP(out io.Writer, rep core.PDPReport, verbose bool) {

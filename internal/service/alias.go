@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 
 	"ringsched/internal/resilience"
 	"ringsched/internal/trace"
+	"ringsched/internal/wire"
 )
 
 // The alias answers a repeated request body without decoding it. It maps
@@ -232,6 +234,26 @@ func decodeBody(r *http.Request, v any) error {
 	}
 	_, err = unmarshalStrict(*buf, v)
 	return err
+}
+
+// unmarshalStrict is decodeFrom's twin for a body held whole in memory,
+// and the one decoder behind Cache.KeyOf and every request body the
+// server reads (ReadBody holds each whole). It decodes into a zero v
+// exactly as decodeFrom does: an analyze body inside scanAnalyze's
+// grammar or a ring edit body inside scanRingEdit's is scanned, and every
+// other input goes through encoding/json. scanned reports which of the
+// two ran.
+func unmarshalStrict(raw []byte, v any) (scanned bool, err error) {
+	switch req := v.(type) {
+	case *AnalyzeRequest:
+		*req, scanned = scanAnalyze(raw)
+	case *wire.RingEditRequest:
+		*req, scanned = scanRingEdit(raw)
+	}
+	if scanned {
+		return true, nil
+	}
+	return false, decodeFrom(bytes.NewReader(raw), v)
 }
 
 // prepare canonicalizes a decoded request and keys it, under the

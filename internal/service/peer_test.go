@@ -2,15 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ringsched/internal/trace"
 )
 
 // testCluster is N in-process replicas listening on real loopback ports,
@@ -21,7 +25,7 @@ type testCluster struct {
 	servers []*Server
 }
 
-func startTestCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) *testCluster {
+func startTestCluster(t testing.TB, n int, tweak func(i int, cfg *Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	listeners := make([]net.Listener, n)
@@ -83,7 +87,7 @@ func (tc *testCluster) analyzeOwnedBy(t *testing.T, srv *Server, member string, 
 	return AnalyzeRequest{}, ""
 }
 
-// post sends req to addr's endpoint and returns the status, X-Cache
+// postJSON sends req to addr's endpoint and returns the status, X-Cache
 // header, and body.
 func postJSON(t *testing.T, addr, path string, req any, hdr map[string]string) (int, string, []byte) {
 	t.Helper()
@@ -91,7 +95,13 @@ func postJSON(t *testing.T, addr, path string, req any, hdr map[string]string) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, err := http.NewRequest(http.MethodPost, "http://"+addr+path, bytes.NewReader(payload))
+	return postRaw(t, addr, path, string(payload), hdr)
+}
+
+// postRaw is postJSON for a body sent as it is.
+func postRaw(t *testing.T, addr, path, payload string, hdr map[string]string) (int, string, []byte) {
+	t.Helper()
+	hr, err := http.NewRequest(http.MethodPost, "http://"+addr+path, strings.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +229,7 @@ func TestPeerFillOwnerDownFallsBack(t *testing.T) {
 
 // TestPeerFillOversizedEnvelopeFallsBack: a body within MaxBodyBytes can
 // re-marshal past it (encoding/json writes each '<' of a name as six
-// bytes), and the owner refuses that fill envelope with its 413, as any
+// bytes), and the owner refuses that fill body with its 413, as any
 // door refuses such a body; the requester computes locally, as after any
 // failed fill.
 func TestPeerFillOversizedEnvelopeFallsBack(t *testing.T) {
@@ -244,7 +254,7 @@ func TestPeerFillOversizedEnvelopeFallsBack(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if xc := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || xc != "miss" {
-		t.Fatalf("oversized-envelope request answered %d X-Cache=%q, want 200 miss (local fallback)", resp.StatusCode, xc)
+		t.Fatalf("oversized-fill-body request answered %d X-Cache=%q, want 200 miss (local fallback)", resp.StatusCode, xc)
 	}
 	if got := a.peerFill.Value(labels("result", "error")); got != 1 {
 		t.Errorf("peer_fill_total{result=error} = %v, want 1", got)
@@ -318,19 +328,186 @@ func TestPeerFillTracePropagation(t *testing.T) {
 	}
 }
 
-// TestPeerFillEndpointRejectsGarbage pins the wire validation.
-func TestPeerFillEndpointRejectsGarbage(t *testing.T) {
+// TestPeerFillIsAnOwnerRequest: a fill reaches the owner on the public
+// route the client used, as an ordinary request there: counted under its
+// endpoint, and rooted at http.analyze, with peerHop set, under the
+// client's trace ID. No second door to the owner is mounted.
+func TestPeerFillIsAnOwnerRequest(t *testing.T) {
 	tc := startTestCluster(t, 2, nil)
-	code, _, body := postJSON(t, tc.addrs[0], "/v1/peer/fill",
-		map[string]any{"endpoint": "nonsense", "request": map[string]any{}}, nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown fill endpoint answered %d: %s", code, body)
+	a, b := tc.servers[0], tc.servers[1]
+	req, _ := tc.analyzeOwnedBy(t, a, tc.addrs[1], 1)
+	const traceID = "0123456789abcdef0123456789abcdef"
+	_, xc, _ := postJSON(t, tc.addrs[0], "/v1/analyze", req, map[string]string{"X-Ringsched-Trace": traceID})
+	if xc != "peer" {
+		t.Fatalf("X-Cache = %q, want peer", xc)
 	}
-	code, _, _ = postJSON(t, tc.addrs[0], "/v1/peer/fill",
-		map[string]any{"endpoint": "analyze", "request": map[string]any{"bogus": true}}, nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("malformed inner request answered %d", code)
+	if got := b.requests.Value(labels("code", "200", "endpoint", "analyze")); got != 1 {
+		t.Errorf("owner requests_total{code=200,endpoint=analyze} = %v, want 1 (the fill)", got)
 	}
+	for i, srv := range tc.servers {
+		var root *trace.Record
+		for _, rec := range srv.spans.Trace(traceID) {
+			if rec.ParentID == "" {
+				root = &rec
+			}
+		}
+		if root == nil || root.Name != "http.analyze" {
+			t.Fatalf("replica %d root span %+v, want http.analyze", i, root)
+		}
+		if hop := root.Attrs["peerHop"]; (hop == true) != (srv == b) {
+			t.Errorf("replica %d root peerHop = %v, want it set on the owner only", i, hop)
+		}
+	}
+	for _, addr := range tc.addrs {
+		if code, _, _ := postRaw(t, addr, "/v1/peer/fill", "{}", nil); code != http.StatusNotFound {
+			t.Errorf("POST /v1/peer/fill on %s answered %d, want 404", addr, code)
+		}
+	}
+}
+
+// TestPeerHopSkipsRateLimiter: on a clustered replica a request carrying
+// the hop header is a peer fill, which the per-client limiter passes.
+// Every other request pays, and so does every request to a
+// single-process server, hop header or not.
+func TestPeerHopSkipsRateLimiter(t *testing.T) {
+	limited := Config{ClientRPS: 1, ClientBurst: 1}
+	clustered := startTestCluster(t, 1, func(_ int, cfg *Config) {
+		cfg.ClientRPS, cfg.ClientBurst = limited.ClientRPS, limited.ClientBurst
+	}).addrs[0]
+	_, ts := newTestServer(t, limited)
+	single := strings.TrimPrefix(ts.URL, "http://")
+	hop := map[string]string{peerHopHeader: "1"}
+	ok := http.StatusOK
+	limitedAfterOne := []int{ok, http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusTooManyRequests}
+	for _, tt := range []struct {
+		name, addr string
+		hdr        map[string]string
+		want       []int
+	}{
+		{"clustered", clustered, nil, limitedAfterOne},
+		{"clustered with hop header", clustered, hop, []int{ok, ok, ok, ok, ok}},
+		{"single-process with hop header", single, hop, limitedAfterOne},
+	} {
+		var got []int
+		for i := 0; i < 5; i++ {
+			code, _, _ := postRaw(t, tt.addr, "/v1/analyze", analyzeBody, tt.hdr)
+			got = append(got, code)
+		}
+		if !slices.Equal(got, tt.want) {
+			t.Errorf("%s: statuses %v, want %v", tt.name, got, tt.want)
+		}
+	}
+}
+
+// singleProcess returns what one process outside any cluster serves for
+// a body: Encode of fn applied to the body's decoded request.
+func singleProcess[T, R any](fn func(context.Context, T) (R, error)) func(body string) ([]byte, error) {
+	return func(body string) ([]byte, error) {
+		var req T
+		if err := decodeFrom(strings.NewReader(body), &req); err != nil {
+			return nil, err
+		}
+		resp, err := fn(context.Background(), req)
+		if err != nil {
+			return nil, err
+		}
+		return Encode(resp)
+	}
+}
+
+// TestPeerFillParity: on every cacheable route a non-owner answers a
+// peer-filled request with the bytes the owner serves directly and the
+// single-process function encodes, and the cluster computes it once.
+func TestPeerFillParity(t *testing.T) {
+	tc := startTestCluster(t, 2, nil)
+	a, b := tc.servers[0], tc.servers[1]
+	for _, tt := range []struct {
+		endpoint, path string
+		body           string // with one %d, a bandwidth in Mbps
+		key            func([]byte) (string, error)
+		want           func(body string) ([]byte, error)
+	}{
+		{"analyze", "/v1/analyze",
+			`{"bandwidthMbps":%d,"detail":true,"streams":[{"name":"s","periodMs":10,"lengthBits":4096}]}`,
+			keyOf[AnalyzeRequest], singleProcess(Analyze)},
+		{"topology", "/v1/topology/analyze",
+			`{"topology":"ring:name=a,proto=fddi,bw=%de6 + flow:name=f,src=a,dst=a,period=10ms,bits=4096"}`,
+			keyOf[TopologyRequest], singleProcess(AnalyzeTopology)},
+		{"sweep", "/v1/sweep",
+			`{"bandwidthsMbps":[%d],"streams":4,"samples":3}`,
+			keyOf[SweepRequest], singleProcess(func(ctx context.Context, req SweepRequest) (SweepResponse, error) {
+				return Sweep(ctx, req, 0, nil)
+			})},
+	} {
+		t.Run(tt.endpoint, func(t *testing.T) {
+			var body string
+			for bw := 1; body == ""; bw++ {
+				candidate := fmt.Sprintf(tt.body, bw)
+				key, err := tt.key([]byte(candidate))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.clust.ring.Owner(key) == tc.addrs[1] {
+					body = candidate
+				}
+			}
+			code, xc, filled := postRaw(t, tc.addrs[0], tt.path, body, nil)
+			if code != http.StatusOK || xc != "peer" {
+				t.Fatalf("non-owner answered %d X-Cache=%q: %s", code, xc, filled)
+			}
+			if code, _, direct := postRaw(t, tc.addrs[1], tt.path, body, nil); code != http.StatusOK || !bytes.Equal(direct, filled) {
+				t.Errorf("owner answered %d %s, non-owner %s", code, direct, filled)
+			}
+			want, err := tt.want(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(filled, want) {
+				t.Errorf("peer-filled body differs from the single-process encoding:\n%s\nvs\n%s", filled, want)
+			}
+			if n := computes(a, tt.endpoint) + computes(b, tt.endpoint); n != 1 {
+				t.Errorf("cluster computed %v times, want 1", n)
+			}
+		})
+	}
+}
+
+// FuzzPeerFillParity posts each analyze or topology body to both members
+// of a two-member loopback cluster, so that whichever does not own the
+// body's key fills it from the other: neither answers a 5xx, and both
+// answer the same status and bytes.
+func FuzzPeerFillParity(f *testing.F) {
+	for _, seed := range []string{
+		analyzeBody,
+		`{"bandwidthMbps":16,"detail":true,"streams":[{"name":"<s>","periodMs":10,"lengthBits":4096}]}`,
+		`{"bandwidthMbps":1e-300,"streams":[{"periodMs":10,"lengthBits":4096}]}`,
+		`{"bandwidthMbps":100,"streams":[]}`,
+		`not json`,
+	} {
+		f.Add(false, seed)
+	}
+	for _, seed := range []string{
+		`{"topology":"` + lineTopologySpec + `","detail":true}`,
+		`{"topology":"` + overflowTopology + `"}`,
+		`{"topology":""}`,
+	} {
+		f.Add(true, seed)
+	}
+	tc := startTestCluster(f, 2, nil)
+	f.Fuzz(func(t *testing.T, topology bool, body string) {
+		path := "/v1/analyze"
+		if topology {
+			path = "/v1/topology/analyze"
+		}
+		codeA, _, bodyA := postRaw(t, tc.addrs[0], path, body, nil)
+		codeB, _, bodyB := postRaw(t, tc.addrs[1], path, body, nil)
+		if codeA >= 500 || codeB >= 500 {
+			t.Fatalf("statuses %d and %d: %s / %s", codeA, codeB, bodyA, bodyB)
+		}
+		if codeA != codeB || !bytes.Equal(bodyA, bodyB) {
+			t.Fatalf("members disagree: %d %s vs %d %s", codeA, bodyA, codeB, bodyB)
+		}
+	})
 }
 
 // TestSingleProcessModeUnchanged: without Advertise the cluster layer is

@@ -465,14 +465,6 @@ func WithClientDeadline(ctx context.Context, r *http.Request) (context.Context, 
 // the response always carries the header so a curl user can plug its
 // value straight into /debug/traces?trace=.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return s.instrumentOpts(endpoint, h, false)
-}
-
-// instrumentOpts is instrument with the peer escape hatch: peerExempt
-// skips per-client rate limiting, because peer fills are infrastructure
-// traffic between replicas, not tenant traffic — throttling them would
-// turn one tenant's burst into cluster-wide fill failures.
-func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt bool) http.HandlerFunc {
 	// Chaos wraps the innermost handler so injected faults see the final
 	// request context (deadline included) and pay the same metrics as
 	// real responses; a nil/disabled chaos is a free passthrough.
@@ -491,6 +483,14 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 		sp.SetAttr("method", r.Method)
 		if idErr != nil {
 			sp.SetAttr("badTraceHeader", true)
+		}
+		// A request carrying the hop header on a clustered replica is a
+		// peer fill: infrastructure traffic between replicas, not tenant
+		// traffic, so the limiter below passes it (throttling it would
+		// turn one tenant's burst into cluster-wide fill failures).
+		hop := s.clust != nil && r.Header.Get(peerHopHeader) != ""
+		if hop {
+			sp.SetAttr("peerHop", true)
 		}
 		ctx, dig := withDigest(ctx, sp.TraceID().String())
 		traceID := dig.traceID[0]
@@ -554,7 +554,7 @@ func (s *Server) instrumentOpts(endpoint string, h http.HandlerFunc, peerExempt 
 			WriteError(sw, http.StatusServiceUnavailable, errDraining)
 			return
 		}
-		if s.limiter != nil && !peerExempt {
+		if s.limiter != nil && !hop {
 			if ok, retryAfter := s.limiter.Allow(clientKey(r), time.Now()); !ok {
 				s.ratelimited.Add(lbl.endpoint, 1)
 				WriteError(sw, http.StatusTooManyRequests,
@@ -734,11 +734,12 @@ func writeHit(w http.ResponseWriter, body []byte) {
 // topology, and non-streaming sweep and writes the response body. compute
 // must return the exact bytes to serve; they are cached under key. In
 // cluster mode, a miss on a key some other member owns is first filled
-// from that owner (peerReq is the canonical request, re-marshaled onto
-// the wire); a failed fill falls back to computing locally. The X-Cache
-// header tells the caller what happened: hit, coalesced, miss (computed
-// here), or peer (fetched from the owning shard).
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, peerReq any, compute func(context.Context) ([]byte, error)) {
+// from that owner on r's route (canon is the canonical request,
+// re-marshaled onto the wire); a failed fill falls back to computing
+// locally. The X-Cache header tells the caller what happened: hit,
+// coalesced, miss (computed here), or peer (fetched from the owning
+// shard).
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, canon any, compute func(context.Context) ([]byte, error)) {
 	setDigestKey(r.Context(), key)
 	lookup := trace.StartLeaf(r.Context(), "cache.lookup")
 	body, cached := s.cache.Get(key)
@@ -761,10 +762,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 		WriteError(w, StatusFor(err), err)
 		return
 	}
-	owner := ""
-	if peerReq != nil {
-		owner = s.peerOwner(r, key)
-	}
+	owner := s.peerOwner(r, key)
 	// The flight group's compute context derives from the server's base
 	// context, not from this request (the computation must survive the
 	// first caller hanging up while followers wait). Graft this request's
@@ -788,7 +786,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 		// members onto one computation — cluster-wide, an identical burst
 		// costs exactly one kernel run.
 		if owner != "" {
-			if b, ok := s.fillFromPeer(ctx, parent, owner, endpoint, key, peerReq); ok {
+			if b, ok := s.fillFromPeer(ctx, parent, owner, r.URL.Path, endpoint, key, canon); ok {
 				viaPeer = true
 				return b, nil
 			}
@@ -834,15 +832,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, buf, alias, ok := decodeCacheable[AnalyzeRequest](s, w, r, "analyze", true)
-	if ok {
-		s.serveAnalyze(w, r, req, alias)
+	defer ReleaseBody(buf)
+	if !ok {
+		return
 	}
-	ReleaseBody(buf)
-}
-
-// serveAnalyze is the decoded-request half of /v1/analyze, shared with
-// the peer-fill door (which passes no alias).
-func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req AnalyzeRequest, alias []byte) {
 	canon, key, ok := prepare(s, w, r, req)
 	if !ok {
 		return
@@ -882,15 +875,10 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, buf, alias, ok := decodeCacheable[TopologyRequest](s, w, r, "topology", true)
-	if ok {
-		s.serveTopology(w, r, req, alias)
+	defer ReleaseBody(buf)
+	if !ok {
+		return
 	}
-	ReleaseBody(buf)
-}
-
-// serveTopology is the decoded-request half of /v1/topology/analyze,
-// shared with the peer-fill door.
-func (s *Server) serveTopology(w http.ResponseWriter, r *http.Request, req TopologyRequest, alias []byte) {
 	canon, key, ok := prepare(s, w, r, req)
 	if !ok {
 		return
@@ -920,21 +908,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusMethodNotAllowed, errors.New("service: POST required"))
 		return
 	}
-	req, buf, alias, ok := decodeCacheable[SweepRequest](s, w, r, "sweep", !WantsSSE(r))
-	if ok {
-		s.serveSweep(w, r, req, alias)
+	sse := WantsSSE(r)
+	req, buf, alias, ok := decodeCacheable[SweepRequest](s, w, r, "sweep", !sse)
+	defer ReleaseBody(buf)
+	if !ok {
+		return
 	}
-	ReleaseBody(buf)
-}
-
-// serveSweep is the decoded-request half of /v1/sweep, shared with the
-// peer-fill door (which never asks for the SSE variant).
-func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, alias []byte) {
 	canon, key, ok := prepare(s, w, r, req)
 	if !ok {
 		return
 	}
-	if WantsSSE(r) {
+	if sse {
 		s.streamSweep(w, r, canon, key)
 		return
 	}

@@ -112,8 +112,8 @@ type Attr struct {
 
 // inlineAttrs is how many attributes a span holds without allocating: as
 // many as the largest production span sets (http.*: method, code,
-// coalesced, badTraceHeader, deadlineMs, shed, aborted). More spill into
-// an overflow slice.
+// coalesced, badTraceHeader, deadlineMs, peerHop, and shed or aborted,
+// which never meet). More spill into an overflow slice.
 const inlineAttrs = 7
 
 // Finished is a span as End exports it: raw IDs, timing, error and

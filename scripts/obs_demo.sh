@@ -8,12 +8,15 @@
 #      three processes.
 #   2. Flight recorder — /debug/requests on the serving replica carries
 #      the request digest: endpoint, canonical key, the "peer" cache
-#      disposition, and the same trace ID the client saw.
+#      disposition, and the same trace ID the client saw. The owner's
+#      recorder holds the fill under that trace ID too, as an ordinary
+#      analyze request: fills ride the owner's public routes.
 #   3. Audit trail — after CAS edits, /v1/rings/{id}/history?format=script
 #      replayed offline through ringadmit -verify-history reproduces the
 #      live verdicts bit-for-bit.
 #   4. ringtop — one snapshot of the fleet renders RED rows for both
-#      replicas from their /metrics and /debug/requests.
+#      replicas from their /metrics and /debug/requests, and replica A's
+#      row counts its peer fill in PEER%.
 #
 # Usage:
 #   scripts/obs_demo.sh
@@ -91,7 +94,14 @@ curl -sf "http://$a/debug/requests?endpoint=analyze" > "$work/requests.json"
 jq -e --arg id "$trace_id" \
     'any(.requests[]; .traceId == $id and .cache == "peer" and .key != "")' \
     "$work/requests.json" >/dev/null
-echo "flight recorder: digest carries the peer disposition and trace ID"
+curl -sf "http://$b/debug/requests" > "$work/owner_requests.json"
+if ! jq -e --arg id "$trace_id" 'any(.requests[]; .traceId == $id and .endpoint == "analyze")' \
+    "$work/owner_requests.json" >/dev/null; then
+    echo "FAIL: owner $b has no analyze record of the fill under trace $trace_id" >&2
+    jq . "$work/owner_requests.json" >&2
+    exit 1
+fi
+echo "flight recorder: digest carries the peer disposition and trace ID; the owner logged the fill as analyze"
 
 # --- 3. Audit trail replays to bit-identical verdicts. -----------------
 state=$(curl -sf -XPOST -d '{"bandwidthMbps":4,"streams":[{"name":"gyro","periodMs":10,"lengthBits":4096}]}' \
@@ -115,6 +125,12 @@ echo "audit trail: ringadmit replay certified bit-identical verdicts"
 grep -q '2 members' "$work/ringtop.txt"
 grep -q "$a" "$work/ringtop.txt"
 grep -q "$b" "$work/ringtop.txt"
+peer_pct=$(awk -v m="$a" '$1 == m { print $8 }' "$work/ringtop.txt")
+if ! awk -v p="$peer_pct" 'BEGIN { exit !(p + 0 > 0) }'; then
+    echo "FAIL: ringtop shows PEER% '$peer_pct' for $a after a peer fill, want > 0" >&2
+    cat "$work/ringtop.txt" >&2
+    exit 1
+fi
 echo "ringtop snapshot:"
 sed 's/^/  /' "$work/ringtop.txt"
 
