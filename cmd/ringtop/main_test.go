@@ -69,11 +69,18 @@ func TestRingtopPeerFills(t *testing.T) {
 
 	// A's cache lookups and fills, kept as A counts them.
 	var lookups, fills int
+	// Each loop below tries at most maxBodies bodies, so broken fills fail
+	// the test instead of spinning until its timeout. B owns about half of
+	// all keys.
+	const maxBodies = 64
 	bw := 1
 	// A fill the owner answers from its cache: each body goes to B first.
 	// When A owns a body, B's post has A compute it for B's fill, and A's
 	// own post is then a hit there: two lookups, no fill.
 	for ; fills < 1; bw++ {
+		if bw > maxBodies {
+			t.Fatalf("no peer fill in %d bodies posted to B, then A: %d fills in %d lookups", maxBodies, fills, lookups)
+		}
 		postAnalyze(t, b, bw)
 		lookups++
 		if postAnalyze(t, a, bw) == "peer" {
@@ -83,7 +90,10 @@ func TestRingtopPeerFills(t *testing.T) {
 		}
 	}
 	// A fill the owner computes: each body goes to A alone, one lookup.
-	for ; fills < 2; bw++ {
+	for start := bw; fills < 2; bw++ {
+		if bw-start == maxBodies {
+			t.Fatalf("no peer fill in %d bodies posted to A alone: %d fills in %d lookups", maxBodies, fills, lookups)
+		}
 		lookups++
 		if postAnalyze(t, a, bw) == "peer" {
 			fills++

@@ -14,8 +14,9 @@ import (
 // peerHopHeader marks a peer fill. Every outbound fill carries it, and a
 // request that arrives with it is never forwarded again — so a fill can
 // hop at most once regardless of how stale or disagreeing the members'
-// ring configurations are. On a clustered replica it also exempts the
-// request from per-client rate limiting and tags its root span peerHop.
+// ring configurations are. On a clustered replica a request carrying it
+// to a route a fill can land on (analyze, topology, a sweep without SSE)
+// also skips per-client rate limiting and tags its root span peerHop.
 const peerHopHeader = "X-Ringsched-Peer-Hop"
 
 // clusterState is the per-process view of the sharded cluster: the

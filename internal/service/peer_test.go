@@ -366,9 +366,10 @@ func TestPeerFillIsAnOwnerRequest(t *testing.T) {
 }
 
 // TestPeerHopSkipsRateLimiter: on a clustered replica a request carrying
-// the hop header is a peer fill, which the per-client limiter passes.
-// Every other request pays, and so does every request to a
-// single-process server, hop header or not.
+// the hop header to a route a fill can land on is a peer fill, which the
+// per-client limiter passes. Every other request pays: one without the
+// header, one to a ring, experiment or SSE sweep route whatever its
+// headers, and every request to a single-process server.
 func TestPeerHopSkipsRateLimiter(t *testing.T) {
 	limited := Config{ClientRPS: 1, ClientBurst: 1}
 	clustered := startTestCluster(t, 1, func(_ int, cfg *Config) {
@@ -376,21 +377,30 @@ func TestPeerHopSkipsRateLimiter(t *testing.T) {
 	}).addrs[0]
 	_, ts := newTestServer(t, limited)
 	single := strings.TrimPrefix(ts.URL, "http://")
-	hop := map[string]string{peerHopHeader: "1"}
-	ok := http.StatusOK
-	limitedAfterOne := []int{ok, http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusTooManyRequests}
+	ok, created := http.StatusOK, http.StatusCreated
+	limitedAfter := func(first int) []int {
+		return []int{first, http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusTooManyRequests}
+	}
 	for _, tt := range []struct {
-		name, addr string
-		hdr        map[string]string
-		want       []int
+		name, addr, path, body string
+		hop                    bool
+		want                   []int
 	}{
-		{"clustered", clustered, nil, limitedAfterOne},
-		{"clustered with hop header", clustered, hop, []int{ok, ok, ok, ok, ok}},
-		{"single-process with hop header", single, hop, limitedAfterOne},
+		{"clustered", clustered, "/v1/analyze", analyzeBody, false, limitedAfter(ok)},
+		{"clustered with hop header", clustered, "/v1/analyze", analyzeBody, true, []int{ok, ok, ok, ok, ok}},
+		{"single-process with hop header", single, "/v1/analyze", analyzeBody, true, limitedAfter(ok)},
+		{"ring create with hop header", clustered, "/v1/rings", `{"bandwidthMbps": 16}`, true, limitedAfter(created)},
+		{"experiments with hop header", clustered, "/v1/experiments", `{"ids":["BASE-RM88"],"quick":true}`, true, limitedAfter(ok)},
+		{"SSE sweep with hop header", clustered, "/v1/sweep?stream=sse", `{"bandwidthsMbps":[16],"streams":4,"samples":3}`, true, limitedAfter(ok)},
 	} {
+		// Each row is its own client, with a bucket of its own.
+		hdr := map[string]string{"X-Ringsched-Client": tt.name}
+		if tt.hop {
+			hdr[peerHopHeader] = "1"
+		}
 		var got []int
 		for i := 0; i < 5; i++ {
-			code, _, _ := postRaw(t, tt.addr, "/v1/analyze", analyzeBody, tt.hdr)
+			code, _, _ := postRaw(t, tt.addr, tt.path, tt.body, hdr)
 			got = append(got, code)
 		}
 		if !slices.Equal(got, tt.want) {

@@ -471,6 +471,11 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	inner := s.chaos.Wrap(http.HandlerFunc(h))
 	lbl := newEndpointLabels(endpoint)
 	rootName := "http." + endpoint
+	// A peer fill lands only on a cacheable route (serveCached is the one
+	// fill site). Rings and experiments keep the limiter whatever headers
+	// a request carries: ring creates and edits pass no admission queue,
+	// so the limiter is their only rate bound.
+	fillable := endpoint == "analyze" || endpoint == "topology" || endpoint == "sweep"
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
@@ -484,11 +489,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		if idErr != nil {
 			sp.SetAttr("badTraceHeader", true)
 		}
-		// A request carrying the hop header on a clustered replica is a
-		// peer fill: infrastructure traffic between replicas, not tenant
-		// traffic, so the limiter below passes it (throttling it would
-		// turn one tenant's burst into cluster-wide fill failures).
-		hop := s.clust != nil && r.Header.Get(peerHopHeader) != ""
+		// A request carrying the hop header to a fillable route of a
+		// clustered replica is a peer fill: infrastructure traffic between
+		// replicas, not tenant traffic, so the limiter below passes it
+		// (throttling it would turn one tenant's burst into cluster-wide
+		// fill failures). An SSE sweep is never a fill.
+		hop := fillable && s.clust != nil && r.Header.Get(peerHopHeader) != "" && !WantsSSE(r)
 		if hop {
 			sp.SetAttr("peerHop", true)
 		}
